@@ -109,10 +109,14 @@ def exponential_pdp(length: int, decay_db_per_tap: float) -> np.ndarray:
 
 
 def complex_gaussian(stream: RngStream, count: int, variance: float) -> np.ndarray:
-    """i.i.d. circular complex Gaussians of total variance ``variance`` each."""
-    g = draw_gaussian(stream, 2 * count).reshape(count, 2)
-    scale = np.sqrt(variance / 2.0)
-    return scale * (g[:, 0] + 1j * g[:, 1])
+    """i.i.d. circular complex Gaussians of total variance ``variance`` each.
+
+    Consecutive standard normals form the (real, imaginary) pairs: they are
+    scaled in place and viewed as complex, with no complex rebuild.
+    """
+    g = draw_gaussian(stream, 2 * count)
+    g *= np.sqrt(variance / 2.0)
+    return g.view(np.complex128)
 
 
 def realize_channel(

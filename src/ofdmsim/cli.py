@@ -38,7 +38,10 @@ DEFAULT_TDL_DECAY_DB = 1.0
 
 
 def _parse_list(text: str, conv) -> tuple:
-    return tuple(conv(part) for part in text.split(",") if part.strip())
+    try:
+        return tuple(conv(part) for part in text.split(",") if part.strip())
+    except (ValueError, ZeroDivisionError) as exc:  # e.g. "abc" or "1/0"
+        raise ConfigError(f"cannot parse {text!r}: {exc}") from exc
 
 
 def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
@@ -136,7 +139,7 @@ def _resolve_grid(args: argparse.Namespace) -> SweepGrid:
             bit_budget=int(settings.get("bit_budget", 1000)),
             use_equalizer=bool(settings.get("use_equalizer", True)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:  # malformed config values
         raise ConfigError(str(exc)) from exc
     return grid
 
@@ -196,7 +199,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_single(args: argparse.Namespace) -> int:
     settings: dict[str, Any] = {
-        "channel": args.channel,
+        "channel": args.channel or "awgn",
         "account_cp_overhead": args.account_cp_overhead,
     }
     if args.tdl_taps is not None:
@@ -213,8 +216,12 @@ def cmd_single(args: argparse.Namespace) -> int:
             bit_budget=args.bit_budget or 1000,
         )
         spec = _build_channel(settings)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
+    target_errors = args.target_errors or 100
+    max_bits = args.max_bits or 2_000_000
+    if target_errors < 1 or max_bits < 1:
+        raise ConfigError("--target-errors and --max-bits must be >= 1")
     seed = args.seed if args.seed is not None else DEFAULT_MASTER_SEED
     print(
         f"effective config: fft={config.fft_size} cp={config.cp_fraction} "
@@ -224,8 +231,7 @@ def cmd_single(args: argparse.Namespace) -> int:
     )
     record = run_cell(
         config, spec, args.ebno, seed, args.cell_id,
-        target_errors=args.target_errors or 100,
-        max_bits=args.max_bits or 2_000_000,
+        target_errors=target_errors, max_bits=max_bits,
         use_equalizer=not args.no_equalizer,
     )
     payload = record.row()
@@ -240,6 +246,8 @@ def cmd_single(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.bits < 1:
+        raise ConfigError(f"--bits must be >= 1, got {args.bits}")
     seed = args.seed if args.seed is not None else DEFAULT_MASTER_SEED
     rows, all_passed = run_validation(
         seed=seed, bits_floor=args.bits, noise_scale=args.noise_scale
@@ -250,7 +258,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    rows = read_records(args.records, args.format)
+    try:
+        rows = read_records(args.records, args.format)
+    except (KeyError, ValueError) as exc:  # missing column or unparsable value
+        raise ConfigError(f"records file {args.records} is malformed: {exc!r}") from exc
+    if not rows:
+        raise ConfigError(f"records file {args.records} holds no records")
     paths = emit_plot(rows, args.out_dir)
     print(f"wrote {len(paths)} chart(s) to {args.out_dir}", file=sys.stderr)
     return EXIT_OK
@@ -335,9 +348,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"ofdmsim: config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (ValueError,) as exc:
         print(f"ofdmsim: config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except IoError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +53,7 @@ class OfdmConfig:
         if self.bit_budget < 1:
             raise ValueError(f"bit_budget must be >= 1, got {self.bit_budget}")
 
-    @property
+    @cached_property
     def cp_len(self) -> int:
         return int(self.cp_fraction * self.fft_size)
 

@@ -6,6 +6,18 @@ the output records are byte-identical regardless of scheduling.
 
 Per-repetition draw order inside a cell (fixed for reproducibility):
 information bits, then channel gains, then noise samples.
+
+Repetitions run in chunks.  The draws of every repetition in a chunk are
+made first, each repetition's in the order above, into (k, ...) arrays;
+then the chain runs once on the whole chunk, row by row.  The cell stops at
+the first repetition whose running totals reach ``target_errors`` or
+``max_bits``, and the draws of the chunk's later repetitions are
+discarded.  Because the stream is private to the cell, those extra draws
+touch nothing else, and a record does not depend on how the repetitions
+were chunked.  The first chunk is one repetition; each later chunk holds
+the repetitions the error rate so far predicts are still needed, at most
+as many as have already run (so with no errors yet the total doubles) and
+at most ``_CHUNK_SAMPLES`` time-domain samples.
 """
 
 from __future__ import annotations
@@ -25,18 +37,24 @@ from .channel import (
     FLAT,
     TDL,
     ChannelSpec,
-    apply_channel,
     complex_gaussian,
     ebno_to_noise_variance,
     realize_channel,
 )
 from .equalizer import channel_freq_response, zero_forcing
-from .errors import IoError
-from .framing import OfdmConfig, add_cyclic_prefix, remove_cyclic_prefix, serial_to_parallel
-from .metrics import CSV_COLUMNS, BerRecord, count_bit_errors, make_record
-from .psk import demap_psk, map_psk
+from .errors import ConfigError, IoError
+from .framing import OfdmConfig, remove_cyclic_prefix
+from .metrics import CSV_COLUMNS, BerRecord, make_record
+from .psk import count_psk_errors, map_psk
 from .svgplot import emit_plot  # re-exported: plotting is part of the sweep surface
 from .transform import unitary_dft, unitary_idft
+
+# Kept importable from this module although the chain no longer calls them:
+# the benchmark's trace (bench/run.py) wraps these names in this namespace.
+from .channel import apply_channel  # noqa: F401
+from .framing import add_cyclic_prefix, serial_to_parallel  # noqa: F401
+from .metrics import count_bit_errors  # noqa: F401
+from .psk import demap_psk  # noqa: F401
 
 __all__ = [
     "SweepGrid",
@@ -58,6 +76,10 @@ DEFAULT_CP_FRACTIONS = (
     Fraction(1, 32),
 )
 DEFAULT_EBNO_POINTS_DB = tuple(float(e) for e in range(0, 21, 2))
+
+#: Most time-domain samples one chunk of repetitions may hold, which keeps a
+#: chunk's arrays under about 1 MB; a longer repetition runs as a chunk alone.
+_CHUNK_SAMPLES = 16_384
 
 
 @dataclass(frozen=True)
@@ -128,47 +150,77 @@ class SweepFailure(RuntimeError):
         super().__init__(f"{len(failures)} cell(s) failed ({detail})")
 
 
+class _Workspace:
+    """Arrays for a chunk of up to ``capacity`` repetitions of ``n_bits`` bits.
+
+    One workspace serves every chunk of a cell with that repetition size:
+    the draws go into it and the chain works in it in place, so a chunk
+    allocates nothing in proportion to its size.
+    """
+
+    def __init__(self, config: OfdmConfig, channel: ChannelSpec, n_bits: int,
+                 capacity: int, noisy: bool):
+        n_fft, cp_len = config.fft_size, config.cp_len
+        self.n_bits = n_bits
+        self.used = n_bits // config.bits_per_symbol
+        self.n_frames = -(-self.used // n_fft)
+        self.capacity = capacity
+        frames = (capacity, self.n_frames)
+        self.bits = np.empty((capacity, n_bits), dtype=np.uint8)
+        self.gains = np.empty(frames, dtype=np.complex128) if channel.kind == FLAT else None
+        # subcarrier grid: the mapped symbols, later the DFT output
+        self.grid = np.empty(frames + (n_fft,), dtype=np.complex128)
+        self.tx = np.empty(frames + (n_fft + cp_len,), dtype=np.complex128)
+        self.noise = np.empty_like(self.tx) if noisy else None
+        # the noise as the real (re, im, re, im, ...) draws of each repetition
+        self.noise_draws = self.noise.reshape(capacity, -1).view(np.float64) if noisy else None
+
+
 def _run_chain_once(
-    tx_bits: np.ndarray,
+    work: _Workspace,
+    k: int,
     config: OfdmConfig,
     channel: ChannelSpec,
-    sigma2: float,
-    stream,
+    realizations: list,
     use_equalizer: bool,
-) -> tuple[int, int]:
-    """One repetition of the full transmit/channel/receive chain.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The full transmit/channel/receive chain for a chunk of k repetitions.
 
-    Returns (bit errors, zero-forcing clamps) for this batch.
+    Works on the first k rows of ``work``: the bits, the flat-fading gains
+    (one per OFDM symbol) and the noise are drawn into it beforehand, and
+    ``realizations`` holds the k delay-line draws of a TDL cell.  Every step
+    works row by row, so a chunk gives the same result as its repetitions
+    one at a time.
+
+    Returns per-repetition (bit errors, zero-forcing clamps).
     """
     n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
+    bits, grid, tx = work.bits[:k], work.grid[:k], work.tx[:k]
 
-    symbols = map_psk(tx_bits, order)
-    matrix, used = serial_to_parallel(symbols, n_fft)
-    tx_rows = add_cyclic_prefix(unitary_idft(matrix, axis=-1), cp_len)
-    n_frames = tx_rows.shape[0]
+    slots = grid.reshape(k, -1)
+    slots[:, work.used:] = 0.0  # zero padding of the last OFDM symbol
+    map_psk(bits, order, out=slots[:, :work.used])
+    unitary_idft(grid, axis=-1, out=tx[..., cp_len:])
+    tx[..., :cp_len] = tx[..., n_fft:]  # cyclic prefix: copy of the symbol tail
 
-    response: Optional[np.ndarray]
+    response: Any = None
     if channel.kind == FLAT:
-        # block fading: one gain per OFDM symbol
-        gains = complex_gaussian(stream, n_frames, 1.0)
-        serial = (tx_rows * gains[:, None]).ravel()
-        if sigma2 > 0.0:
-            serial = serial + complex_gaussian(stream, serial.size, sigma2)
-        response = gains[:, None]
-    else:
-        real = realize_channel(channel, stream, noise_variance=sigma2)
-        serial = apply_channel(tx_rows.ravel(), real, stream)
-        response = channel_freq_response(real, n_fft)[None, :] if channel.kind == TDL else None
+        response = work.gains[:k, :, None]
+        tx *= response
+    elif channel.kind == TDL:
+        # the delay line runs over each repetition's burst of frames
+        for burst, real in zip(tx.reshape(k, -1), realizations):
+            burst[:] = np.convolve(burst, real.taps)[: burst.size]
+        response = [channel_freq_response(real, n_fft)[None, :] for real in realizations]
+    rx = tx if work.noise is None else np.add(work.noise[:k], tx, out=work.noise[:k])
+    freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), axis=-1, out=grid)
 
-    payload = remove_cyclic_prefix(serial.reshape(n_frames, n_fft + cp_len), n_fft, cp_len)
-    freq = unitary_dft(payload, axis=-1)
-
-    clamps = 0
+    clamps = np.zeros(k, dtype=np.int64)
     if use_equalizer and response is not None:
-        freq, clamps = zero_forcing(freq, response)
+        for r in range(k):  # per repetition: a record counts only the kept ones' clamps
+            freq[r], clamps[r] = zero_forcing(freq[r], response[r])
 
-    rx_bits = demap_psk(freq.ravel()[:used], order)
-    errors, _ = count_bit_errors(tx_bits, rx_bits)
+    errors = count_psk_errors(freq.reshape(k, -1)[:, :work.used], bits, order)
     return errors, clamps
 
 
@@ -191,33 +243,64 @@ def run_cell(
     errors have accumulated or ``max_bits`` bits have been sent.
     ``noise_scale`` multiplies the calibrated noise variance (diagnostics
     hook; leave at 1.0 for honest measurements).
+
+    Repetitions run in chunks (see the module docstring); the record is the
+    one a repetition-at-a-time loop would give.
     """
     if target_errors < 1 or max_bits < 1:
         raise ValueError("target_errors and max_bits must be >= 1")
     stream = make_stream(seed, cell_id)
-    b = config.bits_per_symbol
+    normal = stream.rng.standard_normal
+    b, n_fft, cp_len = config.bits_per_symbol, config.fft_size, config.cp_len
+    budget = config.bit_budget
     sigma2 = noise_scale * ebno_to_noise_variance(
-        ebno_db, config.modulation_order, config.fft_size, config.cp_len,
-        channel.account_cp_overhead,
+        ebno_db, config.modulation_order, n_fft, cp_len, channel.account_cp_overhead,
     )
-    bits_sent = bit_errors = zf_clamps = 0
+    noise_std = np.sqrt(sigma2 / 2.0)  # per real component
+    work: Optional[_Workspace] = None
+    bits_sent = bit_errors = zf_clamps = reps = 0
+    chunk = 1
     while True:
         remaining = max_bits - bits_sent
-        n_bits = max(b, (min(config.bit_budget, remaining) // b) * b)
-        tx_bits = draw_bits(stream, n_bits)
-        errors, clamps = _run_chain_once(
-            tx_bits, config, channel, sigma2, stream, use_equalizer
-        )
-        bits_sent += n_bits
-        bit_errors += errors
-        zf_clamps += clamps
-        if bit_errors >= target_errors or bits_sent >= max_bits:
-            break
-    summary = channel.summary() + ("" if use_equalizer else "/noeq")
-    return make_record(
-        config, summary, ebno_db, bits_sent, bit_errors, zf_clamps, seed, cell_id,
-        equalizer="zf" if use_equalizer else "none",
-    )
+        n_bits = max(b, (min(budget, remaining) // b) * b)
+        if work is None or work.n_bits != n_bits:
+            samples = -(-(n_bits // b) // n_fft) * (n_fft + cp_len)
+            capacity = max(1, _CHUNK_SAMPLES // samples)
+            work = _Workspace(config, channel, n_bits, capacity, noisy=sigma2 > 0.0)
+        # only repetitions of the same size share a chunk
+        same_size = (remaining - budget) // n_bits + 1 if remaining >= budget else 1
+        k = min(chunk, same_size, work.capacity)
+
+        realizations = []
+        for r in range(k):  # per-repetition draw order: bits, channel, noise
+            work.bits[r] = draw_bits(stream, n_bits)
+            if channel.kind == FLAT:
+                work.gains[r] = complex_gaussian(stream, work.n_frames, 1.0)
+            elif channel.kind == TDL:
+                realizations.append(realize_channel(channel, stream))
+            if work.noise is not None:
+                normal(out=work.noise_draws[r])
+        if work.noise is not None:
+            work.noise_draws[:k] *= noise_std
+
+        errors, clamps = _run_chain_once(work, k, config, channel, realizations, use_equalizer)
+        for rep_errors, rep_clamps in zip(errors.tolist(), clamps.tolist()):
+            bits_sent += n_bits
+            bit_errors += rep_errors
+            zf_clamps += rep_clamps
+            reps += 1
+            if bit_errors >= target_errors or bits_sent >= max_bits:
+                # draws of the chunk's later repetitions are discarded
+                summary = channel.summary() + ("" if use_equalizer else "/noeq")
+                return make_record(
+                    config, summary, ebno_db, bits_sent, bit_errors, zf_clamps, seed,
+                    cell_id, equalizer="zf" if use_equalizer else "none",
+                )
+        # next chunk: the repetitions the error rate so far predicts are still
+        # needed, but at most as many as have run, so the total at most doubles
+        chunk = reps
+        if bit_errors:
+            chunk = min(chunk, -(-(target_errors - bit_errors) * reps // bit_errors))
 
 
 def run_raw_modem(
@@ -245,8 +328,8 @@ def run_raw_modem(
         n = min((chunk_bits // b) * b, total - sent)
         bits = draw_bits(stream, n)
         symbols = map_psk(bits, order)
-        noisy = symbols + complex_gaussian(stream, symbols.size, sigma2)
-        errors += count_bit_errors(bits, demap_psk(noisy, order))[0]
+        symbols += complex_gaussian(stream, symbols.size, sigma2)
+        errors += int(count_psk_errors(symbols, bits, order))
         sent += n
     return errors, total
 
@@ -265,7 +348,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count: the OFDMSIM_WORKERS env var overrides everything."""
     env = os.environ.get("OFDMSIM_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"OFDMSIM_WORKERS must be an integer, got {env!r}") from None
     return max(1, workers or 1)
 
 

@@ -9,6 +9,7 @@ algorithm to check itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -44,16 +45,22 @@ def _check_pow2(n: int) -> None:
         raise SizeError(f"transform size must be a power of two, got {n}")
 
 
-def unitary_dft(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Forward unitary DFT along ``axis``: X[k] = sum_n x[n] e^{-2pi i kn/N} / sqrt(N)."""
+def unitary_dft(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward unitary DFT along ``axis``: X[k] = sum_n x[n] e^{-2pi i kn/N} / sqrt(N).
+
+    ``out``, if given, receives the result.
+    """
     _check_pow2(np.asarray(x).shape[axis])
-    return np.fft.fft(x, axis=axis, norm="ortho")
+    return np.fft.fft(x, axis=axis, norm="ortho", out=out)
 
 
-def unitary_idft(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Inverse unitary DFT along ``axis``: x[n] = sum_k X[k] e^{+2pi i kn/N} / sqrt(N)."""
+def unitary_idft(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Inverse unitary DFT along ``axis``: x[n] = sum_k X[k] e^{+2pi i kn/N} / sqrt(N).
+
+    ``out``, if given, receives the result.
+    """
     _check_pow2(np.asarray(x).shape[axis])
-    return np.fft.ifft(x, axis=axis, norm="ortho")
+    return np.fft.ifft(x, axis=axis, norm="ortho", out=out)
 
 
 def dft(time: SpectralBlock) -> SpectralBlock:

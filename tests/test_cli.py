@@ -158,6 +158,12 @@ class TestSingleCommand:
         # Es=1, b=3: per-sample SNR is Eb/No + 10*log10(3)
         assert record["sample_snr_db"] == pytest.approx(10 + 10 * np.log10(3), abs=1e-9)
 
+    def test_channel_defaults_to_awgn(self):
+        result = run_cli("single", "--fft", "64", "--cp", "1/4", "--ebno", "10",
+                         "--max-bits", "3000", "--bit-budget", "3000")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["channel"] == "awgn"
+
     def test_non_integer_cp_exits_2(self):
         result = run_cli("single", "--fft", "64", "--cp", "1/3",
                          "--channel", "awgn", "--ebno", "10")
@@ -184,6 +190,65 @@ class TestSingleCommand:
         record = json.loads(result.stdout)
         assert record["channel"] == "tdl:0.5;0.25;0.25"
         assert record["bit_errors"] == 0
+
+
+class TestErrorBoundary:
+    """User input errors exit 2; a ValueError from inside the simulator does not."""
+
+    def test_malformed_list_flag_exits_2(self, config_path, tmp_path):
+        result = run_cli("sweep", "--config", str(config_path),
+                         "--out", str(tmp_path / "x.csv"), "--fft-sizes", "64,abc")
+        assert result.returncode == 2
+        assert "config error" in result.stderr
+
+    def test_malformed_config_value_exits_2(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"fft_sizes": 64}))
+        result = run_cli("sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"))
+        assert result.returncode == 2
+        assert "config error" in result.stderr
+
+    def test_malformed_workers_variable_exits_2(self, config_path, tmp_path):
+        result = run_cli("sweep", "--config", str(config_path),
+                         "--out", str(tmp_path / "x.csv"), env_extra={"OFDMSIM_WORKERS": "two"})
+        assert result.returncode == 2
+        assert "OFDMSIM_WORKERS" in result.stderr
+
+    def test_malformed_tdl_taps_exit_2_in_single(self):
+        result = run_cli("single", "--fft", "64", "--cp", "1/4", "--channel", "tdl",
+                         "--tdl-taps", "1,x", "--ebno", "10")
+        assert result.returncode == 2
+        assert "config error" in result.stderr
+
+    def test_negative_stop_rule_exits_2_in_single(self):
+        result = run_cli("single", "--fft", "64", "--cp", "1/4", "--ebno", "10",
+                         "--target-errors", "-1")
+        assert result.returncode == 2
+        assert "--target-errors" in result.stderr
+
+    def test_malformed_records_file_exits_2(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n")
+        result = run_cli("plot", "--records", str(path), "--out-dir", str(tmp_path / "charts"))
+        assert result.returncode == 2
+        assert "malformed" in result.stderr
+
+    @pytest.mark.parametrize("command,target", [
+        (["single", "--fft", "64", "--cp", "1/4", "--ebno", "10"], "run_cell"),
+        (["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno", "10"], "run_grid"),
+    ])
+    def test_internal_value_error_is_not_a_config_error(self, monkeypatch, capsys, tmp_path,
+                                                        command, target):
+        import ofdmsim.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, target, broken)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="broadcast"):
+            cli.main(command)
+        assert "config error" not in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmsim.errors import LengthError, OrderError
-from ofdmsim.psk import demap_psk, make_constellation, map_psk
+from ofdmsim.metrics import count_bit_errors
+from ofdmsim.psk import count_psk_errors, demap_psk, make_constellation, map_psk
 
 ORDERS = [2, 4, 8, 16]
 
@@ -112,6 +113,46 @@ class TestDemapPsk:
         np.testing.assert_array_equal(demap_psk(map_psk(bits, order), order), bits)
 
 
+class TestBlocks:
+    def test_map_keeps_leading_axes(self):
+        bits = bits_for(8, 40, seed=14).reshape(4, 30)
+        symbols = map_psk(bits, 8)
+        assert symbols.shape == (4, 10)
+        for row_bits, row in zip(bits, symbols):
+            np.testing.assert_array_equal(map_psk(row_bits, 8), row)
+
+    def test_map_into_out(self):
+        bits = bits_for(8, 20, seed=15).reshape(2, 30)
+        buffer = np.zeros((2, 16), dtype=complex)
+        map_psk(bits, 8, out=buffer[:, :10])
+        np.testing.assert_array_equal(buffer[:, :10], map_psk(bits, 8))
+        np.testing.assert_array_equal(buffer[:, 10:], 0)
+
+
+class TestCountPskErrors:
+    def test_sums_over_the_last_axis(self):
+        rng = np.random.default_rng(16)
+        bits = bits_for(8, 60, seed=17).reshape(3, 60)
+        symbols = map_psk(bits, 8) + 0.4 * (rng.standard_normal((3, 20))
+                                            + 1j * rng.standard_normal((3, 20)))
+        counts = count_psk_errors(symbols, bits, 8)
+        assert counts.shape == (3,)
+        for row_symbols, row_bits, count in zip(symbols, bits, counts):
+            assert count == count_bit_errors(row_bits, demap_psk(row_symbols, 8))[0]
+
+    def test_ties_and_zero_follow_the_demapper(self):
+        for order, symbols in ((2, [1j, 0.0]), (4, [1.0 + 1.0j, 0.0, -1e-310j])):
+            b = order.bit_length() - 1
+            for label in range(order):
+                sent = np.array([(label >> s) & 1 for s in range(b - 1, -1, -1)] * len(symbols))
+                assert count_psk_errors(symbols, sent, order) == count_bit_errors(
+                    sent, demap_psk(symbols, order))[0]
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(LengthError):
+            count_psk_errors([1.0 + 0.0j], [0, 0], 8)
+
+
 class TestProperties:
     @given(
         order=st.sampled_from(ORDERS),
@@ -130,6 +171,21 @@ class TestProperties:
         )
         symbols = map_psk(bits, order)
         np.testing.assert_array_equal(demap_psk(symbols, order), bits)
+
+    @given(
+        order=st.sampled_from(ORDERS),
+        seed=st.integers(0, 2**32 - 1),
+        n_symbols=st.integers(0, 40),
+        noise=st.floats(min_value=0.0, max_value=2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_count_matches_demap_then_count(self, order, seed, n_symbols, noise):
+        rng = np.random.default_rng(seed)
+        bits = bits_for(order, n_symbols, seed)
+        symbols = map_psk(bits, order) + noise * (
+            rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols))
+        expected = count_bit_errors(bits, demap_psk(symbols, order))[0]
+        assert count_psk_errors(symbols, bits, order) == expected
 
     @given(
         scale=st.floats(min_value=1e-6, max_value=1e6),

@@ -5,10 +5,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ofdmsim.channel import ChannelSpec, exponential_pdp
-from ofdmsim.framing import OfdmConfig
-from ofdmsim.metrics import CSV_COLUMNS
+from ofdmsim.bitsource import draw_bits, make_stream
+from ofdmsim.channel import (
+    ChannelRealization,
+    ChannelSpec,
+    apply_channel,
+    ebno_to_noise_variance,
+    exponential_pdp,
+    realize_channel,
+)
+from ofdmsim.equalizer import channel_freq_response, zero_forcing
+from ofdmsim.framing import (
+    OfdmConfig,
+    add_cyclic_prefix,
+    remove_cyclic_prefix,
+    serial_to_parallel,
+)
+from ofdmsim.metrics import CSV_COLUMNS, count_bit_errors, make_record
+from ofdmsim.psk import demap_psk, map_psk
 from ofdmsim.sweep import (
     SweepFailure,
     SweepGrid,
@@ -20,6 +37,7 @@ from ofdmsim.sweep import (
     run_raw_modem,
     write_records,
 )
+from ofdmsim.transform import unitary_dft, unitary_idft
 
 NOISELESS = 300.0
 
@@ -99,6 +117,118 @@ class TestRunCell:
         record = run_cell(config, ChannelSpec(kind="flat"), 25.0, 8, 0,
                           target_errors=50, max_bits=48_000)
         assert 0.0 <= record.ber < 0.1
+
+
+def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, max_bits,
+                   use_equalizer=True):
+    """run_cell one repetition at a time, from the public kernels only.
+
+    The draws follow the documented per-repetition order: bits, then the
+    channel (one flat gain per OFDM symbol, or one delay line), then noise.
+    """
+    stream = make_stream(seed, cell_id)
+    n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
+    b = config.bits_per_symbol
+    sigma2 = ebno_to_noise_variance(ebno_db, order, n_fft, cp_len,
+                                    channel.account_cp_overhead)
+    awgn = ChannelRealization(kind="awgn", noise_variance=sigma2)
+    bits_sent = bit_errors = zf_clamps = 0
+    while True:
+        n_bits = max(b, (min(config.bit_budget, max_bits - bits_sent) // b) * b)
+        tx_bits = draw_bits(stream, n_bits)
+        matrix, used = serial_to_parallel(map_psk(tx_bits, order), n_fft)
+        rows = add_cyclic_prefix(unitary_idft(matrix, axis=-1), cp_len)
+        if channel.kind == "flat":
+            reals = [realize_channel(channel, stream) for _ in rows]
+            faded = np.concatenate(
+                [apply_channel(row, real, stream) for row, real in zip(rows, reals)]
+            )
+            response = np.stack([channel_freq_response(real, n_fft) for real in reals])
+            rx = apply_channel(faded, awgn, stream)
+        else:
+            real = realize_channel(channel, stream, noise_variance=sigma2)
+            rx = apply_channel(rows.ravel(), real, stream)
+            response = channel_freq_response(real, n_fft)[None, :]
+        freq = unitary_dft(remove_cyclic_prefix(rx.reshape(rows.shape), n_fft, cp_len), axis=-1)
+        if use_equalizer and channel.kind != "awgn":
+            freq, clamps = zero_forcing(freq, response)
+            zf_clamps += clamps
+        errors, _ = count_bit_errors(tx_bits, demap_psk(freq.ravel()[:used], order))
+        bits_sent += n_bits
+        bit_errors += errors
+        if bit_errors >= target_errors or bits_sent >= max_bits:
+            break
+    summary = channel.summary() + ("" if use_equalizer else "/noeq")
+    return make_record(config, summary, ebno_db, bits_sent, bit_errors, zf_clamps, seed,
+                       cell_id, equalizer="zf" if use_equalizer else "none")
+
+
+@st.composite
+def cells(draw):
+    n_fft = draw(st.sampled_from([64, 128, 256, 512]))
+    cp = draw(st.sampled_from([Fraction(0), Fraction(1, 32), Fraction(1, 16),
+                               Fraction(1, 4), Fraction(1, 2)]))
+    order = draw(st.sampled_from([2, 4, 8, 16]))
+    budget = draw(st.integers(1, 4000).filter(lambda n: n % 3))
+    config = OfdmConfig(n_fft, cp, modulation_order=order, bit_budget=budget)
+    kind = draw(st.sampled_from(["awgn", "flat", "tdl"]))
+    taps = None
+    if kind == "tdl":
+        taps = tuple(exponential_pdp(draw(st.integers(1, 12)), draw(st.floats(0.0, 6.0))))
+    channel = ChannelSpec(kind=kind, taps=taps, account_cp_overhead=draw(st.booleans()))
+    ebno_db = draw(st.one_of(st.floats(-2.0, 30.0), st.just(float("inf"))))
+    target_errors = draw(st.one_of(st.just(1), st.integers(1, 400)))
+    max_bits = draw(st.integers(1, 30 * max(budget, 4)))
+    return config, channel, ebno_db, dict(target_errors=target_errors, max_bits=max_bits,
+                                          use_equalizer=draw(st.booleans()))
+
+
+class TestChunkedExecution:
+    @given(cell=cells(), seed=st.integers(0, 2**64 - 1), cell_id=st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_repetition_at_a_time_reference(self, cell, seed, cell_id):
+        config, channel, ebno_db, stops = cell
+        assert run_cell(config, channel, ebno_db, seed, cell_id, **stops) == reference_cell(
+            config, channel, ebno_db, seed, cell_id, **stops
+        )
+
+    def test_later_draws_of_the_last_chunk_are_discarded(self, monkeypatch):
+        import ofdmsim.sweep as sweep_mod
+
+        drawn = []
+        original = sweep_mod.draw_bits
+
+        def counting(stream, count):
+            drawn.append(count)
+            return original(stream, count)
+
+        monkeypatch.setattr(sweep_mod, "draw_bits", counting)
+        config = OfdmConfig(64, Fraction(1, 4))
+        # with this seed the last chunk holds one repetition more than the
+        # cell needs, so the stop falls inside it
+        record = run_cell(config, ChannelSpec(kind="awgn"), 6.0, 3, 0, target_errors=200)
+        reference = reference_cell(config, ChannelSpec(kind="awgn"), 6.0, 3, 0,
+                                   target_errors=200, max_bits=2_000_000)
+        assert record == reference
+        assert sum(drawn) > record.bits_sent
+
+    def test_clamps_count_only_the_repetitions_kept(self, monkeypatch):
+        # zero flat-fading gains clamp every subcarrier of every repetition
+        import ofdmsim.sweep as sweep_mod
+
+        original = sweep_mod.complex_gaussian
+
+        def dead_gains(stream, count, variance):
+            g = original(stream, count, variance)
+            return np.zeros_like(g) if variance == 1.0 else g
+
+        monkeypatch.setattr(sweep_mod, "complex_gaussian", dead_gains)
+        config = OfdmConfig(64, Fraction(1, 4))
+        frames = -(-333 // 64)
+        for target in (1, 700, 2600, 9000):
+            record = run_cell(config, ChannelSpec(kind="flat"), 10.0, 12, target,
+                              target_errors=target)
+            assert record.zf_clamps == (record.bits_sent // 999) * frames * 64
 
 
 class TestRunGrid:

@@ -109,6 +109,18 @@ class TestTransformProperties:
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+class TestOutArgument:
+    @pytest.mark.parametrize("transform", [unitary_dft, unitary_idft])
+    def test_out_receives_the_same_values(self, transform):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 2, 64)) + 1j * rng.standard_normal((3, 2, 64))
+        buffer = np.zeros((3, 2, 80), dtype=complex)
+        out = transform(x, axis=-1, out=buffer[..., 16:])  # a strided view
+        assert np.shares_memory(out, buffer)
+        np.testing.assert_array_equal(buffer[..., 16:], transform(x, axis=-1))
+        np.testing.assert_array_equal(buffer[..., :16], 0)
+
+
 class TestValidation:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(SizeError):
