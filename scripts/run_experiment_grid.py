@@ -16,26 +16,27 @@ import sys
 import time
 from pathlib import Path
 
-from ofdmsim.bitsource import DEFAULT_MASTER_SEED
-from ofdmsim.channel import ChannelSpec, exponential_pdp
+from ofdmsim.channel import DEFAULT_TDL_DECAY_DB, DEFAULT_TDL_LEN, ChannelSpec, exponential_pdp
 from ofdmsim.sweep import SweepGrid, emit_plot, run_grid, write_records
 
 CHANNELS = {
     "awgn": ChannelSpec(kind="awgn"),
     "flat": ChannelSpec(kind="flat"),
-    "tdl": ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(9, 1.0))),
+    "tdl": ChannelSpec(
+        kind="tdl", taps=tuple(exponential_pdp(DEFAULT_TDL_LEN, DEFAULT_TDL_DECAY_DB))
+    ),
 }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="results", help="output directory")
-    parser.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    parser.add_argument("--seed", type=int, default=SweepGrid.master_seed)
     parser.add_argument("--channels", default="awgn,flat,tdl",
                         help="comma list from {awgn,flat,tdl}")
-    parser.add_argument("--max-bits", type=int, default=2_000_000)
-    parser.add_argument("--target-errors", type=int, default=100)
-    parser.add_argument("--bit-budget", type=int, default=1000)
+    parser.add_argument("--max-bits", type=int, default=SweepGrid.max_bits_per_cell)
+    parser.add_argument("--target-errors", type=int, default=SweepGrid.target_errors)
+    parser.add_argument("--bit-budget", type=int, default=SweepGrid.bit_budget)
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (OFDMSIM_WORKERS overrides)")
     args = parser.parse_args()

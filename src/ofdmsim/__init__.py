@@ -1,6 +1,6 @@
 """Deterministic OFDM baseband simulator with cyclic-prefix sweep experiments."""
 
-from .bitsource import DEFAULT_MASTER_SEED, RngStream, draw_bits, draw_gaussian_pair, make_stream
+from .bitsource import DEFAULT_MASTER_SEED, RngStream, draw_bits, make_stream
 from .channel import (
     ChannelRealization,
     ChannelSpec,
@@ -12,9 +12,7 @@ from .channel import (
 from .equalizer import channel_freq_response, zero_forcing
 from .framing import (
     OfdmConfig,
-    OfdmFrame,
     add_cyclic_prefix,
-    parallel_to_serial,
     remove_cyclic_prefix,
     serial_to_parallel,
 )
@@ -29,7 +27,6 @@ from .sweep import (
     run_raw_modem,
     write_records,
 )
-from .transform import SpectralBlock, dft, dft_direct, idft
 from .validate import run_validation
 
 __all__ = [
@@ -37,19 +34,12 @@ __all__ = [
     "RngStream",
     "make_stream",
     "draw_bits",
-    "draw_gaussian_pair",
     "Constellation",
     "make_constellation",
     "map_psk",
     "demap_psk",
-    "SpectralBlock",
-    "dft",
-    "idft",
-    "dft_direct",
     "OfdmConfig",
-    "OfdmFrame",
     "serial_to_parallel",
-    "parallel_to_serial",
     "add_cyclic_prefix",
     "remove_cyclic_prefix",
     "ChannelSpec",

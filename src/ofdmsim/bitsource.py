@@ -18,6 +18,7 @@ implementation only, not across languages or numpy generator rewrites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -75,14 +76,18 @@ def draw_bits(stream: RngStream, count: int) -> np.ndarray:
     return stream.rng.integers(0, 2, size=count, dtype=np.uint8)
 
 
-def draw_gaussian(stream: RngStream, count: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. standard normal variates (numpy Ziggurat)."""
+def draw_gaussian(
+    stream: RngStream, count: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Draw ``count`` i.i.d. standard normal variates (numpy Ziggurat).
+
+    ``out``, a C-contiguous float64 array of ``count`` elements in any
+    shape, receives them in C order.
+    """
     if count < 0:
         raise ValueError(f"draw count must be >= 0, got {count}")
-    return stream.rng.standard_normal(count)
-
-
-def draw_gaussian_pair(stream: RngStream) -> tuple[float, float]:
-    """Draw two independent standard normal variates."""
-    g = draw_gaussian(stream, 2)
-    return float(g[0]), float(g[1])
+    if out is None:
+        return stream.rng.standard_normal(count)
+    if out.size != count:
+        raise ValueError(f"out holds {out.size} values, not {count}")
+    return stream.rng.standard_normal(out=out)

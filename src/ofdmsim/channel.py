@@ -15,10 +15,16 @@ sigma^2 / 2.
 Fading gains are normalized to unit mean power: a flat gain is
 ``(g1 + i*g2)/sqrt(2)`` (Rayleigh magnitude, E|h|^2 = 1) and delay-line tap
 ``l`` is ``(g1 + i*g2) * sqrt(p_l / 2)`` for a power-delay profile summing
-to one.  Gains are quasi-static: one realization applies to everything
-passed into a single ``apply_channel`` call, and callers control the
-redraw granularity (per OFDM symbol for flat fading, per repetition burst
-for the delay line).
+to one.
+
+This module is the only code that draws or applies a channel.  One
+:class:`ChannelRealization` is one repetition's whole channel:
+:func:`realize_channel` draws it (one flat gain per OFDM symbol, or one set
+of delay-line taps, quasi-static over the repetition's burst of symbols),
+:func:`apply_channel` applies it in place to that repetition's
+``(frames, N+L)`` block, and ``equalizer.channel_freq_response`` gives the
+receiver its response.  Noise is drawn separately, only through
+:func:`complex_gaussian`.
 """
 
 from __future__ import annotations
@@ -35,6 +41,11 @@ FLAT = "flat"
 TDL = "tdl"
 
 _KINDS = (AWGN, FLAT, TDL)
+
+#: Default multipath profile: an exponential power-delay profile of this
+#: many taps, decaying this many dB per tap (see :func:`exponential_pdp`).
+DEFAULT_TDL_LEN = 9
+DEFAULT_TDL_DECAY_DB = 1.0
 
 
 @dataclass(frozen=True)
@@ -81,12 +92,15 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One random draw of a channel: gains plus the calibrated noise power."""
+    """One repetition's channel draw.
+
+    ``gains`` holds the flat-fading gain of each OFDM symbol and ``taps``
+    the delay-line taps; an AWGN realization carries neither.
+    """
 
     kind: str
-    gain: Optional[complex] = None
+    gains: Optional[np.ndarray] = None
     taps: Optional[np.ndarray] = None
-    noise_variance: float = 0.0
 
 
 def ebno_to_noise_variance(
@@ -108,54 +122,52 @@ def exponential_pdp(length: int, decay_db_per_tap: float) -> np.ndarray:
     return powers / powers.sum()
 
 
-def complex_gaussian(stream: RngStream, count: int, variance: float) -> np.ndarray:
+def complex_gaussian(
+    stream: RngStream, count: int, variance: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """i.i.d. circular complex Gaussians of total variance ``variance`` each.
 
     Consecutive standard normals form the (real, imaginary) pairs: they are
-    scaled in place and viewed as complex, with no complex rebuild.
+    drawn into the complex array's float view and scaled in place.  ``out``,
+    a C-contiguous complex128 array of ``count`` elements in any shape,
+    receives them; the values are the ones the allocating form returns.
     """
-    g = draw_gaussian(stream, 2 * count)
+    if out is None:
+        out = np.empty(count, dtype=np.complex128)
+    g = out.view(np.float64)
+    draw_gaussian(stream, 2 * count, out=g)
     g *= np.sqrt(variance / 2.0)
-    return g.view(np.complex128)
+    return out
 
 
-def realize_channel(
-    spec: ChannelSpec, stream: RngStream, noise_variance: float = 0.0
-) -> ChannelRealization:
-    """Draw one channel realization from ``stream``.
+def realize_channel(spec: ChannelSpec, stream: RngStream, n_frames: int) -> ChannelRealization:
+    """Draw the channel of one repetition of ``n_frames`` OFDM symbols.
 
-    The noise variance is supplied by the caller (computed from the cell's
-    Eb/No via :func:`ebno_to_noise_variance`); it defaults to noiseless.
+    Flat fading draws one gain per symbol; the delay line draws one set of
+    taps for the whole burst; AWGN draws nothing.
     """
     if spec.kind == AWGN:
-        return ChannelRealization(kind=AWGN, noise_variance=noise_variance)
+        return ChannelRealization(kind=AWGN)
     if spec.kind == FLAT:
-        h = complex_gaussian(stream, 1, 1.0)[0]
-        return ChannelRealization(kind=FLAT, gain=complex(h), noise_variance=noise_variance)
+        return ChannelRealization(kind=FLAT, gains=complex_gaussian(stream, n_frames, 1.0))
     powers = np.asarray(spec.taps, dtype=np.float64)
-    gains = complex_gaussian(stream, powers.size, 1.0) * np.sqrt(powers)
-    return ChannelRealization(kind=TDL, taps=gains, noise_variance=noise_variance)
+    taps = complex_gaussian(stream, powers.size, 1.0) * np.sqrt(powers)
+    return ChannelRealization(kind=TDL, taps=taps)
 
 
-def apply_channel(
-    signal: np.ndarray, real: ChannelRealization, stream: RngStream
-) -> np.ndarray:
-    """Pass a sample stream through one channel realization and add noise.
+def apply_channel(frames: np.ndarray, real: ChannelRealization) -> np.ndarray:
+    """Pass one repetition's ``(frames, N+L)`` block through ``real``, in place.
 
-    The delay line applies LINEAR convolution truncated to the input
-    length, so the first taps of each burst see the spill-over from the
+    Flat fading scales each frame by its gain.  The delay line applies
+    LINEAR convolution over the concatenated frames, truncated to their
+    length, so the first taps of each frame see the spill-over from the
     preceding samples -- exactly the interference a sufficient cyclic
-    prefix absorbs.
+    prefix absorbs.  No noise is added.  Returns ``frames``.
     """
-    signal = np.asarray(signal, dtype=np.complex128)
-    if signal.size == 0:
-        raise ValueError("signal must be nonempty")
-    if real.kind == AWGN:
-        out = signal.copy()
-    elif real.kind == FLAT:
-        out = real.gain * signal
-    else:
-        out = np.convolve(signal, real.taps)[: signal.size]
-    if real.noise_variance > 0.0:
-        out += complex_gaussian(stream, out.size, real.noise_variance)
-    return out
+    if frames.size == 0:
+        raise ValueError("frames must be nonempty")
+    if real.kind == FLAT:
+        frames *= real.gains[:, None]
+    elif real.kind == TDL:
+        frames[...] = np.convolve(frames.ravel(), real.taps)[: frames.size].reshape(frames.shape)
+    return frames

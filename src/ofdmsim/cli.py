@@ -10,13 +10,15 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from .bitsource import DEFAULT_MASTER_SEED
-from .channel import ChannelSpec, ebno_to_noise_variance, exponential_pdp
+from .channel import (
+    DEFAULT_TDL_DECAY_DB,
+    DEFAULT_TDL_LEN,
+    ChannelSpec,
+    ebno_to_noise_variance,
+    exponential_pdp,
+)
 from .errors import ConfigError, IoError
-from .framing import OfdmConfig
 from .sweep import (
-    DEFAULT_CP_FRACTIONS,
-    DEFAULT_EBNO_POINTS_DB,
-    DEFAULT_FFT_SIZES,
     SweepFailure,
     SweepGrid,
     emit_plot,
@@ -31,10 +33,6 @@ EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_IO_FAILURE = 3
-
-#: Default multipath profile when a TDL channel is requested without taps.
-DEFAULT_TDL_LEN = 9
-DEFAULT_TDL_DECAY_DB = 1.0
 
 
 def _parse_list(text: str, conv) -> tuple:
@@ -65,12 +63,21 @@ def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
     return ChannelSpec(kind="tdl", taps=taps, account_cp_overhead=overhead)
 
 
-_GRID_KEYS = (
-    "fft_sizes", "cp_fractions", "ebno_points_db", "modulation_order",
-    "channel", "tdl_taps", "tdl_len", "tdl_decay_db", "account_cp_overhead",
-    "master_seed", "max_bits_per_cell", "target_errors", "bit_budget",
-    "use_equalizer",
-)
+#: SweepGrid fields a config file or flag may set, with their converters;
+#: a field not set keeps its SweepGrid default.
+_GRID_FIELDS = {
+    "fft_sizes": tuple,
+    "cp_fractions": lambda fractions: tuple(Fraction(str(g)) for g in fractions),
+    "ebno_points_db": tuple,
+    "modulation_order": int,
+    "master_seed": int,
+    "max_bits_per_cell": int,
+    "target_errors": int,
+    "bit_budget": int,
+    "use_equalizer": bool,
+}
+_GRID_KEYS = (*_GRID_FIELDS, "channel", "tdl_taps", "tdl_len", "tdl_decay_db",
+              "account_cp_overhead")
 
 
 def _load_config_file(path: Optional[str]) -> dict[str, Any]:
@@ -91,57 +98,48 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
     return data
 
 
-def _resolve_grid(args: argparse.Namespace) -> SweepGrid:
-    settings = _load_config_file(args.config)
-    overrides: dict[str, Any] = {}
-    if args.fft_sizes is not None:
-        overrides["fft_sizes"] = _parse_list(args.fft_sizes, int)
-    if args.cp_fractions is not None:
-        overrides["cp_fractions"] = _parse_list(args.cp_fractions, Fraction)
-    if args.ebno is not None:
-        overrides["ebno_points_db"] = _parse_list(args.ebno, float)
-    if args.channel is not None:
-        overrides["channel"] = args.channel
-    if args.tdl_taps is not None:
-        overrides["tdl_taps"] = list(_parse_list(args.tdl_taps, float))
-    if args.tdl_len is not None:
-        overrides["tdl_len"] = args.tdl_len
-    if args.tdl_decay_db is not None:
-        overrides["tdl_decay_db"] = args.tdl_decay_db
-    if args.account_cp_overhead:
-        overrides["account_cp_overhead"] = True
-    if args.mod_order is not None:
-        overrides["modulation_order"] = args.mod_order
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.max_bits is not None:
-        overrides["max_bits_per_cell"] = args.max_bits
-    if args.target_errors is not None:
-        overrides["target_errors"] = args.target_errors
-    if args.bit_budget is not None:
-        overrides["bit_budget"] = args.bit_budget
-    if args.no_equalizer:
-        overrides["use_equalizer"] = False
-    settings.update(overrides)
-
+def _build_grid(settings: dict[str, Any]) -> SweepGrid:
+    """The grid for resolved settings: the one validation path of every command."""
     try:
-        grid = SweepGrid(
-            fft_sizes=tuple(settings.get("fft_sizes", DEFAULT_FFT_SIZES)),
-            cp_fractions=tuple(
-                Fraction(str(g)) for g in settings.get("cp_fractions", DEFAULT_CP_FRACTIONS)
-            ),
-            ebno_points_db=tuple(settings.get("ebno_points_db", DEFAULT_EBNO_POINTS_DB)),
-            channel=_build_channel(settings),
-            modulation_order=int(settings.get("modulation_order", 8)),
-            master_seed=int(settings.get("master_seed", DEFAULT_MASTER_SEED)),
-            max_bits_per_cell=int(settings.get("max_bits_per_cell", 2_000_000)),
-            target_errors=int(settings.get("target_errors", 100)),
-            bit_budget=int(settings.get("bit_budget", 1000)),
-            use_equalizer=bool(settings.get("use_equalizer", True)),
-        )
+        fields = {key: convert(settings[key])
+                  for key, convert in _GRID_FIELDS.items() if key in settings}
+        return SweepGrid(channel=_build_channel(settings), **fields)
     except (TypeError, ValueError, ZeroDivisionError) as exc:  # malformed config values
         raise ConfigError(str(exc)) from exc
-    return grid
+
+
+#: (flag attribute, setting) pairs of the flags that take a value.
+_VALUE_FLAGS = (
+    ("seed", "master_seed"), ("channel", "channel"), ("tdl_len", "tdl_len"),
+    ("tdl_decay_db", "tdl_decay_db"), ("mod_order", "modulation_order"),
+    ("max_bits", "max_bits_per_cell"), ("target_errors", "target_errors"),
+    ("bit_budget", "bit_budget"),
+)
+
+
+def _flag_settings(args: argparse.Namespace) -> dict[str, Any]:
+    """Settings given by the flags that sweep and single share."""
+    settings = {key: getattr(args, attr) for attr, key in _VALUE_FLAGS
+                if getattr(args, attr) is not None}
+    if args.tdl_taps is not None:
+        settings["tdl_taps"] = list(_parse_list(args.tdl_taps, float))
+    if args.account_cp_overhead:
+        settings["account_cp_overhead"] = True
+    if args.no_equalizer:
+        settings["use_equalizer"] = False
+    return settings
+
+
+def _resolve_grid(args: argparse.Namespace) -> SweepGrid:
+    settings = _load_config_file(args.config)
+    if args.fft_sizes is not None:
+        settings["fft_sizes"] = _parse_list(args.fft_sizes, int)
+    if args.cp_fractions is not None:
+        settings["cp_fractions"] = _parse_list(args.cp_fractions, Fraction)
+    if args.ebno is not None:
+        settings["ebno_points_db"] = _parse_list(args.ebno, float)
+    settings.update(_flag_settings(args))
+    return _build_grid(settings)
 
 
 def _echo_grid(grid: SweepGrid) -> None:
@@ -198,41 +196,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_single(args: argparse.Namespace) -> int:
-    settings: dict[str, Any] = {
-        "channel": args.channel or "awgn",
-        "account_cp_overhead": args.account_cp_overhead,
-    }
-    if args.tdl_taps is not None:
-        settings["tdl_taps"] = list(_parse_list(args.tdl_taps, float))
-    if args.tdl_len is not None:
-        settings["tdl_len"] = args.tdl_len
-    if args.tdl_decay_db is not None:
-        settings["tdl_decay_db"] = args.tdl_decay_db
-    try:
-        config = OfdmConfig(
-            fft_size=args.fft,
-            cp_fraction=Fraction(args.cp),
-            modulation_order=args.mod_order or 8,
-            bit_budget=args.bit_budget or 1000,
-        )
-        spec = _build_channel(settings)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(str(exc)) from exc
-    target_errors = args.target_errors or 100
-    max_bits = args.max_bits or 2_000_000
-    if target_errors < 1 or max_bits < 1:
-        raise ConfigError("--target-errors and --max-bits must be >= 1")
-    seed = args.seed if args.seed is not None else DEFAULT_MASTER_SEED
+    settings = _flag_settings(args)
+    settings.update(fft_sizes=[args.fft], cp_fractions=[args.cp], ebno_points_db=[args.ebno])
+    grid = _build_grid(settings)
+    _, config, spec = next(grid.cells())
     print(
         f"effective config: fft={config.fft_size} cp={config.cp_fraction} "
         f"M={config.modulation_order} channel={spec.summary()} ebno={args.ebno} "
-        f"seed={seed} cell={args.cell_id}",
+        f"seed={grid.master_seed} cell={args.cell_id}",
         file=sys.stderr,
     )
     record = run_cell(
-        config, spec, args.ebno, seed, args.cell_id,
-        target_errors=target_errors, max_bits=max_bits,
-        use_equalizer=not args.no_equalizer,
+        config, spec, args.ebno, grid.master_seed, args.cell_id,
+        target_errors=grid.target_errors, max_bits=grid.max_bits_per_cell,
+        use_equalizer=grid.use_equalizer,
     )
     payload = record.row()
     payload["equalizer"] = record.equalizer
@@ -269,6 +246,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """argparse type of the per-cell count flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--channel", choices=("awgn", "flat", "tdl"), default=None,
                         help="channel model (default awgn)")
@@ -281,13 +266,13 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--account-cp-overhead", action="store_true",
                         help="charge the CP overhead against Eb/No")
     parser.add_argument("--mod-order", type=int, default=None,
-                        help="PSK order M (default 8)")
-    parser.add_argument("--max-bits", type=int, default=None,
-                        help="per-cell bit ceiling (default 2000000)")
-    parser.add_argument("--target-errors", type=int, default=None,
-                        help="per-cell early-stop error count (default 100)")
-    parser.add_argument("--bit-budget", type=int, default=None,
-                        help="bits per Monte Carlo repetition (default 1000)")
+                        help=f"PSK order M (default {SweepGrid.modulation_order})")
+    parser.add_argument("--max-bits", type=_count, default=None,
+                        help=f"per-cell bit ceiling (default {SweepGrid.max_bits_per_cell})")
+    parser.add_argument("--target-errors", type=_count, default=None,
+                        help=f"per-cell early-stop error count (default {SweepGrid.target_errors})")
+    parser.add_argument("--bit-budget", type=_count, default=None,
+                        help=f"bits per Monte Carlo repetition (default {SweepGrid.bit_budget})")
     parser.add_argument("--no-equalizer", action="store_true",
                         help="bypass zero-forcing (reproduces the equalizer-less receiver)")
     parser.add_argument("--report-snr", action="store_true",

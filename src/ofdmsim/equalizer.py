@@ -11,17 +11,19 @@ ZF_CLAMP_EPS = 1e-12
 
 
 def channel_freq_response(real: ChannelRealization, fft_size: int) -> np.ndarray:
-    """Per-subcarrier response of one channel realization.
+    """Subcarrier response of one repetition's channel, broadcastable over its frames.
 
-    Uses the plain (non-unitary) DFT of the zero-padded taps -- that is the
-    gain the payload subcarriers actually see when the cyclic prefix turns
-    the delay line into a circular convolution, given the simulator's
-    unitary transform pair.  AWGN realizations yield the all-ones response.
+    A flat gain is its own response: one ``(frames, 1)`` column, a gain per
+    OFDM symbol.  The delay line gives the plain (non-unitary) DFT of the
+    zero-padded taps -- that is the gain the payload subcarriers actually
+    see when the cyclic prefix turns the delay line into a circular
+    convolution, given the simulator's unitary transform pair.  AWGN
+    realizations yield the all-ones response.
     """
     if real.kind == AWGN:
         return np.ones(fft_size, dtype=np.complex128)
     if real.kind == FLAT:
-        return np.full(fft_size, real.gain, dtype=np.complex128)
+        return real.gains[:, None]
     return np.fft.fft(real.taps, n=fft_size)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -62,42 +62,6 @@ class OfdmConfig:
         return self.modulation_order.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class OfdmFrame:
-    """One time-domain OFDM symbol with its cyclic prefix.
-
-    The prefix must be an element-exact copy of the payload tail.
-    """
-
-    payload: np.ndarray
-    prefix: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.complex128))
-
-    def __post_init__(self) -> None:
-        payload = np.asarray(self.payload, dtype=np.complex128)
-        prefix = np.asarray(self.prefix, dtype=np.complex128)
-        if prefix.size > payload.size:
-            raise CpLengthError(
-                f"prefix length {prefix.size} exceeds payload length {payload.size}"
-            )
-        if prefix.size and not np.array_equal(prefix, payload[-prefix.size:]):
-            raise ValueError("prefix is not a copy of the payload tail")
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "prefix", prefix)
-
-    @classmethod
-    def from_payload(cls, payload: np.ndarray, cp_len: int) -> "OfdmFrame":
-        payload = np.asarray(payload, dtype=np.complex128)
-        return cls(payload=payload, prefix=add_cyclic_prefix(payload, cp_len)[:cp_len])
-
-    @property
-    def fft_size(self) -> int:
-        return self.payload.size
-
-    @property
-    def cp_len(self) -> int:
-        return self.prefix.size
-
-
 def serial_to_parallel(symbols: np.ndarray, fft_size: int) -> tuple[np.ndarray, int]:
     """Reshape a symbol stream into OFDM rows of ``fft_size`` subcarriers.
 
@@ -131,14 +95,3 @@ def remove_cyclic_prefix(rx: np.ndarray, fft_size: int, cp_len: int) -> np.ndarr
             f"expected {fft_size + cp_len} samples per frame, got {rx.shape[-1]}"
         )
     return rx[..., cp_len:cp_len + fft_size]
-
-
-def parallel_to_serial(frames: list[OfdmFrame]) -> np.ndarray:
-    """Concatenate prefix+payload of each frame into one sample stream."""
-    if not frames:
-        return np.empty(0, dtype=np.complex128)
-    shape = (frames[0].fft_size, frames[0].cp_len)
-    for f in frames:
-        if (f.fft_size, f.cp_len) != shape:
-            raise SizeError("all frames must share the same (fft_size, cp_len)")
-    return np.concatenate([np.concatenate([f.prefix, f.payload]) for f in frames])

@@ -115,6 +115,11 @@ class BerRecord:
         }
 
 
+def as_row(record: Any) -> dict[str, Any]:
+    """The column dict of a :class:`BerRecord`, or a row dict as given."""
+    return record.row() if hasattr(record, "row") else dict(record)
+
+
 def make_record(
     config: OfdmConfig,
     channel_summary: str,

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Any, Iterable
 
 from .errors import IoError
+from .metrics import as_row
 
 #: Zero-error cells are drawn at this BER so the log axis stays total.
 BER_FLOOR = 1e-7
@@ -24,10 +25,6 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 160, 46, 56
 _PLOT_W = _WIDTH - _LEFT - _RIGHT
 _PLOT_H = _HEIGHT - _TOP - _BOTTOM
 _DECADES = 7  # 1e0 .. 1e-7
-
-
-def _as_row(record: Any) -> dict[str, Any]:
-    return record.row() if hasattr(record, "row") else dict(record)
 
 
 def _x_px(ebno: float, lo: float, hi: float) -> float:
@@ -154,7 +151,7 @@ def emit_plot(records: Iterable[Any], out_dir: str) -> list[str]:
     Records may be BerRecord objects or plain row dicts (as read back from
     a results file).  Returns the written paths.
     """
-    rows = [_as_row(r) for r in records]
+    rows = [as_row(r) for r in records]
     if not rows:
         raise ValueError("no records to plot")
     by_fft: dict[int, list[dict[str, Any]]] = {}

@@ -34,9 +34,9 @@ import numpy as np
 
 from .bitsource import DEFAULT_MASTER_SEED, draw_bits, make_stream
 from .channel import (
-    FLAT,
-    TDL,
+    AWGN,
     ChannelSpec,
+    apply_channel,
     complex_gaussian,
     ebno_to_noise_variance,
     realize_channel,
@@ -44,14 +44,13 @@ from .channel import (
 from .equalizer import channel_freq_response, zero_forcing
 from .errors import ConfigError, IoError
 from .framing import OfdmConfig, remove_cyclic_prefix
-from .metrics import CSV_COLUMNS, BerRecord, make_record
+from .metrics import CSV_COLUMNS, BerRecord, as_row, make_record
 from .psk import count_psk_errors, map_psk
 from .svgplot import emit_plot  # re-exported: plotting is part of the sweep surface
 from .transform import unitary_dft, unitary_idft
 
-# Kept importable from this module although the chain no longer calls them:
+# Kept importable from this module although the chain does not call them:
 # the benchmark's trace (bench/run.py) wraps these names in this namespace.
-from .channel import apply_channel  # noqa: F401
 from .framing import add_cyclic_prefix, serial_to_parallel  # noqa: F401
 from .metrics import count_bit_errors  # noqa: F401
 from .psk import demap_psk  # noqa: F401
@@ -67,16 +66,6 @@ __all__ = [
     "emit_plot",
 ]
 
-#: Default experiment axes (cyclic-prefix set from the reference experiment grid).
-DEFAULT_FFT_SIZES = (64, 128, 256, 512)
-DEFAULT_CP_FRACTIONS = (
-    Fraction(1, 2),
-    Fraction(1, 4),
-    Fraction(1, 16),
-    Fraction(1, 32),
-)
-DEFAULT_EBNO_POINTS_DB = tuple(float(e) for e in range(0, 21, 2))
-
 #: Most time-domain samples one chunk of repetitions may hold, which keeps a
 #: chunk's arrays under about 1 MB; a longer repetition runs as a chunk alone.
 _CHUNK_SAMPLES = 16_384
@@ -87,12 +76,16 @@ class SweepGrid:
     """Cross product of OFDM configs x Eb/No points under one channel model.
 
     Cell ids are the lexicographic index over (fft_size, cp_fraction,
-    ebno_db), with Eb/No varying fastest.
+    ebno_db), with Eb/No varying fastest.  The field defaults are the
+    defaults of every entry point (the CLI, the experiment script and
+    ``run_cell``); the cyclic-prefix set is the reference experiment grid's.
     """
 
-    fft_sizes: tuple[int, ...] = DEFAULT_FFT_SIZES
-    cp_fractions: tuple[Fraction, ...] = DEFAULT_CP_FRACTIONS
-    ebno_points_db: tuple[float, ...] = DEFAULT_EBNO_POINTS_DB
+    fft_sizes: tuple[int, ...] = (64, 128, 256, 512)
+    cp_fractions: tuple[Fraction, ...] = (
+        Fraction(1, 2), Fraction(1, 4), Fraction(1, 16), Fraction(1, 32),
+    )
+    ebno_points_db: tuple[float, ...] = tuple(float(e) for e in range(0, 21, 2))
     channel: ChannelSpec = ChannelSpec(kind="awgn")
     modulation_order: int = 8
     master_seed: int = DEFAULT_MASTER_SEED
@@ -158,8 +151,7 @@ class _Workspace:
     allocates nothing in proportion to its size.
     """
 
-    def __init__(self, config: OfdmConfig, channel: ChannelSpec, n_bits: int,
-                 capacity: int, noisy: bool):
+    def __init__(self, config: OfdmConfig, n_bits: int, capacity: int, noisy: bool):
         n_fft, cp_len = config.fft_size, config.cp_len
         self.n_bits = n_bits
         self.used = n_bits // config.bits_per_symbol
@@ -167,30 +159,25 @@ class _Workspace:
         self.capacity = capacity
         frames = (capacity, self.n_frames)
         self.bits = np.empty((capacity, n_bits), dtype=np.uint8)
-        self.gains = np.empty(frames, dtype=np.complex128) if channel.kind == FLAT else None
         # subcarrier grid: the mapped symbols, later the DFT output
         self.grid = np.empty(frames + (n_fft,), dtype=np.complex128)
         self.tx = np.empty(frames + (n_fft + cp_len,), dtype=np.complex128)
         self.noise = np.empty_like(self.tx) if noisy else None
-        # the noise as the real (re, im, re, im, ...) draws of each repetition
-        self.noise_draws = self.noise.reshape(capacity, -1).view(np.float64) if noisy else None
 
 
 def _run_chain_once(
     work: _Workspace,
     k: int,
     config: OfdmConfig,
-    channel: ChannelSpec,
     realizations: list,
     use_equalizer: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The full transmit/channel/receive chain for a chunk of k repetitions.
 
-    Works on the first k rows of ``work``: the bits, the flat-fading gains
-    (one per OFDM symbol) and the noise are drawn into it beforehand, and
-    ``realizations`` holds the k delay-line draws of a TDL cell.  Every step
-    works row by row, so a chunk gives the same result as its repetitions
-    one at a time.
+    Works on the first k rows of ``work``: the bits and the noise are drawn
+    into it beforehand, and ``realizations`` holds the k channel draws of a
+    fading cell (none for AWGN).  Every step works row by row, so a chunk
+    gives the same result as its repetitions one at a time.
 
     Returns per-repetition (bit errors, zero-forcing clamps).
     """
@@ -203,22 +190,16 @@ def _run_chain_once(
     unitary_idft(grid, axis=-1, out=tx[..., cp_len:])
     tx[..., :cp_len] = tx[..., n_fft:]  # cyclic prefix: copy of the symbol tail
 
-    response: Any = None
-    if channel.kind == FLAT:
-        response = work.gains[:k, :, None]
-        tx *= response
-    elif channel.kind == TDL:
-        # the delay line runs over each repetition's burst of frames
-        for burst, real in zip(tx.reshape(k, -1), realizations):
-            burst[:] = np.convolve(burst, real.taps)[: burst.size]
-        response = [channel_freq_response(real, n_fft)[None, :] for real in realizations]
+    for frames, real in zip(tx, realizations):
+        apply_channel(frames, real)
     rx = tx if work.noise is None else np.add(work.noise[:k], tx, out=work.noise[:k])
     freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), axis=-1, out=grid)
 
     clamps = np.zeros(k, dtype=np.int64)
-    if use_equalizer and response is not None:
-        for r in range(k):  # per repetition: a record counts only the kept ones' clamps
-            freq[r], clamps[r] = zero_forcing(freq[r], response[r])
+    if use_equalizer:
+        # per repetition: a record counts only the kept ones' clamps
+        for r, real in enumerate(realizations):
+            freq[r], clamps[r] = zero_forcing(freq[r], channel_freq_response(real, n_fft))
 
     errors = count_psk_errors(freq.reshape(k, -1)[:, :work.used], bits, order)
     return errors, clamps
@@ -231,8 +212,8 @@ def run_cell(
     seed: int,
     cell_id: int,
     *,
-    target_errors: int = 100,
-    max_bits: int = 2_000_000,
+    target_errors: int = SweepGrid.target_errors,
+    max_bits: int = SweepGrid.max_bits_per_cell,
     use_equalizer: bool = True,
     noise_scale: float = 1.0,
 ) -> BerRecord:
@@ -250,13 +231,12 @@ def run_cell(
     if target_errors < 1 or max_bits < 1:
         raise ValueError("target_errors and max_bits must be >= 1")
     stream = make_stream(seed, cell_id)
-    normal = stream.rng.standard_normal
     b, n_fft, cp_len = config.bits_per_symbol, config.fft_size, config.cp_len
     budget = config.bit_budget
     sigma2 = noise_scale * ebno_to_noise_variance(
         ebno_db, config.modulation_order, n_fft, cp_len, channel.account_cp_overhead,
     )
-    noise_std = np.sqrt(sigma2 / 2.0)  # per real component
+    fading = channel.kind != AWGN
     work: Optional[_Workspace] = None
     bits_sent = bit_errors = zf_clamps = reps = 0
     chunk = 1
@@ -266,7 +246,7 @@ def run_cell(
         if work is None or work.n_bits != n_bits:
             samples = -(-(n_bits // b) // n_fft) * (n_fft + cp_len)
             capacity = max(1, _CHUNK_SAMPLES // samples)
-            work = _Workspace(config, channel, n_bits, capacity, noisy=sigma2 > 0.0)
+            work = _Workspace(config, n_bits, capacity, noisy=sigma2 > 0.0)
         # only repetitions of the same size share a chunk
         same_size = (remaining - budget) // n_bits + 1 if remaining >= budget else 1
         k = min(chunk, same_size, work.capacity)
@@ -274,16 +254,13 @@ def run_cell(
         realizations = []
         for r in range(k):  # per-repetition draw order: bits, channel, noise
             work.bits[r] = draw_bits(stream, n_bits)
-            if channel.kind == FLAT:
-                work.gains[r] = complex_gaussian(stream, work.n_frames, 1.0)
-            elif channel.kind == TDL:
-                realizations.append(realize_channel(channel, stream))
+            if fading:
+                realizations.append(realize_channel(channel, stream, work.n_frames))
             if work.noise is not None:
-                normal(out=work.noise_draws[r])
-        if work.noise is not None:
-            work.noise_draws[:k] *= noise_std
+                noise = work.noise[r]
+                complex_gaussian(stream, noise.size, sigma2, out=noise)
 
-        errors, clamps = _run_chain_once(work, k, config, channel, realizations, use_equalizer)
+        errors, clamps = _run_chain_once(work, k, config, realizations, use_equalizer)
         for rep_errors, rep_clamps in zip(errors.tolist(), clamps.tolist()):
             bits_sent += n_bits
             bit_errors += rep_errors
@@ -390,10 +367,6 @@ def run_grid(grid: SweepGrid, workers: Optional[int] = None) -> list[BerRecord]:
     return records
 
 
-def _as_row(record: Any) -> dict[str, Any]:
-    return record.row() if hasattr(record, "row") else dict(record)
-
-
 _INT_COLUMNS = ("fft_size", "bits_sent", "bit_errors", "zf_clamps", "seed", "cell_id")
 _FLOAT_COLUMNS = ("ebno_db", "ber", "ci_low", "ci_high")
 
@@ -410,7 +383,7 @@ def write_records(records: Iterable[Any], path: str, fmt: str = "csv") -> None:
     Floats carry 17 significant digits, so a write/read round trip is
     value-exact; cp_fraction is always the rational string (e.g. "1/4").
     """
-    rows = [_as_row(r) for r in records]
+    rows = [as_row(r) for r in records]
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     try:

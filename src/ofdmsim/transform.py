@@ -8,36 +8,12 @@ algorithm to check itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import SizeError
 from .psk import is_power_of_two
-
-TIME = "time"
-FREQUENCY = "frequency"
-
-
-@dataclass(frozen=True)
-class SpectralBlock:
-    """A length-N sample block tagged with the domain it lives in."""
-
-    samples: np.ndarray
-    domain: str
-
-    def __post_init__(self) -> None:
-        if self.domain not in (TIME, FREQUENCY):
-            raise ValueError(f"domain must be 'time' or 'frequency', got {self.domain!r}")
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1:
-            raise SizeError(f"block must be one-dimensional, got shape {samples.shape}")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def size(self) -> int:
-        return self.samples.size
 
 
 def _check_pow2(n: int) -> None:
@@ -63,20 +39,6 @@ def unitary_idft(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None
     return np.fft.ifft(x, axis=axis, norm="ortho", out=out)
 
 
-def dft(time: SpectralBlock) -> SpectralBlock:
-    """Transform a time-domain block to the frequency domain."""
-    if time.domain != TIME:
-        raise ValueError(f"dft expects a time-domain block, got {time.domain!r}")
-    return SpectralBlock(unitary_dft(time.samples), FREQUENCY)
-
-
-def idft(freq: SpectralBlock) -> SpectralBlock:
-    """Transform a frequency-domain block to the time domain."""
-    if freq.domain != FREQUENCY:
-        raise ValueError(f"idft expects a frequency-domain block, got {freq.domain!r}")
-    return SpectralBlock(unitary_idft(freq.samples), TIME)
-
-
 def direct_transform(samples: np.ndarray, inverse: bool) -> np.ndarray:
     """Literal O(N^2) evaluation of the unitary transform sum (any N >= 1)."""
     samples = np.asarray(samples, dtype=np.complex128)
@@ -87,15 +49,3 @@ def direct_transform(samples: np.ndarray, inverse: bool) -> np.ndarray:
     idx = np.arange(n)
     kernel = np.exp(sign * 2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
     return kernel @ samples
-
-
-def dft_direct(block: SpectralBlock, direction: str) -> SpectralBlock:
-    """Direct-sum oracle: same formulas as dft/idft, no fast algorithm.
-
-    ``direction`` is "forward" (time -> frequency) or "inverse".
-    """
-    if direction == "forward":
-        return SpectralBlock(direct_transform(block.samples, inverse=False), FREQUENCY)
-    if direction == "inverse":
-        return SpectralBlock(direct_transform(block.samples, inverse=True), TIME)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ofdmsim.bitsource import make_stream
+from ofdmsim.bitsource import draw_gaussian, make_stream
 from ofdmsim.channel import (
     ChannelRealization,
     ChannelSpec,
@@ -37,9 +37,7 @@ class TestNoiseCalibration:
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=3_000_000, dtype=np.uint8)
         x = map_psk(bits, 8)
-        real = ChannelRealization(kind="awgn", noise_variance=sigma2)
-        y = apply_channel(x, real, stream)
-        noise = y - x
+        noise = complex_gaussian(stream, x.size, sigma2)
         measured_db = 10 * np.log10(np.mean(np.abs(x) ** 2) / np.mean(np.abs(noise) ** 2))
         configured_db = 10 * np.log10(1.0 / sigma2)
         assert abs(measured_db - configured_db) < 0.1
@@ -95,17 +93,26 @@ class TestChannelSpec:
 
 class TestRealizeChannel:
     def test_awgn_carries_no_gain(self):
-        real = realize_channel(ChannelSpec(kind="awgn"), make_stream(1, 0), 0.25)
-        assert real.gain is None and real.taps is None
-        assert real.noise_variance == 0.25
+        real = realize_channel(ChannelSpec(kind="awgn"), make_stream(1, 0), 4)
+        assert real.gains is None and real.taps is None
+
+    def test_awgn_consumes_no_draws(self):
+        stream = make_stream(1, 1)
+        realize_channel(ChannelSpec(kind="awgn"), stream, 4)
+        np.testing.assert_array_equal(draw_gaussian(stream, 8),
+                                      draw_gaussian(make_stream(1, 1), 8))
 
     def test_flat_gain_unit_mean_power(self):
+        real = realize_channel(ChannelSpec(kind="flat"), make_stream(8, 0), 100_000)
+        assert real.gains.shape == (100_000,)
+        assert 0.99 <= np.mean(np.abs(real.gains) ** 2) <= 1.01
+
+    def test_flat_draw_is_one_gain_per_symbol_in_order(self):
         spec = ChannelSpec(kind="flat")
-        stream = make_stream(8, 0)
-        power = np.mean(
-            [abs(realize_channel(spec, stream).gain) ** 2 for _ in range(100_000)]
-        )
-        assert 0.99 <= power <= 1.01
+        together = realize_channel(spec, make_stream(10, 0), 7).gains
+        stream = make_stream(10, 0)
+        one_by_one = [realize_channel(spec, stream, 1).gains[0] for _ in range(7)]
+        np.testing.assert_array_equal(together, one_by_one)
 
     def test_tdl_per_tap_power_matches_profile(self):
         powers = (0.5, 0.3, 0.2)
@@ -114,34 +121,48 @@ class TestRealizeChannel:
         trials = 100_000
         acc = np.zeros(3)
         for _ in range(trials):
-            acc += np.abs(realize_channel(spec, stream).taps) ** 2
+            acc += np.abs(realize_channel(spec, stream, 1).taps) ** 2
         mean = acc / trials
         for measured, p in zip(mean, powers):
             assert abs(measured - p) <= 3 * p / np.sqrt(trials)
 
 
+class TestComplexGaussian:
+    def test_out_is_bit_identical_to_the_allocating_form(self):
+        expected = complex_gaussian(make_stream(11, 0), 6 * 80, 0.3)
+        out = np.empty((6, 80), dtype=np.complex128)
+        returned = complex_gaussian(make_stream(11, 0), out.size, 0.3, out=out)
+        assert returned is out
+        np.testing.assert_array_equal(out.ravel(), expected)
+
+    def test_out_must_hold_count_values(self):
+        with pytest.raises(ValueError):
+            complex_gaussian(make_stream(11, 1), 5, 1.0, out=np.empty(4, dtype=np.complex128))
+
+
 class TestApplyChannel:
     def test_noiseless_awgn_is_identity(self):
-        x = complex_gaussian(make_stream(3, 1), 256, 1.0)
-        real = ChannelRealization(kind="awgn", noise_variance=0.0)
-        np.testing.assert_array_equal(apply_channel(x, real, make_stream(3, 2)), x)
+        x = complex_gaussian(make_stream(3, 1), 256, 1.0).reshape(4, 64)
+        y = apply_channel(x.copy(), ChannelRealization(kind="awgn"))
+        np.testing.assert_array_equal(y, x)
 
     def test_single_unit_tap_is_identity(self):
-        x = complex_gaussian(make_stream(4, 1), 256, 1.0)
-        real = ChannelRealization(kind="tdl", taps=np.array([1.0 + 0j]), noise_variance=0.0)
-        np.testing.assert_allclose(apply_channel(x, real, make_stream(4, 2)), x, atol=1e-15)
+        x = complex_gaussian(make_stream(4, 1), 256, 1.0).reshape(4, 64)
+        real = ChannelRealization(kind="tdl", taps=np.array([1.0 + 0j]))
+        np.testing.assert_allclose(apply_channel(x.copy(), real), x, atol=1e-15)
 
     def test_flat_gain_scales(self):
-        x = complex_gaussian(make_stream(5, 1), 64, 1.0)
-        real = ChannelRealization(kind="flat", gain=0.5 + 0.5j, noise_variance=0.0)
-        np.testing.assert_allclose(
-            apply_channel(x, real, make_stream(5, 2)), (0.5 + 0.5j) * x, atol=1e-15
-        )
+        x = complex_gaussian(make_stream(5, 1), 64, 1.0).reshape(4, 16)
+        gains = np.array([0.5 + 0.5j, -1.0, 2j, 0.0])
+        frames = x.copy()
+        returned = apply_channel(frames, ChannelRealization(kind="flat", gains=gains))
+        assert returned is frames  # in place
+        np.testing.assert_allclose(frames, gains[:, None] * x, atol=1e-15)
 
     def test_empty_signal_rejected(self):
         real = ChannelRealization(kind="awgn")
         with pytest.raises(ValueError):
-            apply_channel(np.empty(0, dtype=complex), real, make_stream(6, 0))
+            apply_channel(np.empty((0, 16), dtype=complex), real)
 
     def test_two_tap_channel_is_per_subcarrier_gain(self):
         # noise-free CP-framed symbol: post-DFT payload equals H[k] * X[k]
@@ -149,10 +170,9 @@ class TestApplyChannel:
         taps = np.array([0.8 - 0.1j, 0.3 + 0.4j])
         rng = np.random.default_rng(12)
         x_freq = rng.standard_normal(n_fft) + 1j * rng.standard_normal(n_fft)
-        tx = add_cyclic_prefix(unitary_idft(x_freq), cp)
-        real = ChannelRealization(kind="tdl", taps=taps, noise_variance=0.0)
-        rx = apply_channel(tx, real, make_stream(7, 0))
-        y_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))
+        tx = add_cyclic_prefix(unitary_idft(x_freq), cp)[None, :]
+        rx = apply_channel(tx, ChannelRealization(kind="tdl", taps=taps))
+        y_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))[0]
         expected = np.fft.fft(taps, n=n_fft) * x_freq
         assert np.max(np.abs(y_freq - expected)) < 1e-9
 
@@ -169,12 +189,8 @@ class TestCpSufficiency:
         bits = rng.integers(0, 2, size=3 * n_fft * 4, dtype=np.uint8)
         matrix, _ = serial_to_parallel(map_psk(bits, 8), n_fft)
         tx = add_cyclic_prefix(unitary_idft(matrix, axis=-1), cp)
-        real = ChannelRealization(kind="tdl", taps=taps, noise_variance=0.0)
-        rx = apply_channel(tx.ravel(), real, make_stream(seed, 0))
-        rx_freq = unitary_dft(
-            remove_cyclic_prefix(rx.reshape(matrix.shape[0], n_fft + cp), n_fft, cp),
-            axis=-1,
-        )
+        rx = apply_channel(tx, ChannelRealization(kind="tdl", taps=taps))
+        rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp), axis=-1)
         expected = np.fft.fft(taps, n=n_fft)[None, :] * matrix
         return float(np.max(np.abs(rx_freq - expected)))
 

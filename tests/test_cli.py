@@ -226,6 +226,18 @@ class TestErrorBoundary:
         assert result.returncode == 2
         assert "--target-errors" in result.stderr
 
+    @pytest.mark.parametrize("flag", ["--max-bits", "--target-errors", "--mod-order",
+                                      "--bit-budget"])
+    @pytest.mark.parametrize("command", ["single", "sweep"])
+    def test_zero_flag_exits_2(self, tmp_path, command, flag):
+        # a 0 is a given value, never "use the default"
+        cell = (["--fft", "64", "--cp", "1/4"] if command == "single" else
+                ["--fft-sizes", "64", "--cp-fractions", "1/4", "--out", str(tmp_path / "x.csv")])
+        result = run_cli(command, *cell, "--ebno", "30", flag, "0")
+        assert result.returncode == 2, result.stdout
+        assert "bits_sent" not in result.stdout
+        assert not (tmp_path / "x.csv").exists()
+
     def test_malformed_records_file_exits_2(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n")

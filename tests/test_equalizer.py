@@ -18,10 +18,11 @@ class TestFreqResponse:
         np.testing.assert_allclose(channel_freq_response(real, 8), np.ones(8), atol=1e-15)
 
     def test_flat_gain_repeats(self):
-        real = ChannelRealization(kind="flat", gain=0.5 + 0.5j)
-        np.testing.assert_array_equal(
-            channel_freq_response(real, 16), np.full(16, 0.5 + 0.5j)
-        )
+        # a flat gain is its own response, one per OFDM symbol, on every subcarrier
+        gains = np.array([0.5 + 0.5j, -2.0, 1j])
+        real = ChannelRealization(kind="flat", gains=gains)
+        response = np.broadcast_to(channel_freq_response(real, 16), (3, 16))
+        np.testing.assert_array_equal(response, np.repeat(gains[:, None], 16, axis=1))
 
     def test_awgn_gives_all_ones(self):
         real = ChannelRealization(kind="awgn")

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from ofdmsim.errors import CpLengthError, SizeError
 from ofdmsim.framing import (
     OfdmConfig,
-    OfdmFrame,
     add_cyclic_prefix,
-    parallel_to_serial,
     remove_cyclic_prefix,
     serial_to_parallel,
 )
@@ -126,45 +124,6 @@ class TestCyclicPrefix:
         np.testing.assert_array_equal(
             remove_cyclic_prefix(add_cyclic_prefix(x, cp), fft_size, cp), x
         )
-
-
-class TestOfdmFrame:
-    def test_from_payload_copies_tail(self):
-        payload = random_complex(8, 7)
-        frame = OfdmFrame.from_payload(payload, 3)
-        np.testing.assert_array_equal(frame.prefix, payload[-3:])
-
-    def test_tampered_prefix_rejected(self):
-        payload = random_complex(8, 8)
-        with pytest.raises(ValueError):
-            OfdmFrame(payload=payload, prefix=payload[-3:] + 1.0)
-
-    def test_prefix_longer_than_payload_rejected(self):
-        with pytest.raises(CpLengthError):
-            OfdmFrame(payload=random_complex(4, 9), prefix=random_complex(5, 9))
-
-
-class TestParallelToSerial:
-    def test_length_arithmetic(self):
-        frames = [OfdmFrame.from_payload(random_complex(64, i), 16) for i in range(2)]
-        assert parallel_to_serial(frames).size == 160
-
-    def test_empty(self):
-        assert parallel_to_serial([]).size == 0
-
-    def test_mismatched_frames_rejected(self):
-        frames = [
-            OfdmFrame.from_payload(random_complex(64, 0), 16),
-            OfdmFrame.from_payload(random_complex(64, 1), 8),
-        ]
-        with pytest.raises(SizeError):
-            parallel_to_serial(frames)
-
-    def test_single_frame_reframes_identically(self):
-        frame = OfdmFrame.from_payload(random_complex(64, 2), 16)
-        serial = parallel_to_serial([frame])
-        payload = remove_cyclic_prefix(serial, 64, 16)
-        np.testing.assert_array_equal(payload, frame.payload)
 
 
 class TestChainInvariants:

@@ -1,6 +1,7 @@
 """Tests for cell execution, grid orchestration, persistence, and plots."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from ofdmsim.bitsource import draw_bits, make_stream
 from ofdmsim.channel import (
-    ChannelRealization,
     ChannelSpec,
     apply_channel,
+    complex_gaussian,
     ebno_to_noise_variance,
     exponential_pdp,
     realize_channel,
@@ -124,34 +125,27 @@ def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, ma
     """run_cell one repetition at a time, from the public kernels only.
 
     The draws follow the documented per-repetition order: bits, then the
-    channel (one flat gain per OFDM symbol, or one delay line), then noise.
+    channel (one flat gain per OFDM symbol, or one delay line; nothing for
+    AWGN), then noise.
     """
     stream = make_stream(seed, cell_id)
     n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
     b = config.bits_per_symbol
     sigma2 = ebno_to_noise_variance(ebno_db, order, n_fft, cp_len,
                                     channel.account_cp_overhead)
-    awgn = ChannelRealization(kind="awgn", noise_variance=sigma2)
     bits_sent = bit_errors = zf_clamps = 0
     while True:
         n_bits = max(b, (min(config.bit_budget, max_bits - bits_sent) // b) * b)
         tx_bits = draw_bits(stream, n_bits)
         matrix, used = serial_to_parallel(map_psk(tx_bits, order), n_fft)
         rows = add_cyclic_prefix(unitary_idft(matrix, axis=-1), cp_len)
-        if channel.kind == "flat":
-            reals = [realize_channel(channel, stream) for _ in rows]
-            faded = np.concatenate(
-                [apply_channel(row, real, stream) for row, real in zip(rows, reals)]
-            )
-            response = np.stack([channel_freq_response(real, n_fft) for real in reals])
-            rx = apply_channel(faded, awgn, stream)
-        else:
-            real = realize_channel(channel, stream, noise_variance=sigma2)
-            rx = apply_channel(rows.ravel(), real, stream)
-            response = channel_freq_response(real, n_fft)[None, :]
-        freq = unitary_dft(remove_cyclic_prefix(rx.reshape(rows.shape), n_fft, cp_len), axis=-1)
+        real = realize_channel(channel, stream, rows.shape[0])
+        rx = apply_channel(rows, real)
+        if sigma2 > 0.0:
+            rx = rx + complex_gaussian(stream, rx.size, sigma2).reshape(rx.shape)
+        freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), axis=-1)
         if use_equalizer and channel.kind != "awgn":
-            freq, clamps = zero_forcing(freq, response)
+            freq, clamps = zero_forcing(freq, channel_freq_response(real, n_fft))
             zf_clamps += clamps
         errors, _ = count_bit_errors(tx_bits, demap_psk(freq.ravel()[:used], order))
         bits_sent += n_bits
@@ -216,16 +210,16 @@ class TestChunkedExecution:
         # zero flat-fading gains clamp every subcarrier of every repetition
         import ofdmsim.sweep as sweep_mod
 
-        original = sweep_mod.complex_gaussian
+        original = sweep_mod.realize_channel
 
-        def dead_gains(stream, count, variance):
-            g = original(stream, count, variance)
-            return np.zeros_like(g) if variance == 1.0 else g
+        def dead_gains(spec, stream, n_frames):
+            real = original(spec, stream, n_frames)
+            return replace(real, gains=np.zeros_like(real.gains))
 
-        monkeypatch.setattr(sweep_mod, "complex_gaussian", dead_gains)
+        monkeypatch.setattr(sweep_mod, "realize_channel", dead_gains)
         config = OfdmConfig(64, Fraction(1, 4))
         frames = -(-333 // 64)
-        for target in (1, 700, 2600, 9000):
+        for target in (1, 700, 1500, 2600, 9000):  # 1500 stops inside a chunk
             record = run_cell(config, ChannelSpec(kind="flat"), 10.0, 12, target,
                               target_errors=target)
             assert record.zf_clamps == (record.bits_sent // 999) * frames * 64
