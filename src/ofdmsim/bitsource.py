@@ -11,13 +11,23 @@ Derivation of the per-cell seed (fixed for the life of this package)::
 where ``splitmix64`` is the SplitMix64 finalizer (Steele et al.), a full
 64-bit avalanche mixer.  The substream seed feeds a numpy PCG64 generator;
 Gaussian variates come from numpy's Ziggurat implementation
-(``Generator.standard_normal``).  Determinism is guaranteed within this
-implementation only, not across languages or numpy generator rewrites.
+(``Generator.standard_normal``), which takes whole 64-bit outputs.
+
+Bits come straight from PCG64's raw 64-bit outputs
+(``bit_generator.random_raw``).  Each output is two 32-bit words, low half
+first; a draw of ``count`` bits takes ``ceil(count / 4)`` words, and bit
+*i* is the top bit of byte *i* of those words, least-significant byte
+first.  The words of a draw start with the high half the previous bit draw
+left over, if it used an odd number of words.  This is exactly the stream
+``Generator.integers(0, 2, count, dtype=np.uint8)`` gives, interleaved
+with Gaussian draws the same way, without its per-call overhead.
+Determinism is guaranteed within this implementation only, not across
+languages or numpy bit-generator rewrites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,6 +36,9 @@ import numpy as np
 DEFAULT_MASTER_SEED = 0x0FDA_0FDA_0FDA_0FDA
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
+#: Raw PCG64 outputs, little-endian, so their bytes come low half first.
+_RAW_WORDS = np.dtype("<u8")
 
 
 def _rotl64(x: int, k: int) -> int:
@@ -53,6 +66,9 @@ class RngStream:
     origin_seed: int
     cell_id: int
     rng: np.random.Generator
+    # the four bits of the high half of the last raw output, when the last
+    # bit draw used only its low half; the next bit draw starts with them
+    _spare_bits: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def make_stream(origin_seed: int, cell_id: int) -> RngStream:
@@ -70,10 +86,24 @@ def make_stream(origin_seed: int, cell_id: int) -> RngStream:
 
 
 def draw_bits(stream: RngStream, count: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. uniform bits as a uint8 array of 0s and 1s."""
+    """Draw ``count`` i.i.d. uniform bits as a uint8 array of 0s and 1s.
+
+    Built from the raw PCG64 outputs as the module docstring defines.
+    """
     if count < 0:
         raise ValueError(f"bit count must be >= 0, got {count}")
-    return stream.rng.integers(0, 2, size=count, dtype=np.uint8)
+    words = -(-count // 4)  # 32-bit words, one bit per byte
+    if not words:
+        return np.empty(0, dtype=np.uint8)
+    spare = stream._spare_bits
+    fresh = words if spare is None else words - 1
+    raw = stream.rng.bit_generator.random_raw(-(-fresh // 2))
+    bits = np.asarray(raw, dtype=_RAW_WORDS).view(np.uint8)
+    bits >>= 7
+    if spare is not None:
+        bits = np.concatenate((spare, bits))
+    stream._spare_bits = bits[4 * words:].copy() if bits.size > 4 * words else None
+    return bits[:count]
 
 
 def draw_gaussian(

@@ -42,13 +42,36 @@ def _parse_list(text: str, conv) -> tuple:
         raise ConfigError(f"cannot parse {text!r}: {exc}") from exc
 
 
+def _integer(value: Any) -> int:
+    """A count from a config file: an integer, or a float with no fraction (2e6)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"expected an integer, got {value!r}")
+
+
+def _real(value: Any) -> float:
+    """A quantity from a config file: a JSON number, never a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"expected a number, got {value!r}")
+
+
+def _boolean(value: Any) -> bool:
+    """A switch from a config file: JSON true or false only."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"expected true or false, got {value!r}")
+
+
 def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
     kind = settings.get("channel", "awgn")
-    overhead = bool(settings.get("account_cp_overhead", False))
+    overhead = _boolean(settings.get("account_cp_overhead", False))
     if kind != "tdl":
         return ChannelSpec(kind=kind, account_cp_overhead=overhead)
     if settings.get("tdl_taps") is not None:
-        powers = [float(p) for p in settings["tdl_taps"]]
+        powers = [_real(p) for p in settings["tdl_taps"]]
         total = sum(powers)
         if total <= 0:
             raise ConfigError("tdl_taps must contain positive power")
@@ -56,8 +79,8 @@ def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
     else:
         taps = tuple(
             exponential_pdp(
-                int(settings.get("tdl_len", DEFAULT_TDL_LEN)),
-                float(settings.get("tdl_decay_db", DEFAULT_TDL_DECAY_DB)),
+                _integer(settings.get("tdl_len", DEFAULT_TDL_LEN)),
+                _real(settings.get("tdl_decay_db", DEFAULT_TDL_DECAY_DB)),
             )
         )
     return ChannelSpec(kind="tdl", taps=taps, account_cp_overhead=overhead)
@@ -66,15 +89,15 @@ def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
 #: SweepGrid fields a config file or flag may set, with their converters;
 #: a field not set keeps its SweepGrid default.
 _GRID_FIELDS = {
-    "fft_sizes": tuple,
+    "fft_sizes": lambda sizes: tuple(_integer(n) for n in sizes),
     "cp_fractions": lambda fractions: tuple(Fraction(str(g)) for g in fractions),
-    "ebno_points_db": tuple,
-    "modulation_order": int,
-    "master_seed": int,
-    "max_bits_per_cell": int,
-    "target_errors": int,
-    "bit_budget": int,
-    "use_equalizer": bool,
+    "ebno_points_db": lambda points: tuple(_real(e) for e in points),
+    "modulation_order": _integer,
+    "master_seed": _integer,
+    "max_bits_per_cell": _integer,
+    "target_errors": _integer,
+    "bit_budget": _integer,
+    "use_equalizer": _boolean,
 }
 _GRID_KEYS = (*_GRID_FIELDS, "channel", "tdl_taps", "tdl_len", "tdl_decay_db",
               "account_cp_overhead")

@@ -26,9 +26,10 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -311,57 +312,79 @@ def run_raw_modem(
     return errors, total
 
 
-def _cell_task(
-    args: tuple[OfdmConfig, ChannelSpec, int, int, int, int, bool],
-) -> BerRecord:
-    config, spec, seed, cell_id, target_errors, max_bits, use_equalizer = args
-    return run_cell(
-        config, spec, spec.ebno_db, seed, cell_id,
-        target_errors=target_errors, max_bits=max_bits, use_equalizer=use_equalizer,
-    )
+_CellTask = tuple[OfdmConfig, ChannelSpec, int, int, int, int, bool]
+_CellResult = tuple[int, Optional[BerRecord], Optional[str]]
+
+
+def _cell_result(task: _CellTask) -> _CellResult:
+    """Run one cell: (cell_id, record, None), or (cell_id, None, message) if it raised."""
+    config, spec, seed, cell_id, target_errors, max_bits, use_equalizer = task
+    try:
+        record = run_cell(
+            config, spec, spec.ebno_db, seed, cell_id,
+            target_errors=target_errors, max_bits=max_bits, use_equalizer=use_equalizer,
+        )
+    except Exception as exc:  # any cell failure; the other cells still run
+        return cell_id, None, str(exc)
+    return cell_id, record, None
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: the OFDMSIM_WORKERS env var overrides everything."""
+    """Worker count: the OFDMSIM_WORKERS env var overrides everything.
+
+    A count below 1, given or from the variable, is a :class:`ConfigError`.
+    """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     env = os.environ.get("OFDMSIM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"OFDMSIM_WORKERS must be an integer, got {env!r}") from None
-    return max(1, workers or 1)
+    if not env:
+        return workers or 1
+    try:
+        count = int(env)
+    except ValueError:
+        raise ConfigError(f"OFDMSIM_WORKERS must be an integer, got {env!r}") from None
+    if count < 1:
+        raise ConfigError(f"OFDMSIM_WORKERS must be >= 1, got {env!r}")
+    return count
+
+
+def _results(tasks: list[_CellTask], n_workers: int) -> Iterator[_CellResult]:
+    """Each task's :func:`_cell_result`, in task order."""
+    if n_workers == 1:
+        yield from map(_cell_result, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # a fixed chunk size: about four chunks per worker balance the load,
+        # and each costs one round trip instead of one per cell
+        yield from pool.map(_cell_result, tasks, chunksize=max(1, len(tasks) // (4 * n_workers)))
 
 
 def run_grid(grid: SweepGrid, workers: Optional[int] = None) -> list[BerRecord]:
     """Run every cell of the grid; output is sorted by cell_id.
 
-    Cells are independent; with ``workers > 1`` they run on a process pool.
-    Worker count never changes any record.  If cells fail, the completed
-    records are kept on the raised :class:`SweepFailure`.
+    Cells are independent; with ``workers > 1`` they run on a process pool
+    of at most one worker per cell, sent to it in batches of about a quarter
+    of each worker's share.  Worker count never changes any record.  If
+    cells fail, the completed records are kept on the raised
+    :class:`SweepFailure`; a worker that dies fails every cell whose result
+    had not come back.
     """
     tasks = [
         (config, spec, grid.master_seed, cell_id,
          grid.target_errors, grid.max_bits_per_cell, grid.use_equalizer)
         for cell_id, config, spec in grid.cells()
     ]
-    n_workers = resolve_workers(workers)
+    n_workers = min(resolve_workers(workers), len(tasks))
     records: list[BerRecord] = []
     failures: list[tuple[int, str]] = []
-    if n_workers == 1:
-        for task in tasks:
-            try:
-                records.append(_cell_task(task))
-            except Exception as exc:  # any cell failure; completed cells are kept
-                failures.append((task[3], str(exc)))
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [(task[3], pool.submit(_cell_task, task)) for task in tasks]
-            for cell_id, future in futures:
-                try:
-                    records.append(future.result())
-                except Exception as exc:  # any cell failure; completed cells are kept
-                    failures.append((cell_id, str(exc)))
-    records.sort(key=lambda r: r.cell_id)
+    try:
+        for cell_id, record, message in _results(tasks, n_workers):
+            if message is None:
+                records.append(record)
+            else:
+                failures.append((cell_id, message))
+    except BrokenProcessPool as exc:  # results come in task order: the rest are lost
+        failures += [(task[3], str(exc)) for task in tasks[len(records) + len(failures):]]
     if failures:
         raise SweepFailure(failures, records)
     return records

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofdmsim.bitsource import (
     DEFAULT_MASTER_SEED,
@@ -63,6 +65,29 @@ class TestBitDraws:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             draw_bits(make_stream(1, 0), -1)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        draws=st.lists(
+            st.tuples(
+                st.sampled_from(["bits", "normal"]),
+                st.one_of(st.integers(0, 40), st.sampled_from([999, 1000, 1001, 4097])),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_generator_integers_between_normal_draws(self, seed, draws):
+        # the raw-word bits, including the high half an odd word count leaves
+        # over, reproduce Generator.integers on a twin stream
+        stream, twin = make_stream(seed, 5), make_stream(seed, 5).rng
+        for kind, count in draws:
+            if kind == "bits":
+                np.testing.assert_array_equal(
+                    draw_bits(stream, count), twin.integers(0, 2, count, dtype=np.uint8))
+            else:
+                np.testing.assert_array_equal(draw_gaussian(stream, count),
+                                              twin.standard_normal(count))
 
     def test_mean_of_a_million_draws(self):
         bits = draw_bits(make_stream(123, 0), 1_000_000)

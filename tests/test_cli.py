@@ -214,6 +214,57 @@ class TestErrorBoundary:
         assert result.returncode == 2
         assert "OFDMSIM_WORKERS" in result.stderr
 
+    @pytest.mark.parametrize("key,value", [
+        ("modulation_order", 8.9), ("target_errors", 1.7), ("fft_sizes", [64.7]),
+        ("max_bits_per_cell", "24000"), ("bit_budget", True), ("tdl_len", 8.5),
+        ("use_equalizer", "false"), ("use_equalizer", 0), ("account_cp_overhead", "no"),
+        ("ebno_points_db", ["6"]), ("tdl_decay_db", "1.0"), ("tdl_taps", ["0.5", 1]),
+    ])
+    def test_config_values_are_not_truncated_or_coerced(self, capsys, tmp_path, key, value):
+        import ofdmsim.cli as cli
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "channel": "tdl", key: value}))
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_floats_and_json_booleans_are_accepted(self, capsys, tmp_path):
+        import ofdmsim.cli as cli
+
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            **SMALL_CONFIG, "fft_sizes": [64.0], "cp_fractions": ["1/4"], "ebno_points_db": [30],
+            "channel": "tdl", "tdl_len": 3.0, "max_bits_per_cell": 6e3, "target_errors": 1e1,
+            "use_equalizer": False, "account_cp_overhead": True,
+        }))
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 0
+        echo = next(line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("effective config: "))
+        effective = json.loads(echo.removeprefix("effective config: "))
+        assert effective["fft_sizes"] == [64]
+        assert effective["channel"].count(";") == 2  # three taps
+        assert (effective["max_bits_per_cell"], effective["target_errors"]) == (6000, 10)
+        assert effective["use_equalizer"] is False
+        assert effective["account_cp_overhead"] is True
+
+    @pytest.mark.parametrize("flag,variable", [("0", None), ("-2", None), (None, "0"),
+                                               ("2", "-1")])
+    def test_worker_count_below_one_exits_2(self, monkeypatch, capsys, tmp_path, flag,
+                                             variable):
+        import ofdmsim.cli as cli
+
+        monkeypatch.delenv("OFDMSIM_WORKERS", raising=False)
+        if variable is not None:
+            monkeypatch.setenv("OFDMSIM_WORKERS", variable)
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno", "30",
+                "--out", str(out)] + (["--workers", flag] if flag is not None else [])
+        assert cli.main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_tdl_taps_exit_2_in_single(self):
         result = run_cli("single", "--fft", "64", "--cp", "1/4", "--channel", "tdl",
                          "--tdl-taps", "1,x", "--ebno", "10")

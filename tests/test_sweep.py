@@ -1,5 +1,7 @@
 """Tests for cell execution, grid orchestration, persistence, and plots."""
 
+import multiprocessing
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
@@ -41,6 +43,10 @@ from ofdmsim.sweep import (
 from ofdmsim.transform import unitary_dft, unitary_idft
 
 NOISELESS = 300.0
+
+# a monkeypatched function reaches pool workers only when they are forked
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="needs fork-started pool workers")
 
 
 def small_grid(**overrides) -> SweepGrid:
@@ -246,6 +252,14 @@ class TestRunGrid:
         assert serial == parallel
 
     def test_failures_keep_completed_cells(self, monkeypatch):
+        self._check_one_cell_fails(monkeypatch, workers=1)
+
+    @FORK_ONLY
+    def test_failures_keep_completed_cells_on_the_pool(self, monkeypatch):
+        self._check_one_cell_fails(monkeypatch, workers=2)
+
+    @staticmethod
+    def _check_one_cell_fails(monkeypatch, workers):
         import ofdmsim.sweep as sweep_mod
 
         original = sweep_mod.run_cell
@@ -257,11 +271,62 @@ class TestRunGrid:
 
         monkeypatch.setattr(sweep_mod, "run_cell", flaky)
         with pytest.raises(SweepFailure) as excinfo:
-            run_grid(small_grid())
+            run_grid(small_grid(), workers=workers)
         failure = excinfo.value
-        assert [cid for cid, _ in failure.failures] == [1]
+        assert failure.failures == [(1, "injected")]
         assert len(failure.records) == 11
         assert all(r.cell_id != 1 for r in failure.records)
+
+    @FORK_ONLY
+    def test_a_dead_worker_fails_its_cells_and_keeps_the_rest(self, monkeypatch):
+        import ofdmsim.sweep as sweep_mod
+
+        grid = small_grid()
+        serial = {r.cell_id: r for r in run_grid(grid)}
+        original = sweep_mod.run_cell
+        last = grid.n_cells - 1
+
+        def fatal(config, spec, ebno_db, seed, cell_id, **kwargs):
+            if cell_id == last:
+                os._exit(1)  # the worker process dies; the pool breaks
+            return original(config, spec, ebno_db, seed, cell_id, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "run_cell", fatal)
+        with pytest.raises(SweepFailure) as excinfo:
+            run_grid(grid, workers=2)
+        failure = excinfo.value
+        failed = [cid for cid, _ in failure.failures]
+        assert last in failed
+        assert failure.records  # cells that finished before the break are kept
+        assert sorted(failed + [r.cell_id for r in failure.records]) == list(range(grid.n_cells))
+        assert all(r == serial[r.cell_id] for r in failure.records)
+
+    def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
+        import ofdmsim.sweep as sweep_mod
+
+        asked = []
+
+        class InlineExecutor:
+            """Records the worker count asked for and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlineExecutor)
+        two_cells = small_grid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),),
+                               ebno_points_db=(0.0, 6.0))
+        assert run_grid(two_cells, workers=8) == run_grid(two_cells)
+        assert run_grid(small_grid(), workers=3) == run_grid(small_grid())
+        assert asked == [2, 3]
 
     def test_invalid_grid_combination_rejected_up_front(self):
         with pytest.raises(ValueError):
