@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from ofdmsim.channel import DEFAULT_TDL_DECAY_DB, DEFAULT_TDL_LEN, ChannelSpec, exponential_pdp
-from ofdmsim.sweep import SweepGrid, emit_plot, run_grid, write_records
+from ofdmsim.sweep import SweepGrid, emit_plot, resolve_workers, run_grid, write_records
 
 CHANNELS = {
     "awgn": ChannelSpec(kind="awgn"),
@@ -41,24 +41,29 @@ def main() -> int:
                         help="worker processes (OFDMSIM_WORKERS overrides)")
     args = parser.parse_args()
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    for name in args.channels.split(","):
-        name = name.strip()
-        if name not in CHANNELS:
-            print(f"unknown channel {name!r}", file=sys.stderr)
-            return 2
-        grid = SweepGrid(
+    try:
+        names = [name.strip() for name in args.channels.split(",")]
+        unknown = [name for name in names if name not in CHANNELS]
+        if unknown:
+            raise ValueError(f"unknown channel(s): {', '.join(unknown)}")
+        workers = resolve_workers(args.workers)
+        grids = [(name, SweepGrid(
             channel=CHANNELS[name],
             master_seed=args.seed,
             max_bits_per_cell=args.max_bits,
             target_errors=args.target_errors,
             bit_budget=args.bit_budget,
-        )
+        )) for name in names]
+    except ValueError as exc:  # a ConfigError too: reported as `ofdmsim sweep` does
+        print(f"{parser.prog}: config error: {exc}", file=sys.stderr)
+        return 2
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, grid in grids:
         print(f"[{name}] running {grid.n_cells} cells ...", file=sys.stderr)
         start = time.perf_counter()
-        records = run_grid(grid, workers=args.workers)
+        records = run_grid(grid, workers=workers)
         elapsed = time.perf_counter() - start
         csv_path = out_dir / f"ber_{name}.csv"
         write_records(records, str(csv_path))

@@ -29,6 +29,7 @@ receiver its response.  Noise is drawn separately, only through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,13 +54,11 @@ class ChannelSpec:
     """Which channel to simulate and how to calibrate its noise.
 
     ``taps`` is the power-delay profile for the tapped delay line (must sum
-    to 1); the channel memory is ``len(taps) - 1``.  ``ebno_db`` is the
-    per-information-bit SNR of the cell using this spec.
+    to 1); the channel memory is ``len(taps) - 1``.
     """
 
     kind: str
     taps: Optional[tuple[float, ...]] = None
-    ebno_db: float = 0.0
     account_cp_overhead: bool = False
 
     def __post_init__(self) -> None:
@@ -69,8 +68,8 @@ class ChannelSpec:
             if not self.taps:
                 raise ValueError("tdl channel requires a power-delay profile")
             taps = tuple(float(p) for p in self.taps)
-            if any(p < 0 for p in taps):
-                raise ValueError(f"tap powers must be nonnegative, got {taps}")
+            if not all(0.0 <= p < math.inf for p in taps):
+                raise ValueError(f"tap powers must be finite and nonnegative, got {taps}")
             if abs(sum(taps) - 1.0) > 1e-12:
                 raise ValueError(f"tap powers must sum to 1, got {sum(taps)!r}")
             object.__setattr__(self, "taps", taps)
@@ -116,8 +115,9 @@ def ebno_to_noise_variance(
 
 def exponential_pdp(length: int, decay_db_per_tap: float) -> np.ndarray:
     """Exponentially decaying power-delay profile, normalized to sum 1."""
-    if length < 1:
-        raise ValueError(f"profile length must be >= 1, got {length}")
+    if length < 1 or not math.isfinite(decay_db_per_tap):
+        raise ValueError(f"need a length >= 1 and a finite decay, got {length}, "
+                         f"{decay_db_per_tap}")
     powers = 10.0 ** (-decay_db_per_tap * np.arange(length) / 10.0)
     return powers / powers.sum()
 

@@ -222,15 +222,15 @@ def cmd_single(args: argparse.Namespace) -> int:
     settings = _flag_settings(args)
     settings.update(fft_sizes=[args.fft], cp_fractions=[args.cp], ebno_points_db=[args.ebno])
     grid = _build_grid(settings)
-    _, config, spec = next(grid.cells())
+    _, config, spec, ebno = next(grid.cells())
     print(
         f"effective config: fft={config.fft_size} cp={config.cp_fraction} "
-        f"M={config.modulation_order} channel={spec.summary()} ebno={args.ebno} "
+        f"M={config.modulation_order} channel={spec.summary()} ebno={ebno} "
         f"seed={grid.master_seed} cell={args.cell_id}",
         file=sys.stderr,
     )
     record = run_cell(
-        config, spec, args.ebno, grid.master_seed, args.cell_id,
+        config, spec, ebno, grid.master_seed, args.cell_id,
         target_errors=grid.target_errors, max_bits=grid.max_bits_per_cell,
         use_equalizer=grid.use_equalizer,
     )
@@ -238,7 +238,7 @@ def cmd_single(args: argparse.Namespace) -> int:
     payload["equalizer"] = record.equalizer
     if args.report_snr:
         payload["sample_snr_db"] = _sample_snr_db(
-            args.ebno, config.modulation_order, config.fft_size, config.cp_len,
+            ebno, config.modulation_order, config.fft_size, config.cp_len,
             spec.account_cp_overhead,
         )
     print(json.dumps(payload, indent=2))
@@ -248,6 +248,8 @@ def cmd_single(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.bits < 1:
         raise ConfigError(f"--bits must be >= 1, got {args.bits}")
+    if not 0.0 < args.noise_scale < math.inf:
+        raise ConfigError(f"--noise-scale must be finite and > 0, got {args.noise_scale}")
     seed = args.seed if args.seed is not None else DEFAULT_MASTER_SEED
     rows, all_passed = run_validation(
         seed=seed, bits_floor=args.bits, noise_scale=args.noise_scale

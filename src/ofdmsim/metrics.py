@@ -130,10 +130,9 @@ def make_record(
     seed: int,
     cell_id: int,
     equalizer: str = "zf",
-    z: float = 3.0,
 ) -> BerRecord:
-    """Assemble a BerRecord, deriving BER and its Wilson interval."""
-    low, high = wilson_interval(bit_errors, bits_sent, z)
+    """Assemble a BerRecord, deriving BER and its z=3 Wilson interval."""
+    low, high = wilson_interval(bit_errors, bits_sent)
     return BerRecord(
         config=config,
         channel=channel_summary,

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Optional
 
@@ -55,17 +56,6 @@ from .transform import unitary_dft, unitary_idft
 from .framing import add_cyclic_prefix, serial_to_parallel  # noqa: F401
 from .metrics import count_bit_errors  # noqa: F401
 from .psk import demap_psk  # noqa: F401
-
-__all__ = [
-    "SweepGrid",
-    "SweepFailure",
-    "run_cell",
-    "run_grid",
-    "run_raw_modem",
-    "write_records",
-    "read_records",
-    "emit_plot",
-]
 
 #: Most time-domain samples one chunk of repetitions may hold, which keeps a
 #: chunk's arrays under about 1 MB; a longer repetition runs as a chunk alone.
@@ -105,6 +95,8 @@ class SweepGrid:
         )
         if not (self.fft_sizes and self.cp_fractions and self.ebno_points_db):
             raise ValueError("grid axes must be nonempty")
+        if not all(-math.inf < e for e in self.ebno_points_db):  # false for NaN too
+            raise ValueError(f"Eb/No points must be finite or +inf, got {self.ebno_points_db}")
         if self.max_bits_per_cell < 1 or self.target_errors < 1:
             raise ValueError("per-cell budgets must be >= 1")
         for n in self.fft_sizes:
@@ -123,14 +115,14 @@ class SweepGrid:
     def n_cells(self) -> int:
         return len(self.fft_sizes) * len(self.cp_fractions) * len(self.ebno_points_db)
 
-    def cells(self) -> Iterable[tuple[int, OfdmConfig, ChannelSpec]]:
-        """Yield (cell_id, config, channel-with-ebno) in cell_id order."""
+    def cells(self) -> Iterable[tuple[int, OfdmConfig, ChannelSpec, float]]:
+        """Yield (cell_id, config, channel, ebno_db) in cell_id order."""
         cell_id = 0
         for n in self.fft_sizes:
             for g in self.cp_fractions:
                 config = self._config(n, g)
                 for ebno in self.ebno_points_db:
-                    yield cell_id, config, replace(self.channel, ebno_db=ebno)
+                    yield cell_id, config, self.channel, ebno
                     cell_id += 1
 
 
@@ -312,16 +304,16 @@ def run_raw_modem(
     return errors, total
 
 
-_CellTask = tuple[OfdmConfig, ChannelSpec, int, int, int, int, bool]
+_CellTask = tuple[OfdmConfig, ChannelSpec, float, int, int, int, int, bool]
 _CellResult = tuple[int, Optional[BerRecord], Optional[str]]
 
 
 def _cell_result(task: _CellTask) -> _CellResult:
     """Run one cell: (cell_id, record, None), or (cell_id, None, message) if it raised."""
-    config, spec, seed, cell_id, target_errors, max_bits, use_equalizer = task
+    config, spec, ebno_db, seed, cell_id, target_errors, max_bits, use_equalizer = task
     try:
         record = run_cell(
-            config, spec, spec.ebno_db, seed, cell_id,
+            config, spec, ebno_db, seed, cell_id,
             target_errors=target_errors, max_bits=max_bits, use_equalizer=use_equalizer,
         )
     except Exception as exc:  # any cell failure; the other cells still run
@@ -370,9 +362,9 @@ def run_grid(grid: SweepGrid, workers: Optional[int] = None) -> list[BerRecord]:
     had not come back.
     """
     tasks = [
-        (config, spec, grid.master_seed, cell_id,
+        (config, spec, ebno_db, grid.master_seed, cell_id,
          grid.target_errors, grid.max_bits_per_cell, grid.use_equalizer)
-        for cell_id, config, spec in grid.cells()
+        for cell_id, config, spec, ebno_db in grid.cells()
     ]
     n_workers = min(resolve_workers(workers), len(tasks))
     records: list[BerRecord] = []
@@ -384,7 +376,7 @@ def run_grid(grid: SweepGrid, workers: Optional[int] = None) -> list[BerRecord]:
             else:
                 failures.append((cell_id, message))
     except BrokenProcessPool as exc:  # results come in task order: the rest are lost
-        failures += [(task[3], str(exc)) for task in tasks[len(records) + len(failures):]]
+        failures += [(task[4], str(exc)) for task in tasks[len(records) + len(failures):]]
     if failures:
         raise SweepFailure(failures, records)
     return records

@@ -1,6 +1,8 @@
 """Self-checks comparing the simulator against its analytic references.
 
-Three families of checks:
+Three families of checks, one function each.  ``ofdmsim validate`` runs all
+three (:func:`run_validation`) and acceptance tests A1-A3 run one each, so
+every tolerance is stated once, here:
 
 * theory match -- raw 8-PSK over AWGN against the closed-form BER, at
   Eb/No 4/8/12 dB, within 10% relative and inside the z=3 Wilson interval;
@@ -18,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitsource import DEFAULT_MASTER_SEED
 from .channel import ChannelSpec, exponential_pdp
 from .framing import OfdmConfig
 from .metrics import theoretical_mpsk_ber, wilson_interval
@@ -36,8 +37,17 @@ IDENTITY_CP_FRACTIONS = (
 #: Effectively noiseless Eb/No used by the identity checks.
 NOISELESS_EBNO_DB = 300.0
 
-_REL_TOLERANCE = 0.10
+#: Largest relative deviation of a theory point from the closed form.
+REL_TOLERANCE = 0.10
+#: Width of the raw-modem Wilson intervals, in standard deviations: the z=3
+#: of every record's interval, which the transparency check compares with.
+Z = 3.0
+
+_ORDER = 8
 _MAX_BITS_MULTIPLIER = 30  # cap on the per-point upscaling for rare-error points
+
+#: Raw-modem baseline per theory Eb/No: (Wilson interval, bits asked for).
+Baselines = dict[float, tuple[tuple[float, float], int]]
 
 
 def intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -59,65 +69,66 @@ class ValidationRow:
     passed: bool
 
 
-def run_validation(
-    seed: int = DEFAULT_MASTER_SEED,
-    bits_floor: int = 1_000_000,
-    noise_scale: float = 1.0,
-    z: float = 3.0,
-) -> tuple[list[ValidationRow], bool]:
-    """Run the full validation suite; returns (rows, all_passed)."""
+def check_awgn_theory(
+    seed: int, bits_floor: int, noise_scale: float
+) -> tuple[list[ValidationRow], Baselines]:
+    """Theory-match rows, and the baselines the transparency check uses."""
     rows: list[ValidationRow] = []
-    order = 8
-
-    # theory match, and the raw-modem baselines reused by the transparency check
-    baselines: dict[float, tuple[float, tuple[float, float], int]] = {}
+    baselines: Baselines = {}
     for i, ebno in enumerate(THEORY_EBNO_POINTS_DB):
-        theory = theoretical_mpsk_ber(ebno, order)
+        theory = theoretical_mpsk_ber(ebno, _ORDER)
         n_bits = _point_bits(bits_floor, theory)
         errors, sent = run_raw_modem(
-            order, ebno, n_bits, seed, cell_id=9001 + i, noise_scale=noise_scale
+            _ORDER, ebno, n_bits, seed, cell_id=9001 + i, noise_scale=noise_scale
         )
         ber = errors / sent
-        ci = wilson_interval(errors, sent, z)
+        ci = wilson_interval(errors, sent, Z)
         rel = abs(ber - theory) / theory
-        ok = rel <= _REL_TOLERANCE and ci[0] <= theory <= ci[1]
-        baselines[ebno] = (ber, ci, n_bits)
+        baselines[ebno] = (ci, n_bits)
         rows.append(ValidationRow(
             check="awgn-theory",
-            detail=f"M={order} Eb/No={ebno:g}dB bits={sent}",
+            detail=f"M={_ORDER} Eb/No={ebno:g}dB bits={sent}",
             observed=f"sim={ber:.4e} theory={theory:.4e} rel={rel:.3f}",
-            passed=ok,
+            passed=rel <= REL_TOLERANCE and ci[0] <= theory <= ci[1],
         ))
+    return rows, baselines
 
-    # OFDM transparency against the raw-modem baselines
+
+def check_ofdm_transparency(
+    baselines: Baselines, seed: int, noise_scale: float
+) -> list[ValidationRow]:
+    """Transparency rows: each cell sends the bits its baseline asked for."""
+    rows: list[ValidationRow] = []
     awgn = ChannelSpec(kind="awgn")
     for j, fft_size in enumerate(TRANSPARENCY_FFT_SIZES):
         config = OfdmConfig(
             fft_size=fft_size, cp_fraction=Fraction(1, 4),
-            modulation_order=order, bit_budget=240_000,
+            modulation_order=_ORDER, bit_budget=240_000,
         )
         for i, ebno in enumerate(THEORY_EBNO_POINTS_DB):
-            _, base_ci, n_bits = baselines[ebno]
+            base_ci, n_bits = baselines[ebno]
             record = run_cell(
                 config, awgn, ebno, seed, 9101 + 10 * j + i,
                 target_errors=2**62, max_bits=n_bits, noise_scale=noise_scale,
             )
-            ci = (record.ci_low, record.ci_high)
-            ok = intervals_overlap(ci, base_ci)
             rows.append(ValidationRow(
                 check="ofdm-transparency",
                 detail=f"N={fft_size} CP=1/4 Eb/No={ebno:g}dB bits={record.bits_sent}",
                 observed=f"ofdm={record.ber:.4e} raw_ci=[{base_ci[0]:.3e},{base_ci[1]:.3e}]",
-                passed=ok,
+                passed=intervals_overlap((record.ci_low, record.ci_high), base_ci),
             ))
+    return rows
 
-    # noiseless identity across the whole grid, all three channels
+
+def check_noiseless_identity(seed: int) -> list[ValidationRow]:
+    """Noiseless-identity rows across the whole grid, all three channels."""
+    rows: list[ValidationRow] = []
     cell = 9201
     for fft_size in (64, 128, 256, 512):
         for frac in IDENTITY_CP_FRACTIONS:
             config = OfdmConfig(
                 fft_size=fft_size, cp_fraction=frac,
-                modulation_order=order, bit_budget=1500,
+                modulation_order=_ORDER, bit_budget=1500,
             )
             memory = min(8, config.cp_len)
             for spec in (
@@ -136,7 +147,16 @@ def run_validation(
                     observed=f"errors={record.bit_errors}/{record.bits_sent}",
                     passed=record.bit_errors == 0,
                 ))
+    return rows
 
+
+def run_validation(
+    seed: int, bits_floor: int, noise_scale: float
+) -> tuple[list[ValidationRow], bool]:
+    """Run the three families in order; returns (rows, all_passed)."""
+    rows, baselines = check_awgn_theory(seed, bits_floor, noise_scale)
+    rows += check_ofdm_transparency(baselines, seed, noise_scale)
+    rows += check_noiseless_identity(seed)
     return rows, all(r.passed for r in rows)
 
 

@@ -1,7 +1,10 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Each test prints one pass/fail line; run with ``pytest tests/test_acceptance.py
--v -s`` to see them.  Tolerances are fixed here, not tuned elsewhere.
+-v -s`` to see them.  A1-A3 run the three check families of ``ofdmsim
+validate`` (``ofdmsim.validate``, where their tolerances live) and hold them
+there: every row must pass, within the stated time, and A1 pins the
+theory-match tolerance and the interval width.  A4-A9 state their own.
 """
 
 import json
@@ -13,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ofdmsim import validate
 from ofdmsim.bitsource import DEFAULT_MASTER_SEED, make_stream
 from ofdmsim.channel import (
     ChannelRealization,
@@ -23,106 +27,54 @@ from ofdmsim.channel import (
     exponential_pdp,
 )
 from ofdmsim.framing import OfdmConfig, add_cyclic_prefix, remove_cyclic_prefix, serial_to_parallel
-from ofdmsim.metrics import theoretical_mpsk_ber, wilson_interval
 from ofdmsim.psk import map_psk
-from ofdmsim.sweep import run_cell, run_raw_modem
+from ofdmsim.sweep import run_cell
 from ofdmsim.transform import direct_transform, unitary_dft, unitary_idft
 
 SEED = DEFAULT_MASTER_SEED
 FFT_SIZES = (64, 128, 256, 512)
-ALL_CP_FRACTIONS = (Fraction(1, 32), Fraction(1, 16), Fraction(1, 8),
-                    Fraction(1, 4), Fraction(1, 2))
-
-# >= 1e6 bits per point as required; the 12 dB point carries more so the
-# relative and interval checks stay sharp at BER ~ 6e-5
-A1_POINTS = ((4.0, 1_000_000), (8.0, 1_000_000), (12.0, 19_000_000))
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"{criterion} {'PASS' if passed else 'FAIL'}: {detail}")
 
 
-def overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return not (a[1] < b[0] or b[1] < a[0])
+def report_rows(criterion: str, rows, elapsed: float, limit: float = float("inf")) -> None:
+    """One line for a check family; assert every row passed within ``limit`` s."""
+    failed = [f"{row.detail}: {row.observed}" for row in rows if not row.passed]
+    ok = bool(rows) and not failed and elapsed < limit
+    report(criterion, ok,
+           f"{len(rows)} {rows[0].check} rows in {elapsed:.1f}s"
+           + (f"; failures: {failed}" if failed else ""))
+    assert ok
 
 
 @pytest.fixture(scope="module")
-def raw_modem_baselines():
-    """Raw 8-PSK AWGN measurements shared by A1 and A2."""
-    out = {}
-    for i, (ebno, n_bits) in enumerate(A1_POINTS):
-        start = time.perf_counter()
-        errors, total = run_raw_modem(8, ebno, n_bits, SEED, cell_id=9001 + i)
-        elapsed = time.perf_counter() - start
-        out[ebno] = {
-            "errors": errors,
-            "total": total,
-            "ber": errors / total,
-            "ci": wilson_interval(errors, total, z=3.0),
-            "elapsed": elapsed,
-        }
-    return out
+def awgn_theory():
+    """The theory-match family, run once: (rows, raw-modem baselines, seconds)."""
+    start = time.perf_counter()
+    rows, baselines = validate.check_awgn_theory(SEED, bits_floor=1_000_000, noise_scale=1.0)
+    return rows, baselines, time.perf_counter() - start
 
 
-def test_a1_awgn_theory_match(raw_modem_baselines):
-    all_ok = True
-    details = []
-    for ebno, _ in A1_POINTS:
-        point = raw_modem_baselines[ebno]
-        theory = theoretical_mpsk_ber(ebno, 8)
-        rel = abs(point["ber"] - theory) / theory
-        contained = point["ci"][0] <= theory <= point["ci"][1]
-        ok = rel <= 0.10 and contained and point["elapsed"] < 30.0
-        all_ok &= ok
-        details.append(f"{ebno:g}dB rel={rel:.3%} wilson={contained} t={point['elapsed']:.1f}s")
-    report("A1", all_ok, "raw 8-PSK vs closed form: " + "; ".join(details))
-    assert all_ok
+def test_a1_awgn_theory_match(awgn_theory):
+    rows, _, elapsed = awgn_theory
+    assert validate.REL_TOLERANCE == 0.10 and validate.Z == 3.0
+    report_rows("A1", rows, elapsed, limit=30.0)
 
 
-def test_a2_ofdm_transparency_over_awgn(raw_modem_baselines):
-    awgn = ChannelSpec(kind="awgn", account_cp_overhead=False)
-    all_ok = True
-    details = []
-    for j, fft_size in enumerate((64, 512)):
-        config = OfdmConfig(fft_size, Fraction(1, 4), bit_budget=240_000)
-        for i, (ebno, _) in enumerate(A1_POINTS):
-            base = raw_modem_baselines[ebno]
-            record = run_cell(
-                config, awgn, ebno, SEED, 9101 + 10 * j + i,
-                target_errors=2**62, max_bits=base["total"],
-            )
-            ok = overlap((record.ci_low, record.ci_high), base["ci"])
-            all_ok &= ok
-            details.append(f"N={fft_size}@{ebno:g}dB overlap={ok}")
-    report("A2", all_ok, "OFDM chain is BER-neutral on AWGN: " + "; ".join(details))
-    assert all_ok
+def test_a2_ofdm_transparency_over_awgn(awgn_theory):
+    _, baselines, _ = awgn_theory
+    start = time.perf_counter()
+    rows = validate.check_ofdm_transparency(baselines, SEED, noise_scale=1.0)
+    report_rows("A2", rows, time.perf_counter() - start)
 
 
 def test_a3_noiseless_identity_full_grid():
     start = time.perf_counter()
-    failures = []
-    cell = 9301
-    for fft_size in FFT_SIZES:
-        for frac in ALL_CP_FRACTIONS:
-            config = OfdmConfig(fft_size, frac, bit_budget=1500)
-            memory = min(8, config.cp_len)
-            channels = (
-                ChannelSpec(kind="awgn"),
-                ChannelSpec(kind="flat"),
-                ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(memory + 1, 1.0))),
-            )
-            for spec in channels:
-                record = run_cell(config, spec, 300.0, SEED, cell,
-                                  target_errors=1, max_bits=3000)
-                cell += 1
-                if record.bit_errors != 0:
-                    failures.append(f"N={fft_size} CP={frac} {spec.kind}: {record.bit_errors}")
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 10.0
-    report("A3", ok,
-           f"0 errors across {cell - 9301} noiseless cells in {elapsed:.1f}s"
-           + (f"; failures: {failures}" if failures else ""))
-    assert ok
+    rows = validate.check_noiseless_identity(SEED)
+    assert len(rows) == len(FFT_SIZES) * 5 * 3  # every (N, CP) cell, all three channels
+    report_rows("A3", rows, time.perf_counter() - start, limit=10.0)
 
 
 def _post_dft_deviation(n_fft: int, cp: int, memory: int, seed_offset: int) -> float:
@@ -162,7 +114,8 @@ def test_a5_error_floor_ordering():
         short, quarter, half = (records[Fraction(1, 32)], records[Fraction(1, 4)],
                                 records[Fraction(1, 2)])
         ratio = short.ber / quarter.ber
-        same = overlap((quarter.ci_low, quarter.ci_high), (half.ci_low, half.ci_high))
+        same = validate.intervals_overlap((quarter.ci_low, quarter.ci_high),
+                                          (half.ci_low, half.ci_high))
         ok = ratio > 10.0 and same
         all_ok &= ok
         details.append(f"N={fft_size} ratio={ratio:.1f} quarter~half={same}")

@@ -73,6 +73,13 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(kind="tdl", taps=(1.5, -0.5))
 
+    @pytest.mark.parametrize("taps", [(float("nan"), 1.0), (1.0, float("nan")),
+                                      (float("inf"), 0.0)])
+    def test_non_finite_tap_rejected(self, taps):
+        # the sum check cannot see a NaN: nan - 1.0 compares false to everything
+        with pytest.raises(ValueError, match="finite"):
+            ChannelSpec(kind="tdl", taps=taps)
+
     def test_taps_on_memoryless_channel_rejected(self):
         with pytest.raises(ValueError):
             ChannelSpec(kind="awgn", taps=(1.0,))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (subprocess level)."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -312,6 +313,71 @@ class TestErrorBoundary:
         with pytest.raises(ValueError, match="broadcast"):
             cli.main(command)
         assert "config error" not in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    """NaN and -inf are configuration errors; +inf is the noiseless point."""
+
+    SWEEP_CELL = ["--fft-sizes", "64", "--cp-fractions", "1/4"]
+    SINGLE_CELL = ["--fft", "64", "--cp", "1/4"]
+
+    @staticmethod
+    def _exits_2(capsys, argv, out=None):
+        import ofdmsim.cli as cli
+
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "bits_sent" not in captured.out
+        assert out is None or not out.exists()
+
+    @pytest.mark.parametrize("ebno", ["nan", "-inf", "-Infinity"])
+    def test_ebno_flag(self, capsys, tmp_path, ebno):
+        self._exits_2(capsys, ["single", *self.SINGLE_CELL, f"--ebno={ebno}"])
+        out = tmp_path / "x.csv"
+        self._exits_2(capsys, ["sweep", *self.SWEEP_CELL, f"--ebno=6,{ebno}", "--out", str(out)],
+                      out)
+
+    @pytest.mark.parametrize("flags", [
+        ["--tdl-decay-db", "nan"], ["--tdl-decay-db", "inf"],
+        ["--tdl-taps", "nan,1"], ["--tdl-taps", "inf,1"],
+    ])
+    def test_tap_flags(self, capsys, tmp_path, flags):
+        self._exits_2(capsys, ["single", *self.SINGLE_CELL, "--ebno", "10",
+                               "--channel", "tdl", *flags])
+        out = tmp_path / "x.csv"
+        self._exits_2(capsys, ["sweep", *self.SWEEP_CELL, "--ebno", "10", "--channel", "tdl",
+                               *flags, "--out", str(out)], out)
+
+    @pytest.mark.parametrize("key,value", [
+        ("ebno_points_db", [6, float("nan")]), ("ebno_points_db", [float("-inf")]),
+        ("tdl_decay_db", float("nan")), ("tdl_taps", [float("nan"), 1]),
+        ("tdl_taps", [0.5, float("inf")]),
+    ])
+    def test_config_file(self, capsys, tmp_path, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "channel": "tdl", key: value}))
+        out = tmp_path / "x.csv"
+        self._exits_2(capsys, ["sweep", "--config", str(path), "--out", str(out)], out)
+
+    @pytest.mark.parametrize("scale", ["nan", "0", "-1", "inf"])
+    def test_noise_scale(self, capsys, scale):
+        self._exits_2(capsys, ["validate", f"--noise-scale={scale}"])
+
+    def test_plus_inf_is_noiseless(self, capsys, tmp_path):
+        import ofdmsim.cli as cli
+
+        argv = ["single", *self.SINGLE_CELL, "--ebno", "inf", "--channel", "tdl",
+                "--tdl-len", "5", "--max-bits", "3000"]
+        assert cli.main(argv) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["bit_errors"], record["bits_sent"]) == (0, 3000)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "ebno_points_db": [float("inf")]}))
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert {(row["ebno_db"], row["bit_errors"]) for row in rows} == {("inf", "0")}
 
 
 class TestValidateCommand:

@@ -240,8 +240,10 @@ class TestRunGrid:
     def test_cell_ids_are_lexicographic(self):
         grid = small_grid()
         cells = list(grid.cells())
-        assert cells[0][1].fft_size == 64 and cells[0][2].ebno_db == 0.0
-        assert cells[1][2].ebno_db == 6.0
+        assert [cell_id for cell_id, *_ in cells] == list(range(grid.n_cells))
+        assert cells[0][1].fft_size == 64 and cells[0][3] == 0.0
+        assert cells[1][3] == 6.0
+        assert all(spec == grid.channel for _, _, spec, _ in cells)
         assert cells[-1][1].fft_size == 128
         assert cells[-1][1].cp_fraction == Fraction(1, 16)
 
@@ -331,6 +333,15 @@ class TestRunGrid:
     def test_invalid_grid_combination_rejected_up_front(self):
         with pytest.raises(ValueError):
             small_grid(cp_fractions=(Fraction(1, 3),))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_nan_and_minus_inf_ebno_rejected(self, bad):
+        with pytest.raises(ValueError, match="Eb/No"):
+            small_grid(ebno_points_db=(6.0, bad))
+
+    def test_plus_inf_ebno_is_the_noiseless_point(self):
+        grid = small_grid(ebno_points_db=(float("inf"),), channel=ChannelSpec(kind="flat"))
+        assert all(r.bit_errors == 0 for r in run_grid(grid))
 
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("OFDMSIM_WORKERS", "5")
