@@ -4,7 +4,10 @@
 Sweeps CP in {1/2, 1/4, 1/16, 1/32} and FFT size in {64, 128, 256, 512}
 over Eb/No 0..20 dB (step 2) with 8-PSK, once per channel model (AWGN,
 flat block fading, 9-tap exponential multipath), writing one CSV and one
-set of SVG charts per channel under the output directory.
+set of SVG charts per channel under the output directory.  Each channel
+runs as ``ofdmsim sweep --channel <name>`` would, and failures are reported
+the same way: exit 2 for a bad setting, 3 for an I/O error, and 1 when
+cells failed (that channel's completed records are still written).
 
 Typical use:
 
@@ -16,16 +19,37 @@ import sys
 import time
 from pathlib import Path
 
-from ofdmsim.channel import DEFAULT_TDL_DECAY_DB, DEFAULT_TDL_LEN, ChannelSpec, exponential_pdp
-from ofdmsim.sweep import SweepGrid, emit_plot, resolve_workers, run_grid, write_records
+from ofdmsim.cli import EXIT_OK, build_grid, exit_code, run_sweep
+from ofdmsim.errors import IoError
+from ofdmsim.sweep import SweepGrid, resolve_workers
 
-CHANNELS = {
-    "awgn": ChannelSpec(kind="awgn"),
-    "flat": ChannelSpec(kind="flat"),
-    "tdl": ChannelSpec(
-        kind="tdl", taps=tuple(exponential_pdp(DEFAULT_TDL_LEN, DEFAULT_TDL_DECAY_DB))
-    ),
-}
+
+def run(args: argparse.Namespace) -> int:
+    """Check every setting, then sweep the channels in turn."""
+    workers = resolve_workers(args.workers)
+    names = [name.strip() for name in args.channels.split(",")]
+    grids = [build_grid({
+        "channel": name,
+        "master_seed": args.seed,
+        "max_bits_per_cell": args.max_bits,
+        "target_errors": args.target_errors,
+        "bit_budget": args.bit_budget,
+    }) for name in names]
+
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
+    for name, grid in zip(names, grids):
+        print(f"[{name}] running {grid.n_cells} cells ...", file=sys.stderr)
+        start = time.perf_counter()
+        code = run_sweep(grid, workers, str(out_dir / f"ber_{name}.csv"), None,
+                         str(out_dir / name))
+        if code != EXIT_OK:
+            return code
+        print(f"[{name}] {time.perf_counter() - start:.1f}s", file=sys.stderr)
+    return EXIT_OK
 
 
 def main() -> int:
@@ -40,37 +64,7 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (OFDMSIM_WORKERS overrides)")
     args = parser.parse_args()
-
-    try:
-        names = [name.strip() for name in args.channels.split(",")]
-        unknown = [name for name in names if name not in CHANNELS]
-        if unknown:
-            raise ValueError(f"unknown channel(s): {', '.join(unknown)}")
-        workers = resolve_workers(args.workers)
-        grids = [(name, SweepGrid(
-            channel=CHANNELS[name],
-            master_seed=args.seed,
-            max_bits_per_cell=args.max_bits,
-            target_errors=args.target_errors,
-            bit_budget=args.bit_budget,
-        )) for name in names]
-    except ValueError as exc:  # a ConfigError too: reported as `ofdmsim sweep` does
-        print(f"{parser.prog}: config error: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, grid in grids:
-        print(f"[{name}] running {grid.n_cells} cells ...", file=sys.stderr)
-        start = time.perf_counter()
-        records = run_grid(grid, workers=workers)
-        elapsed = time.perf_counter() - start
-        csv_path = out_dir / f"ber_{name}.csv"
-        write_records(records, str(csv_path))
-        charts = emit_plot(records, str(out_dir / name))
-        print(f"[{name}] {elapsed:.1f}s -> {csv_path} + {len(charts)} charts",
-              file=sys.stderr)
-    return 0
+    return exit_code(lambda: run(args), parser.prog)
 
 
 if __name__ == "__main__":

@@ -76,11 +76,6 @@ class ChannelSpec:
         elif self.taps is not None:
             raise ValueError(f"{self.kind} channel takes no taps")
 
-    @property
-    def memory(self) -> int:
-        """Index of the last tap (0 for memoryless channels)."""
-        return len(self.taps) - 1 if self.kind == TDL else 0
-
     def summary(self) -> str:
         """Compact one-token description used in output records."""
         if self.kind == TDL:

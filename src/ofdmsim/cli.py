@@ -7,7 +7,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .bitsource import DEFAULT_MASTER_SEED
 from .channel import (
@@ -121,7 +121,7 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
     return data
 
 
-def _build_grid(settings: dict[str, Any]) -> SweepGrid:
+def build_grid(settings: dict[str, Any]) -> SweepGrid:
     """The grid for resolved settings: the one validation path of every command."""
     try:
         fields = {key: convert(settings[key])
@@ -162,7 +162,7 @@ def _resolve_grid(args: argparse.Namespace) -> SweepGrid:
     if args.ebno is not None:
         settings["ebno_points_db"] = _parse_list(args.ebno, float)
     settings.update(_flag_settings(args))
-    return _build_grid(settings)
+    return build_grid(settings)
 
 
 def _echo_grid(grid: SweepGrid) -> None:
@@ -201,27 +201,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                          grid.channel.account_cp_overhead)
                     print(f"fft={n} cp={g} ebno_db={ebno:g} sample_snr_db={snr:.4f}",
                           file=sys.stderr)
+    return run_sweep(grid, args.workers, args.out, args.json_out, args.plots)
+
+
+def run_sweep(grid: SweepGrid, workers: Optional[int], out: str,
+              json_out: Optional[str], plots: Optional[str]) -> int:
+    """Run ``grid``, write its CSV (and JSON and charts when given a path),
+    and return the exit code: 1 if cells failed, after writing the rest."""
     try:
-        records = run_grid(grid, workers=args.workers)
+        records = run_grid(grid, workers=workers)
     except SweepFailure as exc:
         # keep what finished, then report the failed cells (2/3 stay reserved
         # for config and IO errors)
-        write_records(exc.records, args.out, "csv")
+        write_records(exc.records, out, "csv")
         print(f"ofdmsim: sweep incomplete: {exc}", file=sys.stderr)
         return 1
-    write_records(records, args.out, "csv")
-    if args.json_out:
-        write_records(records, args.json_out, "json")
-    if args.plots:
-        emit_plot(records, args.plots)
-    print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    write_records(records, out, "csv")
+    if json_out:
+        write_records(records, json_out, "json")
+    if plots:
+        emit_plot(records, plots)
+    print(f"wrote {len(records)} records to {out}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_single(args: argparse.Namespace) -> int:
     settings = _flag_settings(args)
     settings.update(fft_sizes=[args.fft], cp_fractions=[args.cp], ebno_points_db=[args.ebno])
-    grid = _build_grid(settings)
+    grid = build_grid(settings)
     _, config, spec, ebno = next(grid.cells())
     print(
         f"effective config: fft={config.fft_size} cp={config.cp_fraction} "
@@ -352,17 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def exit_code(command: Callable[[], int], prog: str) -> int:
+    """Run ``command``; a config or I/O error becomes one stderr line and its exit code."""
+    try:
+        return command()
+    except ConfigError as exc:
+        print(f"{prog}: config error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except IoError as exc:
+        print(f"{prog}: io error: {exc}", file=sys.stderr)
+        return EXIT_IO_FAILURE
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"ofdmsim: config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except IoError as exc:
-        print(f"ofdmsim: io error: {exc}", file=sys.stderr)
-        return EXIT_IO_FAILURE
+    return exit_code(lambda: args.func(args), parser.prog)
 
 
 if __name__ == "__main__":

@@ -11,13 +11,13 @@ import numpy as np
 from .errors import CpLengthError, OrderError, SizeError
 from .psk import is_power_of_two
 
-SUPPORTED_FFT_SIZES = (64, 128, 256, 512)
-
 
 @dataclass(frozen=True)
 class OfdmConfig:
     """Physical-layer parameters for one sweep cell.
 
+    ``fft_size`` is any power of two; N=1 with no prefix is plain
+    single-carrier PSK, the chain with its framing bypassed.
     ``cp_fraction`` is an exact rational (accepts a string like "1/4");
     the cyclic prefix is ``cp_fraction * fft_size`` samples and must come
     out integer -- non-integer products are rejected, never rounded.
@@ -32,10 +32,8 @@ class OfdmConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cp_fraction", Fraction(self.cp_fraction))
-        if self.fft_size not in SUPPORTED_FFT_SIZES:
-            raise SizeError(
-                f"fft_size must be one of {SUPPORTED_FFT_SIZES}, got {self.fft_size}"
-            )
+        if not is_power_of_two(self.fft_size):
+            raise SizeError(f"fft_size must be a power of two, got {self.fft_size}")
         if self.cp_fraction < 0:
             raise CpLengthError(f"cp_fraction must be >= 0, got {self.cp_fraction}")
         cp = self.cp_fraction * self.fft_size

@@ -15,11 +15,6 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def gray_encode(n: int) -> int:
-    """Binary-reflected Gray code of ``n``."""
-    return n ^ (n >> 1)
-
-
 @dataclass(frozen=True)
 class Constellation:
     """Unit-circle PSK constellation in angular order.

@@ -44,7 +44,7 @@ from .channel import (
     realize_channel,
 )
 from .equalizer import channel_freq_response, zero_forcing
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, SizeError
 from .framing import OfdmConfig, remove_cyclic_prefix
 from .metrics import CSV_COLUMNS, BerRecord, as_row, make_record
 from .psk import count_psk_errors, map_psk
@@ -56,6 +56,13 @@ from .transform import unitary_dft, unitary_idft
 from .framing import add_cyclic_prefix, serial_to_parallel  # noqa: F401
 from .metrics import count_bit_errors  # noqa: F401
 from .psk import demap_psk  # noqa: F401
+
+#: FFT sizes a grid may sweep (``OfdmConfig`` takes any power of two).
+SUPPORTED_FFT_SIZES = (64, 128, 256, 512)
+
+#: Largest |Eb/No| of a finite grid point: the noise variance stays within
+#: about 1e-101..1e99, where its conversion neither overflows nor underflows.
+EBNO_LIMIT_DB = 1000.0
 
 #: Most time-domain samples one chunk of repetitions may hold, which keeps a
 #: chunk's arrays under about 1 MB; a longer repetition runs as a chunk alone.
@@ -95,11 +102,15 @@ class SweepGrid:
         )
         if not (self.fft_sizes and self.cp_fractions and self.ebno_points_db):
             raise ValueError("grid axes must be nonempty")
-        if not all(-math.inf < e for e in self.ebno_points_db):  # false for NaN too
-            raise ValueError(f"Eb/No points must be finite or +inf, got {self.ebno_points_db}")
+        # false for NaN too; +inf is the noiseless point
+        if not all(abs(e) <= EBNO_LIMIT_DB or e == math.inf for e in self.ebno_points_db):
+            raise ValueError(f"Eb/No points must be within +-{EBNO_LIMIT_DB:g} dB or +inf, "
+                             f"got {self.ebno_points_db}")
         if self.max_bits_per_cell < 1 or self.target_errors < 1:
             raise ValueError("per-cell budgets must be >= 1")
         for n in self.fft_sizes:
+            if n not in SUPPORTED_FFT_SIZES:
+                raise SizeError(f"fft_size must be one of {SUPPORTED_FFT_SIZES}, got {n}")
             for g in self.cp_fractions:
                 self._config(n, g)  # reject invalid (N, G) combinations up front
 
@@ -271,37 +282,6 @@ def run_cell(
         chunk = reps
         if bit_errors:
             chunk = min(chunk, -(-(target_errors - bit_errors) * reps // bit_errors))
-
-
-def run_raw_modem(
-    order: int,
-    ebno_db: float,
-    n_bits: int,
-    seed: int,
-    cell_id: int = 0,
-    noise_scale: float = 1.0,
-    chunk_bits: int = 3_000_000,
-) -> tuple[int, int]:
-    """Plain M-PSK over AWGN -- no OFDM framing.
-
-    The reference measurement for checking that the OFDM chain is
-    BER-neutral.  Returns (bit errors, bits actually sent); ``n_bits`` is
-    floored to a whole number of symbols.
-    """
-    stream = make_stream(seed, cell_id)
-    b = order.bit_length() - 1
-    sigma2 = noise_scale * ebno_to_noise_variance(ebno_db, order, 1, 0, False)
-    total = (n_bits // b) * b
-    errors = 0
-    sent = 0
-    while sent < total:
-        n = min((chunk_bits // b) * b, total - sent)
-        bits = draw_bits(stream, n)
-        symbols = map_psk(bits, order)
-        symbols += complex_gaussian(stream, symbols.size, sigma2)
-        errors += int(count_psk_errors(symbols, bits, order))
-        sent += n
-    return errors, total
 
 
 _CellTask = tuple[OfdmConfig, ChannelSpec, float, int, int, int, int, bool]

@@ -5,9 +5,12 @@ three (:func:`run_validation`) and acceptance tests A1-A3 run one each, so
 every tolerance is stated once, here:
 
 * theory match -- raw 8-PSK over AWGN against the closed-form BER, at
-  Eb/No 4/8/12 dB, within 10% relative and inside the z=3 Wilson interval;
+  Eb/No 4/8/12 dB, within 10% relative and inside the z=3 Wilson interval.
+  The raw modem is the N=1, CP 0 cell of the same chain (:data:`RAW_MODEM`):
+  with one subcarrier the unitary transforms are the identity and there is
+  no prefix or padding, so the cell is plain PSK plus noise;
 * transparency -- the full OFDM chain over AWGN (N=64 and 512, CP 1/4, no
-  overhead accounting) must be statistically indistinguishable from the
+  overhead accounting) must be statistically indistinguishable from that
   raw modem at the same Eb/No (overlapping z=3 intervals);
 * noiseless identity -- every (FFT size, CP fraction, channel) grid cell
   recovers its bits exactly when the noise is effectively off and the
@@ -23,7 +26,7 @@ from fractions import Fraction
 from .channel import ChannelSpec, exponential_pdp
 from .framing import OfdmConfig
 from .metrics import theoretical_mpsk_ber, wilson_interval
-from .sweep import run_cell, run_raw_modem
+from .sweep import run_cell
 
 THEORY_EBNO_POINTS_DB = (4.0, 8.0, 12.0)
 TRANSPARENCY_FFT_SIZES = (64, 512)
@@ -45,6 +48,12 @@ Z = 3.0
 
 _ORDER = 8
 _MAX_BITS_MULTIPLIER = 30  # cap on the per-point upscaling for rare-error points
+_AWGN = ChannelSpec(kind="awgn")
+
+#: The raw modem: a single-carrier cell, run in repetitions of 3 Mbit.
+RAW_MODEM = OfdmConfig(
+    fft_size=1, cp_fraction=0, modulation_order=_ORDER, bit_budget=3_000_000
+)
 
 #: Raw-modem baseline per theory Eb/No: (Wilson interval, bits asked for).
 Baselines = dict[float, tuple[tuple[float, float], int]]
@@ -75,12 +84,16 @@ def check_awgn_theory(
     """Theory-match rows, and the baselines the transparency check uses."""
     rows: list[ValidationRow] = []
     baselines: Baselines = {}
+    b = RAW_MODEM.bits_per_symbol
     for i, ebno in enumerate(THEORY_EBNO_POINTS_DB):
         theory = theoretical_mpsk_ber(ebno, _ORDER)
         n_bits = _point_bits(bits_floor, theory)
-        errors, sent = run_raw_modem(
-            _ORDER, ebno, n_bits, seed, cell_id=9001 + i, noise_scale=noise_scale
+        # no error target: the cell sends the asked bits, floored to symbols
+        record = run_cell(
+            RAW_MODEM, _AWGN, ebno, seed, 9001 + i,
+            target_errors=2**62, max_bits=n_bits // b * b, noise_scale=noise_scale,
         )
+        errors, sent = record.bit_errors, record.bits_sent
         ber = errors / sent
         ci = wilson_interval(errors, sent, Z)
         rel = abs(ber - theory) / theory
@@ -99,7 +112,6 @@ def check_ofdm_transparency(
 ) -> list[ValidationRow]:
     """Transparency rows: each cell sends the bits its baseline asked for."""
     rows: list[ValidationRow] = []
-    awgn = ChannelSpec(kind="awgn")
     for j, fft_size in enumerate(TRANSPARENCY_FFT_SIZES):
         config = OfdmConfig(
             fft_size=fft_size, cp_fraction=Fraction(1, 4),
@@ -108,7 +120,7 @@ def check_ofdm_transparency(
         for i, ebno in enumerate(THEORY_EBNO_POINTS_DB):
             base_ci, n_bits = baselines[ebno]
             record = run_cell(
-                config, awgn, ebno, seed, 9101 + 10 * j + i,
+                config, _AWGN, ebno, seed, 9101 + 10 * j + i,
                 target_errors=2**62, max_bits=n_bits, noise_scale=noise_scale,
             )
             rows.append(ValidationRow(
@@ -132,7 +144,7 @@ def check_noiseless_identity(seed: int) -> list[ValidationRow]:
             )
             memory = min(8, config.cp_len)
             for spec in (
-                ChannelSpec(kind="awgn"),
+                _AWGN,
                 ChannelSpec(kind="flat"),
                 ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(memory + 1, 1.0))),
             ):

@@ -88,10 +88,6 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(kind="rician")
 
-    def test_memory(self):
-        assert ChannelSpec(kind="tdl", taps=(0.5, 0.3, 0.2)).memory == 2
-        assert ChannelSpec(kind="awgn").memory == 0
-
     def test_summary_strings(self):
         assert ChannelSpec(kind="awgn").summary() == "awgn"
         assert ChannelSpec(kind="flat").summary() == "flat"

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +291,20 @@ class TestErrorBoundary:
         assert "bits_sent" not in result.stdout
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["single", "--fft", "1", "--cp", "0", "--ebno", "10"],
+        ["sweep", "--fft-sizes", "32", "--cp-fractions", "1/4", "--ebno", "10"],
+        ["sweep", "--fft-sizes", "64,1024", "--cp-fractions", "1/4", "--ebno", "10"],
+    ])
+    def test_fft_size_outside_the_grid_sizes_exits_2(self, capsys, monkeypatch, tmp_path, argv):
+        # the chain takes any power of two, a grid only the sizes it sweeps
+        import ofdmsim.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        assert "fft_size must be one of" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no results.csv
+
     def test_malformed_records_file_exits_2(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n")
@@ -331,7 +346,7 @@ class TestNonFiniteInputs:
         assert "bits_sent" not in captured.out
         assert out is None or not out.exists()
 
-    @pytest.mark.parametrize("ebno", ["nan", "-inf", "-Infinity"])
+    @pytest.mark.parametrize("ebno", ["nan", "-inf", "-Infinity", "4000", "-4000", "-3100"])
     def test_ebno_flag(self, capsys, tmp_path, ebno):
         self._exits_2(capsys, ["single", *self.SINGLE_CELL, f"--ebno={ebno}"])
         out = tmp_path / "x.csv"
@@ -353,6 +368,7 @@ class TestNonFiniteInputs:
         ("ebno_points_db", [6, float("nan")]), ("ebno_points_db", [float("-inf")]),
         ("tdl_decay_db", float("nan")), ("tdl_taps", [float("nan"), 1]),
         ("tdl_taps", [0.5, float("inf")]),
+        ("ebno_points_db", [4000]), ("ebno_points_db", [-4000]), ("ebno_points_db", [-3100]),
     ])
     def test_config_file(self, capsys, tmp_path, key, value):
         path = tmp_path / "bad.json"
@@ -363,6 +379,18 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("scale", ["nan", "0", "-1", "inf"])
     def test_noise_scale(self, capsys, scale):
         self._exits_2(capsys, ["validate", f"--noise-scale={scale}"])
+
+    @pytest.mark.parametrize("ebno", ["300", "1000", "-1000"])
+    def test_large_ebno_inside_the_limit_runs(self, capsys, tmp_path, ebno):
+        import ofdmsim.cli as cli
+
+        assert cli.main(["single", *self.SINGLE_CELL, f"--ebno={ebno}", "--max-bits", "999"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert abs(record["ber"] - (0.0 if float(ebno) > 0 else 0.5)) < 0.2  # no noise, or all
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", *self.SWEEP_CELL, f"--ebno={ebno}", "--max-bits", "999",
+                         "--out", str(out)]) == 0
+        assert len(list(csv.DictReader(out.open()))) == 1
 
     def test_plus_inf_is_noiseless(self, capsys, tmp_path):
         import ofdmsim.cli as cli
@@ -381,6 +409,14 @@ class TestNonFiniteInputs:
 
 
 class TestValidateCommand:
+    def test_default_output_is_pinned(self, capsys):
+        # taken before the raw-modem baseline became validate's N=1 cell
+        import ofdmsim.cli as cli
+
+        golden = (Path(__file__).parent / "data" / "validate_default_stdout.txt").read_text()
+        assert cli.main(["validate"]) == 0
+        assert capsys.readouterr().out == golden
+
     def test_miscalibrated_noise_fails(self):
         result = run_cli("validate", "--bits", "60000", "--noise-scale", "2.0")
         assert result.returncode == 1

@@ -55,3 +55,42 @@ def test_bad_settings_exit_2_with_one_line(tmp_path, argv, env_extra):
     assert len(result.stderr.splitlines()) == 1
     assert "config error" in result.stderr
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("blocker", ["out_dir", "csv"])
+def test_io_errors_exit_3_with_one_line(tmp_path, blocker):
+    # ofdmsim sweep reports these the same way: one io error line, exit 3
+    out_dir = tmp_path / "grid"
+    if blocker == "out_dir":
+        out_dir.write_text("a file, not a directory")
+    else:
+        (out_dir / "ber_awgn.csv").mkdir(parents=True)
+    result = run([str(SCRIPT), "--out-dir", str(out_dir), "--channels", "awgn", *FAST])
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if "io error" in line]
+    assert len(errors) == 1 and str(out_dir) in errors[0]
+
+
+def test_failed_cells_exit_1_and_keep_the_completed_records(monkeypatch, capsys, tmp_path):
+    import runpy
+
+    import ofdmsim.sweep as sweep_mod
+
+    original = sweep_mod.run_cell
+
+    def flaky(config, spec, ebno_db, seed, cell_id, **kwargs):
+        if cell_id == 1:
+            raise RuntimeError("injected")
+        return original(config, spec, ebno_db, seed, cell_id, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run_cell", flaky)
+    out_dir = tmp_path / "grid"
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--out-dir", str(out_dir),
+                                      "--channels", "awgn,flat", *FAST])
+    script = runpy.run_path(str(SCRIPT))
+    assert script["main"]() == 1
+    assert "cell 1: injected" in capsys.readouterr().err
+    rows = (out_dir / "ber_awgn.csv").read_text().splitlines()
+    assert len(rows) == 1 + 175  # the header and every cell but the failed one
+    assert not (out_dir / "ber_flat.csv").exists()  # the run stops at the failure

@@ -16,7 +16,9 @@ from ofdmsim.metrics import (
     theoretical_mpsk_ber,
     wilson_interval,
 )
-from ofdmsim.sweep import run_raw_modem
+from ofdmsim.channel import ChannelSpec
+from ofdmsim.sweep import run_cell
+from ofdmsim.validate import RAW_MODEM
 
 # frozen from the closed form (erfc evaluation) before the Monte Carlo build
 EIGHT_PSK_BER_10DB = 0.0010113953207128907
@@ -109,13 +111,14 @@ class TestWilsonInterval:
     def test_coverage_of_theory_in_repeated_trials(self):
         # z=3 intervals from independent AWGN runs should almost always
         # bracket the closed-form BER
-        ebno_db, order, n_bits = 6.0, 8, 30_000
-        theory = theoretical_mpsk_ber(ebno_db, order)
+        ebno_db, n_bits = 6.0, 30_000
+        theory = theoretical_mpsk_ber(ebno_db, RAW_MODEM.modulation_order)
         hits = 0
         trials = 100
         for trial in range(trials):
-            errors, total = run_raw_modem(order, ebno_db, n_bits, seed=500 + trial)
-            low, high = wilson_interval(errors, total, z=3.0)
+            record = run_cell(RAW_MODEM, ChannelSpec(kind="awgn"), ebno_db, 500 + trial, 0,
+                              target_errors=2**62, max_bits=n_bits)
+            low, high = wilson_interval(record.bit_errors, record.bits_sent, z=3.0)
             hits += low <= theory <= high
         assert hits >= 95
 

@@ -19,12 +19,14 @@ The grids are chosen to reach the stop-rule corners:
 """
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ofdmsim.channel import ChannelSpec, exponential_pdp
-from ofdmsim.sweep import SweepGrid, run_grid, run_raw_modem, write_records
+from ofdmsim.sweep import SweepGrid, run_cell, run_grid, write_records
+from ofdmsim.validate import RAW_MODEM
 
 NOISELESS = float("inf")
 TDL = ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(9, 1.0)))
@@ -85,5 +87,10 @@ def test_records_match_the_golden(name, tmp_path):
 
 
 def test_raw_modem_matches_the_golden():
-    # several chunks plus a short final one, at a BER with a few hundred errors
-    assert run_raw_modem(8, 6.0, 30_001, seed=20227, chunk_bits=7000) == (620, 30_000)
+    # validate's single-carrier cell, in several repetitions plus a short final
+    # one, at a BER with a few hundred errors; the golden was taken from the
+    # separate raw-modem loop that this cell replaced
+    config = replace(RAW_MODEM, bit_budget=7000)
+    record = run_cell(config, ChannelSpec(kind="awgn"), 6.0, 20227, 0,
+                      target_errors=2**62, max_bits=30_000)
+    assert (record.bit_errors, record.bits_sent) == (620, 30_000)

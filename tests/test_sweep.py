@@ -37,10 +37,10 @@ from ofdmsim.sweep import (
     resolve_workers,
     run_cell,
     run_grid,
-    run_raw_modem,
     write_records,
 )
 from ofdmsim.transform import unitary_dft, unitary_idft
+from ofdmsim.validate import RAW_MODEM
 
 NOISELESS = 300.0
 
@@ -165,9 +165,9 @@ def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, ma
 
 @st.composite
 def cells(draw):
-    n_fft = draw(st.sampled_from([64, 128, 256, 512]))
-    cp = draw(st.sampled_from([Fraction(0), Fraction(1, 32), Fraction(1, 16),
-                               Fraction(1, 4), Fraction(1, 2)]))
+    n_fft = draw(st.sampled_from([1, 64, 128, 256, 512]))  # N=1: the raw modem's shape
+    cp = Fraction(0) if n_fft == 1 else draw(st.sampled_from(
+        [Fraction(0), Fraction(1, 32), Fraction(1, 16), Fraction(1, 4), Fraction(1, 2)]))
     order = draw(st.sampled_from([2, 4, 8, 16]))
     budget = draw(st.integers(1, 4000).filter(lambda n: n % 3))
     config = OfdmConfig(n_fft, cp, modulation_order=order, bit_budget=budget)
@@ -352,18 +352,26 @@ class TestRunGrid:
 
 
 class TestRawModem:
+    """The single-carrier cell that ``ofdmsim validate`` uses as its raw modem."""
+
     def test_determinism_and_flooring(self):
-        a = run_raw_modem(8, 8.0, 30_001, seed=5)
-        b = run_raw_modem(8, 8.0, 30_001, seed=5)
-        assert a == b
-        assert a[1] == 30_000  # floored to whole symbols
+        from ofdmsim.validate import check_awgn_theory
+
+        rows, baselines = check_awgn_theory(5, bits_floor=10_001, noise_scale=1.0)
+        assert rows == check_awgn_theory(5, bits_floor=10_001, noise_scale=1.0)[0]
+        asked = [n_bits for _, n_bits in baselines.values()]
+        assert any(n % 3 for n in asked)  # not always whole 8-PSK symbols ...
+        sent = [int(row.detail.rsplit("bits=", 1)[1]) for row in rows]
+        assert sent == [n // 3 * 3 for n in asked]  # ... but the sent bits are
 
     def test_roughly_matches_theory(self):
         from ofdmsim.metrics import theoretical_mpsk_ber
 
-        errors, total = run_raw_modem(8, 8.0, 400_000, seed=6)
+        record = run_cell(RAW_MODEM, ChannelSpec(kind="awgn"), 8.0, 6, 0,
+                          target_errors=2**62, max_bits=399_999)
+        assert record.bits_sent == 399_999
         theory = theoretical_mpsk_ber(8.0, 8)
-        assert abs(errors / total - theory) / theory < 0.15
+        assert abs(record.ber - theory) / theory < 0.15
 
 
 class TestPersistence:
