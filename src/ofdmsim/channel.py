@@ -22,7 +22,7 @@ This module is the only code that draws or applies a channel.  One
 :func:`realize_channel` draws it (one flat gain per OFDM symbol, or one set
 of delay-line taps, quasi-static over the repetition's burst of symbols),
 :func:`apply_channel` applies it in place to that repetition's
-``(frames, N+L)`` block, and ``equalizer.channel_freq_response`` gives the
+``(frames, N+L)`` block, and :func:`channel_freq_response` gives the
 receiver its response.  Noise is drawn separately, only through
 :func:`complex_gaussian`.
 """
@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .bitsource import RngStream, draw_gaussian
+from .framing import OfdmConfig
 
 AWGN = "awgn"
 FLAT = "flat"
@@ -97,14 +98,11 @@ class ChannelRealization:
     taps: Optional[np.ndarray] = None
 
 
-def ebno_to_noise_variance(
-    ebno_db: float, order: int, fft_size: int, cp_len: int, account_cp_overhead: bool
-) -> float:
-    """Total complex noise variance per sample for a given Eb/No point."""
-    b = order.bit_length() - 1
-    sigma2 = 1.0 / (b * 10.0 ** (ebno_db / 10.0))
-    if account_cp_overhead:
-        sigma2 *= (fft_size + cp_len) / fft_size
+def ebno_to_noise_variance(ebno_db: float, config: OfdmConfig, spec: ChannelSpec) -> float:
+    """Total complex noise variance per sample of ``config`` at an Eb/No point under ``spec``."""
+    sigma2 = 1.0 / (config.bits_per_symbol * 10.0 ** (ebno_db / 10.0))
+    if spec.account_cp_overhead:
+        sigma2 *= (config.fft_size + config.cp_len) / config.fft_size
     return sigma2
 
 
@@ -166,3 +164,20 @@ def apply_channel(frames: np.ndarray, real: ChannelRealization) -> np.ndarray:
     elif real.kind == TDL:
         frames[...] = np.convolve(frames.ravel(), real.taps)[: frames.size].reshape(frames.shape)
     return frames
+
+
+def channel_freq_response(real: ChannelRealization, fft_size: int) -> np.ndarray:
+    """Subcarrier response of one repetition's channel, broadcastable over its frames.
+
+    A flat gain is its own response: one ``(frames, 1)`` column, a gain per
+    OFDM symbol.  The delay line gives the plain (non-unitary) DFT of the
+    zero-padded taps -- that is the gain the payload subcarriers actually
+    see when the cyclic prefix turns the delay line into a circular
+    convolution, given the simulator's unitary transform pair.  AWGN
+    realizations yield the all-ones response.
+    """
+    if real.kind == AWGN:
+        return np.ones(fft_size, dtype=np.complex128)
+    if real.kind == FLAT:
+        return real.gains[:, None]
+    return np.fft.fft(real.taps, n=fft_size)

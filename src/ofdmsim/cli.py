@@ -18,7 +18,9 @@ from .channel import (
     exponential_pdp,
 )
 from .errors import ConfigError, IoError
+from .framing import OfdmConfig
 from .sweep import (
+    EBNO_LIMIT_DB,
     SweepFailure,
     SweepGrid,
     emit_plot,
@@ -183,9 +185,8 @@ def _echo_grid(grid: SweepGrid) -> None:
     print(f"effective config: {json.dumps(effective)}", file=sys.stderr)
 
 
-def _sample_snr_db(ebno_db: float, order: int, fft_size: int, cp_len: int,
-                   overhead: bool) -> float:
-    sigma2 = ebno_to_noise_variance(ebno_db, order, fft_size, cp_len, overhead)
+def _sample_snr_db(ebno_db: float, config: OfdmConfig, spec: ChannelSpec) -> float:
+    sigma2 = ebno_to_noise_variance(ebno_db, config, spec)
     return 10.0 * math.log10(1.0 / sigma2)
 
 
@@ -193,14 +194,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args)
     _echo_grid(grid)
     if args.report_snr:
-        for n in grid.fft_sizes:
-            for g in grid.cp_fractions:
-                cp_len = int(g * n)
-                for ebno in grid.ebno_points_db:
-                    snr = _sample_snr_db(ebno, grid.modulation_order, n, cp_len,
-                                         grid.channel.account_cp_overhead)
-                    print(f"fft={n} cp={g} ebno_db={ebno:g} sample_snr_db={snr:.4f}",
-                          file=sys.stderr)
+        for _, config, spec, ebno in grid.cells():
+            snr = _sample_snr_db(ebno, config, spec)
+            print(f"fft={config.fft_size} cp={config.cp_fraction} ebno_db={ebno:g} "
+                  f"sample_snr_db={snr:.4f}", file=sys.stderr)
     return run_sweep(grid, args.workers, args.out, args.json_out, args.plots)
 
 
@@ -244,10 +241,7 @@ def cmd_single(args: argparse.Namespace) -> int:
     payload = record.row()
     payload["equalizer"] = record.equalizer
     if args.report_snr:
-        payload["sample_snr_db"] = _sample_snr_db(
-            ebno, config.modulation_order, config.fft_size, config.cp_len,
-            spec.account_cp_overhead,
-        )
+        payload["sample_snr_db"] = _sample_snr_db(ebno, config, spec)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -255,8 +249,10 @@ def cmd_single(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.bits < 1:
         raise ConfigError(f"--bits must be >= 1, got {args.bits}")
-    if not 0.0 < args.noise_scale < math.inf:
-        raise ConfigError(f"--noise-scale must be finite and > 0, got {args.noise_scale}")
+    # the scale runs as an Eb/No offset, kept within the grid's Eb/No limit
+    if not (0.0 < args.noise_scale < math.inf
+            and abs(10.0 * math.log10(args.noise_scale)) <= EBNO_LIMIT_DB):
+        raise ConfigError(f"--noise-scale must be within 1e-100..1e100, got {args.noise_scale}")
     seed = args.seed if args.seed is not None else DEFAULT_MASTER_SEED
     rows, all_passed = run_validation(
         seed=seed, bits_floor=args.bits, noise_scale=args.noise_scale
@@ -346,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--bits", type=int, default=1_000_000,
                        help="minimum bits per theory point (default 1000000)")
     p_val.add_argument("--noise-scale", type=float, default=1.0,
-                       help="noise variance multiplier (diagnostics hook; 1.0 = calibrated)")
+                       help="noise variance multiplier, run as an Eb/No offset of "
+                            "-10*log10(scale) dB (diagnostics hook; 1.0 = calibrated)")
     p_val.set_defaults(func=cmd_validate)
 
     p_plot = sub.add_parser("plot", help="regenerate SVG charts from a records file")

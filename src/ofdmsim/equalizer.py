@@ -4,27 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import AWGN, FLAT, ChannelRealization
-
 #: Subcarriers with |H| below this are zeroed instead of inverted.
 ZF_CLAMP_EPS = 1e-12
-
-
-def channel_freq_response(real: ChannelRealization, fft_size: int) -> np.ndarray:
-    """Subcarrier response of one repetition's channel, broadcastable over its frames.
-
-    A flat gain is its own response: one ``(frames, 1)`` column, a gain per
-    OFDM symbol.  The delay line gives the plain (non-unitary) DFT of the
-    zero-padded taps -- that is the gain the payload subcarriers actually
-    see when the cyclic prefix turns the delay line into a circular
-    convolution, given the simulator's unitary transform pair.  AWGN
-    realizations yield the all-ones response.
-    """
-    if real.kind == AWGN:
-        return np.ones(fft_size, dtype=np.complex128)
-    if real.kind == FLAT:
-        return real.gains[:, None]
-    return np.fft.fft(real.taps, n=fft_size)
 
 
 def zero_forcing(rx_freq: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, int]:

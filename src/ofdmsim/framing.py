@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CpLengthError, OrderError, SizeError
-from .psk import is_power_of_two
+from .errors import CpLengthError, SizeError
+from .psk import bits_per_symbol, is_power_of_two
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,14 @@ class OfdmConfig:
     the cyclic prefix is ``cp_fraction * fft_size`` samples and must come
     out integer -- non-integer products are rejected, never rounded.
     ``bit_budget`` is the number of information bits processed per Monte
-    Carlo repetition (one channel realization per repetition).
+    Carlo repetition (one channel realization per repetition).  Every
+    field is required: the defaults of a run are ``SweepGrid``'s.
     """
 
     fft_size: int
     cp_fraction: Fraction
-    modulation_order: int = 8
-    bit_budget: int = 1000
+    modulation_order: int
+    bit_budget: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cp_fraction", Fraction(self.cp_fraction))
@@ -44,10 +45,7 @@ class OfdmConfig:
             )
         if cp > self.fft_size:
             raise CpLengthError(f"cyclic prefix {cp} exceeds fft_size {self.fft_size}")
-        if not (is_power_of_two(self.modulation_order) and self.modulation_order >= 2):
-            raise OrderError(
-                f"modulation_order must be a power of two >= 2, got {self.modulation_order}"
-            )
+        bits_per_symbol(self.modulation_order)  # rejects an invalid order
         if self.bit_budget < 1:
             raise ValueError(f"bit_budget must be >= 1, got {self.bit_budget}")
 
@@ -57,7 +55,7 @@ class OfdmConfig:
 
     @property
     def bits_per_symbol(self) -> int:
-        return self.modulation_order.bit_length() - 1
+        return bits_per_symbol(self.modulation_order)
 
 
 def serial_to_parallel(symbols: np.ndarray, fft_size: int) -> tuple[np.ndarray, int]:

@@ -8,9 +8,9 @@ from typing import Any
 
 import numpy as np
 
-from .errors import LengthError, OrderError
+from .errors import LengthError
 from .framing import OfdmConfig
-from .psk import is_power_of_two
+from .psk import bits_per_symbol
 
 #: Column order shared by the CSV and JSON record emitters.
 CSV_COLUMNS = (
@@ -27,6 +27,9 @@ CSV_COLUMNS = (
     "seed",
     "cell_id",
 )
+
+#: Width of every confidence interval, in standard deviations.
+Z = 3.0
 
 
 def count_bit_errors(tx: np.ndarray, rx: np.ndarray) -> tuple[int, int]:
@@ -50,9 +53,7 @@ def theoretical_mpsk_ber(ebno_db: float, order: int) -> float:
     orders use the nearest-neighbour symbol error rate
     2*Q(sqrt(2*b*gamma_b)*sin(pi/M)) divided by b bits per symbol.
     """
-    if not (is_power_of_two(order) and order >= 2):
-        raise OrderError(f"modulation order must be a power of two >= 2, got {order}")
-    b = order.bit_length() - 1
+    b = bits_per_symbol(order)
     gamma_b = 10.0 ** (ebno_db / 10.0)
     if order in (2, 4):
         return qfunc(math.sqrt(2.0 * gamma_b))
@@ -60,8 +61,8 @@ def theoretical_mpsk_ber(ebno_db: float, order: int) -> float:
     return ser / b
 
 
-def wilson_interval(errors: int, total: int, z: float = 3.0) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion at z standard deviations.
+def wilson_interval(errors: int, total: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at :data:`Z` standard deviations.
 
     Well-behaved at zero observed errors, which low-BER cells routinely hit.
     """
@@ -70,10 +71,10 @@ def wilson_interval(errors: int, total: int, z: float = 3.0) -> tuple[float, flo
     if not 0 <= errors <= total:
         raise ValueError(f"errors {errors} outside [0, {total}]")
     p = errors / total
-    z2n = z * z / total
+    z2n = Z * Z / total
     denom = 1.0 + z2n
     center = (p + z2n / 2.0) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / total + z2n / (4.0 * total))
+    half = (Z / denom) * math.sqrt(p * (1.0 - p) / total + z2n / (4.0 * total))
     # the bounds are exactly 0/1 at the boundaries; don't let rounding drift them
     low = 0.0 if errors == 0 else max(0.0, center - half)
     high = 1.0 if errors == total else min(1.0, center + half)
@@ -82,9 +83,10 @@ def wilson_interval(errors: int, total: int, z: float = 3.0) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class BerRecord:
-    """One measured sweep cell: parameters, counts, and the derived BER."""
+    """One measured sweep cell: its :data:`CSV_COLUMNS`, and the equalizer used."""
 
-    config: OfdmConfig
+    fft_size: int
+    cp_fraction: str
     channel: str
     ebno_db: float
     bits_sent: int
@@ -99,20 +101,7 @@ class BerRecord:
 
     def row(self) -> dict[str, Any]:
         """The record as the flat column dict used by the CSV/JSON emitters."""
-        return {
-            "fft_size": self.config.fft_size,
-            "cp_fraction": str(self.config.cp_fraction),
-            "channel": self.channel,
-            "ebno_db": self.ebno_db,
-            "bits_sent": self.bits_sent,
-            "bit_errors": self.bit_errors,
-            "ber": self.ber,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "zf_clamps": self.zf_clamps,
-            "seed": self.seed,
-            "cell_id": self.cell_id,
-        }
+        return {c: getattr(self, c) for c in CSV_COLUMNS}
 
 
 def as_row(record: Any) -> dict[str, Any]:
@@ -131,10 +120,11 @@ def make_record(
     cell_id: int,
     equalizer: str = "zf",
 ) -> BerRecord:
-    """Assemble a BerRecord, deriving BER and its z=3 Wilson interval."""
+    """Assemble a BerRecord, deriving BER and its Wilson interval."""
     low, high = wilson_interval(bit_errors, bits_sent)
     return BerRecord(
-        config=config,
+        fft_size=config.fft_size,
+        cp_fraction=str(config.cp_fraction),
         channel=channel_summary,
         ebno_db=ebno_db,
         bits_sent=bits_sent,

@@ -15,6 +15,13 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def bits_per_symbol(order: int) -> int:
+    """Bits per symbol, log2 M, of PSK order M; an invalid M is an :class:`OrderError`."""
+    if not (is_power_of_two(order) and order >= 2):
+        raise OrderError(f"modulation order must be a power of two >= 2, got {order}")
+    return order.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class Constellation:
     """Unit-circle PSK constellation in angular order.
@@ -31,15 +38,10 @@ class Constellation:
     labels: np.ndarray
     label_to_position: np.ndarray
 
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.order.bit_length() - 1
-
 
 @lru_cache(maxsize=None)
 def make_constellation(order: int) -> Constellation:
-    if not (is_power_of_two(order) and order >= 2):
-        raise OrderError(f"modulation order must be a power of two >= 2, got {order}")
+    bits_per_symbol(order)  # rejects an invalid order
     positions = np.arange(order)
     labels = positions ^ (positions >> 1)
     label_to_position = np.empty(order, dtype=np.int64)
@@ -109,7 +111,7 @@ def map_psk(bits: np.ndarray, order: int, out: Optional[np.ndarray] = None) -> n
     gives (k, n/b) symbols.  ``out``, if given, receives the symbols.
     """
     const = make_constellation(order)
-    b = const.bits_per_symbol
+    b = bits_per_symbol(order)
     bits = np.asarray(bits)
     if bits.shape[-1] % b != 0:
         raise LengthError(
@@ -130,7 +132,7 @@ def demap_psk(symbols: np.ndarray, order: int) -> np.ndarray:
     """
     const = make_constellation(order)
     sectors = _sectors(np.asarray(symbols), order)
-    return _ungroup_bits(const.labels[sectors], const.bits_per_symbol)
+    return _ungroup_bits(const.labels[sectors], bits_per_symbol(order))
 
 
 def count_psk_errors(symbols: np.ndarray, tx_bits: np.ndarray, order: int) -> np.ndarray:
@@ -142,8 +144,7 @@ def count_psk_errors(symbols: np.ndarray, tx_bits: np.ndarray, order: int) -> np
     Counts are summed over the last axis, so (k, S) symbols against
     (k, S*b) bits give k counts.
     """
-    const = make_constellation(order)
-    b = const.bits_per_symbol
+    b = bits_per_symbol(order)
     symbols = np.asarray(symbols)
     tx_bits = np.asarray(tx_bits)
     if tx_bits.shape[-1] != symbols.shape[-1] * b:

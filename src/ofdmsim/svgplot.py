@@ -3,6 +3,8 @@
 No plotting library: the charts are a fixed contract (one polyline per
 cyclic-prefix fraction, markers at the 1e-7 floor for zero-error cells)
 and writing the dozen SVG elements directly keeps the output byte-stable.
+Only finite Eb/No points are drawn: the noiseless +inf point has no place
+on the axis, and stays in the records only.
 """
 
 from __future__ import annotations
@@ -149,14 +151,16 @@ def emit_plot(records: Iterable[Any], out_dir: str) -> list[str]:
     """Write one BER-vs-Eb/No SVG per FFT size present in the records.
 
     Records may be BerRecord objects or plain row dicts (as read back from
-    a results file).  Returns the written paths.
+    a results file).  An FFT size with no finite Eb/No point gets no chart.
+    Returns the written paths.
     """
     rows = [as_row(r) for r in records]
     if not rows:
         raise ValueError("no records to plot")
     by_fft: dict[int, list[dict[str, Any]]] = {}
     for row in rows:
-        by_fft.setdefault(int(row["fft_size"]), []).append(row)
+        if math.isfinite(float(row["ebno_db"])):
+            by_fft.setdefault(int(row["fft_size"]), []).append(row)
     paths = []
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -39,11 +39,12 @@ from .channel import (
     AWGN,
     ChannelSpec,
     apply_channel,
+    channel_freq_response,
     complex_gaussian,
     ebno_to_noise_variance,
     realize_channel,
 )
-from .equalizer import channel_freq_response, zero_forcing
+from .equalizer import zero_forcing
 from .errors import ConfigError, IoError, SizeError
 from .framing import OfdmConfig, remove_cyclic_prefix
 from .metrics import CSV_COLUMNS, BerRecord, as_row, make_record
@@ -191,13 +192,13 @@ def _run_chain_once(
     slots = grid.reshape(k, -1)
     slots[:, work.used:] = 0.0  # zero padding of the last OFDM symbol
     map_psk(bits, order, out=slots[:, :work.used])
-    unitary_idft(grid, axis=-1, out=tx[..., cp_len:])
+    unitary_idft(grid, out=tx[..., cp_len:])
     tx[..., :cp_len] = tx[..., n_fft:]  # cyclic prefix: copy of the symbol tail
 
     for frames, real in zip(tx, realizations):
         apply_channel(frames, real)
     rx = tx if work.noise is None else np.add(work.noise[:k], tx, out=work.noise[:k])
-    freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), axis=-1, out=grid)
+    freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), out=grid)
 
     clamps = np.zeros(k, dtype=np.int64)
     if use_equalizer:
@@ -219,15 +220,12 @@ def run_cell(
     target_errors: int = SweepGrid.target_errors,
     max_bits: int = SweepGrid.max_bits_per_cell,
     use_equalizer: bool = True,
-    noise_scale: float = 1.0,
 ) -> BerRecord:
     """Measure one grid cell's BER.
 
     Repetitions of ``config.bit_budget`` bits run through the full chain,
     each under a fresh channel realization, until ``target_errors`` bit
     errors have accumulated or ``max_bits`` bits have been sent.
-    ``noise_scale`` multiplies the calibrated noise variance (diagnostics
-    hook; leave at 1.0 for honest measurements).
 
     Repetitions run in chunks (see the module docstring); the record is the
     one a repetition-at-a-time loop would give.
@@ -237,9 +235,7 @@ def run_cell(
     stream = make_stream(seed, cell_id)
     b, n_fft, cp_len = config.bits_per_symbol, config.fft_size, config.cp_len
     budget = config.bit_budget
-    sigma2 = noise_scale * ebno_to_noise_variance(
-        ebno_db, config.modulation_order, n_fft, cp_len, channel.account_cp_overhead,
-    )
+    sigma2 = ebno_to_noise_variance(ebno_db, config, channel)
     fading = channel.kind != AWGN
     work: Optional[_Workspace] = None
     bits_sent = bit_errors = zf_clamps = reps = 0

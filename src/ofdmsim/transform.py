@@ -1,9 +1,11 @@
-"""Unitary DFT/IDFT on power-of-two blocks, plus a direct-sum test oracle.
+"""Unitary DFT/IDFT along the last axis, plus a direct-sum test oracle.
 
 Both directions carry the 1/sqrt(N) factor, so the transforms are unitary
-and energy is preserved.  The fast path delegates to numpy's FFT; the
-O(N^2) direct evaluation exists so tests never have to trust the fast
-algorithm to check itself.
+and energy is preserved.  They take any length: which sizes a run may use
+is :class:`~ofdmsim.framing.OfdmConfig`'s and
+:class:`~ofdmsim.sweep.SweepGrid`'s policy.  The fast path delegates to
+numpy's FFT; the O(N^2) direct evaluation exists so tests never have to
+trust the fast algorithm to check itself.
 """
 
 from __future__ import annotations
@@ -13,30 +15,22 @@ from typing import Optional
 import numpy as np
 
 from .errors import SizeError
-from .psk import is_power_of_two
 
 
-def _check_pow2(n: int) -> None:
-    if not is_power_of_two(n):
-        raise SizeError(f"transform size must be a power of two, got {n}")
-
-
-def unitary_dft(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Forward unitary DFT along ``axis``: X[k] = sum_n x[n] e^{-2pi i kn/N} / sqrt(N).
+def unitary_dft(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward unitary DFT: X[k] = sum_n x[n] e^{-2pi i kn/N} / sqrt(N).
 
     ``out``, if given, receives the result.
     """
-    _check_pow2(np.asarray(x).shape[axis])
-    return np.fft.fft(x, axis=axis, norm="ortho", out=out)
+    return np.fft.fft(x, norm="ortho", out=out)
 
 
-def unitary_idft(x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Inverse unitary DFT along ``axis``: x[n] = sum_k X[k] e^{+2pi i kn/N} / sqrt(N).
+def unitary_idft(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Inverse unitary DFT: x[n] = sum_k X[k] e^{+2pi i kn/N} / sqrt(N).
 
     ``out``, if given, receives the result.
     """
-    _check_pow2(np.asarray(x).shape[axis])
-    return np.fft.ifft(x, axis=axis, norm="ortho", out=out)
+    return np.fft.ifft(x, norm="ortho", out=out)
 
 
 def direct_transform(samples: np.ndarray, inverse: bool) -> np.ndarray:

@@ -83,9 +83,9 @@ def _post_dft_deviation(n_fft: int, cp: int, memory: int, seed_offset: int) -> f
     taps /= np.linalg.norm(taps)
     bits = rng.integers(0, 2, size=3 * n_fft * 6, dtype=np.uint8)
     matrix, _ = serial_to_parallel(map_psk(bits, 8), n_fft)
-    tx = add_cyclic_prefix(unitary_idft(matrix, axis=-1), cp)
+    tx = add_cyclic_prefix(unitary_idft(matrix), cp)
     rx = apply_channel(tx, ChannelRealization(kind="tdl", taps=taps))
-    rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp), axis=-1)
+    rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))
     expected = np.fft.fft(taps, n=n_fft)[None, :] * matrix
     return float(np.max(np.abs(rx_freq - expected)))
 
@@ -108,7 +108,7 @@ def test_a5_error_floor_ordering():
         spec = ChannelSpec(kind="tdl", taps=taps)
         records = {}
         for j, frac in enumerate((Fraction(1, 32), Fraction(1, 4), Fraction(1, 2))):
-            config = OfdmConfig(fft_size, frac, bit_budget=3000)
+            config = OfdmConfig(fft_size, frac, modulation_order=8, bit_budget=3000)
             records[frac] = run_cell(config, spec, 20.0, SEED, 9501 + 10 * k + j,
                                      target_errors=400, max_bits=500_000)
         short, quarter, half = (records[Fraction(1, 32)], records[Fraction(1, 4)],
@@ -130,7 +130,7 @@ def test_a6_fft_size_ordering():
     spec = ChannelSpec(kind="tdl", taps=taps)
     records = {}
     for k, fft_size in enumerate((64, 512)):
-        config = OfdmConfig(fft_size, Fraction(1, 16), bit_budget=3000)
+        config = OfdmConfig(fft_size, Fraction(1, 16), modulation_order=8, bit_budget=3000)
         records[fft_size] = run_cell(config, spec, 20.0, SEED, 9601 + k,
                                      target_errors=400, max_bits=500_000)
     small, large = records[64], records[512]
@@ -201,7 +201,7 @@ def test_a8_determinism_across_worker_counts(tmp_path):
 
 def test_a9_noise_calibration():
     ebno_db = 10.0
-    sigma2 = ebno_to_noise_variance(ebno_db, 8, 1, 0, False)
+    sigma2 = ebno_to_noise_variance(ebno_db, validate.RAW_MODEM, ChannelSpec(kind="awgn"))
     rng = np.random.default_rng(9)
     bits = rng.integers(0, 2, size=3_000_000, dtype=np.uint8)  # 1e6 symbols
     x = map_psk(bits, 8)

@@ -13,26 +13,38 @@ from ofdmsim.channel import (
     exponential_pdp,
     realize_channel,
 )
-from ofdmsim.framing import add_cyclic_prefix, remove_cyclic_prefix, serial_to_parallel
+from ofdmsim.framing import (
+    OfdmConfig,
+    add_cyclic_prefix,
+    remove_cyclic_prefix,
+    serial_to_parallel,
+)
 from ofdmsim.psk import map_psk
 from ofdmsim.transform import unitary_dft, unitary_idft
+
+AWGN = ChannelSpec(kind="awgn")
+
+
+def eight_psk(fft_size: int, cp_fraction: str) -> OfdmConfig:
+    return OfdmConfig(fft_size, cp_fraction, modulation_order=8, bit_budget=1000)
 
 
 class TestNoiseCalibration:
     def test_zero_db_eight_psk(self):
-        assert ebno_to_noise_variance(0.0, 8, 64, 0, False) == pytest.approx(1 / 3)
+        assert ebno_to_noise_variance(0.0, eight_psk(64, "0"), AWGN) == pytest.approx(1 / 3)
 
     def test_cp_overhead_scaling(self):
-        sigma2 = ebno_to_noise_variance(0.0, 8, 512, 128, True)
+        overhead = ChannelSpec(kind="awgn", account_cp_overhead=True)
+        sigma2 = ebno_to_noise_variance(0.0, eight_psk(512, "1/4"), overhead)
         assert sigma2 == pytest.approx((1 / 3) * (640 / 512))
 
     def test_effectively_noiseless(self):
-        assert ebno_to_noise_variance(300.0, 8, 64, 16, False) < 1e-29
+        assert ebno_to_noise_variance(300.0, eight_psk(64, "1/4"), AWGN) < 1e-29
 
     def test_measured_snr_matches_configured(self):
         # empirical per-sample SNR over 1e6 samples within 0.1 dB
         ebno_db = 10.0
-        sigma2 = ebno_to_noise_variance(ebno_db, 8, 1, 0, False)
+        sigma2 = ebno_to_noise_variance(ebno_db, eight_psk(1, "0"), AWGN)
         stream = make_stream(31, 0)
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=3_000_000, dtype=np.uint8)
@@ -191,9 +203,9 @@ class TestCpSufficiency:
         taps /= np.linalg.norm(taps)
         bits = rng.integers(0, 2, size=3 * n_fft * 4, dtype=np.uint8)
         matrix, _ = serial_to_parallel(map_psk(bits, 8), n_fft)
-        tx = add_cyclic_prefix(unitary_idft(matrix, axis=-1), cp)
+        tx = add_cyclic_prefix(unitary_idft(matrix), cp)
         rx = apply_channel(tx, ChannelRealization(kind="tdl", taps=taps))
-        rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp), axis=-1)
+        rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))
         expected = np.fft.fft(taps, n=n_fft)[None, :] * matrix
         return float(np.max(np.abs(rx_freq - expected)))
 

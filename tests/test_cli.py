@@ -133,6 +133,25 @@ class TestSweepCommand:
         assert result.returncode == 0
         assert "sample_snr_db=" in result.stderr
 
+    def test_report_snr_lines_are_pinned(self, config_path, tmp_path):
+        # taken before the prefix length came from the grid's own configs
+        result = run_cli(
+            "sweep", "--config", str(config_path), "--out", str(tmp_path / "r.csv"),
+            "--report-snr", "--account-cp-overhead",
+        )
+        assert result.returncode == 0, result.stderr
+        lines = [line for line in result.stderr.splitlines() if "sample_snr_db=" in line]
+        assert lines == [
+            "fft=64 cp=1/4 ebno_db=0 sample_snr_db=3.8021",
+            "fft=64 cp=1/4 ebno_db=6 sample_snr_db=9.8021",
+            "fft=64 cp=1/16 ebno_db=0 sample_snr_db=4.5079",
+            "fft=64 cp=1/16 ebno_db=6 sample_snr_db=10.5079",
+            "fft=128 cp=1/4 ebno_db=0 sample_snr_db=3.8021",
+            "fft=128 cp=1/4 ebno_db=6 sample_snr_db=9.8021",
+            "fft=128 cp=1/16 ebno_db=0 sample_snr_db=4.5079",
+            "fft=128 cp=1/16 ebno_db=6 sample_snr_db=10.5079",
+        ]
+
 
 class TestSingleCommand:
     def test_emits_one_json_record(self):
@@ -159,6 +178,16 @@ class TestSingleCommand:
         record = json.loads(result.stdout)
         # Es=1, b=3: per-sample SNR is Eb/No + 10*log10(3)
         assert record["sample_snr_db"] == pytest.approx(10 + 10 * np.log10(3), abs=1e-9)
+
+    def test_report_snr_value_is_pinned(self):
+        # taken before the noise variance read b, N and L from the config
+        result = run_cli(
+            "single", "--fft", "64", "--cp", "1/4", "--ebno", "10", "--max-bits", "6000",
+            "--target-errors", "5", "--bit-budget", "3000", "--report-snr",
+            "--account-cp-overhead",
+        )
+        assert result.returncode == 0, result.stderr
+        assert '"sample_snr_db": 13.80211241711606' in result.stdout.splitlines()[-2]
 
     def test_channel_defaults_to_awgn(self):
         result = run_cli("single", "--fft", "64", "--cp", "1/4", "--ebno", "10",
@@ -376,7 +405,8 @@ class TestNonFiniteInputs:
         out = tmp_path / "x.csv"
         self._exits_2(capsys, ["sweep", "--config", str(path), "--out", str(out)], out)
 
-    @pytest.mark.parametrize("scale", ["nan", "0", "-1", "inf"])
+    # 1e-300 would run the checks beyond the Eb/No whose noise variance is finite
+    @pytest.mark.parametrize("scale", ["nan", "0", "-1", "inf", "1e-300"])
     def test_noise_scale(self, capsys, scale):
         self._exits_2(capsys, ["validate", f"--noise-scale={scale}"])
 
@@ -422,6 +452,16 @@ class TestValidateCommand:
         assert result.returncode == 1
         assert "FAIL" in result.stdout
         assert "validation FAILED" in result.stdout
+
+    def test_low_bits_floor_still_passes(self, capsys):
+        # each theory point grows until it can collect about 1 200 errors; a
+        # cap of 30x the floor left the 12 dB point with ~380 and failed it
+        import ofdmsim.cli as cli
+
+        assert cli.main(["validate", "--seed", "7", "--bits", "200000"]) == 0
+        out = capsys.readouterr().out
+        assert "M=8 Eb/No=12dB bits=18999999 " in out
+        assert "validation PASSED" in out
 
     def test_healthy_build_passes(self):
         result = run_cli("validate", "--bits", "400000")

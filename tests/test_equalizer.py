@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ofdmsim.channel import ChannelRealization
-from ofdmsim.equalizer import ZF_CLAMP_EPS, channel_freq_response, zero_forcing
+from ofdmsim.channel import ChannelRealization, channel_freq_response
+from ofdmsim.equalizer import ZF_CLAMP_EPS, zero_forcing
 
 
 def random_complex(n: int, seed: int) -> np.ndarray:

@@ -30,30 +30,30 @@ class TestOfdmConfig:
     @pytest.mark.parametrize("fft_size", [64, 128, 256, 512])
     @pytest.mark.parametrize("frac", GRID_FRACTIONS)
     def test_grid_configs_valid(self, fft_size, frac):
-        config = OfdmConfig(fft_size, frac)
+        config = OfdmConfig(fft_size, frac, modulation_order=8, bit_budget=1000)
         assert config.cp_len == int(frac * fft_size)
 
     def test_cp_string_accepted(self):
-        assert OfdmConfig(512, "1/4").cp_len == 128
+        assert OfdmConfig(512, "1/4", modulation_order=8, bit_budget=1000).cp_len == 128
 
     def test_non_integer_cp_rejected(self):
         with pytest.raises(CpLengthError):
-            OfdmConfig(64, Fraction(1, 3))
+            OfdmConfig(64, Fraction(1, 3), modulation_order=8, bit_budget=1000)
 
     def test_cp_beyond_symbol_rejected(self):
         with pytest.raises(CpLengthError):
-            OfdmConfig(64, Fraction(2))
+            OfdmConfig(64, Fraction(2), modulation_order=8, bit_budget=1000)
 
     def test_negative_cp_rejected(self):
         with pytest.raises(CpLengthError):
-            OfdmConfig(64, Fraction(-1, 4))
+            OfdmConfig(64, Fraction(-1, 4), modulation_order=8, bit_budget=1000)
 
     def test_unsupported_fft_size_rejected(self):
         with pytest.raises(SizeError):
-            OfdmConfig(100, Fraction(1, 4))
+            OfdmConfig(100, Fraction(1, 4), modulation_order=8, bit_budget=1000)
 
     def test_bits_per_symbol(self):
-        assert OfdmConfig(64, 0, modulation_order=8).bits_per_symbol == 3
+        assert OfdmConfig(64, 0, modulation_order=8, bit_budget=1000).bits_per_symbol == 3
 
 
 class TestSerialToParallel:
@@ -136,7 +136,7 @@ class TestChainInvariants:
         bits = rng.integers(0, 2, size=3 * 2 * fft_size - 3, dtype=np.uint8)
         symbols = map_psk(bits, order)
         matrix, used = serial_to_parallel(symbols, fft_size)
-        tx = add_cyclic_prefix(unitary_idft(matrix, axis=-1), cp).ravel()
+        tx = add_cyclic_prefix(unitary_idft(matrix), cp).ravel()
 
         # overhead accounting: transmitted vs payload sample count
         n_frames = matrix.shape[0]
@@ -145,7 +145,7 @@ class TestChainInvariants:
         rx = tx.reshape(n_frames, fft_size + cp)
         if cp:  # CP copy invariant on every transmitted frame
             np.testing.assert_array_equal(rx[:, :cp], rx[:, fft_size:])
-        freq = unitary_dft(remove_cyclic_prefix(rx, fft_size, cp), axis=-1)
+        freq = unitary_dft(remove_cyclic_prefix(rx, fft_size, cp))
         out = demap_psk(freq.ravel()[:used], order)
         np.testing.assert_array_equal(out, bits)
 
@@ -156,6 +156,6 @@ class TestChainInvariants:
         bits = rng.integers(0, 2, size=b * 150, dtype=np.uint8)
         symbols = map_psk(bits, order)
         matrix, used = serial_to_parallel(symbols, 64)
-        tx = add_cyclic_prefix(unitary_idft(matrix, axis=-1), 16)
-        freq = unitary_dft(remove_cyclic_prefix(tx, 64, 16), axis=-1)
+        tx = add_cyclic_prefix(unitary_idft(matrix), 16)
+        freq = unitary_dft(remove_cyclic_prefix(tx, 64, 16))
         np.testing.assert_array_equal(demap_psk(freq.ravel()[:used], order), bits)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmsim.errors import LengthError, OrderError
-from ofdmsim.metrics import count_bit_errors
-from ofdmsim.psk import count_psk_errors, demap_psk, make_constellation, map_psk
+from ofdmsim.framing import OfdmConfig
+from ofdmsim.metrics import count_bit_errors, theoretical_mpsk_ber
+from ofdmsim.psk import bits_per_symbol, count_psk_errors, demap_psk, make_constellation, map_psk
 
 ORDERS = [2, 4, 8, 16]
 
@@ -16,6 +17,23 @@ def bits_for(order: int, n_symbols: int, seed: int) -> np.ndarray:
     b = order.bit_length() - 1
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=n_symbols * b, dtype=np.uint8)
+
+
+class TestBitsPerSymbol:
+    def test_log2_of_the_order(self):
+        assert [bits_per_symbol(m) for m in (2, 4, 8, 16, 256)] == [1, 2, 3, 4, 8]
+
+    @pytest.mark.parametrize("order", [-4, 0, 1, 3, 6])
+    def test_every_user_rejects_an_invalid_order(self, order):
+        # the one check behind the config, the constellation and the theory curve
+        for call in (
+            lambda: bits_per_symbol(order),
+            lambda: OfdmConfig(64, 0, modulation_order=order, bit_budget=1000),
+            lambda: make_constellation(order),
+            lambda: theoretical_mpsk_ber(10.0, order),
+        ):
+            with pytest.raises(OrderError):
+                call()
 
 
 class TestConstellation:

@@ -15,12 +15,13 @@ from ofdmsim.bitsource import draw_bits, make_stream
 from ofdmsim.channel import (
     ChannelSpec,
     apply_channel,
+    channel_freq_response,
     complex_gaussian,
     ebno_to_noise_variance,
     exponential_pdp,
     realize_channel,
 )
-from ofdmsim.equalizer import channel_freq_response, zero_forcing
+from ofdmsim.equalizer import zero_forcing
 from ofdmsim.framing import (
     OfdmConfig,
     add_cyclic_prefix,
@@ -66,35 +67,35 @@ def small_grid(**overrides) -> SweepGrid:
 
 class TestRunCell:
     def test_noiseless_awgn_has_no_errors(self):
-        config = OfdmConfig(64, Fraction(1, 4), bit_budget=3000)
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=3000)
         record = run_cell(config, ChannelSpec(kind="awgn"), NOISELESS, 1, 0,
                           target_errors=1, max_bits=9000)
         assert record.bit_errors == 0
         assert record.ber == 0.0
 
     def test_noiseless_tdl_inside_prefix_has_no_errors(self):
-        config = OfdmConfig(512, Fraction(1, 4), bit_budget=4000)
+        config = OfdmConfig(512, Fraction(1, 4), modulation_order=8, bit_budget=4000)
         spec = ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(9, 1.0)))
         record = run_cell(config, spec, NOISELESS, 2, 0, target_errors=1, max_bits=8000)
         assert record.bit_errors == 0
 
     def test_missing_prefix_floors_the_error_rate(self):
         spec = ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(9, 1.0)))
-        bare = run_cell(OfdmConfig(64, Fraction(0), bit_budget=3000), spec, 30.0, 3, 0,
-                        target_errors=300, max_bits=120_000)
-        guarded = run_cell(OfdmConfig(64, Fraction(1, 4), bit_budget=3000), spec, 30.0, 3, 1,
-                           target_errors=300, max_bits=120_000)
+        bare = run_cell(OfdmConfig(64, Fraction(0), modulation_order=8, bit_budget=3000),
+                        spec, 30.0, 3, 0, target_errors=300, max_bits=120_000)
+        guarded = run_cell(OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=3000),
+                           spec, 30.0, 3, 1, target_errors=300, max_bits=120_000)
         assert bare.ber > 10 * guarded.ber
 
     def test_determinism(self):
-        config = OfdmConfig(64, Fraction(1, 4), bit_budget=2000)
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=2000)
         spec = ChannelSpec(kind="flat")
         a = run_cell(config, spec, 8.0, 77, 5, target_errors=50, max_bits=20_000)
         b = run_cell(config, spec, 8.0, 77, 5, target_errors=50, max_bits=20_000)
         assert a == b
 
     def test_early_stop_bookkeeping(self):
-        config = OfdmConfig(64, Fraction(1, 4), bit_budget=3000)
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=3000)
         record = run_cell(config, ChannelSpec(kind="awgn"), 0.0, 4, 0,
                           target_errors=10, max_bits=60_000)
         assert record.bit_errors >= 10 or record.bits_sent >= 60_000
@@ -102,13 +103,13 @@ class TestRunCell:
         assert record.ber == record.bit_errors / record.bits_sent
 
     def test_max_bits_is_respected_when_errors_are_rare(self):
-        config = OfdmConfig(64, Fraction(1, 4), bit_budget=3000)
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=3000)
         record = run_cell(config, ChannelSpec(kind="awgn"), NOISELESS, 5, 0,
                           target_errors=100, max_bits=9000)
         assert record.bits_sent == 9000
 
     def test_no_equalizer_is_reported_and_hurts_fading(self):
-        config = OfdmConfig(64, Fraction(1, 4), bit_budget=3000)
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=3000)
         spec = ChannelSpec(kind="flat")
         with_eq = run_cell(config, spec, 20.0, 6, 0, target_errors=200, max_bits=60_000)
         without = run_cell(config, spec, 20.0, 6, 0, target_errors=200, max_bits=60_000,
@@ -120,7 +121,7 @@ class TestRunCell:
 
     def test_flat_fading_redraws_per_symbol(self):
         # with one gain per OFDM symbol, a deep fade cannot wipe a whole cell
-        config = OfdmConfig(64, Fraction(1, 4), bit_budget=6000)
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=6000)
         record = run_cell(config, ChannelSpec(kind="flat"), 25.0, 8, 0,
                           target_errors=50, max_bits=48_000)
         assert 0.0 <= record.ber < 0.1
@@ -137,19 +138,18 @@ def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, ma
     stream = make_stream(seed, cell_id)
     n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
     b = config.bits_per_symbol
-    sigma2 = ebno_to_noise_variance(ebno_db, order, n_fft, cp_len,
-                                    channel.account_cp_overhead)
+    sigma2 = ebno_to_noise_variance(ebno_db, config, channel)
     bits_sent = bit_errors = zf_clamps = 0
     while True:
         n_bits = max(b, (min(config.bit_budget, max_bits - bits_sent) // b) * b)
         tx_bits = draw_bits(stream, n_bits)
         matrix, used = serial_to_parallel(map_psk(tx_bits, order), n_fft)
-        rows = add_cyclic_prefix(unitary_idft(matrix, axis=-1), cp_len)
+        rows = add_cyclic_prefix(unitary_idft(matrix), cp_len)
         real = realize_channel(channel, stream, rows.shape[0])
         rx = apply_channel(rows, real)
         if sigma2 > 0.0:
             rx = rx + complex_gaussian(stream, rx.size, sigma2).reshape(rx.shape)
-        freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), axis=-1)
+        freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len))
         if use_equalizer and channel.kind != "awgn":
             freq, clamps = zero_forcing(freq, channel_freq_response(real, n_fft))
             zf_clamps += clamps
@@ -203,7 +203,7 @@ class TestChunkedExecution:
             return original(stream, count)
 
         monkeypatch.setattr(sweep_mod, "draw_bits", counting)
-        config = OfdmConfig(64, Fraction(1, 4))
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
         # with this seed the last chunk holds one repetition more than the
         # cell needs, so the stop falls inside it
         record = run_cell(config, ChannelSpec(kind="awgn"), 6.0, 3, 0, target_errors=200)
@@ -223,7 +223,7 @@ class TestChunkedExecution:
             return replace(real, gains=np.zeros_like(real.gains))
 
         monkeypatch.setattr(sweep_mod, "realize_channel", dead_gains)
-        config = OfdmConfig(64, Fraction(1, 4))
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
         frames = -(-333 // 64)
         for target in (1, 700, 1500, 2600, 9000):  # 1500 stops inside a chunk
             record = run_cell(config, ChannelSpec(kind="flat"), 10.0, 12, target,
@@ -454,7 +454,7 @@ class TestPlots:
 
         records = []
         for i, fft_size in enumerate((64, 128, 256, 512)):
-            config = OfdmConfig(fft_size, Fraction(1, 4))
+            config = OfdmConfig(fft_size, Fraction(1, 4), modulation_order=8, bit_budget=1000)
             for j, ebno in enumerate((0.0, 10.0, 20.0)):
                 records.append(
                     make_record(config, "awgn", ebno, 10_000, 50 >> j, 0, 1, 3 * i + j)
@@ -465,6 +465,22 @@ class TestPlots:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot([], str(tmp_path))
+
+    def test_plus_inf_rows_are_left_out(self, tmp_path):
+        # the noiseless point has no place on the Eb/No axis: the finite points
+        # keep the whole width, and an FFT size with only +inf gets no chart
+        def record(fft_size, ebno, cell_id):
+            config = OfdmConfig(fft_size, Fraction(1, 4), modulation_order=8, bit_budget=1000)
+            return make_record(config, "awgn", ebno, 10_000, 0 if ebno > 6 else 40, 0, 1, cell_id)
+
+        finite = [record(64, 0.0, 0), record(64, 6.0, 1)]
+        noiseless = [record(64, float("inf"), 2), record(128, float("inf"), 3)]
+        paths = emit_plot(finite + noiseless, str(tmp_path / "all"))
+        assert [os.path.basename(p) for p in paths] == ["ber_fft64.svg"]
+        svg = open(paths[0]).read()
+        assert "nan" not in svg and "inf" not in svg
+        assert svg == open(emit_plot(finite, str(tmp_path / "finite"))[0]).read()
+        assert emit_plot(noiseless[1:], str(tmp_path / "none")) == []
 
     def test_plot_from_reread_rows(self, tmp_path):
         records = run_grid(small_grid())

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from ofdmsim.errors import SizeError
 from ofdmsim.transform import direct_transform, unitary_dft, unitary_idft
 
 SIZES = [64, 128, 256, 512]
@@ -44,6 +43,13 @@ class TestOracleAgreement:
             fast_f = unitary_dft(x)
             direct_f = direct_transform(x, inverse=False)
             assert np.max(np.abs(fast_f - direct_f)) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 96])
+    def test_fast_matches_direct_sum_at_any_length(self, n):
+        # the size policy is OfdmConfig's and SweepGrid's: the transforms take any length
+        x = random_samples(n, seed=n)
+        np.testing.assert_allclose(unitary_idft(x), direct_transform(x, inverse=True), atol=1e-12)
+        np.testing.assert_allclose(unitary_dft(x), direct_transform(x, inverse=False), atol=1e-12)
 
     def test_direct_identity_at_n1(self):
         np.testing.assert_allclose(direct_transform([3.0 + 1j], inverse=False), [3.0 + 1j])
@@ -100,13 +106,7 @@ class TestOutArgument:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 2, 64)) + 1j * rng.standard_normal((3, 2, 64))
         buffer = np.zeros((3, 2, 80), dtype=complex)
-        out = transform(x, axis=-1, out=buffer[..., 16:])  # a strided view
+        out = transform(x, out=buffer[..., 16:])  # a strided view
         assert np.shares_memory(out, buffer)
-        np.testing.assert_array_equal(buffer[..., 16:], transform(x, axis=-1))
+        np.testing.assert_array_equal(buffer[..., 16:], transform(x))
         np.testing.assert_array_equal(buffer[..., :16], 0)
-
-
-class TestValidation:
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(SizeError):
-            unitary_dft(np.ones(96, dtype=complex))
