@@ -21,20 +21,15 @@ from pathlib import Path
 
 from ofdmsim.cli import EXIT_OK, build_grid, exit_code, run_sweep
 from ofdmsim.errors import IoError
-from ofdmsim.sweep import SweepGrid, resolve_workers
+from ofdmsim.sweep import resolve_workers
 
 
 def run(args: argparse.Namespace) -> int:
     """Check every setting, then sweep the channels in turn."""
     workers = resolve_workers(args.workers)
     names = [name.strip() for name in args.channels.split(",")]
-    grids = [build_grid({
-        "channel": name,
-        "master_seed": args.seed,
-        "max_bits_per_cell": args.max_bits,
-        "target_errors": args.target_errors,
-        "bit_budget": args.bit_budget,
-    }) for name in names]
+    # build_grid reads the setting keys among the flags' dests
+    grids = [build_grid({**vars(args), "channel": name}) for name in names]
 
     out_dir = Path(args.out_dir)
     try:
@@ -53,14 +48,17 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # a setting flag that is not given leaves no attribute, so its grid value
+    # is the SweepGrid default, as in ofdmsim sweep
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                     argument_default=argparse.SUPPRESS)
     parser.add_argument("--out-dir", default="results", help="output directory")
-    parser.add_argument("--seed", type=int, default=SweepGrid.master_seed)
+    parser.add_argument("--seed", dest="master_seed", type=int)
     parser.add_argument("--channels", default="awgn,flat,tdl",
                         help="comma list from {awgn,flat,tdl}")
-    parser.add_argument("--max-bits", type=int, default=SweepGrid.max_bits_per_cell)
-    parser.add_argument("--target-errors", type=int, default=SweepGrid.target_errors)
-    parser.add_argument("--bit-budget", type=int, default=SweepGrid.bit_budget)
+    parser.add_argument("--max-bits", dest="max_bits_per_cell", type=int)
+    parser.add_argument("--target-errors", type=int)
+    parser.add_argument("--bit-budget", type=int)
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (OFDMSIM_WORKERS overrides)")
     args = parser.parse_args()

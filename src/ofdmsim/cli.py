@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -101,6 +102,8 @@ _GRID_FIELDS = {
     "bit_budget": _integer,
     "use_equalizer": _boolean,
 }
+#: Every setting key: the keys a config file may hold, and the dests of the
+#: setting flags.
 _GRID_KEYS = (*_GRID_FIELDS, "channel", "tdl_taps", "tdl_len", "tdl_decay_db",
               "account_cp_overhead")
 
@@ -124,7 +127,8 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
 
 
 def build_grid(settings: dict[str, Any]) -> SweepGrid:
-    """The grid for resolved settings: the one validation path of every command."""
+    """The grid for resolved settings, a dict that may hold other keys too: the
+    one validation path of every command."""
     try:
         fields = {key: convert(settings[key])
                   for key, convert in _GRID_FIELDS.items() if key in settings}
@@ -133,55 +137,23 @@ def build_grid(settings: dict[str, Any]) -> SweepGrid:
         raise ConfigError(str(exc)) from exc
 
 
-#: (flag attribute, setting) pairs of the flags that take a value.
-_VALUE_FLAGS = (
-    ("seed", "master_seed"), ("channel", "channel"), ("tdl_len", "tdl_len"),
-    ("tdl_decay_db", "tdl_decay_db"), ("mod_order", "modulation_order"),
-    ("max_bits", "max_bits_per_cell"), ("target_errors", "target_errors"),
-    ("bit_budget", "bit_budget"),
-)
-
-
 def _flag_settings(args: argparse.Namespace) -> dict[str, Any]:
-    """Settings given by the flags that sweep and single share."""
-    settings = {key: getattr(args, attr) for attr, key in _VALUE_FLAGS
-                if getattr(args, attr) is not None}
-    if args.tdl_taps is not None:
-        settings["tdl_taps"] = list(_parse_list(args.tdl_taps, float))
-    if args.account_cp_overhead:
-        settings["account_cp_overhead"] = True
-    if args.no_equalizer:
-        settings["use_equalizer"] = False
+    """The settings given as flags: a setting flag's dest is its setting key,
+    and a flag not given leaves no attribute."""
+    settings = {key: value for key, value in vars(args).items() if key in _GRID_KEYS}
+    for key, conv in (("fft_sizes", int), ("cp_fractions", Fraction),
+                      ("ebno_points_db", float), ("tdl_taps", float)):
+        if key in settings:  # the comma-list flags
+            settings[key] = _parse_list(settings[key], conv)
     return settings
 
 
-def _resolve_grid(args: argparse.Namespace) -> SweepGrid:
-    settings = _load_config_file(args.config)
-    if args.fft_sizes is not None:
-        settings["fft_sizes"] = _parse_list(args.fft_sizes, int)
-    if args.cp_fractions is not None:
-        settings["cp_fractions"] = _parse_list(args.cp_fractions, Fraction)
-    if args.ebno is not None:
-        settings["ebno_points_db"] = _parse_list(args.ebno, float)
-    settings.update(_flag_settings(args))
-    return build_grid(settings)
-
-
 def _echo_grid(grid: SweepGrid) -> None:
-    effective = {
-        "fft_sizes": list(grid.fft_sizes),
-        "cp_fractions": [str(g) for g in grid.cp_fractions],
-        "ebno_points_db": list(grid.ebno_points_db),
-        "channel": grid.channel.summary(),
-        "account_cp_overhead": grid.channel.account_cp_overhead,
-        "modulation_order": grid.modulation_order,
-        "master_seed": grid.master_seed,
-        "max_bits_per_cell": grid.max_bits_per_cell,
-        "target_errors": grid.target_errors,
-        "bit_budget": grid.bit_budget,
-        "use_equalizer": grid.use_equalizer,
-        "cells": grid.n_cells,
-    }
+    effective = {f.name: getattr(grid, f.name) for f in dataclasses.fields(grid)}
+    effective.update(cp_fractions=[str(g) for g in grid.cp_fractions],
+                     channel=grid.channel.summary(),
+                     account_cp_overhead=grid.channel.account_cp_overhead,
+                     cells=grid.n_cells)
     print(f"effective config: {json.dumps(effective)}", file=sys.stderr)
 
 
@@ -191,7 +163,7 @@ def _sample_snr_db(ebno_db: float, config: OfdmConfig, spec: ChannelSpec) -> flo
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = _resolve_grid(args)
+    grid = build_grid({**_load_config_file(args.config), **_flag_settings(args)})
     _echo_grid(grid)
     if args.report_snr:
         for _, config, spec, ebno in grid.cells():
@@ -226,20 +198,15 @@ def cmd_single(args: argparse.Namespace) -> int:
     settings = _flag_settings(args)
     settings.update(fft_sizes=[args.fft], cp_fractions=[args.cp], ebno_points_db=[args.ebno])
     grid = build_grid(settings)
+    _echo_grid(grid)
     _, config, spec, ebno = next(grid.cells())
-    print(
-        f"effective config: fft={config.fft_size} cp={config.cp_fraction} "
-        f"M={config.modulation_order} channel={spec.summary()} ebno={ebno} "
-        f"seed={grid.master_seed} cell={args.cell_id}",
-        file=sys.stderr,
-    )
     record = run_cell(
         config, spec, ebno, grid.master_seed, args.cell_id,
         target_errors=grid.target_errors, max_bits=grid.max_bits_per_cell,
         use_equalizer=grid.use_equalizer,
     )
     payload = record.row()
-    payload["equalizer"] = record.equalizer
+    payload["equalizer"] = "zf" if grid.use_equalizer else "none"
     if args.report_snr:
         payload["sample_snr_db"] = _sample_snr_db(ebno, config, spec)
     print(json.dumps(payload, indent=2))
@@ -264,8 +231,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     try:
-        rows = read_records(args.records, args.format)
-    except (KeyError, ValueError) as exc:  # missing column or unparsable value
+        rows = read_records(args.records)
+    except (KeyError, TypeError, ValueError) as exc:  # missing column, value or row
         raise ConfigError(f"records file {args.records} is malformed: {exc!r}") from exc
     if not rows:
         raise ConfigError(f"records file {args.records} holds no records")
@@ -283,27 +250,25 @@ def _count(text: str) -> int:
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--channel", choices=("awgn", "flat", "tdl"), default=None,
+    """The setting flags that sweep and single share; each dest is a setting key."""
+    parser.add_argument("--channel", choices=("awgn", "flat", "tdl"),
                         help="channel model (default awgn)")
-    parser.add_argument("--tdl-taps", default=None,
-                        help="comma-separated TDL tap powers (normalized to sum 1)")
-    parser.add_argument("--tdl-len", type=int, default=None,
-                        help="TDL profile length (with --tdl-decay-db)")
-    parser.add_argument("--tdl-decay-db", type=float, default=None,
-                        help="TDL exponential decay per tap, dB")
+    parser.add_argument("--tdl-taps", help="comma-separated TDL tap powers (normalized to sum 1)")
+    parser.add_argument("--tdl-len", type=int, help="TDL profile length (with --tdl-decay-db)")
+    parser.add_argument("--tdl-decay-db", type=float, help="TDL exponential decay per tap, dB")
     parser.add_argument("--account-cp-overhead", action="store_true",
                         help="charge the CP overhead against Eb/No")
-    parser.add_argument("--mod-order", type=int, default=None,
+    parser.add_argument("--mod-order", dest="modulation_order", type=int,
                         help=f"PSK order M (default {SweepGrid.modulation_order})")
-    parser.add_argument("--max-bits", type=_count, default=None,
+    parser.add_argument("--max-bits", dest="max_bits_per_cell", type=_count,
                         help=f"per-cell bit ceiling (default {SweepGrid.max_bits_per_cell})")
-    parser.add_argument("--target-errors", type=_count, default=None,
+    parser.add_argument("--target-errors", type=_count,
                         help=f"per-cell early-stop error count (default {SweepGrid.target_errors})")
-    parser.add_argument("--bit-budget", type=_count, default=None,
+    parser.add_argument("--bit-budget", type=_count,
                         help=f"bits per Monte Carlo repetition (default {SweepGrid.bit_budget})")
-    parser.add_argument("--no-equalizer", action="store_true",
+    parser.add_argument("--no-equalizer", dest="use_equalizer", action="store_false",
                         help="bypass zero-forcing (reproduces the equalizer-less receiver)")
-    parser.add_argument("--report-snr", action="store_true",
+    parser.add_argument("--report-snr", action="store_true", default=False,
                         help="also report the per-sample SNR implied by each Eb/No point")
 
 
@@ -314,25 +279,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="run a BER sweep grid")
+    # a setting flag that is not given leaves no attribute (argument_default),
+    # so the config file, then the SweepGrid field, supplies the value
+    p_sweep = sub.add_parser("sweep", help="run a BER sweep grid",
+                             argument_default=argparse.SUPPRESS)
     p_sweep.add_argument("--config", default=None, help="JSON grid config file")
     p_sweep.add_argument("--out", default="results.csv", help="CSV output path")
     p_sweep.add_argument("--json-out", default=None, help="also write JSON records here")
     p_sweep.add_argument("--plots", default=None, help="directory for SVG waterfall charts")
-    p_sweep.add_argument("--seed", type=int, default=None, help="master seed")
-    p_sweep.add_argument("--fft-sizes", default=None, help="comma list, e.g. 64,128,256,512")
-    p_sweep.add_argument("--cp-fractions", default=None, help="comma list, e.g. 1/2,1/4,1/16,1/32")
-    p_sweep.add_argument("--ebno", default=None, help="comma list of Eb/No points in dB")
+    p_sweep.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    p_sweep.add_argument("--fft-sizes", help="comma list, e.g. 64,128,256,512")
+    p_sweep.add_argument("--cp-fractions", help="comma list, e.g. 1/2,1/4,1/16,1/32")
+    p_sweep.add_argument("--ebno", dest="ebno_points_db", help="comma list of Eb/No points in dB")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="worker processes (OFDMSIM_WORKERS overrides; output-neutral)")
     _add_channel_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_single = sub.add_parser("single", help="run one cell and print its record as JSON")
+    p_single = sub.add_parser("single", help="run one cell and print its record as JSON",
+                              argument_default=argparse.SUPPRESS)
     p_single.add_argument("--fft", type=int, required=True, help="FFT size")
     p_single.add_argument("--cp", required=True, help="CP fraction, e.g. 1/4")
     p_single.add_argument("--ebno", type=float, required=True, help="Eb/No in dB")
-    p_single.add_argument("--seed", type=int, default=None, help="master seed")
+    p_single.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     p_single.add_argument("--cell-id", type=int, default=0, help="substream cell id")
     _add_channel_flags(p_single)
     p_single.set_defaults(func=cmd_single)
@@ -347,10 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_plot = sub.add_parser("plot", help="regenerate SVG charts from a records file")
-    p_plot.add_argument("--records", required=True, help="CSV or JSON records file")
+    p_plot.add_argument("--records", required=True,
+                        help="records file: JSON if its name ends in .json, else CSV")
     p_plot.add_argument("--out-dir", required=True, help="output directory for SVGs")
-    p_plot.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="records format (default: by file extension)")
     p_plot.set_defaults(func=cmd_plot)
 
     return parser

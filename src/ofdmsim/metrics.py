@@ -83,7 +83,8 @@ def wilson_interval(errors: int, total: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BerRecord:
-    """One measured sweep cell: its :data:`CSV_COLUMNS`, and the equalizer used."""
+    """One measured sweep cell; its fields are the :data:`CSV_COLUMNS`, and their
+    annotations the column types the record readers and writers use."""
 
     fft_size: int
     cp_fraction: str
@@ -97,7 +98,6 @@ class BerRecord:
     zf_clamps: int
     seed: int
     cell_id: int
-    equalizer: str = "zf"
 
     def row(self) -> dict[str, Any]:
         """The record as the flat column dict used by the CSV/JSON emitters."""
@@ -118,7 +118,6 @@ def make_record(
     zf_clamps: int,
     seed: int,
     cell_id: int,
-    equalizer: str = "zf",
 ) -> BerRecord:
     """Assemble a BerRecord, deriving BER and its Wilson interval."""
     low, high = wilson_interval(bit_errors, bits_sent)
@@ -135,5 +134,4 @@ def make_record(
         zf_clamps=zf_clamps,
         seed=seed,
         cell_id=cell_id,
-        equalizer=equalizer,
     )

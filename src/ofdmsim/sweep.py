@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, get_type_hints
 
 import numpy as np
 
@@ -107,6 +107,12 @@ class SweepGrid:
         if not all(abs(e) <= EBNO_LIMIT_DB or e == math.inf for e in self.ebno_points_db):
             raise ValueError(f"Eb/No points must be within +-{EBNO_LIMIT_DB:g} dB or +inf, "
                              f"got {self.ebno_points_db}")
+        # a repeated value would run the same point twice under two cell ids
+        for name in ("fft_sizes", "cp_fractions", "ebno_points_db"):
+            axis = getattr(self, name)
+            if len(set(axis)) < len(axis):
+                raise ValueError(f"{name} must not repeat a value, got "
+                                 f"{', '.join(str(v) for v in axis)}")
         if self.max_bits_per_cell < 1 or self.target_errors < 1:
             raise ValueError("per-cell budgets must be >= 1")
         for n in self.fft_sizes:
@@ -269,10 +275,8 @@ def run_cell(
             if bit_errors >= target_errors or bits_sent >= max_bits:
                 # draws of the chunk's later repetitions are discarded
                 summary = channel.summary() + ("" if use_equalizer else "/noeq")
-                return make_record(
-                    config, summary, ebno_db, bits_sent, bit_errors, zf_clamps, seed,
-                    cell_id, equalizer="zf" if use_equalizer else "none",
-                )
+                return make_record(config, summary, ebno_db, bits_sent, bit_errors,
+                                   zf_clamps, seed, cell_id)
         # next chunk: the repetitions the error rate so far predicts are still
         # needed, but at most as many as have run, so the total at most doubles
         chunk = reps
@@ -358,14 +362,17 @@ def run_grid(grid: SweepGrid, workers: Optional[int] = None) -> list[BerRecord]:
     return records
 
 
-_INT_COLUMNS = ("fft_size", "bits_sent", "bit_errors", "zf_clamps", "seed", "cell_id")
-_FLOAT_COLUMNS = ("ebno_db", "ber", "ci_low", "ci_high")
+#: Each record column's type, from :class:`BerRecord`'s annotations.
+_COLUMN_TYPES = get_type_hints(BerRecord)
 
 
-def _format_cell(column: str, value: Any) -> str:
-    if column in _FLOAT_COLUMNS:
-        return f"{float(value):.17g}"
-    return str(value)
+def _typed(row: dict[str, Any]) -> dict[str, Any]:
+    """A record's columns, in :data:`CSV_COLUMNS` order, each as its column type."""
+    return {c: _COLUMN_TYPES[c](row[c]) for c in CSV_COLUMNS}
+
+
+def _format_cell(value: Any) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def write_records(records: Iterable[Any], path: str, fmt: str = "csv") -> None:
@@ -374,7 +381,7 @@ def write_records(records: Iterable[Any], path: str, fmt: str = "csv") -> None:
     Floats carry 17 significant digits, so a write/read round trip is
     value-exact; cp_fraction is always the rational string (e.g. "1/4").
     """
-    rows = [as_row(r) for r in records]
+    rows = [_typed(as_row(r)) for r in records]
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     try:
@@ -383,43 +390,21 @@ def write_records(records: Iterable[Any], path: str, fmt: str = "csv") -> None:
                 writer = csv.writer(fh)
                 writer.writerow(CSV_COLUMNS)
                 for row in rows:
-                    writer.writerow([_format_cell(c, row[c]) for c in CSV_COLUMNS])
+                    writer.writerow([_format_cell(value) for value in row.values()])
         else:
-            typed = [
-                {c: float(f"{row[c]:.17g}") if c in _FLOAT_COLUMNS else row[c]
-                 for c in CSV_COLUMNS}
-                for row in rows
-            ]
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(typed, fh, indent=2)
+                json.dump(rows, fh, indent=2)
                 fh.write("\n")
     except OSError as exc:
         raise IoError(f"failed to write records to {path}: {exc}") from exc
 
 
-def read_records(path: str, fmt: Optional[str] = None) -> list[dict[str, Any]]:
-    """Read records back as typed row dicts (inverse of write_records)."""
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
+def read_records(path: str) -> list[dict[str, Any]]:
+    """Read records back as typed row dicts (inverse of write_records): JSON if
+    the file name ends in .json, else CSV."""
     try:
-        if fmt == "csv":
-            with open(path, newline="", encoding="utf-8") as fh:
-                raw_rows = list(csv.DictReader(fh))
-        else:
-            with open(path, encoding="utf-8") as fh:
-                raw_rows = json.load(fh)
+        with open(path, newline="", encoding="utf-8") as fh:
+            raw_rows = json.load(fh) if str(path).endswith(".json") else csv.DictReader(fh)
+            return [_typed(raw) for raw in raw_rows]
     except OSError as exc:
         raise IoError(f"failed to read records from {path}: {exc}") from exc
-    rows = []
-    for raw in raw_rows:
-        row: dict[str, Any] = {}
-        for column in CSV_COLUMNS:
-            value = raw[column]
-            if column in _INT_COLUMNS:
-                row[column] = int(value)
-            elif column in _FLOAT_COLUMNS:
-                row[column] = float(value)
-            else:
-                row[column] = str(value)
-        rows.append(row)
-    return rows

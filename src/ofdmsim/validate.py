@@ -30,7 +30,6 @@ from fractions import Fraction
 from .channel import ChannelSpec, exponential_pdp
 from .framing import OfdmConfig
 from .metrics import theoretical_mpsk_ber, wilson_interval
-from .metrics import Z  # noqa: F401  # the checks' interval width, pinned by A1
 from .sweep import run_cell
 
 THEORY_EBNO_POINTS_DB = (4.0, 8.0, 12.0)

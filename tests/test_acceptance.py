@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ofdmsim import validate
+from ofdmsim import metrics, validate
 from ofdmsim.bitsource import DEFAULT_MASTER_SEED, make_stream
 from ofdmsim.channel import (
     ChannelRealization,
@@ -59,7 +59,7 @@ def awgn_theory():
 
 def test_a1_awgn_theory_match(awgn_theory):
     rows, _, elapsed = awgn_theory
-    assert validate.REL_TOLERANCE == 0.10 and validate.Z == 3.0
+    assert validate.REL_TOLERANCE == 0.10 and metrics.Z == 3.0
     report_rows("A1", rows, elapsed, limit=30.0)
 
 

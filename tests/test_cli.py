@@ -341,6 +341,33 @@ class TestErrorBoundary:
         assert result.returncode == 2
         assert "malformed" in result.stderr
 
+    @pytest.mark.parametrize("name,text", [
+        ("short.csv", ",".join(CSV_COLUMNS) + "\n64,1/4\n"),  # a row shorter than the header
+        ("object.json", '{"a": 1}'),
+        ("numbers.json", "[1]"),
+    ], ids=["short-csv-row", "json-object", "json-list-of-numbers"])
+    def test_records_file_of_the_wrong_shape_exits_2(self, capsys, tmp_path, name, text):
+        import ofdmsim.cli as cli
+
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["plot", "--records", str(path), "--out-dir", str(tmp_path / "c")]) == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("flag,values", [
+        ("--fft-sizes", "64,128,64"), ("--cp-fractions", "1/4,2/8"), ("--ebno", "0,6,0"),
+    ])
+    def test_repeated_axis_value_exits_2(self, capsys, tmp_path, flag, values):
+        # a repeat would run the same point twice under two cell ids
+        import ofdmsim.cli as cli
+
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno", "0",
+                         "--max-bits", "3000", "--out", str(out), flag, values]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,target", [
         (["single", "--fft", "64", "--cp", "1/4", "--ebno", "10"], "run_cell"),
         (["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno", "10"], "run_grid"),
@@ -438,6 +465,68 @@ class TestNonFiniteInputs:
         assert {(row["ebno_db"], row["bit_errors"]) for row in rows} == {("inf", "0")}
 
 
+class TestSettingNames:
+    """A setting has one name: each setting flag's dest is its config-file key."""
+
+    BASE = {"fft_sizes": [64], "cp_fractions": ["1/4"], "ebno_points_db": [6],
+            "channel": "tdl", "max_bits_per_cell": 3000}
+    # (flags, the same setting as a config-file entry), one per setting key
+    FLAGS = [
+        (["--fft-sizes", "128"], {"fft_sizes": [128]}),
+        (["--cp-fractions", "1/16,1/2"], {"cp_fractions": ["1/16", "1/2"]}),
+        (["--ebno", "0,inf"], {"ebno_points_db": [0, float("inf")]}),
+        (["--seed", "5"], {"master_seed": 5}),
+        (["--channel", "flat"], {"channel": "flat"}),
+        (["--tdl-taps", "2,1"], {"tdl_taps": [2, 1]}),
+        (["--tdl-len", "3"], {"tdl_len": 3}),
+        (["--tdl-decay-db", "2.5"], {"tdl_decay_db": 2.5}),
+        (["--account-cp-overhead"], {"account_cp_overhead": True}),
+        (["--mod-order", "4"], {"modulation_order": 4}),
+        (["--max-bits", "6000"], {"max_bits_per_cell": 6000}),
+        (["--target-errors", "5"], {"target_errors": 5}),
+        (["--bit-budget", "1500"], {"bit_budget": 1500}),
+        (["--no-equalizer"], {"use_equalizer": False}),
+    ]
+
+    @staticmethod
+    def _echo(capsys) -> str:
+        return next(line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("effective config: {"))
+
+    def _sweep(self, capsys, tmp_path, name, settings, flags=()):
+        """(effective-config echo, CSV bytes) of a sweep of ``settings`` plus ``flags``."""
+        import ofdmsim.cli as cli
+
+        config, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        config.write_text(json.dumps(settings))
+        assert cli.main(["sweep", "--config", str(config), "--out", str(out), *flags]) == 0
+        return self._echo(capsys), out.read_bytes()
+
+    def test_every_setting_key_has_a_flag(self):
+        import ofdmsim.cli as cli
+
+        assert sorted(key for _, entry in self.FLAGS for key in entry) == sorted(cli._GRID_KEYS)
+
+    @pytest.mark.parametrize("flags,entry", FLAGS, ids=[flags[0] for flags, _ in FLAGS])
+    def test_flag_is_the_config_key(self, capsys, tmp_path, flags, entry):
+        by_flag = self._sweep(capsys, tmp_path, "flag", self.BASE, flags)
+        assert by_flag == self._sweep(capsys, tmp_path, "key", {**self.BASE, **entry})
+        base_echo, _ = self._sweep(capsys, tmp_path, "base", self.BASE)
+        assert by_flag[0] != base_echo  # the flag took effect
+
+    def test_single_echoes_the_sweep_config(self, capsys, tmp_path):
+        import ofdmsim.cli as cli
+
+        settings = ["--channel", "tdl", "--tdl-taps", "2,1", "--seed", "5", "--mod-order", "4",
+                    "--max-bits", "3000", "--target-errors", "5", "--bit-budget", "1500",
+                    "--no-equalizer", "--account-cp-overhead"]
+        assert cli.main(["single", "--fft", "128", "--cp", "1/16", "--ebno", "6", *settings]) == 0
+        single = self._echo(capsys)
+        assert cli.main(["sweep", "--fft-sizes", "128", "--cp-fractions", "1/16", "--ebno", "6",
+                         "--out", str(tmp_path / "x.csv"), *settings]) == 0
+        assert single == self._echo(capsys)
+
+
 class TestValidateCommand:
     def test_default_output_is_pinned(self, capsys):
         # taken before the raw-modem baseline became validate's N=1 cell
@@ -480,3 +569,15 @@ class TestPlotCommand:
         assert result.returncode == 0, result.stderr
         names = sorted(p.name for p in (tmp_path / "charts").iterdir())
         assert names == ["ber_fft128.svg", "ber_fft64.svg"]
+
+    def test_regenerates_charts_from_json(self, capsys, config_path, tmp_path):
+        # a records file ending in .json is read as JSON
+        import ofdmsim.cli as cli
+
+        records = tmp_path / "results.json"
+        assert cli.main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "r.csv"),
+                         "--json-out", str(records), "--plots", str(tmp_path / "swept")]) == 0
+        assert cli.main(["plot", "--records", str(records), "--out-dir",
+                         str(tmp_path / "charts")]) == 0
+        for swept in (tmp_path / "swept").iterdir():
+            assert (tmp_path / "charts" / swept.name).read_bytes() == swept.read_bytes()

@@ -114,8 +114,7 @@ class TestRunCell:
         with_eq = run_cell(config, spec, 20.0, 6, 0, target_errors=200, max_bits=60_000)
         without = run_cell(config, spec, 20.0, 6, 0, target_errors=200, max_bits=60_000,
                            use_equalizer=False)
-        assert without.equalizer == "none"
-        assert without.channel.endswith("/noeq")
+        assert without.channel == "flat/noeq"
         assert without.zf_clamps == 0
         assert without.ber > 5 * with_eq.ber  # uncorrected phase breaks coherent PSK
 
@@ -159,8 +158,7 @@ def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, ma
         if bit_errors >= target_errors or bits_sent >= max_bits:
             break
     summary = channel.summary() + ("" if use_equalizer else "/noeq")
-    return make_record(config, summary, ebno_db, bits_sent, bit_errors, zf_clamps, seed,
-                       cell_id, equalizer="zf" if use_equalizer else "none")
+    return make_record(config, summary, ebno_db, bits_sent, bit_errors, zf_clamps, seed, cell_id)
 
 
 @st.composite
@@ -333,6 +331,15 @@ class TestRunGrid:
     def test_invalid_grid_combination_rejected_up_front(self):
         with pytest.raises(ValueError):
             small_grid(cp_fractions=(Fraction(1, 3),))
+
+    @pytest.mark.parametrize("axis,values", [
+        ("fft_sizes", (64, 128, 64)),
+        ("cp_fractions", (Fraction(1, 4), Fraction(2, 8))),
+        ("ebno_points_db", (0.0, 6.0, 0)),
+    ])
+    def test_repeated_axis_value_rejected(self, axis, values):
+        with pytest.raises(ValueError, match=f"{axis} must not repeat"):
+            small_grid(**{axis: values})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     def test_nan_and_minus_inf_ebno_rejected(self, bad):
