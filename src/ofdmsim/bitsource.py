@@ -59,12 +59,10 @@ class RngStream:
     """One cell's private random stream.
 
     Single-owner: a stream may be consumed by at most one thread at a time.
-    Distinct (origin_seed, cell_id) pairs give statistically independent
-    streams with no shared state.
+    :func:`make_stream` gives distinct (origin_seed, cell_id) pairs
+    statistically independent streams with no shared state.
     """
 
-    origin_seed: int
-    cell_id: int
     rng: np.random.Generator
     # the four bits of the high half of the last raw output, when the last
     # bit draw used only its low half; the next bit draw starts with them
@@ -78,11 +76,7 @@ def make_stream(origin_seed: int, cell_id: int) -> RngStream:
     driving a PCG64 generator.
     """
     derived = _splitmix64((origin_seed ^ _rotl64(cell_id, 32)) & _MASK64)
-    return RngStream(
-        origin_seed=origin_seed & _MASK64,
-        cell_id=cell_id & _MASK64,
-        rng=np.random.Generator(np.random.PCG64(derived)),
-    )
+    return RngStream(rng=np.random.Generator(np.random.PCG64(derived)))
 
 
 def draw_bits(stream: RngStream, count: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from .channel import (
 from .errors import ConfigError, IoError
 from .framing import OfdmConfig
 from .sweep import (
-    EBNO_LIMIT_DB,
     SweepFailure,
     SweepGrid,
     emit_plot,
@@ -38,11 +37,11 @@ EXIT_BAD_CONFIG = 2
 EXIT_IO_FAILURE = 3
 
 
-def _parse_list(text: str, conv) -> tuple:
+def _parse_list(key: str, text: str, conv) -> tuple:
     try:
         return tuple(conv(part) for part in text.split(",") if part.strip())
     except (ValueError, ZeroDivisionError) as exc:  # e.g. "abc" or "1/0"
-        raise ConfigError(f"cannot parse {text!r}: {exc}") from exc
+        raise ConfigError(f"{key}: cannot parse {text!r}: {exc}") from exc
 
 
 def _integer(value: Any) -> int:
@@ -68,10 +67,18 @@ def _boolean(value: Any) -> bool:
     raise ConfigError(f"expected true or false, got {value!r}")
 
 
+#: The delay-line settings, which only the tdl channel takes.
+_TDL_KEYS = ("tdl_taps", "tdl_len", "tdl_decay_db")
+
+
 def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
     kind = settings.get("channel", "awgn")
     overhead = _boolean(settings.get("account_cp_overhead", False))
     if kind != "tdl":
+        stray = [key for key in _TDL_KEYS if key in settings]
+        if stray:
+            raise ConfigError(f"channel {kind} takes no delay-line settings, "
+                              f"got {', '.join(stray)}")
         return ChannelSpec(kind=kind, account_cp_overhead=overhead)
     if settings.get("tdl_taps") is not None:
         powers = [_real(p) for p in settings["tdl_taps"]]
@@ -104,8 +111,7 @@ _GRID_FIELDS = {
 }
 #: Every setting key: the keys a config file may hold, and the dests of the
 #: setting flags.
-_GRID_KEYS = (*_GRID_FIELDS, "channel", "tdl_taps", "tdl_len", "tdl_decay_db",
-              "account_cp_overhead")
+_GRID_KEYS = (*_GRID_FIELDS, "channel", *_TDL_KEYS, "account_cp_overhead")
 
 
 def _load_config_file(path: Optional[str]) -> dict[str, Any]:
@@ -144,7 +150,7 @@ def _flag_settings(args: argparse.Namespace) -> dict[str, Any]:
     for key, conv in (("fft_sizes", int), ("cp_fractions", Fraction),
                       ("ebno_points_db", float), ("tdl_taps", float)):
         if key in settings:  # the comma-list flags
-            settings[key] = _parse_list(settings[key], conv)
+            settings[key] = _parse_list(key, settings[key], conv)
     return settings
 
 
@@ -216,14 +222,8 @@ def cmd_single(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.bits < 1:
         raise ConfigError(f"--bits must be >= 1, got {args.bits}")
-    # the scale runs as an Eb/No offset, kept within the grid's Eb/No limit
-    if not (0.0 < args.noise_scale < math.inf
-            and abs(10.0 * math.log10(args.noise_scale)) <= EBNO_LIMIT_DB):
-        raise ConfigError(f"--noise-scale must be within 1e-100..1e100, got {args.noise_scale}")
     seed = args.seed if args.seed is not None else DEFAULT_MASTER_SEED
-    rows, all_passed = run_validation(
-        seed=seed, bits_floor=args.bits, noise_scale=args.noise_scale
-    )
+    rows, all_passed = run_validation(seed=seed, bits_floor=args.bits)
     print(format_table(rows))
     print(f"validation {'PASSED' if all_passed else 'FAILED'}")
     return EXIT_OK if all_passed else EXIT_VALIDATION_FAILED
@@ -310,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--seed", type=int, default=None, help="master seed")
     p_val.add_argument("--bits", type=int, default=1_000_000,
                        help="minimum bits per theory point (default 1000000)")
-    p_val.add_argument("--noise-scale", type=float, default=1.0,
-                       help="noise variance multiplier, run as an Eb/No offset of "
-                            "-10*log10(scale) dB (diagnostics hook; 1.0 = calibrated)")
     p_val.set_defaults(func=cmd_validate)
 
     p_plot = sub.add_parser("plot", help="regenerate SVG charts from a records file")

@@ -6,7 +6,7 @@ class LengthError(ValueError):
 
 
 class OrderError(ValueError):
-    """Modulation order is not a power of two >= 2."""
+    """Modulation order is not a power of two in 2..256."""
 
 
 class SizeError(ValueError):

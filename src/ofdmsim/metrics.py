@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -11,22 +11,6 @@ import numpy as np
 from .errors import LengthError
 from .framing import OfdmConfig
 from .psk import bits_per_symbol
-
-#: Column order shared by the CSV and JSON record emitters.
-CSV_COLUMNS = (
-    "fft_size",
-    "cp_fraction",
-    "channel",
-    "ebno_db",
-    "bits_sent",
-    "bit_errors",
-    "ber",
-    "ci_low",
-    "ci_high",
-    "zf_clamps",
-    "seed",
-    "cell_id",
-)
 
 #: Width of every confidence interval, in standard deviations.
 Z = 3.0
@@ -83,8 +67,8 @@ def wilson_interval(errors: int, total: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BerRecord:
-    """One measured sweep cell; its fields are the :data:`CSV_COLUMNS`, and their
-    annotations the column types the record readers and writers use."""
+    """One measured sweep cell; its fields, in order, are the :data:`CSV_COLUMNS`,
+    and their annotations the column types the record readers and writers use."""
 
     fft_size: int
     cp_fraction: str
@@ -102,6 +86,10 @@ class BerRecord:
     def row(self) -> dict[str, Any]:
         """The record as the flat column dict used by the CSV/JSON emitters."""
         return {c: getattr(self, c) for c in CSV_COLUMNS}
+
+
+#: Column order shared by the CSV and JSON record emitters.
+CSV_COLUMNS = tuple(f.name for f in fields(BerRecord))
 
 
 def as_row(record: Any) -> dict[str, Any]:

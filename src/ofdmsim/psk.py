@@ -15,10 +15,15 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+#: Largest PSK order: its labels still fit in one byte (see :func:`_group_bits`).
+MAX_ORDER = 256
+
+
 def bits_per_symbol(order: int) -> int:
     """Bits per symbol, log2 M, of PSK order M; an invalid M is an :class:`OrderError`."""
-    if not (is_power_of_two(order) and order >= 2):
-        raise OrderError(f"modulation order must be a power of two >= 2, got {order}")
+    if not (is_power_of_two(order) and 2 <= order <= MAX_ORDER):
+        raise OrderError(f"modulation order must be a power of two in 2..{MAX_ORDER}, "
+                         f"got {order}")
     return order.bit_length() - 1
 
 
@@ -58,11 +63,10 @@ def make_constellation(order: int) -> Constellation:
 def _group_bits(bits: np.ndarray, b: int) -> np.ndarray:
     """Pack consecutive b-bit groups (MSB first) along the last axis into labels.
 
-    Labels use the smallest unsigned dtype that holds them (uint8 up to
-    order 256), so a block of bits packs without a wider temporary.
+    Labels are uint8, which holds every label up to :data:`MAX_ORDER`, so a
+    block of bits packs without a wider temporary.
     """
-    dtype = np.min_scalar_type((1 << b) - 1)
-    groups = bits.reshape(*bits.shape[:-1], -1, b).astype(dtype, copy=False)
+    groups = bits.reshape(*bits.shape[:-1], -1, b).astype(np.uint8, copy=False)
     labels = groups[..., 0].copy()
     for j in range(1, b):
         labels <<= 1

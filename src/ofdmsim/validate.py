@@ -17,8 +17,8 @@ rest are here):
   recovers its bits exactly when the noise is effectively off and the
   delay-line memory fits inside the cyclic prefix.
 
-A ``noise_scale`` other than 1 runs the noisy checks at 10*log10(noise_scale)
-dB less Eb/No: the calibrated noise variance, scaled.
+Every cell runs through ``sweep.run_cell``, the chain a sweep runs, so a
+miscalibrated build (say, a wrong noise variance) fails the checks.
 """
 
 from __future__ import annotations
@@ -69,11 +69,6 @@ def _point_bits(bits_floor: int, theory_ber: float) -> int:
     return bits_floor * max(1, math.ceil(1200.0 / (theory_ber * bits_floor)))
 
 
-def _run_ebno(ebno_db: float, noise_scale: float) -> float:
-    """The Eb/No whose noise variance is ``noise_scale`` times that of ``ebno_db``."""
-    return ebno_db - 10.0 * math.log10(noise_scale)
-
-
 @dataclass(frozen=True)
 class ValidationRow:
     check: str
@@ -82,9 +77,7 @@ class ValidationRow:
     passed: bool
 
 
-def check_awgn_theory(
-    seed: int, bits_floor: int, noise_scale: float
-) -> tuple[list[ValidationRow], Baselines]:
+def check_awgn_theory(seed: int, bits_floor: int) -> tuple[list[ValidationRow], Baselines]:
     """Theory-match rows, and the baselines the transparency check uses."""
     rows: list[ValidationRow] = []
     baselines: Baselines = {}
@@ -94,7 +87,7 @@ def check_awgn_theory(
         n_bits = _point_bits(bits_floor, theory)
         # no error target: the cell sends the asked bits, floored to symbols
         record = run_cell(
-            RAW_MODEM, _AWGN, _run_ebno(ebno, noise_scale), seed, 9001 + i,
+            RAW_MODEM, _AWGN, ebno, seed, 9001 + i,
             target_errors=2**62, max_bits=n_bits // b * b,
         )
         errors, sent = record.bit_errors, record.bits_sent
@@ -111,9 +104,7 @@ def check_awgn_theory(
     return rows, baselines
 
 
-def check_ofdm_transparency(
-    baselines: Baselines, seed: int, noise_scale: float
-) -> list[ValidationRow]:
+def check_ofdm_transparency(baselines: Baselines, seed: int) -> list[ValidationRow]:
     """Transparency rows: each cell sends the bits its baseline asked for."""
     rows: list[ValidationRow] = []
     for j, fft_size in enumerate(TRANSPARENCY_FFT_SIZES):
@@ -124,7 +115,7 @@ def check_ofdm_transparency(
         for i, ebno in enumerate(THEORY_EBNO_POINTS_DB):
             base_ci, n_bits = baselines[ebno]
             record = run_cell(
-                config, _AWGN, _run_ebno(ebno, noise_scale), seed, 9101 + 10 * j + i,
+                config, _AWGN, ebno, seed, 9101 + 10 * j + i,
                 target_errors=2**62, max_bits=n_bits,
             )
             rows.append(ValidationRow(
@@ -166,12 +157,10 @@ def check_noiseless_identity(seed: int) -> list[ValidationRow]:
     return rows
 
 
-def run_validation(
-    seed: int, bits_floor: int, noise_scale: float
-) -> tuple[list[ValidationRow], bool]:
+def run_validation(seed: int, bits_floor: int) -> tuple[list[ValidationRow], bool]:
     """Run the three families in order; returns (rows, all_passed)."""
-    rows, baselines = check_awgn_theory(seed, bits_floor, noise_scale)
-    rows += check_ofdm_transparency(baselines, seed, noise_scale)
+    rows, baselines = check_awgn_theory(seed, bits_floor)
+    rows += check_ofdm_transparency(baselines, seed)
     rows += check_noiseless_identity(seed)
     return rows, all(r.passed for r in rows)
 

@@ -29,7 +29,8 @@ from ofdmsim.channel import (
 from ofdmsim.framing import OfdmConfig, add_cyclic_prefix, remove_cyclic_prefix, serial_to_parallel
 from ofdmsim.psk import map_psk
 from ofdmsim.sweep import run_cell
-from ofdmsim.transform import direct_transform, unitary_dft, unitary_idft
+from ofdmsim.transform import unitary_dft, unitary_idft
+from reference import direct_transform
 
 SEED = DEFAULT_MASTER_SEED
 FFT_SIZES = (64, 128, 256, 512)
@@ -53,7 +54,7 @@ def report_rows(criterion: str, rows, elapsed: float, limit: float = float("inf"
 def awgn_theory():
     """The theory-match family, run once: (rows, raw-modem baselines, seconds)."""
     start = time.perf_counter()
-    rows, baselines = validate.check_awgn_theory(SEED, bits_floor=1_000_000, noise_scale=1.0)
+    rows, baselines = validate.check_awgn_theory(SEED, bits_floor=1_000_000)
     return rows, baselines, time.perf_counter() - start
 
 
@@ -66,7 +67,7 @@ def test_a1_awgn_theory_match(awgn_theory):
 def test_a2_ofdm_transparency_over_awgn(awgn_theory):
     _, baselines, _ = awgn_theory
     start = time.perf_counter()
-    rows = validate.check_ofdm_transparency(baselines, SEED, noise_scale=1.0)
+    rows = validate.check_ofdm_transparency(baselines, SEED)
     report_rows("A2", rows, time.perf_counter() - start)
 
 

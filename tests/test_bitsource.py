@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsim.bitsource import (
-    DEFAULT_MASTER_SEED,
-    draw_bits,
-    draw_gaussian,
-    make_stream,
-)
+from ofdmsim.bitsource import draw_bits, draw_gaussian, make_stream
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_bits_seed42_cell0.txt"
 
@@ -44,11 +39,6 @@ class TestDeterminism:
         s2 = make_stream(7, 3)
         np.testing.assert_array_equal(draw_gaussian(s1, 2), draw_gaussian(s2, 2))
         np.testing.assert_array_equal(draw_gaussian(s1, 2), draw_gaussian(s2, 2))
-
-    def test_stream_records_identity(self):
-        s = make_stream(DEFAULT_MASTER_SEED, 17)
-        assert s.origin_seed == DEFAULT_MASTER_SEED
-        assert s.cell_id == 17
 
 
 class TestBitDraws:

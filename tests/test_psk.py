@@ -23,7 +23,8 @@ class TestBitsPerSymbol:
     def test_log2_of_the_order(self):
         assert [bits_per_symbol(m) for m in (2, 4, 8, 16, 256)] == [1, 2, 3, 4, 8]
 
-    @pytest.mark.parametrize("order", [-4, 0, 1, 3, 6])
+    # above 256 the labels no longer fit in a byte, and the error table grows as M^2
+    @pytest.mark.parametrize("order", [-4, 0, 1, 3, 6, 512])
     def test_every_user_rejects_an_invalid_order(self, order):
         # the one check behind the config, the constellation and the theory curve
         for call in (

@@ -364,8 +364,8 @@ class TestRawModem:
     def test_determinism_and_flooring(self):
         from ofdmsim.validate import check_awgn_theory
 
-        rows, baselines = check_awgn_theory(5, bits_floor=10_001, noise_scale=1.0)
-        assert rows == check_awgn_theory(5, bits_floor=10_001, noise_scale=1.0)[0]
+        rows, baselines = check_awgn_theory(5, bits_floor=10_001)
+        assert rows == check_awgn_theory(5, bits_floor=10_001)[0]
         asked = [n_bits for _, n_bits in baselines.values()]
         assert any(n % 3 for n in asked)  # not always whole 8-PSK symbols ...
         sent = [int(row.detail.rsplit("bits=", 1)[1]) for row in rows]

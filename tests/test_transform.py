@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ofdmsim.transform import direct_transform, unitary_dft, unitary_idft
+from ofdmsim.transform import unitary_dft, unitary_idft
+from reference import direct_transform
 
 SIZES = [64, 128, 256, 512]
 
