@@ -40,6 +40,10 @@ _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 #: Raw PCG64 outputs, little-endian, so their bytes come low half first.
 _RAW_WORDS = np.dtype("<u8")
 
+#: Most raw outputs (8 bytes each) a bit draw asks for at once: a long draw
+#: goes straight into its output without a temporary of its own size.
+_RAW_BLOCK = 8192
+
 
 def _rotl64(x: int, k: int) -> int:
     x &= _MASK64
@@ -79,25 +83,39 @@ def make_stream(origin_seed: int, cell_id: int) -> RngStream:
     return RngStream(rng=np.random.Generator(np.random.PCG64(derived)))
 
 
-def draw_bits(stream: RngStream, count: int) -> np.ndarray:
+def draw_bits(stream: RngStream, count: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw ``count`` i.i.d. uniform bits as a uint8 array of 0s and 1s.
 
-    Built from the raw PCG64 outputs as the module docstring defines.
+    Built from the raw PCG64 outputs as the module docstring defines, at
+    most :data:`_RAW_BLOCK` outputs at a time.  ``out``, a uint8 array of
+    shape ``(count,)``, receives them; the values are the ones the
+    allocating form returns.
     """
     if count < 0:
         raise ValueError(f"bit count must be >= 0, got {count}")
+    if out is None:
+        out = np.empty(count, dtype=np.uint8)
+    elif out.shape != (count,):
+        raise ValueError(f"out has shape {out.shape}, not ({count},)")
     words = -(-count // 4)  # 32-bit words, one bit per byte
     if not words:
-        return np.empty(0, dtype=np.uint8)
-    spare = stream._spare_bits
-    fresh = words if spare is None else words - 1
-    raw = stream.rng.bit_generator.random_raw(-(-fresh // 2))
-    bits = np.asarray(raw, dtype=_RAW_WORDS).view(np.uint8)
-    bits >>= 7
+        return out
+    spare, stream._spare_bits = stream._spare_bits, None
+    done = 0
     if spare is not None:
-        bits = np.concatenate((spare, bits))
-    stream._spare_bits = bits[4 * words:].copy() if bits.size > 4 * words else None
-    return bits[:count]
+        done = min(4, count)
+        out[:done] = spare[:done]
+    fresh = words if spare is None else words - 1
+    outputs = -(-fresh // 2)
+    for first in range(0, outputs, _RAW_BLOCK):
+        raw = stream.rng.bit_generator.random_raw(min(_RAW_BLOCK, outputs - first))
+        raw_bits = np.asarray(raw, dtype=_RAW_WORDS).view(np.uint8)
+        take = min(raw_bits.size, count - done)
+        np.right_shift(raw_bits[:take], 7, out=out[done:done + take])
+        done += take
+    if fresh % 2:  # the high half of the last output is left to the next draw
+        stream._spare_bits = raw_bits[-4:] >> 7
+    return out
 
 
 def draw_gaussian(

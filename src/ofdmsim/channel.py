@@ -22,15 +22,15 @@ This module is the only code that draws or applies a channel.  One
 :func:`realize_channel` draws it (one flat gain per OFDM symbol, or one set
 of delay-line taps, quasi-static over the repetition's burst of symbols),
 :func:`apply_channel` applies it in place to that repetition's
-``(frames, N+L)`` block, and :func:`channel_freq_response` gives the
-receiver its response.  Noise is drawn separately, only through
-:func:`complex_gaussian`.
+``(frames, N+L)`` block, whole or a window of OFDM symbols at a time, and
+:func:`channel_freq_response` gives the receiver its response for the same
+window.  Noise is drawn separately, only through :func:`complex_gaussian`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -85,17 +85,21 @@ class ChannelSpec:
         return self.kind
 
 
-@dataclass(frozen=True)
+@dataclass
 class ChannelRealization:
     """One repetition's channel draw.
 
     ``gains`` holds the flat-fading gain of each OFDM symbol and ``taps``
-    the delay-line taps; an AWGN realization carries neither.
+    the delay-line taps; an AWGN realization carries neither.  ``carry`` is
+    the delay line's contents between windows of the repetition: the last
+    ``len(taps) - 1`` pre-channel samples :func:`apply_channel` has passed
+    through it (fewer if fewer have passed).
     """
 
     kind: str
     gains: Optional[np.ndarray] = None
     taps: Optional[np.ndarray] = None
+    carry: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def ebno_to_noise_variance(ebno_db: float, config: OfdmConfig, spec: ChannelSpec) -> float:
@@ -148,29 +152,45 @@ def realize_channel(spec: ChannelSpec, stream: RngStream, n_frames: int) -> Chan
     return ChannelRealization(kind=TDL, taps=taps)
 
 
-def apply_channel(frames: np.ndarray, real: ChannelRealization) -> np.ndarray:
-    """Pass one repetition's ``(frames, N+L)`` block through ``real``, in place.
+def apply_channel(
+    frames: np.ndarray, real: ChannelRealization, window: slice = slice(None)
+) -> np.ndarray:
+    """Pass OFDM symbols ``window`` of one repetition through ``real``, in place.
 
-    Flat fading scales each frame by its gain.  The delay line applies
-    LINEAR convolution over the concatenated frames, truncated to their
-    length, so the first taps of each frame see the spill-over from the
-    preceding samples -- exactly the interference a sufficient cyclic
-    prefix absorbs.  No noise is added.  Returns ``frames``.
+    ``frames`` is their ``(frames, N+L)`` block: the whole repetition by
+    default, or one window of it, the windows passed in order.  Flat fading
+    scales each frame by its gain.  The delay line applies LINEAR
+    convolution over the repetition's concatenated frames, truncated to
+    their length, so the first taps of each frame see the spill-over from
+    the preceding samples -- exactly the interference a sufficient cyclic
+    prefix absorbs.  The line starts silent at the repetition's first
+    symbol; a later window is convolved after the carry (the previous
+    window's last ``memory`` pre-channel samples), and only the outputs
+    after the carry are kept, which are the ones one convolution over the
+    whole repetition gives.  No noise is added.  Returns ``frames``.
     """
     if frames.size == 0:
         raise ValueError("frames must be nonempty")
     if real.kind == FLAT:
-        frames *= real.gains[:, None]
+        frames *= real.gains[window, None]
     elif real.kind == TDL:
-        frames[...] = np.convolve(frames.ravel(), real.taps)[: frames.size].reshape(frames.shape)
+        block = frames.ravel()
+        carry = real.carry if window.start else block[:0]
+        signal = np.concatenate((carry, block)) if carry.size else block
+        real.carry = signal[max(signal.size - (real.taps.size - 1), 0):].copy()
+        out = np.convolve(signal, real.taps)[carry.size:signal.size]
+        frames[...] = out.reshape(frames.shape)
     return frames
 
 
-def channel_freq_response(real: ChannelRealization, fft_size: int) -> np.ndarray:
+def channel_freq_response(
+    real: ChannelRealization, fft_size: int, window: slice = slice(None)
+) -> np.ndarray:
     """Subcarrier response of one repetition's channel, broadcastable over its frames.
 
-    A flat gain is its own response: one ``(frames, 1)`` column, a gain per
-    OFDM symbol.  The delay line gives the plain (non-unitary) DFT of the
+    ``window`` selects OFDM symbols as in :func:`apply_channel`.  A flat
+    gain is its own response: one ``(frames, 1)`` column, a gain per OFDM
+    symbol.  The delay line gives the plain (non-unitary) DFT of the
     zero-padded taps -- that is the gain the payload subcarriers actually
     see when the cyclic prefix turns the delay line into a circular
     convolution, given the simulator's unitary transform pair.  AWGN
@@ -179,5 +199,5 @@ def channel_freq_response(real: ChannelRealization, fft_size: int) -> np.ndarray
     if real.kind == AWGN:
         return np.ones(fft_size, dtype=np.complex128)
     if real.kind == FLAT:
-        return real.gains[:, None]
+        return real.gains[window, None]
     return np.fft.fft(real.taps, n=fft_size)

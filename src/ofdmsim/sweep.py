@@ -7,17 +7,26 @@ the output records are byte-identical regardless of scheduling.
 Per-repetition draw order inside a cell (fixed for reproducibility):
 information bits, then channel gains, then noise samples.
 
-Repetitions run in chunks.  The draws of every repetition in a chunk are
-made first, each repetition's in the order above, into (k, ...) arrays;
-then the chain runs once on the whole chunk, row by row.  The cell stops at
-the first repetition whose running totals reach ``target_errors`` or
-``max_bits``, and the draws of the chunk's later repetitions are
-discarded.  Because the stream is private to the cell, those extra draws
-touch nothing else, and a record does not depend on how the repetitions
-were chunked.  The first chunk is one repetition; each later chunk holds
-the repetitions the error rate so far predicts are still needed, at most
-as many as have already run (so with no errors yet the total doubles) and
-at most ``_CHUNK_SAMPLES`` time-domain samples.
+Repetitions run in chunks of windows.  A window is the OFDM symbols that
+fit in ``_CHUNK_SAMPLES`` time-domain samples.  A repetition that fits in
+a window shares a chunk with as many others of its size as the window
+holds: the draws of every repetition in the chunk are made first, each
+repetition's in the order above, into (k, ...) arrays; then the chain runs
+once on the whole chunk, row by row.  A longer repetition runs alone,
+window by window: its bits and its channel are drawn once, then each
+window's noise is drawn and the chain runs on that window, the delay line
+carrying its last samples into the next.  The draws are the repetition's
+own, in its order, so a record does not depend on the windows; a cell's
+memory is about one window plus one byte per bit of its repetition.
+
+The cell stops at the first repetition whose running totals reach
+``target_errors`` or ``max_bits``, and the draws of the chunk's later
+repetitions are discarded.  Because the stream is private to the cell,
+those extra draws touch nothing else, and a record does not depend on how
+the repetitions were chunked.  The first chunk is one repetition; each
+later chunk holds the repetitions the error rate so far predicts are still
+needed, at most as many as have already run (so with no errors yet the
+total doubles) and at most as many as one window holds.
 """
 
 from __future__ import annotations
@@ -65,8 +74,10 @@ SUPPORTED_FFT_SIZES = (64, 128, 256, 512)
 #: about 1e-101..1e99, where its conversion neither overflows nor underflows.
 EBNO_LIMIT_DB = 1000.0
 
-#: Most time-domain samples one chunk of repetitions may hold, which keeps a
-#: chunk's arrays under about 1 MB; a longer repetition runs as a chunk alone.
+#: Most time-domain samples a window holds, which keeps the chain's arrays
+#: under about 1 MB: a window is floor(_CHUNK_SAMPLES / (N+L)) OFDM symbols
+#: (at least one), a chunk is as many whole repetitions as fit in one
+#: window, and a longer repetition runs alone, one window at a time.
 _CHUNK_SAMPLES = 16_384
 
 
@@ -155,64 +166,88 @@ class SweepFailure(RuntimeError):
 
 
 class _Workspace:
-    """Arrays for a chunk of up to ``capacity`` repetitions of ``n_bits`` bits.
+    """Arrays for one window of up to ``capacity`` repetitions of ``n_bits`` bits.
 
+    Each row holds one repetition: all of its bits, one byte each, and
+    ``frames`` of its OFDM symbols.  A repetition that fits in a window has
+    all of its symbols there, and a chunk fills up to ``capacity`` rows; a
+    longer one runs alone, its symbols a window of ``frames`` at a time.
     One workspace serves every chunk of a cell with that repetition size:
     the draws go into it and the chain works in it in place, so a chunk
-    allocates nothing in proportion to its size.
+    allocates nothing in proportion to its size, and a cell's memory is
+    about one window plus one byte per bit of its repetition.
     """
 
-    def __init__(self, config: OfdmConfig, n_bits: int, capacity: int, noisy: bool):
+    def __init__(self, config: OfdmConfig, n_bits: int, noisy: bool):
         n_fft, cp_len = config.fft_size, config.cp_len
         self.n_bits = n_bits
         self.used = n_bits // config.bits_per_symbol
         self.n_frames = -(-self.used // n_fft)
-        self.capacity = capacity
-        frames = (capacity, self.n_frames)
-        self.bits = np.empty((capacity, n_bits), dtype=np.uint8)
+        window = max(1, _CHUNK_SAMPLES // (n_fft + cp_len))
+        self.frames = min(window, self.n_frames)
+        self.capacity = window // self.frames
+        frames = (self.capacity, self.frames)
+        self.bits = np.empty((self.capacity, n_bits), dtype=np.uint8)
         # subcarrier grid: the mapped symbols, later the DFT output
         self.grid = np.empty(frames + (n_fft,), dtype=np.complex128)
         self.tx = np.empty(frames + (n_fft + cp_len,), dtype=np.complex128)
         self.noise = np.empty_like(self.tx) if noisy else None
 
+    def windows(self) -> Iterator[slice]:
+        """A repetition's OFDM symbols, at most ``frames`` at a time, in order."""
+        for start in range(0, self.n_frames, self.frames):
+            yield slice(start, min(start + self.frames, self.n_frames))
+
 
 def _run_chain_once(
     work: _Workspace,
     k: int,
+    window: slice,
     config: OfdmConfig,
     realizations: list,
     use_equalizer: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The full transmit/channel/receive chain for a chunk of k repetitions.
+    """The full transmit/channel/receive chain on one window of k repetitions.
 
-    Works on the first k rows of ``work``: the bits and the noise are drawn
-    into it beforehand, and ``realizations`` holds the k channel draws of a
-    fading cell (none for AWGN).  Every step works row by row, so a chunk
-    gives the same result as its repetitions one at a time.
+    Works on OFDM symbols ``window`` of the first k rows of ``work``: the
+    bits and the window's noise are drawn into it beforehand, and
+    ``realizations`` holds the k channel draws of a fading cell (none for
+    AWGN).  Every step works row by row, so a chunk gives the same result
+    as its repetitions one at a time, and a repetition's windows the same
+    as the whole repetition at once.
 
-    Returns per-repetition (bit errors, zero-forcing clamps).
+    Returns per-repetition (bit errors, zero-forcing clamps) of the window.
     """
     n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
-    bits, grid, tx = work.bits[:k], work.grid[:k], work.tx[:k]
+    count = window.stop - window.start
+    first = window.start * n_fft  # the window's first symbol in its repetition
+    used = min(work.used - first, count * n_fft)
+    b = config.bits_per_symbol
+    bits = work.bits[:k, first * b:(first + used) * b]
+    # several rows only when the window holds whole repetitions, so these
+    # views are contiguous and their reshapes write through
+    grid, tx = work.grid[:k, :count], work.tx[:k, :count]
 
     slots = grid.reshape(k, -1)
-    slots[:, work.used:] = 0.0  # zero padding of the last OFDM symbol
-    map_psk(bits, order, out=slots[:, :work.used])
+    slots[:, used:] = 0.0  # zero padding of the repetition's last OFDM symbol
+    map_psk(bits, order, out=slots[:, :used])
     unitary_idft(grid, out=tx[..., cp_len:])
     tx[..., :cp_len] = tx[..., n_fft:]  # cyclic prefix: copy of the symbol tail
 
     for frames, real in zip(tx, realizations):
-        apply_channel(frames, real)
-    rx = tx if work.noise is None else np.add(work.noise[:k], tx, out=work.noise[:k])
+        apply_channel(frames, real, window)
+    rx = tx if work.noise is None else np.add(work.noise[:k, :count], tx,
+                                              out=work.noise[:k, :count])
     freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), out=grid)
 
     clamps = np.zeros(k, dtype=np.int64)
     if use_equalizer:
         # per repetition: a record counts only the kept ones' clamps
         for r, real in enumerate(realizations):
-            freq[r], clamps[r] = zero_forcing(freq[r], channel_freq_response(real, n_fft))
+            response = channel_freq_response(real, n_fft, window)
+            freq[r], clamps[r] = zero_forcing(freq[r], response)
 
-    errors = count_psk_errors(freq.reshape(k, -1)[:, :work.used], bits, order)
+    errors = count_psk_errors(freq.reshape(k, -1)[:, :used], bits, order)
     return errors, clamps
 
 
@@ -233,13 +268,14 @@ def run_cell(
     each under a fresh channel realization, until ``target_errors`` bit
     errors have accumulated or ``max_bits`` bits have been sent.
 
-    Repetitions run in chunks (see the module docstring); the record is the
-    one a repetition-at-a-time loop would give.
+    Repetitions run in chunks, and a long one in windows (see the module
+    docstring); the record is the one a repetition-at-a-time loop would
+    give.
     """
     if target_errors < 1 or max_bits < 1:
         raise ValueError("target_errors and max_bits must be >= 1")
     stream = make_stream(seed, cell_id)
-    b, n_fft, cp_len = config.bits_per_symbol, config.fft_size, config.cp_len
+    b = config.bits_per_symbol
     budget = config.bit_budget
     sigma2 = ebno_to_noise_variance(ebno_db, config, channel)
     fading = channel.kind != AWGN
@@ -250,23 +286,27 @@ def run_cell(
         remaining = max_bits - bits_sent
         n_bits = max(b, (min(budget, remaining) // b) * b)
         if work is None or work.n_bits != n_bits:
-            samples = -(-(n_bits // b) // n_fft) * (n_fft + cp_len)
-            capacity = max(1, _CHUNK_SAMPLES // samples)
-            work = _Workspace(config, n_bits, capacity, noisy=sigma2 > 0.0)
+            work = _Workspace(config, n_bits, noisy=sigma2 > 0.0)
         # only repetitions of the same size share a chunk
         same_size = (remaining - budget) // n_bits + 1 if remaining >= budget else 1
         k = min(chunk, same_size, work.capacity)
 
         realizations = []
-        for r in range(k):  # per-repetition draw order: bits, channel, noise
-            work.bits[r] = draw_bits(stream, n_bits)
-            if fading:
-                realizations.append(realize_channel(channel, stream, work.n_frames))
-            if work.noise is not None:
-                noise = work.noise[r]
-                complex_gaussian(stream, noise.size, sigma2, out=noise)
+        errors = clamps = 0
+        for window in work.windows():  # one, unless the repetition runs alone
+            for r in range(k):  # per repetition: bits, channel, then noise window by window
+                if not window.start:
+                    draw_bits(stream, n_bits, out=work.bits[r])
+                    if fading:
+                        realizations.append(realize_channel(channel, stream, work.n_frames))
+                if work.noise is not None:
+                    noise = work.noise[r, :window.stop - window.start]
+                    complex_gaussian(stream, noise.size, sigma2, out=noise)
+            window_errors, window_clamps = _run_chain_once(
+                work, k, window, config, realizations, use_equalizer)
+            errors += window_errors
+            clamps += window_clamps
 
-        errors, clamps = _run_chain_once(work, k, config, realizations, use_equalizer)
         for rep_errors, rep_clamps in zip(errors.tolist(), clamps.tolist()):
             bits_sent += n_bits
             bit_errors += rep_errors

@@ -79,6 +79,20 @@ class TestBitDraws:
                 np.testing.assert_array_equal(draw_gaussian(stream, count),
                                               twin.standard_normal(count))
 
+    def test_draws_into_out_across_raw_blocks(self):
+        # draws longer than one block of raw outputs, written into out, with
+        # a high half left over before and after, still follow the stream
+        stream, twin = make_stream(77, 3), make_stream(77, 3).rng
+        for count in (3, 2 * 65_536 + 7, 6, 200_001, 65_536 + 4, 3):
+            out = np.full(count, 9, dtype=np.uint8)
+            assert draw_bits(stream, count, out=out) is out
+            np.testing.assert_array_equal(out, twin.integers(0, 2, count, dtype=np.uint8))
+            np.testing.assert_array_equal(draw_gaussian(stream, 3), twin.standard_normal(3))
+
+    def test_out_must_have_count_elements(self):
+        with pytest.raises(ValueError):
+            draw_bits(make_stream(1, 0), 8, out=np.empty(7, dtype=np.uint8))
+
     def test_mean_of_a_million_draws(self):
         bits = draw_bits(make_stream(123, 0), 1_000_000)
         assert 0.498 <= bits.mean() <= 0.502

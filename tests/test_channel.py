@@ -8,6 +8,7 @@ from ofdmsim.channel import (
     ChannelRealization,
     ChannelSpec,
     apply_channel,
+    channel_freq_response,
     complex_gaussian,
     ebno_to_noise_variance,
     exponential_pdp,
@@ -178,6 +179,30 @@ class TestApplyChannel:
         real = ChannelRealization(kind="awgn")
         with pytest.raises(ValueError):
             apply_channel(np.empty((0, 16), dtype=complex), real)
+
+    @pytest.mark.parametrize("n_taps", [1, 2, 9, 12])
+    def test_windows_in_order_equal_the_whole_repetition(self, n_taps):
+        # windows of 300, 1 and 99 frames of 8 samples: the delay line's carry
+        # crosses every boundary, and the 12-tap line's memory of 11 samples
+        # spans the whole middle window
+        stream = make_stream(13, n_taps)
+        whole = complex_gaussian(stream, 400 * 8, 1.0).reshape(400, 8)
+        real = realize_channel(ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(n_taps, 1.0))),
+                               stream, 400)
+        expected = apply_channel(whole.copy(), real)
+        blocks = whole.copy()
+        for window in (slice(0, 300), slice(300, 301), slice(301, 400)):
+            apply_channel(blocks[window], real, window)
+        np.testing.assert_array_equal(blocks, expected)
+
+    def test_flat_windows_take_their_own_gains(self):
+        x = complex_gaussian(make_stream(6, 1), 64, 1.0).reshape(4, 16)
+        real = ChannelRealization(kind="flat", gains=np.array([0.5 + 0.5j, -1.0, 2j, 3.0]))
+        frames = x.copy()
+        apply_channel(frames[:3], real, slice(0, 3))
+        apply_channel(frames[3:], real, slice(3, 4))
+        np.testing.assert_array_equal(frames, apply_channel(x.copy(), real))
+        np.testing.assert_array_equal(channel_freq_response(real, 16, slice(3, 4)), [[3.0]])
 
     def test_two_tap_channel_is_per_subcarrier_gain(self):
         # noise-free CP-framed symbol: post-DFT payload equals H[k] * X[k]

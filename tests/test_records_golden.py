@@ -16,6 +16,15 @@ The grids are chosen to reach the stop-rule corners:
   is drawn;
 * flat fading with and without the equalizer, and a delay line with and
   without a sufficient cyclic prefix.
+
+The ``*_windowed`` grids run repetitions of 90 000 bits, which span two or
+three windows of ``_CHUNK_SAMPLES`` time-domain samples with a partial last
+window, and a cap that ends each capped cell in a 49 998-bit and a 3-bit
+repetition.  Their digests were taken before long repetitions ran window by
+window, when each ran as one chunk alone, so they pin the windowed draws,
+the delay line carried across window boundaries (the TDL rows at CP 0 and
+CP 1/32 have ISI spilling over every boundary) and the per-window flat
+gains to the records of the whole-repetition chain.
 """
 
 import hashlib
@@ -63,6 +72,27 @@ GRIDS = {
         ebno_points_db=(0.0, 15.0), channel=TDL,
         master_seed=20226, max_bits_per_cell=2000, target_errors=5, bit_budget=3000,
     ),
+    "awgn_windowed": SweepGrid(
+        fft_sizes=(64, 512), cp_fractions=(Fraction(1, 4), Fraction(1, 32)),
+        ebno_points_db=(4.0, 10.0, NOISELESS), channel=ChannelSpec(kind="awgn"),
+        master_seed=20228, max_bits_per_cell=230_000, target_errors=100, bit_budget=90_000,
+    ),
+    "flat_windowed": SweepGrid(
+        fft_sizes=(64, 512), cp_fractions=(Fraction(1, 16),),
+        ebno_points_db=(20.0, 30.0, NOISELESS), channel=ChannelSpec(kind="flat"),
+        master_seed=20229, max_bits_per_cell=230_000, target_errors=300, bit_budget=90_000,
+    ),
+    "flat_windowed_noeq": SweepGrid(
+        fft_sizes=(64, 512), cp_fractions=(Fraction(1, 16),),
+        ebno_points_db=(30.0,), channel=ChannelSpec(kind="flat"),
+        master_seed=20230, max_bits_per_cell=230_000, target_errors=10**6, bit_budget=90_000,
+        use_equalizer=False,
+    ),
+    "tdl_windowed": SweepGrid(
+        fft_sizes=(64, 512), cp_fractions=(Fraction(0), Fraction(1, 32)),
+        ebno_points_db=(20.0, NOISELESS), channel=TDL,
+        master_seed=20231, max_bits_per_cell=230_000, target_errors=6000, bit_budget=90_000,
+    ),
 }
 
 CSV_SHA256 = {
@@ -72,6 +102,10 @@ CSV_SHA256 = {
     "flat_noeq": "be790420eff1aa33062398c4aab1588bb36468157538c579a6a1b51da994d8cd",
     "tdl": "832b509e9dd5d065b42c614e6a26f9796ad1be64b865d5427cc7a56482c10f66",
     "tdl_small_cap": "15344c28c39066d670cc41dbbfabce1b462a1ef574c6a23d644a26345b1ab011",
+    "awgn_windowed": "b7b82b60f928bb51a85c9675ce61d1ccffc66102b28597548640a2c62d627326",
+    "flat_windowed": "ef925b5dd5dddbc4e901f322e5f662e5b1e798a3296b7a9fbc6a5e242d1b7bdb",
+    "flat_windowed_noeq": "e3e4c94c99fd23147af05978032b8694210da0ac9d13d596b275c573c41d7862",
+    "tdl_windowed": "fb101cb8f51eabb3f1a4506d197706e59dc3b6e15c1c72bf95d0081ca88c2bd7",
 }
 
 

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
@@ -196,9 +197,9 @@ class TestChunkedExecution:
         drawn = []
         original = sweep_mod.draw_bits
 
-        def counting(stream, count):
+        def counting(stream, count, **kwargs):
             drawn.append(count)
-            return original(stream, count)
+            return original(stream, count, **kwargs)
 
         monkeypatch.setattr(sweep_mod, "draw_bits", counting)
         config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
@@ -227,6 +228,85 @@ class TestChunkedExecution:
             record = run_cell(config, ChannelSpec(kind="flat"), 10.0, 12, target,
                               target_errors=target)
             assert record.zf_clamps == (record.bits_sent // 999) * frames * 64
+
+
+TDL_12 = ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(12, 1.0)))
+
+
+class TestWindowedExecution:
+    """Repetitions longer than one window of ``_CHUNK_SAMPLES`` time-domain
+    samples, which the hypothesis budgets above (at most 4 000 bits) never
+    reach: they run window by window, and give the reference's records."""
+
+    BUDGET = 60_000  # 8-PSK bits: 20 000 symbols
+
+    @staticmethod
+    def _windows(config) -> int:
+        import ofdmsim.sweep as sweep_mod
+
+        frames = -(-TestWindowedExecution.BUDGET // 3 // config.fft_size)
+        window = sweep_mod._CHUNK_SAMPLES // (config.fft_size + config.cp_len)
+        return -(-frames // window)
+
+    # N=64, CP 1/32: 313 symbols in windows of 248, with the 12-tap delay
+    # line's ISI spilling over the boundary; N=512, CP 1/16: 40 in windows of 30
+    @pytest.mark.parametrize("fft_size,cp", [(64, Fraction(1, 32)), (512, Fraction(1, 16))])
+    @pytest.mark.parametrize("channel", [ChannelSpec(kind="awgn"), ChannelSpec(kind="flat"),
+                                         TDL_12], ids=["awgn", "flat", "tdl12"])
+    @pytest.mark.parametrize("ebno_db", [14.0, float("inf")])
+    @pytest.mark.parametrize("use_equalizer", [True, False], ids=["eq", "noeq"])
+    def test_capped_cell_matches_the_reference(self, fft_size, cp, channel, ebno_db,
+                                               use_equalizer):
+        # two multi-window repetitions, then a 30 000-bit one of a single window
+        config = OfdmConfig(fft_size, cp, modulation_order=8, bit_budget=self.BUDGET)
+        assert self._windows(config) == 2
+        stops = dict(target_errors=10**6, max_bits=150_000, use_equalizer=use_equalizer)
+        record = run_cell(config, channel, ebno_db, 5, 1, **stops)
+        assert record == reference_cell(config, channel, ebno_db, 5, 1, **stops)
+        assert record.bits_sent == 150_000
+
+    @pytest.mark.parametrize("fft_size,cp,channel,ebno_db,reps", [
+        (64, Fraction(1, 32), ChannelSpec(kind="awgn"), 11.0, 4),
+        (64, Fraction(1, 32), ChannelSpec(kind="flat"), 30.0, 3),
+        (512, Fraction(1, 16), TDL_12, 30.0, 4),
+    ], ids=["awgn", "flat", "tdl12"])
+    @pytest.mark.parametrize("use_equalizer", [True, False], ids=["eq", "noeq"])
+    def test_stop_on_target_after_long_repetitions(self, fft_size, cp, channel, ebno_db, reps,
+                                                   use_equalizer):
+        config = OfdmConfig(fft_size, cp, modulation_order=8, bit_budget=self.BUDGET)
+        stops = dict(target_errors=60, max_bits=600_000, use_equalizer=use_equalizer)
+        record = run_cell(config, channel, ebno_db, 5, 1, **stops)
+        assert record == reference_cell(config, channel, ebno_db, 5, 1, **stops)
+        if use_equalizer or channel.kind == "awgn":  # without ZF fading fails at once
+            assert record.bits_sent == reps * self.BUDGET
+            assert record.bit_errors >= 60
+
+    def test_peak_memory_grows_by_one_byte_per_bit(self):
+        # An N=512 AWGN cell of one long repetition (and a 3-bit one), at
+        # 200 000 and at 2 000 000 bits: only the repetition's bits, one byte
+        # each, may grow with it.
+        # A window (31 symbols of 528 samples) and the chain's temporaries
+        # are the same size at both budgets: about 0.8 MB of arrays.  The
+        # slack covers what else differs, Python objects and the allocator's
+        # small blocks, a few kB; at 64 KiB it is under a tenth of a window,
+        # so an array that grew with the repetition, or a second copy of its
+        # bits, fails.
+        slack = 64 * 1024
+
+        def peak(budget):
+            config = OfdmConfig(512, Fraction(1, 32), modulation_order=8, bit_budget=budget)
+            cell = (config, ChannelSpec(kind="awgn"), 20.0, 1, 0)
+            run_cell(*cell, max_bits=budget)  # lookup tables and caches first
+            tracemalloc.start()
+            try:
+                record = run_cell(*cell, max_bits=budget)
+                return tracemalloc.get_traced_memory()[1], record.bits_sent
+            finally:
+                tracemalloc.stop()
+
+        small, small_bits = peak(200_000)
+        large, large_bits = peak(2_000_000)
+        assert large - small <= (large_bits - small_bits) + slack
 
 
 class TestRunGrid:
