@@ -21,12 +21,12 @@ from pathlib import Path
 
 from ofdmsim.cli import EXIT_OK, build_grid, exit_code, run_sweep
 from ofdmsim.errors import IoError
-from ofdmsim.sweep import resolve_workers
+from ofdmsim.sweep import check_workers
 
 
 def run(args: argparse.Namespace) -> int:
     """Check every setting, then sweep the channels in turn."""
-    workers = resolve_workers(args.workers)
+    workers = check_workers(args.workers)
     names = [name.strip() for name in args.channels.split(",")]
     # build_grid reads the setting keys among the flags' dests
     grids = [build_grid({**vars(args), "channel": name}) for name in names]
@@ -60,7 +60,7 @@ def main() -> int:
     parser.add_argument("--target-errors", type=int)
     parser.add_argument("--bit-budget", type=int)
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes (OFDMSIM_WORKERS overrides)")
+                        help="worker processes (default 1; output-neutral)")
     args = parser.parse_args()
     return exit_code(lambda: run(args), parser.prog)
 

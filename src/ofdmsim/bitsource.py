@@ -10,8 +10,8 @@ Derivation of the per-cell seed (fixed for the life of this package)::
 
 where ``splitmix64`` is the SplitMix64 finalizer (Steele et al.), a full
 64-bit avalanche mixer.  The substream seed feeds a numpy PCG64 generator;
-Gaussian variates come from numpy's Ziggurat implementation
-(``Generator.standard_normal``), which takes whole 64-bit outputs.
+:func:`ofdmsim.channel.complex_gaussian` draws Gaussians with numpy's
+Ziggurat (``Generator.standard_normal``), which takes whole 64-bit outputs.
 
 Bits come straight from PCG64's raw 64-bit outputs
 (``bit_generator.random_raw``).  Each output is two 32-bit words, low half
@@ -117,19 +117,3 @@ def draw_bits(stream: RngStream, count: int, out: Optional[np.ndarray] = None) -
         stream._spare_bits = raw_bits[-4:] >> 7
     return out
 
-
-def draw_gaussian(
-    stream: RngStream, count: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Draw ``count`` i.i.d. standard normal variates (numpy Ziggurat).
-
-    ``out``, a C-contiguous float64 array of ``count`` elements in any
-    shape, receives them in C order.
-    """
-    if count < 0:
-        raise ValueError(f"draw count must be >= 0, got {count}")
-    if out is None:
-        return stream.rng.standard_normal(count)
-    if out.size != count:
-        raise ValueError(f"out holds {out.size} values, not {count}")
-    return stream.rng.standard_normal(out=out)

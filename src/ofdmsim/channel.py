@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitsource import RngStream, draw_gaussian
+from .bitsource import RngStream
 from .framing import OfdmConfig
 
 AWGN = "awgn"
@@ -124,15 +124,18 @@ def complex_gaussian(
 ) -> np.ndarray:
     """i.i.d. circular complex Gaussians of total variance ``variance`` each.
 
-    Consecutive standard normals form the (real, imaginary) pairs: they are
-    drawn into the complex array's float view and scaled in place.  ``out``,
-    a C-contiguous complex128 array of ``count`` elements in any shape,
-    receives them; the values are the ones the allocating form returns.
+    Consecutive standard normals of ``stream.rng`` form the (real,
+    imaginary) pairs: they are drawn into the complex array's float view
+    and scaled in place.  ``out``, a C-contiguous complex128 array of
+    ``count`` elements in any shape, receives them; the values are the
+    ones the allocating form returns.
     """
     if out is None:
         out = np.empty(count, dtype=np.complex128)
+    elif out.size != count:
+        raise ValueError(f"out holds {out.size} values, not {count}")
     g = out.view(np.float64)
-    draw_gaussian(stream, 2 * count, out=g)
+    stream.rng.standard_normal(out=g)
     g *= np.sqrt(variance / 2.0)
     return out
 

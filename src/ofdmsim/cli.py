@@ -164,8 +164,9 @@ def _echo_grid(grid: SweepGrid) -> None:
 
 
 def _sample_snr_db(ebno_db: float, config: OfdmConfig, spec: ChannelSpec) -> float:
+    """Per-sample SNR of an Eb/No point: +inf at the noiseless point."""
     sigma2 = ebno_to_noise_variance(ebno_db, config, spec)
-    return 10.0 * math.log10(1.0 / sigma2)
+    return 10.0 * math.log10(1.0 / sigma2) if sigma2 > 0.0 else math.inf
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -179,7 +180,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return run_sweep(grid, args.workers, args.out, args.json_out, args.plots)
 
 
-def run_sweep(grid: SweepGrid, workers: Optional[int], out: str,
+def run_sweep(grid: SweepGrid, workers: int, out: str,
               json_out: Optional[str], plots: Optional[str]) -> int:
     """Run ``grid``, write its CSV (and JSON and charts when given a path),
     and return the exit code: 1 if cells failed, after writing the rest."""
@@ -291,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--fft-sizes", help="comma list, e.g. 64,128,256,512")
     p_sweep.add_argument("--cp-fractions", help="comma list, e.g. 1/2,1/4,1/16,1/32")
     p_sweep.add_argument("--ebno", dest="ebno_points_db", help="comma list of Eb/No points in dB")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (OFDMSIM_WORKERS overrides; output-neutral)")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="worker processes (default 1; output-neutral)")
     _add_channel_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -27,37 +26,20 @@ def bits_per_symbol(order: int) -> int:
     return order.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """Unit-circle PSK constellation in angular order.
-
-    ``points[p] == exp(2j*pi*p/order)`` for p = 0..order-1, so consecutive
-    points are exactly 2*pi/order apart.  ``labels[p]`` is the bit group
-    carried at angular position p; labels follow the binary-reflected Gray
-    code, so angular neighbours (including the wrap) differ in exactly one
-    bit.  The label of position 0 is 0, fixing the reference phase.
-    """
-
-    order: int
-    points: np.ndarray
-    labels: np.ndarray
-    label_to_position: np.ndarray
+def _gray_labels(order: int) -> np.ndarray:
+    """Label of each angular position p: the binary-reflected Gray code
+    ``p ^ (p >> 1)``, so angular neighbours (including the wrap) differ in
+    exactly one bit and position 0 carries label 0."""
+    positions = np.arange(order)
+    return positions ^ (positions >> 1)
 
 
 @lru_cache(maxsize=None)
-def make_constellation(order: int) -> Constellation:
-    bits_per_symbol(order)  # rejects an invalid order
-    positions = np.arange(order)
-    labels = positions ^ (positions >> 1)
-    label_to_position = np.empty(order, dtype=np.int64)
-    label_to_position[labels] = positions
-    points = np.exp(2j * np.pi * positions / order)
-    return Constellation(
-        order=order,
-        points=points,
-        labels=labels.astype(np.int64),
-        label_to_position=label_to_position,
-    )
+def _symbols_by_label(order: int) -> np.ndarray:
+    """Symbol of each label: ``exp(2j*pi*p/order)`` at the label's angular position p."""
+    symbols = np.empty(order, dtype=np.complex128)
+    symbols[_gray_labels(order)] = np.exp(2j * np.pi * np.arange(order) / order)
+    return symbols
 
 
 def _group_bits(bits: np.ndarray, b: int) -> np.ndarray:
@@ -85,10 +67,9 @@ def _error_table(order: int) -> np.ndarray:
 
     Entry ``(p << b) | l`` is the popcount of ``labels[p] ^ l``.
     """
-    const = make_constellation(order)
     sent = np.arange(order)
     popcount = np.array([bin(x).count("1") for x in range(order)], dtype=np.uint8)
-    return popcount[const.labels[:, None] ^ sent[None, :]].ravel()
+    return popcount[_gray_labels(order)[:, None] ^ sent[None, :]].ravel()
 
 
 def _sectors(symbols: np.ndarray, order: int) -> np.ndarray:
@@ -114,16 +95,14 @@ def map_psk(bits: np.ndarray, order: int, out: Optional[np.ndarray] = None) -> n
     group 1 -> phase 2*pi/order).  Leading axes are kept, so a (k, n) block
     gives (k, n/b) symbols.  ``out``, if given, receives the symbols.
     """
-    const = make_constellation(order)
     b = bits_per_symbol(order)
     bits = np.asarray(bits)
     if bits.shape[-1] % b != 0:
         raise LengthError(
             f"bit count {bits.shape[-1]} is not divisible by {b} (order {order})"
         )
-    by_label = const.points[const.label_to_position]
     # labels are always in range; "clip" lets np.take write straight into out
-    return np.take(by_label, _group_bits(bits, b), out=out, mode="clip")
+    return np.take(_symbols_by_label(order), _group_bits(bits, b), out=out, mode="clip")
 
 
 def demap_psk(symbols: np.ndarray, order: int) -> np.ndarray:
@@ -134,9 +113,9 @@ def demap_psk(symbols: np.ndarray, order: int) -> np.ndarray:
     sectors k and k+1 resolves to k (indices before the modulo wrap), and a
     zero symbol resolves deterministically to position 0.
     """
-    const = make_constellation(order)
+    b = bits_per_symbol(order)
     sectors = _sectors(np.asarray(symbols), order)
-    return _ungroup_bits(const.labels[sectors], bits_per_symbol(order))
+    return _ungroup_bits(_gray_labels(order)[sectors], b)
 
 
 def count_psk_errors(symbols: np.ndarray, tx_bits: np.ndarray, order: int) -> np.ndarray:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -341,23 +340,11 @@ def _cell_result(task: _CellTask) -> _CellResult:
     return cell_id, record, None
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Worker count: the OFDMSIM_WORKERS env var overrides everything.
-
-    A count below 1, given or from the variable, is a :class:`ConfigError`.
-    """
-    if workers is not None and workers < 1:
+def check_workers(workers: int) -> int:
+    """``workers``, or a :class:`ConfigError` if it is below 1."""
+    if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    env = os.environ.get("OFDMSIM_WORKERS")
-    if not env:
-        return workers or 1
-    try:
-        count = int(env)
-    except ValueError:
-        raise ConfigError(f"OFDMSIM_WORKERS must be an integer, got {env!r}") from None
-    if count < 1:
-        raise ConfigError(f"OFDMSIM_WORKERS must be >= 1, got {env!r}")
-    return count
+    return workers
 
 
 def _results(tasks: list[_CellTask], n_workers: int) -> Iterator[_CellResult]:
@@ -371,12 +358,13 @@ def _results(tasks: list[_CellTask], n_workers: int) -> Iterator[_CellResult]:
         yield from pool.map(_cell_result, tasks, chunksize=max(1, len(tasks) // (4 * n_workers)))
 
 
-def run_grid(grid: SweepGrid, workers: Optional[int] = None) -> list[BerRecord]:
+def run_grid(grid: SweepGrid, workers: int = 1) -> list[BerRecord]:
     """Run every cell of the grid; output is sorted by cell_id.
 
     Cells are independent; with ``workers > 1`` they run on a process pool
     of at most one worker per cell, sent to it in batches of about a quarter
-    of each worker's share.  Worker count never changes any record.  If
+    of each worker's share.  The count is the caller's alone (a count below
+    1 is a :class:`ConfigError`), and it never changes any record.  If
     cells fail, the completed records are kept on the raised
     :class:`SweepFailure`; a worker that dies fails every cell whose result
     had not come back.
@@ -386,7 +374,7 @@ def run_grid(grid: SweepGrid, workers: Optional[int] = None) -> list[BerRecord]:
          grid.target_errors, grid.max_bits_per_cell, grid.use_equalizer)
         for cell_id, config, spec, ebno_db in grid.cells()
     ]
-    n_workers = min(resolve_workers(workers), len(tasks))
+    n_workers = min(check_workers(workers), len(tasks))
     records: list[BerRecord] = []
     failures: list[tuple[int, str]] = []
     try:

@@ -19,18 +19,16 @@ import pytest
 from ofdmsim import metrics, validate
 from ofdmsim.bitsource import DEFAULT_MASTER_SEED, make_stream
 from ofdmsim.channel import (
-    ChannelRealization,
     ChannelSpec,
-    apply_channel,
     complex_gaussian,
     ebno_to_noise_variance,
     exponential_pdp,
 )
-from ofdmsim.framing import OfdmConfig, add_cyclic_prefix, remove_cyclic_prefix, serial_to_parallel
+from ofdmsim.framing import OfdmConfig
 from ofdmsim.psk import map_psk
 from ofdmsim.sweep import run_cell
 from ofdmsim.transform import unitary_dft, unitary_idft
-from reference import direct_transform
+from reference import direct_transform, post_dft_deviation
 
 SEED = DEFAULT_MASTER_SEED
 FFT_SIZES = (64, 128, 256, 512)
@@ -78,22 +76,9 @@ def test_a3_noiseless_identity_full_grid():
     report_rows("A3", rows, time.perf_counter() - start, limit=10.0)
 
 
-def _post_dft_deviation(n_fft: int, cp: int, memory: int, seed_offset: int) -> float:
-    rng = np.random.default_rng(1234 + seed_offset)
-    taps = rng.standard_normal(memory + 1) + 1j * rng.standard_normal(memory + 1)
-    taps /= np.linalg.norm(taps)
-    bits = rng.integers(0, 2, size=3 * n_fft * 6, dtype=np.uint8)
-    matrix, _ = serial_to_parallel(map_psk(bits, 8), n_fft)
-    tx = add_cyclic_prefix(unitary_idft(matrix), cp)
-    rx = apply_channel(tx, ChannelRealization(kind="tdl", taps=taps))
-    rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))
-    expected = np.fft.fft(taps, n=n_fft)[None, :] * matrix
-    return float(np.max(np.abs(rx_freq - expected)))
-
-
 def test_a4_circular_convolution_equivalence():
-    good = max(_post_dft_deviation(64, 16, memory=8, seed_offset=k) for k in range(3))
-    bad = min(_post_dft_deviation(64, 4, memory=8, seed_offset=10 + k) for k in range(3))
+    good = max(post_dft_deviation(64, 16, memory=8, seed=1234 + k, n_frames=6) for k in range(3))
+    bad = min(post_dft_deviation(64, 4, memory=8, seed=1244 + k, n_frames=6) for k in range(3))
     ok = good < 1e-9 and bad > 1e-3
     report("A4", ok,
            f"memory 8: CP 16 deviation {good:.2e} < 1e-9; CP 4 deviation {bad:.2e} > 1e-3")
@@ -183,15 +168,12 @@ def test_a8_determinism_across_worker_counts(tmp_path):
     config_path = tmp_path / "grid.json"
     config_path.write_text(json.dumps(config))
     outputs = []
-    import os
-
     for workers, name in (("1", "w1.csv"), ("3", "w3.csv")):
         out = tmp_path / name
-        env = dict(os.environ, OFDMSIM_WORKERS=workers)
         result = subprocess.run(
-            [sys.executable, "-m", "ofdmsim", "sweep",
+            [sys.executable, "-m", "ofdmsim", "sweep", "--workers", workers,
              "--config", str(config_path), "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=600,
+            capture_output=True, text=True, timeout=600,
         )
         assert result.returncode == 0, result.stderr
         outputs.append(out.read_bytes())

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsim.bitsource import draw_bits, draw_gaussian, make_stream
+from ofdmsim.bitsource import draw_bits, make_stream
+from ofdmsim.channel import complex_gaussian
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_bits_seed42_cell0.txt"
+
+
+def normals(stream, count: int) -> np.ndarray:
+    """``count`` standard normals (``count`` even), drawn as every Gaussian is:
+    through complex_gaussian, whose variance 2 leaves them unscaled."""
+    return complex_gaussian(stream, count // 2, 2.0).view(np.float64)
 
 
 class TestDeterminism:
@@ -37,8 +44,8 @@ class TestDeterminism:
     def test_gaussian_pairs_replay(self):
         s1 = make_stream(7, 3)
         s2 = make_stream(7, 3)
-        np.testing.assert_array_equal(draw_gaussian(s1, 2), draw_gaussian(s2, 2))
-        np.testing.assert_array_equal(draw_gaussian(s1, 2), draw_gaussian(s2, 2))
+        np.testing.assert_array_equal(normals(s1, 2), normals(s2, 2))
+        np.testing.assert_array_equal(normals(s1, 2), normals(s2, 2))
 
 
 class TestBitDraws:
@@ -76,8 +83,8 @@ class TestBitDraws:
                 np.testing.assert_array_equal(
                     draw_bits(stream, count), twin.integers(0, 2, count, dtype=np.uint8))
             else:
-                np.testing.assert_array_equal(draw_gaussian(stream, count),
-                                              twin.standard_normal(count))
+                np.testing.assert_array_equal(normals(stream, 2 * count),
+                                              twin.standard_normal(2 * count))
 
     def test_draws_into_out_across_raw_blocks(self):
         # draws longer than one block of raw outputs, written into out, with
@@ -87,7 +94,7 @@ class TestBitDraws:
             out = np.full(count, 9, dtype=np.uint8)
             assert draw_bits(stream, count, out=out) is out
             np.testing.assert_array_equal(out, twin.integers(0, 2, count, dtype=np.uint8))
-            np.testing.assert_array_equal(draw_gaussian(stream, 3), twin.standard_normal(3))
+            np.testing.assert_array_equal(normals(stream, 4), twin.standard_normal(4))
 
     def test_out_must_have_count_elements(self):
         with pytest.raises(ValueError):
@@ -100,12 +107,12 @@ class TestBitDraws:
 
 class TestGaussianDraws:
     def test_moments_of_a_million_draws(self):
-        g = draw_gaussian(make_stream(99, 4), 1_000_000)
+        g = normals(make_stream(99, 4), 1_000_000)
         assert abs(g.mean()) <= 0.005
         assert 0.99 <= g.var() <= 1.01
 
     def test_substream_correlation_negligible(self):
-        a = draw_gaussian(make_stream(2024, 0), 100_000)
-        b = draw_gaussian(make_stream(2024, 1), 100_000)
+        a = normals(make_stream(2024, 0), 100_000)
+        b = normals(make_stream(2024, 1), 100_000)
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.01

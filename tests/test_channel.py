@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ofdmsim.bitsource import draw_gaussian, make_stream
+from ofdmsim.bitsource import make_stream
 from ofdmsim.channel import (
     ChannelRealization,
     ChannelSpec,
@@ -18,10 +18,10 @@ from ofdmsim.framing import (
     OfdmConfig,
     add_cyclic_prefix,
     remove_cyclic_prefix,
-    serial_to_parallel,
 )
 from ofdmsim.psk import map_psk
 from ofdmsim.transform import unitary_dft, unitary_idft
+from reference import post_dft_deviation
 
 AWGN = ChannelSpec(kind="awgn")
 
@@ -115,8 +115,8 @@ class TestRealizeChannel:
     def test_awgn_consumes_no_draws(self):
         stream = make_stream(1, 1)
         realize_channel(ChannelSpec(kind="awgn"), stream, 4)
-        np.testing.assert_array_equal(draw_gaussian(stream, 8),
-                                      draw_gaussian(make_stream(1, 1), 8))
+        np.testing.assert_array_equal(complex_gaussian(stream, 8, 1.0),
+                                      complex_gaussian(make_stream(1, 1), 8, 1.0))
 
     def test_flat_gain_unit_mean_power(self):
         real = realize_channel(ChannelSpec(kind="flat"), make_stream(8, 0), 100_000)
@@ -221,23 +221,10 @@ class TestCpSufficiency:
     """A cyclic prefix at least as long as the channel memory makes the
     delay line look like a per-subcarrier gain; a shorter one does not."""
 
-    @staticmethod
-    def _post_dft_deviation(n_fft: int, cp: int, memory: int, seed: int) -> float:
-        rng = np.random.default_rng(seed)
-        taps = (rng.standard_normal(memory + 1) + 1j * rng.standard_normal(memory + 1))
-        taps /= np.linalg.norm(taps)
-        bits = rng.integers(0, 2, size=3 * n_fft * 4, dtype=np.uint8)
-        matrix, _ = serial_to_parallel(map_psk(bits, 8), n_fft)
-        tx = add_cyclic_prefix(unitary_idft(matrix), cp)
-        rx = apply_channel(tx, ChannelRealization(kind="tdl", taps=taps))
-        rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))
-        expected = np.fft.fft(taps, n=n_fft)[None, :] * matrix
-        return float(np.max(np.abs(rx_freq - expected)))
-
     @pytest.mark.parametrize("cp", [8, 16, 32])
     def test_sufficient_prefix(self, cp):
-        assert self._post_dft_deviation(64, cp, memory=8, seed=21) < 1e-9
+        assert post_dft_deviation(64, cp, memory=8, seed=21, n_frames=4) < 1e-9
 
     @pytest.mark.parametrize("cp", [0, 2, 4])
     def test_insufficient_prefix(self, cp):
-        assert self._post_dft_deviation(64, cp, memory=8, seed=22) > 1e-3
+        assert post_dft_deviation(64, cp, memory=8, seed=22, n_frames=4) > 1e-3

@@ -24,18 +24,11 @@ SMALL_CONFIG = {
 }
 
 
-def run_cli(*args, env_extra=None, timeout=300):
-    import os
-
-    env = dict(os.environ)
-    env.pop("OFDMSIM_WORKERS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "ofdmsim", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=timeout,
     )
 
@@ -70,8 +63,7 @@ class TestSweepCommand:
         for workers, name in (("1", "a.csv"), ("3", "b.csv")):
             out = tmp_path / name
             result = run_cli(
-                "sweep", "--config", str(config_path), "--out", str(out),
-                env_extra={"OFDMSIM_WORKERS": workers},
+                "sweep", "--config", str(config_path), "--out", str(out), "--workers", workers,
             )
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())
@@ -152,6 +144,29 @@ class TestSweepCommand:
             "fft=128 cp=1/16 ebno_db=6 sample_snr_db=10.5079",
         ]
 
+    def test_report_snr_is_inf_at_the_noiseless_point(self, capsys, tmp_path):
+        import ofdmsim.cli as cli
+
+        argv = ["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno", "0,inf",
+                "--max-bits", "3000", "--report-snr", "--out", str(tmp_path / "r.csv")]
+        assert cli.main(argv) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if "sample_snr_db=" in line]
+        assert lines == ["fft=64 cp=1/4 ebno_db=0 sample_snr_db=4.7712",
+                         "fft=64 cp=1/4 ebno_db=inf sample_snr_db=inf"]
+
+    def test_workers_variable_is_ignored(self, monkeypatch, tmp_path):
+        # the worker count comes from --workers alone, never from the environment
+        import ofdmsim.cli as cli
+
+        argv = ["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno", "0,6",
+                "--max-bits", "3000"]
+        monkeypatch.delenv("OFDMSIM_WORKERS", raising=False)
+        assert cli.main([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        monkeypatch.setenv("OFDMSIM_WORKERS", "0")
+        assert cli.main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
 
 class TestSingleCommand:
     def test_emits_one_json_record(self):
@@ -188,6 +203,16 @@ class TestSingleCommand:
         )
         assert result.returncode == 0, result.stderr
         assert '"sample_snr_db": 13.80211241711606' in result.stdout.splitlines()[-2]
+
+    def test_report_snr_is_infinity_at_the_noiseless_point(self, capsys):
+        import ofdmsim.cli as cli
+
+        argv = ["single", "--fft", "64", "--cp", "1/4", "--ebno", "inf", "--max-bits", "3000",
+                "--report-snr"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert '"sample_snr_db": Infinity' in out
+        assert json.loads(out)["sample_snr_db"] == float("inf")
 
     def test_channel_defaults_to_awgn(self):
         result = run_cli("single", "--fft", "64", "--cp", "1/4", "--ebno", "10",
@@ -239,12 +264,6 @@ class TestErrorBoundary:
         assert result.returncode == 2
         assert "config error" in result.stderr
 
-    def test_malformed_workers_variable_exits_2(self, config_path, tmp_path):
-        result = run_cli("sweep", "--config", str(config_path),
-                         "--out", str(tmp_path / "x.csv"), env_extra={"OFDMSIM_WORKERS": "two"})
-        assert result.returncode == 2
-        assert "OFDMSIM_WORKERS" in result.stderr
-
     @pytest.mark.parametrize("key,value", [
         ("modulation_order", 8.9), ("target_errors", 1.7), ("fft_sizes", [64.7]),
         ("max_bits_per_cell", "24000"), ("bit_budget", True), ("tdl_len", 8.5),
@@ -280,8 +299,8 @@ class TestErrorBoundary:
         assert effective["use_equalizer"] is False
         assert effective["account_cp_overhead"] is True
 
-    @pytest.mark.parametrize("flag,variable", [("0", None), ("-2", None), (None, "0"),
-                                               ("2", "-1")])
+    # the count is the flag's alone: OFDMSIM_WORKERS does not rescue a bad one
+    @pytest.mark.parametrize("flag,variable", [("0", None), ("-2", None), ("0", "2")])
     def test_worker_count_below_one_exits_2(self, monkeypatch, capsys, tmp_path, flag,
                                              variable):
         import ofdmsim.cli as cli
@@ -291,7 +310,7 @@ class TestErrorBoundary:
             monkeypatch.setenv("OFDMSIM_WORKERS", variable)
         out = tmp_path / "x.csv"
         argv = ["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno", "30",
-                "--out", str(out)] + (["--workers", flag] if flag is not None else [])
+                "--out", str(out), "--workers", flag]
         assert cli.main(argv) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()

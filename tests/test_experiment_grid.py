@@ -18,7 +18,6 @@ FAST = ["--max-bits", "999", "--target-errors", "1", "--seed", "5"]
 
 def run(argv, env_extra=None):
     env = dict(os.environ)
-    env.pop("OFDMSIM_WORKERS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.update(env_extra or {})
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
@@ -46,7 +45,8 @@ def test_every_channel_matches_ofdmsim_sweep(tmp_path):
     (["--max-bits", "0"], None),
     (["--target-errors", "-1"], None),
     (["--channels", "awgn,rician"], None),
-    ([], {"OFDMSIM_WORKERS": "0"}),
+    # the count is the flag's alone: the variable does not rescue a bad one
+    (["--workers", "0"], {"OFDMSIM_WORKERS": "2"}),
 ])
 def test_bad_settings_exit_2_with_one_line(tmp_path, argv, env_extra):
     out_dir = tmp_path / "grid"

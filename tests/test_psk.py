@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ofdmsim.errors import LengthError, OrderError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import count_bit_errors, theoretical_mpsk_ber
-from ofdmsim.psk import bits_per_symbol, count_psk_errors, demap_psk, make_constellation, map_psk
+from ofdmsim.psk import bits_per_symbol, count_psk_errors, demap_psk, map_psk
 
 ORDERS = [2, 4, 8, 16]
 
@@ -26,46 +26,59 @@ class TestBitsPerSymbol:
     # above 256 the labels no longer fit in a byte, and the error table grows as M^2
     @pytest.mark.parametrize("order", [-4, 0, 1, 3, 6, 512])
     def test_every_user_rejects_an_invalid_order(self, order):
-        # the one check behind the config, the constellation and the theory curve
+        # the one check behind the config, the mapper and the theory curve
         for call in (
             lambda: bits_per_symbol(order),
             lambda: OfdmConfig(64, 0, modulation_order=order, bit_budget=1000),
-            lambda: make_constellation(order),
+            lambda: map_psk(np.zeros(24, dtype=np.uint8), order),
             lambda: theoretical_mpsk_ber(10.0, order),
         ):
             with pytest.raises(OrderError):
                 call()
 
 
+def symbols_by_label(order: int) -> np.ndarray:
+    """map_psk's symbol for each label 0..order-1."""
+    b = bits_per_symbol(order)
+    groups = (np.arange(order)[:, None] >> np.arange(b - 1, -1, -1)) & 1
+    return map_psk(groups.astype(np.uint8), order).ravel()
+
+
+def positions_by_label(order: int) -> np.ndarray:
+    """Angular position p (phase 2*pi*p/order) of each label's symbol."""
+    turns = np.angle(symbols_by_label(order)) / (2 * np.pi / order)
+    return np.rint(turns).astype(int) % order
+
+
 class TestConstellation:
     @pytest.mark.parametrize("order", ORDERS)
     def test_unit_magnitude(self, order):
-        const = make_constellation(order)
-        np.testing.assert_allclose(np.abs(const.points), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(symbols_by_label(order)), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_angular_spacing(self, order):
-        const = make_constellation(order)
-        phases = np.unwrap(np.angle(const.points))
-        np.testing.assert_allclose(np.diff(phases), 2 * np.pi / order, atol=1e-12)
+        # every symbol sits on a multiple of 2*pi/order, label 0 at phase 0
+        positions = positions_by_label(order)
+        np.testing.assert_allclose(symbols_by_label(order),
+                                   np.exp(2j * np.pi * positions / order), atol=1e-12)
+        assert positions[0] == 0
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_labels_are_a_bijection(self, order):
-        const = make_constellation(order)
-        assert sorted(const.labels) == list(range(order))
+        assert sorted(positions_by_label(order)) == list(range(order))
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_gray_adjacency(self, order):
         # angular neighbours (including the wrap) differ in exactly one bit
-        const = make_constellation(order)
+        label_at = np.argsort(positions_by_label(order))
         for p in range(order):
-            diff = const.labels[p] ^ const.labels[(p + 1) % order]
+            diff = label_at[p] ^ label_at[(p + 1) % order]
             assert bin(int(diff)).count("1") == 1
 
     def test_bad_orders_rejected(self):
         for order in (0, 1, 3, 6, 12):
             with pytest.raises(OrderError):
-                make_constellation(order)
+                map_psk(np.zeros(12, dtype=np.uint8), order)
 
 
 class TestMapPsk:

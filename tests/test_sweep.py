@@ -12,37 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsim.bitsource import draw_bits, make_stream
-from ofdmsim.channel import (
-    ChannelSpec,
-    apply_channel,
-    channel_freq_response,
-    complex_gaussian,
-    ebno_to_noise_variance,
-    exponential_pdp,
-    realize_channel,
-)
-from ofdmsim.equalizer import zero_forcing
-from ofdmsim.framing import (
-    OfdmConfig,
-    add_cyclic_prefix,
-    remove_cyclic_prefix,
-    serial_to_parallel,
-)
-from ofdmsim.metrics import CSV_COLUMNS, count_bit_errors, make_record
-from ofdmsim.psk import demap_psk, map_psk
+from ofdmsim.channel import ChannelSpec, exponential_pdp
+from ofdmsim.framing import OfdmConfig
+from ofdmsim.metrics import CSV_COLUMNS, make_record
 from ofdmsim.sweep import (
     SweepFailure,
     SweepGrid,
     emit_plot,
     read_records,
-    resolve_workers,
     run_cell,
     run_grid,
     write_records,
 )
-from ofdmsim.transform import unitary_dft, unitary_idft
 from ofdmsim.validate import RAW_MODEM
+from reference import reference_cell
 
 NOISELESS = 300.0
 
@@ -125,41 +108,6 @@ class TestRunCell:
         record = run_cell(config, ChannelSpec(kind="flat"), 25.0, 8, 0,
                           target_errors=50, max_bits=48_000)
         assert 0.0 <= record.ber < 0.1
-
-
-def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, max_bits,
-                   use_equalizer=True):
-    """run_cell one repetition at a time, from the public kernels only.
-
-    The draws follow the documented per-repetition order: bits, then the
-    channel (one flat gain per OFDM symbol, or one delay line; nothing for
-    AWGN), then noise.
-    """
-    stream = make_stream(seed, cell_id)
-    n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
-    b = config.bits_per_symbol
-    sigma2 = ebno_to_noise_variance(ebno_db, config, channel)
-    bits_sent = bit_errors = zf_clamps = 0
-    while True:
-        n_bits = max(b, (min(config.bit_budget, max_bits - bits_sent) // b) * b)
-        tx_bits = draw_bits(stream, n_bits)
-        matrix, used = serial_to_parallel(map_psk(tx_bits, order), n_fft)
-        rows = add_cyclic_prefix(unitary_idft(matrix), cp_len)
-        real = realize_channel(channel, stream, rows.shape[0])
-        rx = apply_channel(rows, real)
-        if sigma2 > 0.0:
-            rx = rx + complex_gaussian(stream, rx.size, sigma2).reshape(rx.shape)
-        freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len))
-        if use_equalizer and channel.kind != "awgn":
-            freq, clamps = zero_forcing(freq, channel_freq_response(real, n_fft))
-            zf_clamps += clamps
-        errors, _ = count_bit_errors(tx_bits, demap_psk(freq.ravel()[:used], order))
-        bits_sent += n_bits
-        bit_errors += errors
-        if bit_errors >= target_errors or bits_sent >= max_bits:
-            break
-    summary = channel.summary() + ("" if use_equalizer else "/noeq")
-    return make_record(config, summary, ebno_db, bits_sent, bit_errors, zf_clamps, seed, cell_id)
 
 
 @st.composite
@@ -429,13 +377,6 @@ class TestRunGrid:
     def test_plus_inf_ebno_is_the_noiseless_point(self):
         grid = small_grid(ebno_points_db=(float("inf"),), channel=ChannelSpec(kind="flat"))
         assert all(r.bit_errors == 0 for r in run_grid(grid))
-
-    def test_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("OFDMSIM_WORKERS", "5")
-        assert resolve_workers(2) == 5
-        monkeypatch.delenv("OFDMSIM_WORKERS")
-        assert resolve_workers(2) == 2
-        assert resolve_workers(None) == 1
 
 
 class TestRawModem:
