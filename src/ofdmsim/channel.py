@@ -18,20 +18,23 @@ Fading gains are normalized to unit mean power: a flat gain is
 to one.
 
 This module is the only code that draws or applies a channel.  One
-:class:`ChannelRealization` is one repetition's whole channel:
+:class:`ChannelRealization` is one repetition's whole channel, and
 :func:`realize_channel` draws it (one flat gain per OFDM symbol, or one set
-of delay-line taps, quasi-static over the repetition's burst of symbols),
-:func:`apply_channel` applies it in place to that repetition's
-``(frames, N+L)`` block, whole or a window of OFDM symbols at a time, and
-:func:`channel_freq_response` gives the receiver its response for the same
-window.  Noise is drawn separately, only through :func:`complex_gaussian`.
+of delay-line taps, quasi-static over the repetition's burst of symbols).
+The receiver side works on a chunk of repetitions at once:
+:func:`apply_channel` applies the chunk's realizations in place to its
+``(k, frames, N+L)`` block, whole or a window of OFDM symbols at a time,
+and :func:`channel_freq_response` gives the receiver the chunk's response
+for the same window.  Noise is drawn separately, only through
+:func:`complex_gaussian`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +79,13 @@ class ChannelSpec:
             object.__setattr__(self, "taps", taps)
         elif self.taps is not None:
             raise ValueError(f"{self.kind} channel takes no taps")
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """Each delay-line tap's root-mean-square amplitude, ``sqrt(p_l)`` (read-only)."""
+        amplitudes = np.sqrt(np.asarray(self.taps, dtype=np.float64))
+        amplitudes.flags.writeable = False
+        return amplitudes
 
     def summary(self) -> str:
         """Compact one-token description used in output records."""
@@ -136,7 +146,7 @@ def complex_gaussian(
         raise ValueError(f"out holds {out.size} values, not {count}")
     g = out.view(np.float64)
     stream.rng.standard_normal(out=g)
-    g *= np.sqrt(variance / 2.0)
+    g *= math.sqrt(variance / 2.0)
     return out
 
 
@@ -150,57 +160,70 @@ def realize_channel(spec: ChannelSpec, stream: RngStream, n_frames: int) -> Chan
         return ChannelRealization(kind=AWGN)
     if spec.kind == FLAT:
         return ChannelRealization(kind=FLAT, gains=complex_gaussian(stream, n_frames, 1.0))
-    powers = np.asarray(spec.taps, dtype=np.float64)
-    taps = complex_gaussian(stream, powers.size, 1.0) * np.sqrt(powers)
+    amplitudes = spec.amplitudes
+    taps = complex_gaussian(stream, amplitudes.size, 1.0) * amplitudes
     return ChannelRealization(kind=TDL, taps=taps)
 
 
 def apply_channel(
-    frames: np.ndarray, real: ChannelRealization, window: slice = slice(None)
+    frames: np.ndarray, reals: Sequence[ChannelRealization], window: slice = slice(None)
 ) -> np.ndarray:
-    """Pass OFDM symbols ``window`` of one repetition through ``real``, in place.
+    """Pass OFDM symbols ``window`` of a chunk of repetitions through their channels, in place.
 
-    ``frames`` is their ``(frames, N+L)`` block: the whole repetition by
-    default, or one window of it, the windows passed in order.  Flat fading
-    scales each frame by its gain.  The delay line applies LINEAR
-    convolution over the repetition's concatenated frames, truncated to
-    their length, so the first taps of each frame see the spill-over from
-    the preceding samples -- exactly the interference a sufficient cyclic
-    prefix absorbs.  The line starts silent at the repetition's first
-    symbol; a later window is convolved after the carry (the previous
-    window's last ``memory`` pre-channel samples), and only the outputs
-    after the carry are kept, which are the ones one convolution over the
-    whole repetition gives.  No noise is added.  Returns ``frames``.
+    ``frames`` is the chunk's ``(k, frames, N+L)`` block and ``reals`` its k
+    realizations, one per row, all of one kind.  A row holds the whole
+    repetition by default, or one window of it, the windows passed in
+    order.  Flat fading scales every frame of the chunk by its gain in one
+    broadcast multiply.  The delay line applies LINEAR convolution over a
+    repetition's concatenated frames, truncated to their length, so the
+    first taps of each frame see the spill-over from the preceding samples
+    -- exactly the interference a sufficient cyclic prefix absorbs.  It runs
+    row by row, each row one ``np.convolve``.  The line starts silent at the
+    repetition's first symbol; a later window is convolved after the carry
+    (the previous window's last ``memory`` pre-channel samples), and only
+    the outputs after the carry are kept, which are the ones one convolution
+    over the whole repetition gives.  No noise is added.  Returns ``frames``.
     """
     if frames.size == 0:
         raise ValueError("frames must be nonempty")
-    if real.kind == FLAT:
-        frames *= real.gains[window, None]
-    elif real.kind == TDL:
-        block = frames.ravel()
-        carry = real.carry if window.start else block[:0]
-        signal = np.concatenate((carry, block)) if carry.size else block
-        real.carry = signal[max(signal.size - (real.taps.size - 1), 0):].copy()
-        out = np.convolve(signal, real.taps)[carry.size:signal.size]
-        frames[...] = out.reshape(frames.shape)
+    if len(reals) != len(frames):
+        raise ValueError(f"{len(reals)} realizations for {len(frames)} repetitions")
+    kind = reals[0].kind
+    if kind == FLAT:
+        frames *= _stacked_gains(reals, window)[..., None]
+    elif kind == TDL:
+        for row, real in zip(frames, reals):
+            block = row.ravel()
+            carry = real.carry if window.start else block[:0]
+            signal = np.concatenate((carry, block)) if carry.size else block
+            real.carry = signal[max(signal.size - (real.taps.size - 1), 0):].copy()
+            out = np.convolve(signal, real.taps)[carry.size:signal.size]
+            row[...] = out.reshape(row.shape)
     return frames
 
 
 def channel_freq_response(
-    real: ChannelRealization, fft_size: int, window: slice = slice(None)
+    reals: Sequence[ChannelRealization], fft_size: int, window: slice = slice(None)
 ) -> np.ndarray:
-    """Subcarrier response of one repetition's channel, broadcastable over its frames.
+    """Subcarrier response of a chunk's channels, broadcastable over its ``(k, frames, N)`` grid.
 
-    ``window`` selects OFDM symbols as in :func:`apply_channel`.  A flat
-    gain is its own response: one ``(frames, 1)`` column, a gain per OFDM
+    ``reals`` and ``window`` are as in :func:`apply_channel`.  A flat gain
+    is its own response: a ``(k, frames, 1)`` array, a gain per OFDM
     symbol.  The delay line gives the plain (non-unitary) DFT of the
-    zero-padded taps -- that is the gain the payload subcarriers actually
+    zero-padded taps, one FFT of the chunk's ``(k, L+1)`` taps as a
+    ``(k, 1, N)`` array -- that is the gain the payload subcarriers actually
     see when the cyclic prefix turns the delay line into a circular
     convolution, given the simulator's unitary transform pair.  AWGN
-    realizations yield the all-ones response.
+    realizations yield the all-ones response of ``fft_size`` subcarriers.
     """
-    if real.kind == AWGN:
+    kind = reals[0].kind
+    if kind == AWGN:
         return np.ones(fft_size, dtype=np.complex128)
-    if real.kind == FLAT:
-        return real.gains[window, None]
-    return np.fft.fft(real.taps, n=fft_size)
+    if kind == FLAT:
+        return _stacked_gains(reals, window)[..., None]
+    return np.fft.fft(np.array([real.taps for real in reals]), n=fft_size)[:, None, :]
+
+
+def _stacked_gains(reals: Sequence[ChannelRealization], window: slice) -> np.ndarray:
+    """The flat gains of OFDM symbols ``window`` of each repetition, as a (k, frames) array."""
+    return np.array([real.gains[window] for real in reals])

@@ -8,16 +8,26 @@ import numpy as np
 ZF_CLAMP_EPS = 1e-12
 
 
-def zero_forcing(rx_freq: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, int]:
-    """Divide received subcarriers by the channel response.
+def clamped(response: np.ndarray) -> np.ndarray:
+    """Where zero forcing zeroes a subcarrier instead of inverting it: |H| < ZF_CLAMP_EPS."""
+    return np.abs(response) < ZF_CLAMP_EPS
 
-    Subcarriers where |H| < ZF_CLAMP_EPS are set to zero rather than
-    inverted; the number of clamped entries is returned so sweeps can
-    report it.  ``response`` broadcasts against ``rx_freq``.
+
+def zero_forcing(rx_freq: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, int]:
+    """Divide received subcarriers by the channel response, in place.
+
+    ``rx_freq``, a complex128 array, is overwritten and returned; ``response``
+    broadcasts against it.  Subcarriers where :func:`clamped` holds are set
+    to zero rather than inverted, and the number of clamped entries is
+    returned so sweeps can report it.  Only a response with a clamp takes
+    the masked division.
     """
-    rx_freq = np.asarray(rx_freq, dtype=np.complex128)
-    h = np.broadcast_to(np.asarray(response, dtype=np.complex128), rx_freq.shape)
-    good = np.abs(h) >= ZF_CLAMP_EPS
-    out = np.zeros_like(rx_freq)
-    np.divide(rx_freq, h, out=out, where=good)
-    return out, int(rx_freq.size - np.count_nonzero(good))
+    h = np.asarray(response, dtype=np.complex128)
+    bad = clamped(h)
+    if not bad.any():
+        np.divide(rx_freq, h, out=rx_freq)
+        return rx_freq, 0
+    bad = np.broadcast_to(bad, rx_freq.shape)
+    np.divide(rx_freq, h, out=rx_freq, where=~bad)
+    rx_freq[bad] = 0.0
+    return rx_freq, int(np.count_nonzero(bad))

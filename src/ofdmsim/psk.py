@@ -14,7 +14,7 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-#: Largest PSK order: its labels still fit in one byte (see :func:`_group_bits`).
+#: Largest PSK order: its labels still fit in one byte (see :func:`pack_labels`).
 MAX_ORDER = 256
 
 
@@ -42,12 +42,21 @@ def _symbols_by_label(order: int) -> np.ndarray:
     return symbols
 
 
-def _group_bits(bits: np.ndarray, b: int) -> np.ndarray:
-    """Pack consecutive b-bit groups (MSB first) along the last axis into labels.
+def pack_labels(bits: np.ndarray, order: int) -> np.ndarray:
+    """Pack a bit block into the Gray labels of its M-PSK symbols.
 
-    Labels are uint8, which holds every label up to :data:`MAX_ORDER`, so a
-    block of bits packs without a wider temporary.
+    Bits are consumed in b-bit groups along the last axis, MSB first; each
+    group is one label, so a (k, n) block gives (k, n/b) labels.  Labels
+    are uint8, which holds every label up to :data:`MAX_ORDER`, so a block
+    packs without a wider temporary.  :func:`map_psk` maps the labels and
+    :func:`count_psk_errors` counts errors against them.
     """
+    b = bits_per_symbol(order)
+    bits = np.asarray(bits)
+    if bits.shape[-1] % b != 0:
+        raise LengthError(
+            f"bit count {bits.shape[-1]} is not divisible by {b} (order {order})"
+        )
     groups = bits.reshape(*bits.shape[:-1], -1, b).astype(np.uint8, copy=False)
     labels = groups[..., 0].copy()
     for j in range(1, b):
@@ -87,22 +96,18 @@ def _sectors(symbols: np.ndarray, order: int) -> np.ndarray:
     return sectors
 
 
-def map_psk(bits: np.ndarray, order: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Map a bit block onto unit-energy M-PSK symbols.
+def map_psk(labels: np.ndarray, order: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Map Gray labels (see :func:`pack_labels`) onto unit-energy M-PSK symbols.
 
-    Bits are consumed in b-bit groups along the last axis, MSB first; the
-    group's Gray label selects the angular position (group 0 -> phase 0,
-    group 1 -> phase 2*pi/order).  Leading axes are kept, so a (k, n) block
-    gives (k, n/b) symbols.  ``out``, if given, receives the symbols.
+    A label selects the angular position whose Gray code it is (label 0 ->
+    phase 0, label 1 -> phase 2*pi/order).  Labels must lie in
+    0..order-1, as packed ones do; a larger one is clipped to order-1, not
+    rejected.  The shape is kept, and ``out``, if given, receives the
+    symbols.
     """
-    b = bits_per_symbol(order)
-    bits = np.asarray(bits)
-    if bits.shape[-1] % b != 0:
-        raise LengthError(
-            f"bit count {bits.shape[-1]} is not divisible by {b} (order {order})"
-        )
-    # labels are always in range; "clip" lets np.take write straight into out
-    return np.take(_symbols_by_label(order), _group_bits(bits, b), out=out, mode="clip")
+    bits_per_symbol(order)  # an invalid order is an OrderError
+    # "clip" lets np.take write straight into out
+    return np.take(_symbols_by_label(order), labels, out=out, mode="clip")
 
 
 def demap_psk(symbols: np.ndarray, order: int) -> np.ndarray:
@@ -118,23 +123,23 @@ def demap_psk(symbols: np.ndarray, order: int) -> np.ndarray:
     return _ungroup_bits(_gray_labels(order)[sectors], b)
 
 
-def count_psk_errors(symbols: np.ndarray, tx_bits: np.ndarray, order: int) -> np.ndarray:
-    """Bit errors of the nearest-phase decision on ``symbols`` against ``tx_bits``.
+def count_psk_errors(symbols: np.ndarray, labels: np.ndarray, order: int) -> np.ndarray:
+    """Bit errors of the nearest-phase decision on ``symbols`` against the ``labels`` sent.
 
     The same decision as :func:`demap_psk`, counted without unpacking the
     received labels into bits: each symbol contributes the popcount of its
     decided label XOR the label sent, read from a precomputed table.
-    Counts are summed over the last axis, so (k, S) symbols against
-    (k, S*b) bits give k counts.
+    Counts are summed over the last axis, so (k, S) symbols against (k, S)
+    labels give k counts.
     """
     b = bits_per_symbol(order)
     symbols = np.asarray(symbols)
-    tx_bits = np.asarray(tx_bits)
-    if tx_bits.shape[-1] != symbols.shape[-1] * b:
+    labels = np.asarray(labels)
+    if labels.shape[-1] != symbols.shape[-1]:
         raise LengthError(
-            f"{tx_bits.shape[-1]} bits do not match {symbols.shape[-1]} symbols (order {order})"
+            f"{labels.shape[-1]} labels do not match {symbols.shape[-1]} symbols"
         )
     keys = _sectors(symbols, order)
     keys <<= b
-    keys |= _group_bits(tx_bits, b)
+    keys |= labels
     return _error_table(order)[keys].sum(axis=-1)

@@ -12,12 +12,19 @@ fit in ``_CHUNK_SAMPLES`` time-domain samples.  A repetition that fits in
 a window shares a chunk with as many others of its size as the window
 holds: the draws of every repetition in the chunk are made first, each
 repetition's in the order above, into (k, ...) arrays; then the chain runs
-once on the whole chunk, row by row.  A longer repetition runs alone,
-window by window: its bits and its channel are drawn once, then each
-window's noise is drawn and the chain runs on that window, the delay line
-carrying its last samples into the next.  The draws are the repetition's
-own, in its order, so a record does not depend on the windows; a cell's
-memory is about one window plus one byte per bit of its repetition.
+once on the whole chunk.  Every step after the draws takes the chunk at
+once -- the bits are packed into PSK labels once, flat gains and the
+zero-forcing division are one broadcast operation each, and the delay-line
+responses one FFT -- and gives each element the same floating-point
+operation on the same operands as a repetition on its own; only the
+delay-line convolution runs per repetition.  Zero-forcing clamps are
+attributed to their repetitions from the response.  A longer repetition
+runs alone, window by window: its bits and its channel are drawn once,
+then each window's noise is drawn and the chain runs on that window, the
+delay line carrying its last samples into the next.  The draws are the
+repetition's own, in its order, so a record does not depend on the
+windows; a cell's memory is about one window plus one byte per bit of its
+repetition.
 
 The cell stops at the first repetition whose running totals reach
 ``target_errors`` or ``max_bits``, and the draws of the chunk's later
@@ -52,11 +59,11 @@ from .channel import (
     ebno_to_noise_variance,
     realize_channel,
 )
-from .equalizer import zero_forcing
+from .equalizer import clamped, zero_forcing
 from .errors import ConfigError, IoError, SizeError
 from .framing import OfdmConfig, remove_cyclic_prefix
 from .metrics import CSV_COLUMNS, BerRecord, as_row, make_record
-from .psk import count_psk_errors, map_psk
+from .psk import count_psk_errors, map_psk, pack_labels
 from .svgplot import emit_plot  # re-exported: plotting is part of the sweep surface
 from .transform import unitary_dft, unitary_idft
 
@@ -211,11 +218,13 @@ def _run_chain_once(
     Works on OFDM symbols ``window`` of the first k rows of ``work``: the
     bits and the window's noise are drawn into it beforehand, and
     ``realizations`` holds the k channel draws of a fading cell (none for
-    AWGN).  Every step works row by row, so a chunk gives the same result
-    as its repetitions one at a time, and a repetition's windows the same
-    as the whole repetition at once.
+    AWGN).  Each step takes the whole chunk, and gives every element the
+    operation it would get in its repetition alone, so a chunk gives the
+    same result as its repetitions one at a time, and a repetition's
+    windows the same as the whole repetition at once.
 
-    Returns per-repetition (bit errors, zero-forcing clamps) of the window.
+    Returns per-repetition (bit errors, zero-forcing clamps) of the window;
+    the chunk's clamps are attributed to their rows from the response.
     """
     n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
     count = window.stop - window.start
@@ -229,24 +238,26 @@ def _run_chain_once(
 
     slots = grid.reshape(k, -1)
     slots[:, used:] = 0.0  # zero padding of the repetition's last OFDM symbol
-    map_psk(bits, order, out=slots[:, :used])
+    labels = pack_labels(bits, order)
+    map_psk(labels, order, out=slots[:, :used])
     unitary_idft(grid, out=tx[..., cp_len:])
     tx[..., :cp_len] = tx[..., n_fft:]  # cyclic prefix: copy of the symbol tail
 
-    for frames, real in zip(tx, realizations):
-        apply_channel(frames, real, window)
+    if realizations:
+        apply_channel(tx, realizations, window)
     rx = tx if work.noise is None else np.add(work.noise[:k, :count], tx,
                                               out=work.noise[:k, :count])
     freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), out=grid)
 
     clamps = np.zeros(k, dtype=np.int64)
-    if use_equalizer:
-        # per repetition: a record counts only the kept ones' clamps
-        for r, real in enumerate(realizations):
-            response = channel_freq_response(real, n_fft, window)
-            freq[r], clamps[r] = zero_forcing(freq[r], response)
+    if use_equalizer and realizations:
+        response = channel_freq_response(realizations, n_fft, window)
+        if zero_forcing(freq, response)[1]:  # equalizes freq in place
+            # per repetition: a record counts only the kept ones' clamps
+            bad = np.broadcast_to(clamped(response), freq.shape)
+            clamps = np.count_nonzero(bad, axis=(1, 2))
 
-    errors = count_psk_errors(freq.reshape(k, -1)[:, :used], bits, order)
+    errors = count_psk_errors(freq.reshape(k, -1)[:, :used], labels, order)
     return errors, clamps
 
 

@@ -20,7 +20,7 @@ from ofdmsim.equalizer import zero_forcing
 from ofdmsim.errors import SizeError
 from ofdmsim.framing import add_cyclic_prefix, remove_cyclic_prefix, serial_to_parallel
 from ofdmsim.metrics import count_bit_errors, make_record
-from ofdmsim.psk import demap_psk, map_psk
+from ofdmsim.psk import demap_psk, map_psk, pack_labels
 from ofdmsim.transform import unitary_dft, unitary_idft
 
 
@@ -48,9 +48,9 @@ def post_dft_deviation(n_fft: int, cp: int, memory: int, seed: int, n_frames: in
     taps = rng.standard_normal(memory + 1) + 1j * rng.standard_normal(memory + 1)
     taps /= np.linalg.norm(taps)
     bits = rng.integers(0, 2, size=3 * n_fft * n_frames, dtype=np.uint8)
-    matrix, _ = serial_to_parallel(map_psk(bits, 8), n_fft)
+    matrix, _ = serial_to_parallel(map_psk(pack_labels(bits, 8), 8), n_fft)
     tx = add_cyclic_prefix(unitary_idft(matrix), cp)
-    rx = apply_channel(tx, ChannelRealization(kind="tdl", taps=taps))
+    rx = apply_channel(tx[None], [ChannelRealization(kind="tdl", taps=taps)])[0]
     rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))
     expected = np.fft.fft(taps, n=n_fft)[None, :] * matrix
     return float(np.max(np.abs(rx_freq - expected)))
@@ -72,15 +72,15 @@ def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, ma
     while True:
         n_bits = max(b, (min(config.bit_budget, max_bits - bits_sent) // b) * b)
         tx_bits = draw_bits(stream, n_bits)
-        matrix, used = serial_to_parallel(map_psk(tx_bits, order), n_fft)
+        matrix, used = serial_to_parallel(map_psk(pack_labels(tx_bits, order), order), n_fft)
         rows = add_cyclic_prefix(unitary_idft(matrix), cp_len)
         real = realize_channel(channel, stream, rows.shape[0])
-        rx = apply_channel(rows, real)
+        rx = apply_channel(rows[None], [real])[0]
         if sigma2 > 0.0:
             rx = rx + complex_gaussian(stream, rx.size, sigma2).reshape(rx.shape)
         freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len))
         if use_equalizer and channel.kind != "awgn":
-            freq, clamps = zero_forcing(freq, channel_freq_response(real, n_fft))
+            freq, clamps = zero_forcing(freq, channel_freq_response([real], n_fft)[0])
             zf_clamps += clamps
         errors, _ = count_bit_errors(tx_bits, demap_psk(freq.ravel()[:used], order))
         bits_sent += n_bits

@@ -25,7 +25,7 @@ from ofdmsim.channel import (
     exponential_pdp,
 )
 from ofdmsim.framing import OfdmConfig
-from ofdmsim.psk import map_psk
+from ofdmsim.psk import map_psk, pack_labels
 from ofdmsim.sweep import run_cell
 from ofdmsim.transform import unitary_dft, unitary_idft
 from reference import direct_transform, post_dft_deviation
@@ -187,7 +187,7 @@ def test_a9_noise_calibration():
     sigma2 = ebno_to_noise_variance(ebno_db, validate.RAW_MODEM, ChannelSpec(kind="awgn"))
     rng = np.random.default_rng(9)
     bits = rng.integers(0, 2, size=3_000_000, dtype=np.uint8)  # 1e6 symbols
-    x = map_psk(bits, 8)
+    x = map_psk(pack_labels(bits, 8), 8)
     noise = complex_gaussian(make_stream(SEED, 9901), x.size, sigma2)
     measured = 10 * np.log10(np.mean(np.abs(x) ** 2) / np.mean(np.abs(noise) ** 2))
     configured = 10 * np.log10(1.0 / sigma2)

@@ -19,7 +19,7 @@ from ofdmsim.framing import (
     add_cyclic_prefix,
     remove_cyclic_prefix,
 )
-from ofdmsim.psk import map_psk
+from ofdmsim.psk import map_psk, pack_labels
 from ofdmsim.transform import unitary_dft, unitary_idft
 from reference import post_dft_deviation
 
@@ -49,7 +49,7 @@ class TestNoiseCalibration:
         stream = make_stream(31, 0)
         rng = np.random.default_rng(7)
         bits = rng.integers(0, 2, size=3_000_000, dtype=np.uint8)
-        x = map_psk(bits, 8)
+        x = map_psk(pack_labels(bits, 8), 8)
         noise = complex_gaussian(stream, x.size, sigma2)
         measured_db = 10 * np.log10(np.mean(np.abs(x) ** 2) / np.mean(np.abs(noise) ** 2))
         configured_db = 10 * np.log10(1.0 / sigma2)
@@ -100,6 +100,12 @@ class TestChannelSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ChannelSpec(kind="rician")
+
+    def test_tap_amplitudes_are_computed_once(self):
+        spec = ChannelSpec(kind="tdl", taps=(0.5, 0.3, 0.2))
+        assert spec.amplitudes is spec.amplitudes
+        np.testing.assert_array_equal(spec.amplitudes, np.sqrt(np.array([0.5, 0.3, 0.2])))
+        assert not spec.amplitudes.flags.writeable
 
     def test_summary_strings(self):
         assert ChannelSpec(kind="awgn").summary() == "awgn"
@@ -158,27 +164,50 @@ class TestComplexGaussian:
 
 class TestApplyChannel:
     def test_noiseless_awgn_is_identity(self):
-        x = complex_gaussian(make_stream(3, 1), 256, 1.0).reshape(4, 64)
-        y = apply_channel(x.copy(), ChannelRealization(kind="awgn"))
+        x = complex_gaussian(make_stream(3, 1), 256, 1.0).reshape(1, 4, 64)
+        y = apply_channel(x.copy(), [ChannelRealization(kind="awgn")])
         np.testing.assert_array_equal(y, x)
 
     def test_single_unit_tap_is_identity(self):
-        x = complex_gaussian(make_stream(4, 1), 256, 1.0).reshape(4, 64)
+        x = complex_gaussian(make_stream(4, 1), 256, 1.0).reshape(2, 2, 64)
         real = ChannelRealization(kind="tdl", taps=np.array([1.0 + 0j]))
-        np.testing.assert_allclose(apply_channel(x.copy(), real), x, atol=1e-15)
+        np.testing.assert_allclose(apply_channel(x.copy(), [real, real]), x, atol=1e-15)
 
     def test_flat_gain_scales(self):
-        x = complex_gaussian(make_stream(5, 1), 64, 1.0).reshape(4, 16)
-        gains = np.array([0.5 + 0.5j, -1.0, 2j, 0.0])
+        # a chunk of two repetitions of two frames, each frame by its own gain
+        x = complex_gaussian(make_stream(5, 1), 64, 1.0).reshape(2, 2, 16)
+        gains = np.array([[0.5 + 0.5j, -1.0], [2j, 0.0]])
         frames = x.copy()
-        returned = apply_channel(frames, ChannelRealization(kind="flat", gains=gains))
+        reals = [ChannelRealization(kind="flat", gains=g) for g in gains]
+        returned = apply_channel(frames, reals)
         assert returned is frames  # in place
-        np.testing.assert_allclose(frames, gains[:, None] * x, atol=1e-15)
+        np.testing.assert_array_equal(frames, gains[..., None] * x)
 
     def test_empty_signal_rejected(self):
         real = ChannelRealization(kind="awgn")
         with pytest.raises(ValueError):
-            apply_channel(np.empty((0, 16), dtype=complex), real)
+            apply_channel(np.empty((1, 0, 16), dtype=complex), [real])
+
+    def test_one_realization_per_row(self):
+        real = ChannelRealization(kind="flat", gains=np.ones(4))
+        with pytest.raises(ValueError):
+            apply_channel(np.ones((2, 4, 16), dtype=complex), [real])
+
+    @pytest.mark.parametrize("kind", ["flat", "tdl"])
+    def test_chunk_rows_take_their_own_channels(self, kind):
+        # a chunk of three repetitions gives each row what its channel gives
+        # it alone, and its response is each row's own
+        taps = tuple(exponential_pdp(9, 1.0)) if kind == "tdl" else None
+        spec = ChannelSpec(kind=kind, taps=taps)
+        stream = make_stream(14, 0)
+        reals = [realize_channel(spec, stream, 5) for _ in range(3)]
+        x = complex_gaussian(stream, 3 * 5 * 80, 1.0).reshape(3, 5, 80)
+        chunk = apply_channel(x.copy(), reals)
+        response = np.broadcast_to(channel_freq_response(reals, 64), (3, 5, 64))
+        for row, real, alone, h in zip(x, reals, chunk, response):
+            np.testing.assert_array_equal(apply_channel(row.copy()[None], [real])[0], alone)
+            own = real.gains[:, None] if kind == "flat" else np.fft.fft(real.taps, n=64)
+            np.testing.assert_array_equal(h, np.broadcast_to(own, (5, 64)))
 
     @pytest.mark.parametrize("n_taps", [1, 2, 9, 12])
     def test_windows_in_order_equal_the_whole_repetition(self, n_taps):
@@ -189,20 +218,20 @@ class TestApplyChannel:
         whole = complex_gaussian(stream, 400 * 8, 1.0).reshape(400, 8)
         real = realize_channel(ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(n_taps, 1.0))),
                                stream, 400)
-        expected = apply_channel(whole.copy(), real)
+        expected = apply_channel(whole.copy()[None], [real])[0]
         blocks = whole.copy()
         for window in (slice(0, 300), slice(300, 301), slice(301, 400)):
-            apply_channel(blocks[window], real, window)
+            apply_channel(blocks[None, window], [real], window)
         np.testing.assert_array_equal(blocks, expected)
 
     def test_flat_windows_take_their_own_gains(self):
-        x = complex_gaussian(make_stream(6, 1), 64, 1.0).reshape(4, 16)
+        x = complex_gaussian(make_stream(6, 1), 64, 1.0).reshape(1, 4, 16)
         real = ChannelRealization(kind="flat", gains=np.array([0.5 + 0.5j, -1.0, 2j, 3.0]))
         frames = x.copy()
-        apply_channel(frames[:3], real, slice(0, 3))
-        apply_channel(frames[3:], real, slice(3, 4))
-        np.testing.assert_array_equal(frames, apply_channel(x.copy(), real))
-        np.testing.assert_array_equal(channel_freq_response(real, 16, slice(3, 4)), [[3.0]])
+        apply_channel(frames[:, :3], [real], slice(0, 3))
+        apply_channel(frames[:, 3:], [real], slice(3, 4))
+        np.testing.assert_array_equal(frames, apply_channel(x.copy(), [real]))
+        np.testing.assert_array_equal(channel_freq_response([real], 16, slice(3, 4)), [[[3.0]]])
 
     def test_two_tap_channel_is_per_subcarrier_gain(self):
         # noise-free CP-framed symbol: post-DFT payload equals H[k] * X[k]
@@ -210,9 +239,9 @@ class TestApplyChannel:
         taps = np.array([0.8 - 0.1j, 0.3 + 0.4j])
         rng = np.random.default_rng(12)
         x_freq = rng.standard_normal(n_fft) + 1j * rng.standard_normal(n_fft)
-        tx = add_cyclic_prefix(unitary_idft(x_freq), cp)[None, :]
-        rx = apply_channel(tx, ChannelRealization(kind="tdl", taps=taps))
-        y_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))[0]
+        tx = add_cyclic_prefix(unitary_idft(x_freq), cp)[None, None, :]
+        rx = apply_channel(tx, [ChannelRealization(kind="tdl", taps=taps)])
+        y_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))[0, 0]
         expected = np.fft.fft(taps, n=n_fft) * x_freq
         assert np.max(np.abs(y_freq - expected)) < 1e-9
 

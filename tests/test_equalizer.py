@@ -15,31 +15,32 @@ def random_complex(n: int, seed: int) -> np.ndarray:
 class TestFreqResponse:
     def test_unit_tap_is_flat(self):
         real = ChannelRealization(kind="tdl", taps=np.array([1.0 + 0j]))
-        np.testing.assert_allclose(channel_freq_response(real, 8), np.ones(8), atol=1e-15)
+        np.testing.assert_allclose(channel_freq_response([real], 8)[0, 0], np.ones(8), atol=1e-15)
 
     def test_flat_gain_repeats(self):
         # a flat gain is its own response, one per OFDM symbol, on every subcarrier
         gains = np.array([0.5 + 0.5j, -2.0, 1j])
         real = ChannelRealization(kind="flat", gains=gains)
-        response = np.broadcast_to(channel_freq_response(real, 16), (3, 16))
-        np.testing.assert_array_equal(response, np.repeat(gains[:, None], 16, axis=1))
+        response = np.broadcast_to(channel_freq_response([real], 16), (1, 3, 16))
+        np.testing.assert_array_equal(response[0], np.repeat(gains[:, None], 16, axis=1))
 
     def test_awgn_gives_all_ones(self):
         real = ChannelRealization(kind="awgn")
-        np.testing.assert_array_equal(channel_freq_response(real, 4), np.ones(4))
+        np.testing.assert_array_equal(channel_freq_response([real], 4), np.ones(4))
 
     def test_two_taps_closed_form(self):
         h0, h1 = 0.9 - 0.2j, 0.1 + 0.3j
         real = ChannelRealization(kind="tdl", taps=np.array([h0, h1]))
         k = np.arange(4)
         expected = h0 + h1 * np.exp(-1j * np.pi * k / 2)
-        np.testing.assert_allclose(channel_freq_response(real, 4), expected, atol=1e-12)
+        np.testing.assert_allclose(channel_freq_response([real], 4)[0, 0], expected,
+                                   atol=1e-12)
 
 
 class TestZeroForcing:
     def test_all_ones_is_identity(self):
         rx = random_complex(64, 1)
-        out, clamps = zero_forcing(rx, np.ones(64))
+        out, clamps = zero_forcing(rx.copy(), np.ones(64))
         np.testing.assert_array_equal(out, rx)
         assert clamps == 0
 
@@ -64,7 +65,7 @@ class TestZeroForcing:
         rx = random_complex(8, 5)
         h = np.ones(8, dtype=complex)
         h[3] = 0.0
-        out, clamps = zero_forcing(rx, h)
+        out, clamps = zero_forcing(rx.copy(), h)
         assert clamps == 1
         assert out[3] == 0.0
         np.testing.assert_array_equal(np.delete(out, 3), np.delete(rx, 3))
@@ -79,9 +80,29 @@ class TestZeroForcing:
     def test_response_broadcasts_over_rows(self):
         rx = random_complex(32, 6).reshape(4, 8)
         h = random_complex(8, 7) + 2.0
-        out, clamps = zero_forcing(rx, h[None, :])
+        out, clamps = zero_forcing(rx.copy(), h[None, :])
         np.testing.assert_allclose(out, rx / h[None, :], atol=1e-12)
         assert clamps == 0
+
+    def test_divides_in_place(self):
+        rx = random_complex(16, 9).reshape(2, 8)
+        h = random_complex(8, 10) + 2.0
+        expected = rx / h
+        out, _ = zero_forcing(rx, h)
+        assert out is rx
+        np.testing.assert_array_equal(rx, expected)
+
+    def test_masked_division_matches_the_plain_one(self):
+        # a clamp anywhere in the response leaves every other entry as the
+        # unmasked division gives it
+        rx = random_complex(24, 11).reshape(3, 8)
+        h = random_complex(8, 12) + 2.0
+        plain, _ = zero_forcing(rx.copy(), h)
+        h[5] = 0.0
+        masked, clamps = zero_forcing(rx.copy(), h)
+        assert clamps == 3
+        np.testing.assert_array_equal(masked[:, 5], 0.0)
+        np.testing.assert_array_equal(np.delete(masked, 5, axis=1), np.delete(plain, 5, axis=1))
 
     def test_all_zero_response_counts_every_entry(self):
         rx = random_complex(16, 8)

@@ -14,7 +14,7 @@ from ofdmsim.framing import (
     remove_cyclic_prefix,
     serial_to_parallel,
 )
-from ofdmsim.psk import map_psk, demap_psk
+from ofdmsim.psk import map_psk, demap_psk, pack_labels
 from ofdmsim.transform import unitary_dft, unitary_idft
 
 GRID_FRACTIONS = [Fraction(0), Fraction(1, 32), Fraction(1, 16),
@@ -134,7 +134,7 @@ class TestChainInvariants:
         cp = int(frac * fft_size)
         rng = np.random.default_rng(fft_size * 100 + cp)
         bits = rng.integers(0, 2, size=3 * 2 * fft_size - 3, dtype=np.uint8)
-        symbols = map_psk(bits, order)
+        symbols = map_psk(pack_labels(bits, order), order)
         matrix, used = serial_to_parallel(symbols, fft_size)
         tx = add_cyclic_prefix(unitary_idft(matrix), cp).ravel()
 
@@ -154,7 +154,7 @@ class TestChainInvariants:
         b = order.bit_length() - 1
         rng = np.random.default_rng(order)
         bits = rng.integers(0, 2, size=b * 150, dtype=np.uint8)
-        symbols = map_psk(bits, order)
+        symbols = map_psk(pack_labels(bits, order), order)
         matrix, used = serial_to_parallel(symbols, 64)
         tx = add_cyclic_prefix(unitary_idft(matrix), 16)
         freq = unitary_dft(remove_cyclic_prefix(tx, 64, 16))

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from ofdmsim.errors import LengthError, OrderError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import count_bit_errors, theoretical_mpsk_ber
-from ofdmsim.psk import bits_per_symbol, count_psk_errors, demap_psk, map_psk
+from ofdmsim.psk import bits_per_symbol, count_psk_errors, demap_psk, map_psk, pack_labels
 
 ORDERS = [2, 4, 8, 16]
+
+
+def map_bits(bits, order: int, out=None) -> np.ndarray:
+    """map_psk of the labels ``bits`` pack into."""
+    return map_psk(pack_labels(bits, order), order, out=out)
 
 
 def bits_for(order: int, n_symbols: int, seed: int) -> np.ndarray:
@@ -30,7 +35,8 @@ class TestBitsPerSymbol:
         for call in (
             lambda: bits_per_symbol(order),
             lambda: OfdmConfig(64, 0, modulation_order=order, bit_budget=1000),
-            lambda: map_psk(np.zeros(24, dtype=np.uint8), order),
+            lambda: pack_labels(np.zeros(24, dtype=np.uint8), order),
+            lambda: map_psk(np.zeros(8, dtype=np.uint8), order),
             lambda: theoretical_mpsk_ber(10.0, order),
         ):
             with pytest.raises(OrderError):
@@ -41,7 +47,7 @@ def symbols_by_label(order: int) -> np.ndarray:
     """map_psk's symbol for each label 0..order-1."""
     b = bits_per_symbol(order)
     groups = (np.arange(order)[:, None] >> np.arange(b - 1, -1, -1)) & 1
-    return map_psk(groups.astype(np.uint8), order).ravel()
+    return map_bits(groups.astype(np.uint8), order).ravel()
 
 
 def positions_by_label(order: int) -> np.ndarray:
@@ -83,30 +89,30 @@ class TestConstellation:
 
 class TestMapPsk:
     def test_all_zero_group_is_reference_phase(self):
-        np.testing.assert_allclose(map_psk([0, 0, 0], 8), [1.0 + 0.0j], atol=1e-12)
+        np.testing.assert_allclose(map_bits([0, 0, 0], 8), [1.0 + 0.0j], atol=1e-12)
 
     def test_group_001_is_45_degrees(self):
         expected = np.exp(1j * np.pi / 4)
-        np.testing.assert_allclose(map_psk([0, 0, 1], 8), [expected], atol=1e-12)
+        np.testing.assert_allclose(map_bits([0, 0, 1], 8), [expected], atol=1e-12)
 
     def test_all_groups_cover_the_circle(self):
         bits = np.array([(g >> s) & 1 for g in range(8) for s in (2, 1, 0)])
-        symbols = map_psk(bits, 8)
+        symbols = map_bits(bits, 8)
         phases = np.sort(np.mod(np.angle(symbols), 2 * np.pi))
         np.testing.assert_allclose(phases, np.arange(8) * np.pi / 4, atol=1e-12)
         assert len(np.unique(np.round(symbols, 9))) == 8
 
     def test_length_not_divisible_rejected(self):
         with pytest.raises(LengthError):
-            map_psk([0, 1], 8)
+            map_bits([0, 1], 8)
 
     def test_bad_order_rejected(self):
         with pytest.raises(OrderError):
-            map_psk([0, 1, 0], 6)
+            map_bits([0, 1, 0], 6)
 
     def test_mean_energy_is_one(self):
         bits = bits_for(8, 4096, seed=3)
-        energy = np.mean(np.abs(map_psk(bits, 8)) ** 2)
+        energy = np.mean(np.abs(map_bits(bits, 8)) ** 2)
         assert abs(energy - 1.0) < 1e-12
 
 
@@ -142,22 +148,22 @@ class TestDemapPsk:
     @pytest.mark.parametrize("order", ORDERS)
     def test_roundtrip_fixed(self, order):
         bits = bits_for(order, 512, seed=11)
-        np.testing.assert_array_equal(demap_psk(map_psk(bits, order), order), bits)
+        np.testing.assert_array_equal(demap_psk(map_bits(bits, order), order), bits)
 
 
 class TestBlocks:
     def test_map_keeps_leading_axes(self):
         bits = bits_for(8, 40, seed=14).reshape(4, 30)
-        symbols = map_psk(bits, 8)
+        symbols = map_bits(bits, 8)
         assert symbols.shape == (4, 10)
         for row_bits, row in zip(bits, symbols):
-            np.testing.assert_array_equal(map_psk(row_bits, 8), row)
+            np.testing.assert_array_equal(map_bits(row_bits, 8), row)
 
     def test_map_into_out(self):
         bits = bits_for(8, 20, seed=15).reshape(2, 30)
         buffer = np.zeros((2, 16), dtype=complex)
-        map_psk(bits, 8, out=buffer[:, :10])
-        np.testing.assert_array_equal(buffer[:, :10], map_psk(bits, 8))
+        map_bits(bits, 8, out=buffer[:, :10])
+        np.testing.assert_array_equal(buffer[:, :10], map_bits(bits, 8))
         np.testing.assert_array_equal(buffer[:, 10:], 0)
 
 
@@ -165,9 +171,9 @@ class TestCountPskErrors:
     def test_sums_over_the_last_axis(self):
         rng = np.random.default_rng(16)
         bits = bits_for(8, 60, seed=17).reshape(3, 60)
-        symbols = map_psk(bits, 8) + 0.4 * (rng.standard_normal((3, 20))
+        symbols = map_bits(bits, 8) + 0.4 * (rng.standard_normal((3, 20))
                                             + 1j * rng.standard_normal((3, 20)))
-        counts = count_psk_errors(symbols, bits, 8)
+        counts = count_psk_errors(symbols, pack_labels(bits, 8), 8)
         assert counts.shape == (3,)
         for row_symbols, row_bits, count in zip(symbols, bits, counts):
             assert count == count_bit_errors(row_bits, demap_psk(row_symbols, 8))[0]
@@ -177,7 +183,8 @@ class TestCountPskErrors:
             b = order.bit_length() - 1
             for label in range(order):
                 sent = np.array([(label >> s) & 1 for s in range(b - 1, -1, -1)] * len(symbols))
-                assert count_psk_errors(symbols, sent, order) == count_bit_errors(
+                labels = pack_labels(sent, order)
+                assert count_psk_errors(symbols, labels, order) == count_bit_errors(
                     sent, demap_psk(symbols, order))[0]
 
     def test_length_mismatch_rejected(self):
@@ -201,7 +208,7 @@ class TestProperties:
             ),
             dtype=np.uint8,
         )
-        symbols = map_psk(bits, order)
+        symbols = map_bits(bits, order)
         np.testing.assert_array_equal(demap_psk(symbols, order), bits)
 
     @given(
@@ -214,10 +221,10 @@ class TestProperties:
     def test_count_matches_demap_then_count(self, order, seed, n_symbols, noise):
         rng = np.random.default_rng(seed)
         bits = bits_for(order, n_symbols, seed)
-        symbols = map_psk(bits, order) + noise * (
+        symbols = map_bits(bits, order) + noise * (
             rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols))
         expected = count_bit_errors(bits, demap_psk(symbols, order))[0]
-        assert count_psk_errors(symbols, bits, order) == expected
+        assert count_psk_errors(symbols, pack_labels(bits, order), order) == expected
 
     @given(
         scale=st.floats(min_value=1e-6, max_value=1e6),

@@ -177,6 +177,56 @@ class TestChunkedExecution:
                               target_errors=target)
             assert record.zf_clamps == (record.bits_sent // 999) * frames * 64
 
+    @staticmethod
+    def _clamp_alternate_repetitions(monkeypatch, clamp):
+        """Make ``clamp(real)`` act on every other repetition's channel draw,
+        starting with the first; returns the list of draws as they are made."""
+        import ofdmsim.sweep as sweep_mod
+
+        original = sweep_mod.realize_channel
+        drawn = []
+
+        def alternate(spec, stream, n_frames):
+            real = original(spec, stream, n_frames)
+            if len(drawn) % 2 == 0:
+                clamp(real)
+            drawn.append(real)
+            return real
+
+        monkeypatch.setattr(sweep_mod, "realize_channel", alternate)
+        return drawn
+
+    def _assert_clamps_stay_with_their_repetitions(self, drawn, channel, cells, per_rep):
+        # the chunk's response mixes clamped and clean rows, and each stop
+        # discards at least one clamped repetition of its chunk
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
+        for cell_id, target in cells:
+            drawn.clear()
+            record = run_cell(config, channel, 10.0, 12, cell_id, target_errors=target)
+            kept = record.bits_sent // 999
+            assert kept % 2 == 0 and len(drawn) > kept  # the stop falls inside a chunk
+            assert record.zf_clamps == (kept // 2) * per_rep
+
+    def test_flat_clamps_of_alternate_repetitions_stay_with_their_rows(self, monkeypatch):
+        # the last OFDM symbol's gain is zero in every other repetition: 64
+        # clamped subcarriers there, none in the others
+        def dead_last_symbol(real):
+            real.gains[-1] = 0.0
+
+        drawn = self._clamp_alternate_repetitions(monkeypatch, dead_last_symbol)
+        self._assert_clamps_stay_with_their_repetitions(
+            drawn, ChannelSpec(kind="flat"), [(3, 400), (6, 1200)], per_rep=64)
+
+    def test_tdl_spectral_null_clamps_stay_with_their_rows(self, monkeypatch):
+        # equal taps [a, a] give exactly H[N/2] = 0: one clamped subcarrier in
+        # each of the 6 OFDM symbols of every other repetition
+        def null_at_half_band(real):
+            real.taps[1] = real.taps[0]
+
+        drawn = self._clamp_alternate_repetitions(monkeypatch, null_at_half_band)
+        self._assert_clamps_stay_with_their_repetitions(
+            drawn, ChannelSpec(kind="tdl", taps=(0.5, 0.5)), [(4, 1600), (6, 400)], per_rep=6)
+
 
 TDL_12 = ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(12, 1.0)))
 
