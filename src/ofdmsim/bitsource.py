@@ -100,14 +100,6 @@ def draw_bits(stream: RngStream, count: int, out: Optional[np.ndarray] = None) -
     words = -(-count // 4)  # 32-bit words, one bit per byte
     if not words:
         return out
-    raw_words = stream.rng.bit_generator.random_raw
-    if stream._spare_bits is None and words <= 2 * _RAW_BLOCK:
-        # the common draw: no spare half to use, one block of fresh outputs
-        raw_bits = np.asarray(raw_words(-(-words // 2)), dtype=_RAW_WORDS).view(np.uint8)
-        np.right_shift(raw_bits[:count], 7, out=out)
-        if words % 2:
-            stream._spare_bits = raw_bits[-4:] >> 7
-        return out
     spare, stream._spare_bits = stream._spare_bits, None
     done = 0
     if spare is not None:
@@ -116,7 +108,7 @@ def draw_bits(stream: RngStream, count: int, out: Optional[np.ndarray] = None) -
     fresh = words if spare is None else words - 1
     outputs = -(-fresh // 2)
     for first in range(0, outputs, _RAW_BLOCK):
-        raw = raw_words(min(_RAW_BLOCK, outputs - first))
+        raw = stream.rng.bit_generator.random_raw(min(_RAW_BLOCK, outputs - first))
         raw_bits = np.asarray(raw, dtype=_RAW_WORDS).view(np.uint8)
         take = min(raw_bits.size, count - done)
         np.right_shift(raw_bits[:take], 7, out=out[done:done + take])

@@ -22,10 +22,11 @@ This module is the only code that draws or applies a channel.  One
 :func:`realize_channel` draws it (one flat gain per OFDM symbol, or one set
 of delay-line taps, quasi-static over the repetition's burst of symbols).
 The receiver side works on a chunk of repetitions at once:
-:func:`apply_channel` applies the chunk's realizations in place to its
-``(k, frames, N+L)`` block, whole or a window of OFDM symbols at a time,
-and :func:`channel_freq_response` gives the receiver the chunk's response
-for the same window.  Noise is drawn separately, only through
+:func:`channel_freq_response` gives the chunk's response for a window of
+OFDM symbols, or for the whole repetition, and :func:`apply_channel`
+applies the chunk's realizations for the same window in place to its
+``(k, frames, N+L)`` block, a flat channel by multiplying with that
+response; the receiver equalizes with the same response.  Noise is drawn separately, only through
 :func:`complex_gaussian`.
 """
 
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,13 +79,6 @@ class ChannelSpec:
             object.__setattr__(self, "taps", taps)
         elif self.taps is not None:
             raise ValueError(f"{self.kind} channel takes no taps")
-
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        """Each delay-line tap's root-mean-square amplitude, ``sqrt(p_l)`` (read-only)."""
-        amplitudes = np.sqrt(np.asarray(self.taps, dtype=np.float64))
-        amplitudes.flags.writeable = False
-        return amplitudes
 
     def summary(self) -> str:
         """Compact one-token description used in output records."""
@@ -160,21 +153,27 @@ def realize_channel(spec: ChannelSpec, stream: RngStream, n_frames: int) -> Chan
         return ChannelRealization(kind=AWGN)
     if spec.kind == FLAT:
         return ChannelRealization(kind=FLAT, gains=complex_gaussian(stream, n_frames, 1.0))
-    amplitudes = spec.amplitudes
-    taps = complex_gaussian(stream, amplitudes.size, 1.0) * amplitudes
+    powers = np.asarray(spec.taps, dtype=np.float64)
+    taps = complex_gaussian(stream, powers.size, 1.0) * np.sqrt(powers)
     return ChannelRealization(kind=TDL, taps=taps)
 
 
 def apply_channel(
-    frames: np.ndarray, reals: Sequence[ChannelRealization], window: slice = slice(None)
+    frames: np.ndarray,
+    reals: Sequence[ChannelRealization],
+    response: np.ndarray,
+    window: slice = slice(None),
 ) -> np.ndarray:
     """Pass OFDM symbols ``window`` of a chunk of repetitions through their channels, in place.
 
-    ``frames`` is the chunk's ``(k, frames, N+L)`` block and ``reals`` its k
-    realizations, one per row, all of one kind.  A row holds the whole
-    repetition by default, or one window of it, the windows passed in
-    order.  Flat fading scales every frame of the chunk by its gain in one
-    broadcast multiply.  The delay line applies LINEAR convolution over a
+    ``frames`` is the chunk's ``(k, frames, N+L)`` block, ``reals`` its k
+    realizations, one per row, all of one kind, and ``response`` their
+    :func:`channel_freq_response` for the same window.  A row holds the
+    whole repetition by default, or one window of it, the windows passed in
+    order.  A flat gain is its own response, so flat fading multiplies the
+    chunk by ``response`` in one broadcast multiply.  The delay line does
+    not use ``response``, which holds only once the cyclic prefix is
+    removed: it applies LINEAR convolution with the taps over a
     repetition's concatenated frames, truncated to their length, so the
     first taps of each frame see the spill-over from the preceding samples
     -- exactly the interference a sufficient cyclic prefix absorbs.  It runs
@@ -190,7 +189,7 @@ def apply_channel(
         raise ValueError(f"{len(reals)} realizations for {len(frames)} repetitions")
     kind = reals[0].kind
     if kind == FLAT:
-        frames *= _stacked_gains(reals, window)[..., None]
+        frames *= response
     elif kind == TDL:
         for row, real in zip(frames, reals):
             block = row.ravel()
@@ -209,7 +208,7 @@ def channel_freq_response(
 
     ``reals`` and ``window`` are as in :func:`apply_channel`.  A flat gain
     is its own response: a ``(k, frames, 1)`` array, a gain per OFDM
-    symbol.  The delay line gives the plain (non-unitary) DFT of the
+    symbol, which :func:`apply_channel` applies as it is.  The delay line gives the plain (non-unitary) DFT of the
     zero-padded taps, one FFT of the chunk's ``(k, L+1)`` taps as a
     ``(k, 1, N)`` array -- that is the gain the payload subcarriers actually
     see when the cyclic prefix turns the delay line into a circular
@@ -220,10 +219,5 @@ def channel_freq_response(
     if kind == AWGN:
         return np.ones(fft_size, dtype=np.complex128)
     if kind == FLAT:
-        return _stacked_gains(reals, window)[..., None]
+        return np.array([real.gains[window] for real in reals])[..., None]
     return np.fft.fft(np.array([real.taps for real in reals]), n=fft_size)[:, None, :]
-
-
-def _stacked_gains(reals: Sequence[ChannelRealization], window: slice) -> np.ndarray:
-    """The flat gains of OFDM symbols ``window`` of each repetition, as a (k, frames) array."""
-    return np.array([real.gains[window] for real in reals])

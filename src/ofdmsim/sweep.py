@@ -13,9 +13,10 @@ a window shares a chunk with as many others of its size as the window
 holds: the draws of every repetition in the chunk are made first, each
 repetition's in the order above, into (k, ...) arrays; then the chain runs
 once on the whole chunk.  Every step after the draws takes the chunk at
-once -- the bits are packed into PSK labels once, flat gains and the
-zero-forcing division are one broadcast operation each, and the delay-line
-responses one FFT -- and gives each element the same floating-point
+once -- the bits are packed into PSK labels once, the channel response
+is formed once (the delay-line responses by one FFT) for both the channel
+and the equalizer, flat gains and the zero-forcing division are one
+broadcast operation each -- and gives each element the same floating-point
 operation on the same operands as a repetition on its own; only the
 delay-line convolution runs per repetition.  Zero-forcing clamps are
 attributed to their repetitions from the response.  A longer repetition
@@ -244,14 +245,15 @@ def _run_chain_once(
     tx[..., :cp_len] = tx[..., n_fft:]  # cyclic prefix: copy of the symbol tail
 
     if realizations:
-        apply_channel(tx, realizations, window)
+        # one response per window: the flat channel applies it, ZF divides by it
+        response = channel_freq_response(realizations, n_fft, window)
+        apply_channel(tx, realizations, response, window)
     rx = tx if work.noise is None else np.add(work.noise[:k, :count], tx,
                                               out=work.noise[:k, :count])
     freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), out=grid)
 
     clamps = np.zeros(k, dtype=np.int64)
     if use_equalizer and realizations:
-        response = channel_freq_response(realizations, n_fft, window)
         if zero_forcing(freq, response)[1]:  # equalizes freq in place
             # per repetition: a record counts only the kept ones' clamps
             bad = np.broadcast_to(clamped(response), freq.shape)

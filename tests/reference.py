@@ -50,7 +50,8 @@ def post_dft_deviation(n_fft: int, cp: int, memory: int, seed: int, n_frames: in
     bits = rng.integers(0, 2, size=3 * n_fft * n_frames, dtype=np.uint8)
     matrix, _ = serial_to_parallel(map_psk(pack_labels(bits, 8), 8), n_fft)
     tx = add_cyclic_prefix(unitary_idft(matrix), cp)
-    rx = apply_channel(tx[None], [ChannelRealization(kind="tdl", taps=taps)])[0]
+    real = ChannelRealization(kind="tdl", taps=taps)
+    rx = apply_channel(tx[None], [real], channel_freq_response([real], n_fft))[0]
     rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))
     expected = np.fft.fft(taps, n=n_fft)[None, :] * matrix
     return float(np.max(np.abs(rx_freq - expected)))
@@ -75,12 +76,13 @@ def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, ma
         matrix, used = serial_to_parallel(map_psk(pack_labels(tx_bits, order), order), n_fft)
         rows = add_cyclic_prefix(unitary_idft(matrix), cp_len)
         real = realize_channel(channel, stream, rows.shape[0])
-        rx = apply_channel(rows[None], [real])[0]
+        response = channel_freq_response([real], n_fft)
+        rx = apply_channel(rows[None], [real], response)[0]
         if sigma2 > 0.0:
             rx = rx + complex_gaussian(stream, rx.size, sigma2).reshape(rx.shape)
         freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len))
         if use_equalizer and channel.kind != "awgn":
-            freq, clamps = zero_forcing(freq, channel_freq_response([real], n_fft)[0])
+            freq, clamps = zero_forcing(freq, response[0])
             zf_clamps += clamps
         errors, _ = count_bit_errors(tx_bits, demap_psk(freq.ravel()[:used], order))
         bits_sent += n_bits
