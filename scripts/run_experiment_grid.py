@@ -19,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from ofdmsim.channel import KINDS
 from ofdmsim.cli import EXIT_OK, build_grid, exit_code, run_sweep
 from ofdmsim.errors import IoError
 from ofdmsim.sweep import check_workers
@@ -54,8 +55,8 @@ def main() -> int:
                                      argument_default=argparse.SUPPRESS)
     parser.add_argument("--out-dir", default="results", help="output directory")
     parser.add_argument("--seed", dest="master_seed", type=int)
-    parser.add_argument("--channels", default="awgn,flat,tdl",
-                        help="comma list from {awgn,flat,tdl}")
+    parser.add_argument("--channels", default=",".join(KINDS),
+                        help=f"comma list from {{{','.join(KINDS)}}}")
     parser.add_argument("--max-bits", dest="max_bits_per_cell", type=int)
     parser.add_argument("--target-errors", type=int)
     parser.add_argument("--bit-budget", type=int)

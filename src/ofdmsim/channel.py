@@ -17,8 +17,10 @@ Fading gains are normalized to unit mean power: a flat gain is
 ``l`` is ``(g1 + i*g2) * sqrt(p_l / 2)`` for a power-delay profile summing
 to one.
 
-This module is the only code that draws or applies a channel.  One
-:class:`ChannelRealization` is one repetition's whole channel, and
+This module decides which channels exist (:data:`KINDS`) and is the only
+code that draws or applies one.  Realizations are fading-only: an AWGN
+cell has no channel step, and its only impairment is the noise.  One
+:class:`ChannelRealization` is one fading repetition's whole channel, and
 :func:`realize_channel` draws it (one flat gain per OFDM symbol, or one set
 of delay-line taps, quasi-static over the repetition's burst of symbols).
 The receiver side works on a chunk of repetitions at once:
@@ -26,8 +28,8 @@ The receiver side works on a chunk of repetitions at once:
 OFDM symbols, or for the whole repetition, and :func:`apply_channel`
 applies the chunk's realizations for the same window in place to its
 ``(k, frames, N+L)`` block, a flat channel by multiplying with that
-response; the receiver equalizes with the same response.  Noise is drawn separately, only through
-:func:`complex_gaussian`.
+response; the receiver equalizes with the same response.  Noise is drawn
+separately, only through :func:`complex_gaussian`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ AWGN = "awgn"
 FLAT = "flat"
 TDL = "tdl"
 
-_KINDS = (AWGN, FLAT, TDL)
+#: Every channel kind a :class:`ChannelSpec` may name.
+KINDS = (AWGN, FLAT, TDL)
 
 #: Default multipath profile: an exponential power-delay profile of this
 #: many taps, decaying this many dB per tap (see :func:`exponential_pdp`).
@@ -58,20 +61,21 @@ class ChannelSpec:
     """Which channel to simulate and how to calibrate its noise.
 
     ``taps`` is the power-delay profile for the tapped delay line (must sum
-    to 1); the channel memory is ``len(taps) - 1``.
+    to 1), any sequence of tap powers, a numpy array included, kept as a
+    tuple of floats; the channel memory is ``len(taps) - 1``.
     """
 
     kind: str
-    taps: Optional[tuple[float, ...]] = None
+    taps: Optional[Sequence[float]] = None
     account_cp_overhead: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"channel kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"channel kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == TDL:
-            if not self.taps:
+            taps = () if self.taps is None else tuple(float(p) for p in self.taps)
+            if not taps:
                 raise ValueError("tdl channel requires a power-delay profile")
-            taps = tuple(float(p) for p in self.taps)
             if not all(0.0 <= p < math.inf for p in taps):
                 raise ValueError(f"tap powers must be finite and nonnegative, got {taps}")
             if abs(sum(taps) - 1.0) > 1e-12:
@@ -90,11 +94,11 @@ class ChannelSpec:
 
 @dataclass
 class ChannelRealization:
-    """One repetition's channel draw.
+    """One fading repetition's channel draw (AWGN has none).
 
-    ``gains`` holds the flat-fading gain of each OFDM symbol and ``taps``
-    the delay-line taps; an AWGN realization carries neither.  ``carry`` is
-    the delay line's contents between windows of the repetition: the last
+    ``kind`` is :data:`FLAT`, with ``gains`` the gain of each OFDM symbol,
+    or :data:`TDL`, with ``taps`` the delay-line taps.  ``carry`` is the
+    delay line's contents between windows of the repetition: the last
     ``len(taps) - 1`` pre-channel samples :func:`apply_channel` has passed
     through it (fewer if fewer have passed).
     """
@@ -144,15 +148,16 @@ def complex_gaussian(
 
 
 def realize_channel(spec: ChannelSpec, stream: RngStream, n_frames: int) -> ChannelRealization:
-    """Draw the channel of one repetition of ``n_frames`` OFDM symbols.
+    """Draw the fading channel of one repetition of ``n_frames`` OFDM symbols.
 
     Flat fading draws one gain per symbol; the delay line draws one set of
-    taps for the whole burst; AWGN draws nothing.
+    taps for the whole burst.  AWGN has no channel step, so it has no
+    realization: a ``ValueError``.
     """
-    if spec.kind == AWGN:
-        return ChannelRealization(kind=AWGN)
     if spec.kind == FLAT:
         return ChannelRealization(kind=FLAT, gains=complex_gaussian(stream, n_frames, 1.0))
+    if spec.kind != TDL:
+        raise ValueError(f"{spec.kind} has no channel realization")
     powers = np.asarray(spec.taps, dtype=np.float64)
     taps = complex_gaussian(stream, powers.size, 1.0) * np.sqrt(powers)
     return ChannelRealization(kind=TDL, taps=taps)
@@ -187,17 +192,16 @@ def apply_channel(
         raise ValueError("frames must be nonempty")
     if len(reals) != len(frames):
         raise ValueError(f"{len(reals)} realizations for {len(frames)} repetitions")
-    kind = reals[0].kind
-    if kind == FLAT:
+    if reals[0].kind == FLAT:
         frames *= response
-    elif kind == TDL:
-        for row, real in zip(frames, reals):
-            block = row.ravel()
-            carry = real.carry if window.start else block[:0]
-            signal = np.concatenate((carry, block)) if carry.size else block
-            real.carry = signal[max(signal.size - (real.taps.size - 1), 0):].copy()
-            out = np.convolve(signal, real.taps)[carry.size:signal.size]
-            row[...] = out.reshape(row.shape)
+        return frames
+    for row, real in zip(frames, reals):
+        block = row.ravel()
+        carry = real.carry if window.start else block[:0]
+        signal = np.concatenate((carry, block)) if carry.size else block
+        real.carry = signal[max(signal.size - (real.taps.size - 1), 0):].copy()
+        out = np.convolve(signal, real.taps)[carry.size:signal.size]
+        row[...] = out.reshape(row.shape)
     return frames
 
 
@@ -208,16 +212,13 @@ def channel_freq_response(
 
     ``reals`` and ``window`` are as in :func:`apply_channel`.  A flat gain
     is its own response: a ``(k, frames, 1)`` array, a gain per OFDM
-    symbol, which :func:`apply_channel` applies as it is.  The delay line gives the plain (non-unitary) DFT of the
-    zero-padded taps, one FFT of the chunk's ``(k, L+1)`` taps as a
-    ``(k, 1, N)`` array -- that is the gain the payload subcarriers actually
-    see when the cyclic prefix turns the delay line into a circular
-    convolution, given the simulator's unitary transform pair.  AWGN
-    realizations yield the all-ones response of ``fft_size`` subcarriers.
+    symbol, which :func:`apply_channel` applies as it is.  The delay line
+    gives the plain (non-unitary) DFT of the zero-padded taps, one FFT of
+    the chunk's ``(k, L+1)`` taps as a ``(k, 1, N)`` array -- that is the
+    gain the payload subcarriers actually see when the cyclic prefix turns
+    the delay line into a circular convolution, given the simulator's
+    unitary transform pair.  AWGN has no realization, so no response.
     """
-    kind = reals[0].kind
-    if kind == AWGN:
-        return np.ones(fft_size, dtype=np.complex128)
-    if kind == FLAT:
+    if reals[0].kind == FLAT:
         return np.array([real.gains[window] for real in reals])[..., None]
     return np.fft.fft(np.array([real.taps for real in reals]), n=fft_size)[:, None, :]

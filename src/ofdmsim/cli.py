@@ -14,6 +14,8 @@ from .bitsource import DEFAULT_MASTER_SEED
 from .channel import (
     DEFAULT_TDL_DECAY_DB,
     DEFAULT_TDL_LEN,
+    KINDS,
+    TDL,
     ChannelSpec,
     ebno_to_noise_variance,
     exponential_pdp,
@@ -72,9 +74,10 @@ _TDL_KEYS = ("tdl_taps", "tdl_len", "tdl_decay_db")
 
 
 def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
-    kind = settings.get("channel", "awgn")
-    overhead = _boolean(settings.get("account_cp_overhead", False))
-    if kind != "tdl":
+    default = SweepGrid.channel
+    kind = settings.get("channel", default.kind)
+    overhead = _boolean(settings.get("account_cp_overhead", default.account_cp_overhead))
+    if kind != TDL:
         stray = [key for key in _TDL_KEYS if key in settings]
         if stray:
             raise ConfigError(f"channel {kind} takes no delay-line settings, "
@@ -85,15 +88,13 @@ def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
         total = sum(powers)
         if total <= 0:
             raise ConfigError("tdl_taps must contain positive power")
-        taps = tuple(p / total for p in powers)
+        taps = [p / total for p in powers]
     else:
-        taps = tuple(
-            exponential_pdp(
-                _integer(settings.get("tdl_len", DEFAULT_TDL_LEN)),
-                _real(settings.get("tdl_decay_db", DEFAULT_TDL_DECAY_DB)),
-            )
+        taps = exponential_pdp(
+            _integer(settings.get("tdl_len", DEFAULT_TDL_LEN)),
+            _real(settings.get("tdl_decay_db", DEFAULT_TDL_DECAY_DB)),
         )
-    return ChannelSpec(kind="tdl", taps=taps, account_cp_overhead=overhead)
+    return ChannelSpec(kind=TDL, taps=taps, account_cp_overhead=overhead)
 
 
 #: SweepGrid fields a config file or flag may set, with their converters;
@@ -252,8 +253,8 @@ def _count(text: str) -> int:
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     """The setting flags that sweep and single share; each dest is a setting key."""
-    parser.add_argument("--channel", choices=("awgn", "flat", "tdl"),
-                        help="channel model (default awgn)")
+    parser.add_argument("--channel", choices=KINDS,
+                        help=f"channel model (default {SweepGrid.channel.kind})")
     parser.add_argument("--tdl-taps", help="comma-separated TDL tap powers (normalized to sum 1)")
     parser.add_argument("--tdl-len", type=int, help="TDL profile length (with --tdl-decay-db)")
     parser.add_argument("--tdl-decay-db", type=float, help="TDL exponential decay per tap, dB")

@@ -5,7 +5,7 @@ random substream, so cells may run on any number of worker processes and
 the output records are byte-identical regardless of scheduling.
 
 Per-repetition draw order inside a cell (fixed for reproducibility):
-information bits, then channel gains, then noise samples.
+information bits, then the fading channel (AWGN has none), then noise.
 
 Repetitions run in chunks of windows.  A window is the OFDM symbols that
 fit in ``_CHUNK_SAMPLES`` time-domain samples.  A repetition that fits in
@@ -40,6 +40,7 @@ total doubles) and at most as many as one window holds.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -87,6 +88,8 @@ EBNO_LIMIT_DB = 1000.0
 #: window, and a longer repetition runs alone, one window at a time.
 _CHUNK_SAMPLES = 16_384
 
+_Cell = tuple[int, OfdmConfig, ChannelSpec, float]
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -103,7 +106,7 @@ class SweepGrid:
         Fraction(1, 2), Fraction(1, 4), Fraction(1, 16), Fraction(1, 32),
     )
     ebno_points_db: tuple[float, ...] = tuple(float(e) for e in range(0, 21, 2))
-    channel: ChannelSpec = ChannelSpec(kind="awgn")
+    channel: ChannelSpec = ChannelSpec(kind=AWGN)
     modulation_order: int = 8
     master_seed: int = DEFAULT_MASTER_SEED
     max_bits_per_cell: int = 2_000_000
@@ -151,7 +154,7 @@ class SweepGrid:
     def n_cells(self) -> int:
         return len(self.fft_sizes) * len(self.cp_fractions) * len(self.ebno_points_db)
 
-    def cells(self) -> Iterable[tuple[int, OfdmConfig, ChannelSpec, float]]:
+    def cells(self) -> Iterable[_Cell]:
         """Yield (cell_id, config, channel, ebno_db) in cell_id order."""
         cell_id = 0
         for n in self.fft_sizes:
@@ -336,18 +339,16 @@ def run_cell(
             chunk = min(chunk, -(-(target_errors - bit_errors) * reps // bit_errors))
 
 
-_CellTask = tuple[OfdmConfig, ChannelSpec, float, int, int, int, int, bool]
 _CellResult = tuple[int, Optional[BerRecord], Optional[str]]
 
 
-def _cell_result(task: _CellTask) -> _CellResult:
-    """Run one cell: (cell_id, record, None), or (cell_id, None, message) if it raised."""
-    config, spec, ebno_db, seed, cell_id, target_errors, max_bits, use_equalizer = task
+def _cell_result(grid: SweepGrid, cell: _Cell) -> _CellResult:
+    """One cell of ``grid``: (cell_id, record, None), or (cell_id, None, message) if it raised."""
+    cell_id, config, spec, ebno_db = cell
     try:
-        record = run_cell(
-            config, spec, ebno_db, seed, cell_id,
-            target_errors=target_errors, max_bits=max_bits, use_equalizer=use_equalizer,
-        )
+        record = run_cell(config, spec, ebno_db, grid.master_seed, cell_id,
+                          target_errors=grid.target_errors, max_bits=grid.max_bits_per_cell,
+                          use_equalizer=grid.use_equalizer)
     except Exception as exc:  # any cell failure; the other cells still run
         return cell_id, None, str(exc)
     return cell_id, record, None
@@ -360,15 +361,16 @@ def check_workers(workers: int) -> int:
     return workers
 
 
-def _results(tasks: list[_CellTask], n_workers: int) -> Iterator[_CellResult]:
-    """Each task's :func:`_cell_result`, in task order."""
+def _results(grid: SweepGrid, cells: list[_Cell], n_workers: int) -> Iterator[_CellResult]:
+    """Each cell's :func:`_cell_result`, in cell order."""
+    run = functools.partial(_cell_result, grid)
     if n_workers == 1:
-        yield from map(_cell_result, tasks)
+        yield from map(run, cells)
         return
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         # a fixed chunk size: about four chunks per worker balance the load,
         # and each costs one round trip instead of one per cell
-        yield from pool.map(_cell_result, tasks, chunksize=max(1, len(tasks) // (4 * n_workers)))
+        yield from pool.map(run, cells, chunksize=max(1, len(cells) // (4 * n_workers)))
 
 
 def run_grid(grid: SweepGrid, workers: int = 1) -> list[BerRecord]:
@@ -382,22 +384,18 @@ def run_grid(grid: SweepGrid, workers: int = 1) -> list[BerRecord]:
     :class:`SweepFailure`; a worker that dies fails every cell whose result
     had not come back.
     """
-    tasks = [
-        (config, spec, ebno_db, grid.master_seed, cell_id,
-         grid.target_errors, grid.max_bits_per_cell, grid.use_equalizer)
-        for cell_id, config, spec, ebno_db in grid.cells()
-    ]
-    n_workers = min(check_workers(workers), len(tasks))
+    cells = list(grid.cells())
+    n_workers = min(check_workers(workers), len(cells))
     records: list[BerRecord] = []
     failures: list[tuple[int, str]] = []
     try:
-        for cell_id, record, message in _results(tasks, n_workers):
+        for cell_id, record, message in _results(grid, cells, n_workers):
             if message is None:
                 records.append(record)
             else:
                 failures.append((cell_id, message))
-    except BrokenProcessPool as exc:  # results come in task order: the rest are lost
-        failures += [(task[4], str(exc)) for task in tasks[len(records) + len(failures):]]
+    except BrokenProcessPool as exc:  # results come in cell order: the rest are lost
+        failures += [(cell_id, str(exc)) for cell_id, *_ in cells[len(records) + len(failures):]]
     if failures:
         raise SweepFailure(failures, records)
     return records

@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import ChannelSpec, exponential_pdp
+from .channel import AWGN, FLAT, TDL, ChannelSpec, exponential_pdp
 from .framing import OfdmConfig
 from .metrics import theoretical_mpsk_ber, wilson_interval
-from .sweep import run_cell
+from .sweep import SUPPORTED_FFT_SIZES, run_cell
 
 THEORY_EBNO_POINTS_DB = (4.0, 8.0, 12.0)
 TRANSPARENCY_FFT_SIZES = (64, 512)
@@ -48,7 +48,7 @@ NOISELESS_EBNO_DB = 300.0
 REL_TOLERANCE = 0.10
 
 _ORDER = 8
-_AWGN = ChannelSpec(kind="awgn")
+_AWGN = ChannelSpec(kind=AWGN)
 
 #: The raw modem: a single-carrier cell, run in repetitions of 3 Mbit.
 RAW_MODEM = OfdmConfig(
@@ -131,7 +131,7 @@ def check_noiseless_identity(seed: int) -> list[ValidationRow]:
     """Noiseless-identity rows across the whole grid, all three channels."""
     rows: list[ValidationRow] = []
     cell = 9201
-    for fft_size in (64, 128, 256, 512):
+    for fft_size in SUPPORTED_FFT_SIZES:
         for frac in IDENTITY_CP_FRACTIONS:
             config = OfdmConfig(
                 fft_size=fft_size, cp_fraction=frac,
@@ -140,8 +140,8 @@ def check_noiseless_identity(seed: int) -> list[ValidationRow]:
             memory = min(8, config.cp_len)
             for spec in (
                 _AWGN,
-                ChannelSpec(kind="flat"),
-                ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(memory + 1, 1.0))),
+                ChannelSpec(kind=FLAT),
+                ChannelSpec(kind=TDL, taps=exponential_pdp(memory + 1, 1.0)),
             ):
                 record = run_cell(
                     config, spec, NOISELESS_EBNO_DB, seed, cell,

@@ -9,6 +9,7 @@ import numpy as np
 
 from ofdmsim.bitsource import draw_bits, make_stream
 from ofdmsim.channel import (
+    AWGN,
     ChannelRealization,
     apply_channel,
     channel_freq_response,
@@ -62,26 +63,28 @@ def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, ma
     """run_cell one repetition at a time, from the public kernels only.
 
     The draws follow the documented per-repetition order: bits, then the
-    channel (one flat gain per OFDM symbol, or one delay line; nothing for
-    AWGN), then noise.
+    fading channel (one flat gain per OFDM symbol, or one delay line), then
+    noise.  AWGN has no channel step: nothing is drawn, applied or equalized.
     """
     stream = make_stream(seed, cell_id)
     n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
     b = config.bits_per_symbol
     sigma2 = ebno_to_noise_variance(ebno_db, config, channel)
+    fading = channel.kind != AWGN
     bits_sent = bit_errors = zf_clamps = 0
     while True:
         n_bits = max(b, (min(config.bit_budget, max_bits - bits_sent) // b) * b)
         tx_bits = draw_bits(stream, n_bits)
         matrix, used = serial_to_parallel(map_psk(pack_labels(tx_bits, order), order), n_fft)
-        rows = add_cyclic_prefix(unitary_idft(matrix), cp_len)
-        real = realize_channel(channel, stream, rows.shape[0])
-        response = channel_freq_response([real], n_fft)
-        rx = apply_channel(rows[None], [real], response)[0]
+        rx = add_cyclic_prefix(unitary_idft(matrix), cp_len)
+        if fading:
+            real = realize_channel(channel, stream, rx.shape[0])
+            response = channel_freq_response([real], n_fft)
+            rx = apply_channel(rx[None], [real], response)[0]
         if sigma2 > 0.0:
             rx = rx + complex_gaussian(stream, rx.size, sigma2).reshape(rx.shape)
         freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len))
-        if use_equalizer and channel.kind != "awgn":
+        if use_equalizer and fading:
             freq, clamps = zero_forcing(freq, response[0])
             zf_clamps += clamps
         errors, _ = count_bit_errors(tx_bits, demap_psk(freq.ravel()[:used], order))

@@ -82,6 +82,8 @@ class TestChannelSpec:
     def test_tdl_requires_taps(self):
         with pytest.raises(ValueError):
             ChannelSpec(kind="tdl")
+        with pytest.raises(ValueError, match="power-delay profile"):
+            ChannelSpec(kind="tdl", taps=np.array([]))
 
     def test_tap_powers_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -106,6 +108,13 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(kind="rician")
 
+    def test_tap_array_equals_the_tuple_form(self):
+        # exponential_pdp returns an array, which the spec keeps as floats
+        from_array = ChannelSpec(kind="tdl", taps=exponential_pdp(9, 1.0))
+        assert from_array == ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(9, 1.0)))
+        assert type(from_array.taps) is tuple
+        assert all(type(p) is float for p in from_array.taps)
+
     def test_summary_strings(self):
         assert ChannelSpec(kind="awgn").summary() == "awgn"
         assert ChannelSpec(kind="flat").summary() == "flat"
@@ -113,15 +122,10 @@ class TestChannelSpec:
 
 
 class TestRealizeChannel:
-    def test_awgn_carries_no_gain(self):
-        real = realize_channel(ChannelSpec(kind="awgn"), make_stream(1, 0), 4)
-        assert real.gains is None and real.taps is None
-
-    def test_awgn_consumes_no_draws(self):
-        stream = make_stream(1, 1)
-        realize_channel(ChannelSpec(kind="awgn"), stream, 4)
-        np.testing.assert_array_equal(complex_gaussian(stream, 8, 1.0),
-                                      complex_gaussian(make_stream(1, 1), 8, 1.0))
+    def test_awgn_has_no_realization(self):
+        # without the guard an AWGN spec would draw one NaN tap
+        with pytest.raises(ValueError, match="no channel realization"):
+            realize_channel(AWGN, make_stream(1, 0), 4)
 
     def test_flat_gain_unit_mean_power(self):
         real = realize_channel(ChannelSpec(kind="flat"), make_stream(8, 0), 100_000)
@@ -162,11 +166,6 @@ class TestComplexGaussian:
 
 
 class TestApplyChannel:
-    def test_noiseless_awgn_is_identity(self):
-        x = complex_gaussian(make_stream(3, 1), 256, 1.0).reshape(1, 4, 64)
-        y = through(x.copy(), [ChannelRealization(kind="awgn")])
-        np.testing.assert_array_equal(y, x)
-
     def test_single_unit_tap_is_identity(self):
         x = complex_gaussian(make_stream(4, 1), 256, 1.0).reshape(2, 2, 64)
         real = ChannelRealization(kind="tdl", taps=np.array([1.0 + 0j]))
@@ -183,7 +182,7 @@ class TestApplyChannel:
         np.testing.assert_array_equal(frames, gains[..., None] * x)
 
     def test_empty_signal_rejected(self):
-        real = ChannelRealization(kind="awgn")
+        real = ChannelRealization(kind="flat", gains=np.ones(0, dtype=complex))
         with pytest.raises(ValueError):
             through(np.empty((1, 0, 16), dtype=complex), [real])
 
@@ -196,7 +195,7 @@ class TestApplyChannel:
     def test_chunk_rows_take_their_own_channels(self, kind):
         # a chunk of three repetitions gives each row what its channel gives
         # it alone, and its response is each row's own
-        taps = tuple(exponential_pdp(9, 1.0)) if kind == "tdl" else None
+        taps = exponential_pdp(9, 1.0) if kind == "tdl" else None
         spec = ChannelSpec(kind=kind, taps=taps)
         stream = make_stream(14, 0)
         reals = [realize_channel(spec, stream, 5) for _ in range(3)]
@@ -215,7 +214,7 @@ class TestApplyChannel:
         # spans the whole middle window
         stream = make_stream(13, n_taps)
         whole = complex_gaussian(stream, 400 * 8, 1.0).reshape(400, 8)
-        real = realize_channel(ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(n_taps, 1.0))),
+        real = realize_channel(ChannelSpec(kind="tdl", taps=exponential_pdp(n_taps, 1.0)),
                                stream, 400)
         expected = through(whole.copy()[None], [real])[0]
         blocks = whole.copy()

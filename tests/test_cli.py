@@ -555,6 +555,19 @@ class TestSettingNames:
 
         assert sorted(key for _, entry in self.FLAGS for key in entry) == sorted(cli._GRID_KEYS)
 
+    @pytest.mark.parametrize("command", ["sweep", "single"])
+    def test_channel_choices_are_the_channel_kinds(self, command):
+        import argparse
+
+        import ofdmsim.cli as cli
+        from ofdmsim.channel import KINDS
+
+        commands = next(action for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        channel = next(action for action in commands.choices[command]._actions
+                       if action.dest == "channel")
+        assert tuple(channel.choices) == KINDS
+
     @pytest.mark.parametrize("flags,entry", FLAGS, ids=[flags[0] for flags, _ in FLAGS])
     def test_flag_is_the_config_key(self, capsys, tmp_path, flags, entry):
         by_flag = self._sweep(capsys, tmp_path, "flag", self.BASE, flags)

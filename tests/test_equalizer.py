@@ -24,10 +24,6 @@ class TestFreqResponse:
         response = np.broadcast_to(channel_freq_response([real], 16), (1, 3, 16))
         np.testing.assert_array_equal(response[0], np.repeat(gains[:, None], 16, axis=1))
 
-    def test_awgn_gives_all_ones(self):
-        real = ChannelRealization(kind="awgn")
-        np.testing.assert_array_equal(channel_freq_response([real], 4), np.ones(4))
-
     def test_two_taps_closed_form(self):
         h0, h1 = 0.9 - 0.2j, 0.1 + 0.3j
         real = ChannelRealization(kind="tdl", taps=np.array([h0, h1]))

@@ -40,6 +40,20 @@ def test_every_channel_matches_ofdmsim_sweep(tmp_path):
         assert (out_dir / f"ber_{channel}.csv").read_bytes() == out.read_bytes()
 
 
+def test_default_channels_are_the_channel_kinds(monkeypatch):
+    import runpy
+
+    from ofdmsim.channel import KINDS
+
+    main = runpy.run_path(str(SCRIPT))["main"]
+    seen = []
+    # stop at the sweep: record the channel list it was given
+    monkeypatch.setitem(main.__globals__, "run", lambda args: seen.append(args.channels) or 0)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT)])
+    assert main() == 0
+    assert seen == [",".join(KINDS)]
+
+
 @pytest.mark.parametrize("argv,env_extra", [
     (["--workers", "0"], None),
     (["--max-bits", "0"], None),

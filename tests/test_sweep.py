@@ -177,6 +177,30 @@ class TestChunkedExecution:
                               target_errors=target)
             assert record.zf_clamps == (record.bits_sent // 999) * frames * 64
 
+    def test_awgn_cells_take_no_channel_step(self, monkeypatch):
+        # AWGN has no realization: the chain never draws, applies or
+        # equalizes a channel, whether a chunk holds many repetitions or a
+        # repetition runs in windows, and still gives the reference's record
+        import ofdmsim.sweep as sweep_mod
+
+        def no_channel_step(*args, **kwargs):
+            raise AssertionError("an AWGN cell took a channel step")
+
+        for name in ("realize_channel", "apply_channel", "channel_freq_response"):
+            monkeypatch.setattr(sweep_mod, name, no_channel_step)
+        awgn = ChannelSpec(kind="awgn")
+        chunked = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
+        windowed = OfdmConfig(64, Fraction(1, 32), modulation_order=8, bit_budget=60_000)
+        for config, ebno_db, stops in [
+            (chunked, 6.0, dict(target_errors=200, max_bits=2_000_000)),
+            (chunked, float("inf"), dict(target_errors=1, max_bits=40_000)),
+            (windowed, 14.0, dict(target_errors=10**6, max_bits=150_000)),
+            (windowed, float("inf"), dict(target_errors=1, max_bits=150_000)),
+        ]:
+            record = run_cell(config, awgn, ebno_db, 3, 0, **stops)
+            assert record == reference_cell(config, awgn, ebno_db, 3, 0, **stops)
+        assert record.bit_errors == 0 and record.bits_sent == 150_000  # noiseless identity
+
     @staticmethod
     def _clamp_alternate_repetitions(monkeypatch, clamp):
         """Make ``clamp(real)`` act on every other repetition's channel draw,
@@ -228,7 +252,7 @@ class TestChunkedExecution:
             drawn, ChannelSpec(kind="tdl", taps=(0.5, 0.5)), [(4, 1600), (6, 400)], per_rep=6)
 
 
-TDL_12 = ChannelSpec(kind="tdl", taps=tuple(exponential_pdp(12, 1.0)))
+TDL_12 = ChannelSpec(kind="tdl", taps=exponential_pdp(12, 1.0))
 
 
 class TestWindowedExecution:
