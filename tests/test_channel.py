@@ -21,7 +21,7 @@ from ofdmsim.framing import (
 )
 from ofdmsim.psk import map_psk, pack_labels
 from ofdmsim.transform import unitary_dft, unitary_idft
-from reference import post_dft_deviation
+from reference import post_dft_deviation, reference_cell
 
 AWGN = ChannelSpec(kind="awgn")
 
@@ -122,10 +122,19 @@ class TestChannelSpec:
 
 
 class TestRealizeChannel:
-    def test_awgn_has_no_realization(self):
-        # without the guard an AWGN spec would draw one NaN tap
+    def test_awgn_carries_no_gain(self):
+        # AWGN has no realization; without the guard an AWGN spec would draw
+        # one NaN tap
         with pytest.raises(ValueError, match="no channel realization"):
             realize_channel(AWGN, make_stream(1, 0), 4)
+
+    def test_awgn_consumes_no_draws(self):
+        # the guard comes before any draw, so the stream is left as it was
+        stream = make_stream(1, 1)
+        with pytest.raises(ValueError):
+            realize_channel(AWGN, stream, 4)
+        np.testing.assert_array_equal(complex_gaussian(stream, 8, 1.0),
+                                      complex_gaussian(make_stream(1, 1), 8, 1.0))
 
     def test_flat_gain_unit_mean_power(self):
         real = realize_channel(ChannelSpec(kind="flat"), make_stream(8, 0), 100_000)
@@ -166,6 +175,25 @@ class TestComplexGaussian:
 
 
 class TestApplyChannel:
+    def test_noiseless_awgn_is_identity(self, monkeypatch):
+        # an AWGN cell is never passed through a channel, so without noise
+        # every bit comes back, whether a chunk holds many repetitions or a
+        # repetition runs in windows
+        import ofdmsim.sweep as sweep_mod
+
+        def no_channel_step(*args, **kwargs):
+            raise AssertionError("an AWGN cell took a channel step")
+
+        monkeypatch.setattr(sweep_mod, "apply_channel", no_channel_step)
+        for config, max_bits in [(eight_psk(64, "1/4"), 40_000),
+                                 (OfdmConfig(64, "1/32", modulation_order=8,
+                                             bit_budget=60_000), 150_000)]:
+            record = sweep_mod.run_cell(config, AWGN, float("inf"), 3, 0,
+                                        target_errors=1, max_bits=max_bits)
+            assert record == reference_cell(config, AWGN, float("inf"), 3, 0,
+                                            target_errors=1, max_bits=max_bits)
+            assert record.bit_errors == 0 and record.bits_sent >= max_bits
+
     def test_single_unit_tap_is_identity(self):
         x = complex_gaussian(make_stream(4, 1), 256, 1.0).reshape(2, 2, 64)
         real = ChannelRealization(kind="tdl", taps=np.array([1.0 + 0j]))

@@ -1,10 +1,13 @@
 """Tests for the genie-aided zero-forcing equalizer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ofdmsim.channel import ChannelRealization, channel_freq_response
+from ofdmsim.channel import ChannelRealization, ChannelSpec, channel_freq_response
 from ofdmsim.equalizer import ZF_CLAMP_EPS, zero_forcing
+from ofdmsim.framing import OfdmConfig
 
 
 def random_complex(n: int, seed: int) -> np.ndarray:
@@ -23,6 +26,24 @@ class TestFreqResponse:
         real = ChannelRealization(kind="flat", gains=gains)
         response = np.broadcast_to(channel_freq_response([real], 16), (1, 3, 16))
         np.testing.assert_array_equal(response[0], np.repeat(gains[:, None], 16, axis=1))
+
+    def test_awgn_gives_all_ones(self, monkeypatch):
+        # an AWGN cell forms no response and is not equalized, which is what
+        # zero forcing by an all-ones response would give: its record is the
+        # same with the equalizer on or off, but for its label
+        import ofdmsim.sweep as sweep_mod
+
+        def no_response(*args, **kwargs):
+            raise AssertionError("an AWGN cell formed a channel response")
+
+        monkeypatch.setattr(sweep_mod, "channel_freq_response", no_response)
+        monkeypatch.setattr(sweep_mod, "zero_forcing", no_response)
+        config = OfdmConfig(64, "1/4", modulation_order=8, bit_budget=1000)
+        records = [sweep_mod.run_cell(config, ChannelSpec(kind="awgn"), 6.0, 3, 0,
+                                      target_errors=200, use_equalizer=on)
+                   for on in (True, False)]
+        assert records[0] == replace(records[1], channel="awgn")
+        assert records[0].bit_errors >= 200 and records[0].zf_clamps == 0
 
     def test_two_taps_closed_form(self):
         h0, h1 = 0.9 - 0.2j, 0.1 + 0.3j
