@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from ofdmsim.channel import KINDS
-from ofdmsim.cli import EXIT_OK, build_grid, exit_code, run_sweep
+from ofdmsim.cli import EXIT_OK, add_run_flags, build_grid, exit_code, run_sweep
 from ofdmsim.errors import IoError
 from ofdmsim.sweep import check_workers
 
@@ -54,12 +54,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
                                      argument_default=argparse.SUPPRESS)
     parser.add_argument("--out-dir", default="results", help="output directory")
-    parser.add_argument("--seed", dest="master_seed", type=int)
     parser.add_argument("--channels", default=",".join(KINDS),
                         help=f"comma list from {{{','.join(KINDS)}}}")
-    parser.add_argument("--max-bits", dest="max_bits_per_cell", type=int)
-    parser.add_argument("--target-errors", type=int)
-    parser.add_argument("--bit-budget", type=int)
+    add_run_flags(parser)
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (default 1; output-neutral)")
     args = parser.parse_args()

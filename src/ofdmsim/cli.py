@@ -69,14 +69,30 @@ def _boolean(value: Any) -> bool:
     raise ConfigError(f"expected true or false, got {value!r}")
 
 
+def _string(value: Any) -> str:
+    """A name from a config file: a JSON string."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"expected a string, got {value!r}")
+
+
+def _list(value: Any, convert: Callable[[Any], Any]) -> tuple:
+    """A list from a config file (or a comma-list flag's tuple), each item
+    converted by ``convert``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"expected a list, got {value!r}")
+    return tuple(convert(item) for item in value)
+
+
 #: The delay-line settings, which only the tdl channel takes.
 _TDL_KEYS = ("tdl_taps", "tdl_len", "tdl_decay_db")
 
 
 def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
+    """The channel of converted settings; a setting not given takes its default."""
     default = SweepGrid.channel
     kind = settings.get("channel", default.kind)
-    overhead = _boolean(settings.get("account_cp_overhead", default.account_cp_overhead))
+    overhead = settings.get("account_cp_overhead", default.account_cp_overhead)
     if kind != TDL:
         stray = [key for key in _TDL_KEYS if key in settings]
         if stray:
@@ -84,25 +100,23 @@ def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
                               f"got {', '.join(stray)}")
         return ChannelSpec(kind=kind, account_cp_overhead=overhead)
     if settings.get("tdl_taps") is not None:
-        powers = [_real(p) for p in settings["tdl_taps"]]
+        powers = settings["tdl_taps"]
         total = sum(powers)
         if total <= 0:
             raise ConfigError("tdl_taps must contain positive power")
         taps = [p / total for p in powers]
     else:
-        taps = exponential_pdp(
-            _integer(settings.get("tdl_len", DEFAULT_TDL_LEN)),
-            _real(settings.get("tdl_decay_db", DEFAULT_TDL_DECAY_DB)),
-        )
+        taps = exponential_pdp(settings.get("tdl_len", DEFAULT_TDL_LEN),
+                               settings.get("tdl_decay_db", DEFAULT_TDL_DECAY_DB))
     return ChannelSpec(kind=TDL, taps=taps, account_cp_overhead=overhead)
 
 
 #: SweepGrid fields a config file or flag may set, with their converters;
 #: a field not set keeps its SweepGrid default.
 _GRID_FIELDS = {
-    "fft_sizes": lambda sizes: tuple(_integer(n) for n in sizes),
-    "cp_fractions": lambda fractions: tuple(Fraction(str(g)) for g in fractions),
-    "ebno_points_db": lambda points: tuple(_real(e) for e in points),
+    "fft_sizes": lambda sizes: _list(sizes, _integer),
+    "cp_fractions": lambda fractions: _list(fractions, lambda g: Fraction(str(g))),
+    "ebno_points_db": lambda points: _list(points, _real),
     "modulation_order": _integer,
     "master_seed": _integer,
     "max_bits_per_cell": _integer,
@@ -110,9 +124,17 @@ _GRID_FIELDS = {
     "bit_budget": _integer,
     "use_equalizer": _boolean,
 }
+#: The channel's settings, with their converters (null taps are none).
+_CHANNEL_FIELDS = {
+    "channel": _string,
+    "tdl_taps": lambda taps: None if taps is None else _list(taps, _real),
+    "tdl_len": _integer,
+    "tdl_decay_db": _real,
+    "account_cp_overhead": _boolean,
+}
 #: Every setting key: the keys a config file may hold, and the dests of the
 #: setting flags.
-_GRID_KEYS = (*_GRID_FIELDS, "channel", *_TDL_KEYS, "account_cp_overhead")
+_GRID_KEYS = (*_GRID_FIELDS, *_CHANNEL_FIELDS)
 
 
 def _load_config_file(path: Optional[str]) -> dict[str, Any]:
@@ -136,11 +158,17 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
 def build_grid(settings: dict[str, Any]) -> SweepGrid:
     """The grid for resolved settings, a dict that may hold other keys too: the
     one validation path of every command."""
+    converted = {}  # the one place a malformed value gets its key
+    for key, convert in {**_GRID_FIELDS, **_CHANNEL_FIELDS}.items():
+        if key in settings:
+            try:
+                converted[key] = convert(settings[key])
+            except (TypeError, ValueError, ZeroDivisionError) as exc:  # e.g. "1/0"
+                raise ConfigError(f"{key}: {exc}") from exc
+    fields = {key: converted[key] for key in _GRID_FIELDS if key in converted}
     try:
-        fields = {key: convert(settings[key])
-                  for key, convert in _GRID_FIELDS.items() if key in settings}
-        return SweepGrid(channel=_build_channel(settings), **fields)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:  # malformed config values
+        return SweepGrid(channel=_build_channel(converted), **fields)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:  # a value the grid rejects
         raise ConfigError(str(exc)) from exc
 
 
@@ -224,8 +252,7 @@ def cmd_single(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.bits < 1:
         raise ConfigError(f"--bits must be >= 1, got {args.bits}")
-    seed = args.seed if args.seed is not None else DEFAULT_MASTER_SEED
-    rows, all_passed = run_validation(seed=seed, bits_floor=args.bits)
+    rows, all_passed = run_validation(seed=args.seed, bits_floor=args.bits)
     print(format_table(rows))
     print(f"validation {'PASSED' if all_passed else 'FAILED'}")
     return EXIT_OK if all_passed else EXIT_VALIDATION_FAILED
@@ -243,12 +270,17 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _count(text: str) -> int:
-    """argparse type of the per-cell count flags: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The run flags, the seed and the per-cell counts, of every command that
+    runs a grid; each dest is a setting key, and the grid judges the value."""
+    parser.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    parser.add_argument("--max-bits", dest="max_bits_per_cell", type=int,
+                        help=f"per-cell bit ceiling (default {SweepGrid.max_bits_per_cell})")
+    parser.add_argument("--target-errors", type=int,
+                        help=f"per-cell early-stop error count (default {SweepGrid.target_errors})")
+    parser.add_argument("--bit-budget", type=int,
+                        help="bits per Monte Carlo repetition, rounded down to whole PSK "
+                             f"symbols (default {SweepGrid.bit_budget})")
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
@@ -262,12 +294,7 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
                         help="charge the CP overhead against Eb/No")
     parser.add_argument("--mod-order", dest="modulation_order", type=int,
                         help=f"PSK order M (default {SweepGrid.modulation_order})")
-    parser.add_argument("--max-bits", dest="max_bits_per_cell", type=_count,
-                        help=f"per-cell bit ceiling (default {SweepGrid.max_bits_per_cell})")
-    parser.add_argument("--target-errors", type=_count,
-                        help=f"per-cell early-stop error count (default {SweepGrid.target_errors})")
-    parser.add_argument("--bit-budget", type=_count,
-                        help=f"bits per Monte Carlo repetition (default {SweepGrid.bit_budget})")
+    add_run_flags(parser)
     parser.add_argument("--no-equalizer", dest="use_equalizer", action="store_false",
                         help="bypass zero-forcing (reproduces the equalizer-less receiver)")
     parser.add_argument("--report-snr", action="store_true", default=False,
@@ -289,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="results.csv", help="CSV output path")
     p_sweep.add_argument("--json-out", default=None, help="also write JSON records here")
     p_sweep.add_argument("--plots", default=None, help="directory for SVG waterfall charts")
-    p_sweep.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     p_sweep.add_argument("--fft-sizes", help="comma list, e.g. 64,128,256,512")
     p_sweep.add_argument("--cp-fractions", help="comma list, e.g. 1/2,1/4,1/16,1/32")
     p_sweep.add_argument("--ebno", dest="ebno_points_db", help="comma list of Eb/No points in dB")
@@ -303,13 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_single.add_argument("--fft", type=int, required=True, help="FFT size")
     p_single.add_argument("--cp", required=True, help="CP fraction, e.g. 1/4")
     p_single.add_argument("--ebno", type=float, required=True, help="Eb/No in dB")
-    p_single.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     p_single.add_argument("--cell-id", type=int, default=0, help="substream cell id")
     _add_channel_flags(p_single)
     p_single.set_defaults(func=cmd_single)
 
     p_val = sub.add_parser("validate", help="check the simulator against analytic references")
-    p_val.add_argument("--seed", type=int, default=None, help="master seed")
+    p_val.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed")
     p_val.add_argument("--bits", type=int, default=1_000_000,
                        help="minimum bits per theory point (default 1000000)")
     p_val.set_defaults(func=cmd_validate)

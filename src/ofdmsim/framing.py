@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import Any, Optional
 
 import numpy as np
 
 from .errors import CpLengthError, SizeError
 from .psk import bits_per_symbol, is_power_of_two
+
+
+def as_integer(name: str, value: Any, minimum: Optional[int] = None) -> int:
+    """The integer setting ``name`` as an int, from any integer type (numpy's
+    too).  A bool or a non-integer is a ``TypeError``, and a value below
+    ``minimum`` a ``ValueError``; each names the setting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -21,9 +34,13 @@ class OfdmConfig:
     ``cp_fraction`` is an exact rational (accepts a string like "1/4");
     the cyclic prefix is ``cp_fraction * fft_size`` samples and must come
     out integer -- non-integer products are rejected, never rounded.
-    ``bit_budget`` is the number of information bits processed per Monte
-    Carlo repetition (one channel realization per repetition).  Every
-    field is required: the defaults of a run are ``SweepGrid``'s.
+    ``bit_budget`` bounds the information bits of one Monte Carlo
+    repetition (one channel realization per repetition): a repetition sends
+    it rounded down to a multiple of log2 M, and never fewer than log2 M
+    bits, so 999 bits for 8-PSK and a budget of 1000 (``sweep.run_cell``
+    says what a capped cell's last repetitions send).  The integer fields
+    take a numpy integer but not a float or a bool.  Every field is
+    required: the defaults of a run are ``SweepGrid``'s.
     """
 
     fft_size: int
@@ -32,7 +49,12 @@ class OfdmConfig:
     bit_budget: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "fft_size", as_integer("fft_size", self.fft_size))
         object.__setattr__(self, "cp_fraction", Fraction(self.cp_fraction))
+        object.__setattr__(self, "modulation_order",
+                           as_integer("modulation_order", self.modulation_order))
+        object.__setattr__(self, "bit_budget",
+                           as_integer("bit_budget", self.bit_budget, minimum=1))
         if not is_power_of_two(self.fft_size):
             raise SizeError(f"fft_size must be a power of two, got {self.fft_size}")
         if self.cp_fraction < 0:
@@ -46,8 +68,6 @@ class OfdmConfig:
         if cp > self.fft_size:
             raise CpLengthError(f"cyclic prefix {cp} exceeds fft_size {self.fft_size}")
         bits_per_symbol(self.modulation_order)  # rejects an invalid order
-        if self.bit_budget < 1:
-            raise ValueError(f"bit_budget must be >= 1, got {self.bit_budget}")
 
     @cached_property
     def cp_len(self) -> int:

@@ -63,7 +63,7 @@ from .channel import (
 )
 from .equalizer import clamped, zero_forcing
 from .errors import ConfigError, IoError, SizeError
-from .framing import OfdmConfig, remove_cyclic_prefix
+from .framing import OfdmConfig, as_integer, remove_cyclic_prefix
 from .metrics import CSV_COLUMNS, BerRecord, as_row, make_record
 from .psk import count_psk_errors, map_psk, pack_labels
 from .svgplot import emit_plot  # re-exported: plotting is part of the sweep surface
@@ -99,6 +99,8 @@ class SweepGrid:
     ebno_db), with Eb/No varying fastest.  The field defaults are the
     defaults of every entry point (the CLI, the experiment script and
     ``run_cell``); the cyclic-prefix set is the reference experiment grid's.
+    The integer fields take a numpy integer but not a float or a bool, and
+    keep it as an int.
     """
 
     fft_sizes: tuple[int, ...] = (64, 128, 256, 512)
@@ -115,7 +117,9 @@ class SweepGrid:
     use_equalizer: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fft_sizes", tuple(int(n) for n in self.fft_sizes))
+        object.__setattr__(
+            self, "fft_sizes", tuple(as_integer("fft_sizes", n) for n in self.fft_sizes)
+        )
         object.__setattr__(
             self, "cp_fractions", tuple(Fraction(g) for g in self.cp_fractions)
         )
@@ -134,8 +138,11 @@ class SweepGrid:
             if len(set(axis)) < len(axis):
                 raise ValueError(f"{name} must not repeat a value, got "
                                  f"{', '.join(str(v) for v in axis)}")
-        if self.max_bits_per_cell < 1 or self.target_errors < 1:
-            raise ValueError("per-cell budgets must be >= 1")
+        # OfdmConfig judges which orders and budgets are valid; the grid keeps ints
+        for name in ("modulation_order", "master_seed", "bit_budget"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        for name in ("max_bits_per_cell", "target_errors"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), minimum=1))
         for n in self.fft_sizes:
             if n not in SUPPORTED_FFT_SIZES:
                 raise SizeError(f"fft_size must be one of {SUPPORTED_FFT_SIZES}, got {n}")
@@ -275,13 +282,19 @@ def run_cell(
     *,
     target_errors: int = SweepGrid.target_errors,
     max_bits: int = SweepGrid.max_bits_per_cell,
-    use_equalizer: bool = True,
+    use_equalizer: bool = SweepGrid.use_equalizer,
 ) -> BerRecord:
     """Measure one grid cell's BER.
 
-    Repetitions of ``config.bit_budget`` bits run through the full chain,
-    each under a fresh channel realization, until ``target_errors`` bit
-    errors have accumulated or ``max_bits`` bits have been sent.
+    Repetitions run through the full chain, each under a fresh channel
+    realization, until ``target_errors`` bit errors have accumulated or
+    ``max_bits`` bits have been sent.  A repetition sends
+    ``config.bit_budget`` bits rounded down to a multiple of log2 M, and
+    never fewer than log2 M (999 bits for the default 8-PSK).  Near the cap
+    a repetition sends only the bits still allowed, rounded the same way,
+    so the final repetition of a capped cell is rounded up to log2 M bits,
+    and the cell sends the first multiple of log2 M at or above
+    ``max_bits``: 2 000 001 bits for a default cell.
 
     Repetitions run in chunks, and a long one in windows (see the module
     docstring); the record is the one a repetition-at-a-time loop would

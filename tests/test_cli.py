@@ -359,7 +359,7 @@ class TestErrorBoundary:
         result = run_cli("single", "--fft", "64", "--cp", "1/4", "--ebno", "10",
                          "--target-errors", "-1")
         assert result.returncode == 2
-        assert "--target-errors" in result.stderr
+        assert "target_errors" in result.stderr
 
     @pytest.mark.parametrize("flag", ["--max-bits", "--target-errors", "--mod-order",
                                       "--bit-budget"])

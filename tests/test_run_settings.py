@@ -1,0 +1,134 @@
+"""The run settings have one home: the seed and count flags are declared once,
+and the grid alone judges a value, whichever way it comes in."""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ofdmsim.cli as cli
+from ofdmsim.framing import OfdmConfig
+from ofdmsim.sweep import SweepGrid, run_grid
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment_grid.py"
+#: The count settings and their flags.
+COUNT_FLAGS = {"max_bits_per_cell": "--max-bits", "target_errors": "--target-errors",
+               "bit_budget": "--bit-budget"}
+
+
+def exit_and_stderr(capsys, main, *argv):
+    """(exit code, stderr) of ``main``, an exit from argparse included."""
+    try:
+        code = main(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def script_main(monkeypatch, *argv):
+    """The experiment script's ``main``, to be run on ``argv``."""
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), *argv])
+    return runpy.run_path(str(SCRIPT))["main"]
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", list(COUNT_FLAGS))
+@pytest.mark.parametrize("path", ["sweep flag", "single flag", "config file", "script flag"])
+def test_a_count_below_one_is_one_config_error_line(capsys, monkeypatch, tmp_path, path, key,
+                                                   value):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)  # where single would write, if it wrote
+    flag = [COUNT_FLAGS[key], str(value)]
+    out = ["--out", str(work / "x.csv")]
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({key: value}))
+    if path == "script flag":
+        code, err = exit_and_stderr(
+            capsys, script_main(monkeypatch, "--out-dir", str(work / "grid"), *flag))
+    else:
+        argv = {
+            "sweep flag": ["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno", "0",
+                           *flag, *out],
+            "single flag": ["single", "--fft", "64", "--cp", "1/4", "--ebno", "10", *flag],
+            "config file": ["sweep", "--config", str(config), *out],
+        }[path]
+        code, err = exit_and_stderr(capsys, cli.main, argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "config error" in err and key in err
+    assert not any(work.iterdir())
+
+
+#: A value of the wrong JSON type for every setting key.
+WRONG_TYPES = {
+    "fft_sizes": 64, "cp_fractions": "1/4", "ebno_points_db": 6, "modulation_order": "8",
+    "master_seed": 5.5, "max_bits_per_cell": [3000], "target_errors": "10",
+    "bit_budget": True, "use_equalizer": "false", "channel": 5, "tdl_taps": "0.5",
+    "tdl_len": "9", "tdl_decay_db": "1.0", "account_cp_overhead": "no",
+}
+
+
+def test_every_setting_key_has_a_wrong_type():
+    assert sorted(WRONG_TYPES) == sorted(cli._GRID_KEYS)
+
+
+@pytest.mark.parametrize("key", list(WRONG_TYPES))
+def test_a_value_of_the_wrong_type_names_its_key(capsys, tmp_path, key):
+    config, out = tmp_path / "grid.json", tmp_path / "x.csv"
+    config.write_text(json.dumps({"channel": "tdl", key: WRONG_TYPES[key]}))
+    code, err = exit_and_stderr(capsys, cli.main, ["sweep", "--config", str(config),
+                                                   "--out", str(out)])
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"ofdmsim: config error: {key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("master_seed", 1.5), ("bit_budget", 999.5), ("fft_sizes", (64.7,)), ("master_seed", True),
+    ("max_bits_per_cell", True), ("modulation_order", 8.0), ("target_errors", np.float64(5)),
+    ("fft_sizes", (64, np.True_)),
+])
+def test_grid_rejects_a_non_integer_at_construction(field, value):
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+        SweepGrid(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("fft_size", 64.0), ("modulation_order", 8.0), ("modulation_order", True),
+    ("bit_budget", True), ("bit_budget", "999"),
+])
+def test_config_rejects_a_non_integer_at_construction(field, value):
+    settings = {"fft_size": 64, "cp_fraction": "1/4", "modulation_order": 8, "bit_budget": 999,
+                field: value}
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+        OfdmConfig(**settings)
+
+
+def test_numpy_integers_are_integers():
+    counts = {"modulation_order": 4, "master_seed": 5, "max_bits_per_cell": 3000,
+              "target_errors": 5, "bit_budget": 900}
+    grid = SweepGrid(fft_sizes=(64, 128), ebno_points_db=(4.0,), **counts)
+    from_numpy = SweepGrid(fft_sizes=np.array([64, 128]), ebno_points_db=(4.0,),
+                           **{key: np.int64(value) for key, value in counts.items()})
+    assert from_numpy == grid
+    kept = (*from_numpy.fft_sizes, *(getattr(from_numpy, key) for key in counts))
+    assert {type(value) for value in kept} == {int}
+    assert run_grid(from_numpy) == run_grid(grid)
+
+
+def test_script_help_is_the_sweep_help_of_the_run_flags(capsys, monkeypatch):
+    commands = next(action for action in cli.build_parser()._actions
+                    if action.dest == "command")
+    sweep = {action.dest: action for action in commands.choices["sweep"]._actions}
+    with pytest.raises(SystemExit) as exited:
+        script_main(monkeypatch, "--help")()
+    assert exited.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key in ("master_seed", *COUNT_FLAGS):
+        flag = sweep[key]
+        assert f"{flag.option_strings[0]} {key.upper()} {' '.join(flag.help.split())}" in text
