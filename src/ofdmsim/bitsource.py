@@ -2,7 +2,10 @@
 
 Every Monte Carlo cell owns its own stream, derived from the pair
 ``(origin_seed, cell_id)`` so that cells can run in any order, on any
-number of workers, and still reproduce bit-for-bit.
+number of workers, and still reproduce bit-for-bit.  Both keys are
+integers in 0..2^64-1 (:data:`KEY_MAX`); a key outside that range is
+rejected, not reduced mod 2^64, so the seed and cell id a record prints
+are the keys its draws came from.
 
 Derivation of the per-cell seed (fixed for the life of this package)::
 
@@ -32,10 +35,15 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError
+
 #: Default master seed for all CLI entry points (arbitrary documented constant).
 DEFAULT_MASTER_SEED = 0x0FDA_0FDA_0FDA_0FDA
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+
+#: Largest stream key: a master seed and a cell id are each in 0..KEY_MAX.
+KEY_MAX = _MASK64
 
 #: Raw PCG64 outputs, little-endian, so their bytes come low half first.
 _RAW_WORDS = np.dtype("<u8")
@@ -43,6 +51,14 @@ _RAW_WORDS = np.dtype("<u8")
 #: Most raw outputs (8 bytes each) a bit draw asks for at once: a long draw
 #: goes straight into its output without a temporary of its own size.
 _RAW_BLOCK = 8192
+
+
+def check_key(name: str, key: int) -> int:
+    """``key``, or a :class:`ConfigError` (a ``ValueError``) naming ``name`` if
+    it is outside 0..KEY_MAX."""
+    if not 0 <= key <= KEY_MAX:
+        raise ConfigError(f"{name} must be in 0..{KEY_MAX}, got {key}")
+    return key
 
 
 def _rotl64(x: int, k: int) -> int:
@@ -77,9 +93,10 @@ def make_stream(origin_seed: int, cell_id: int) -> RngStream:
     """Create the deterministic substream for one sweep cell.
 
     The internal seed is ``splitmix64(origin_seed XOR rotl64(cell_id, 32))``,
-    driving a PCG64 generator.
+    driving a PCG64 generator.  A key outside 0..KEY_MAX is a ``ValueError``.
     """
-    derived = _splitmix64((origin_seed ^ _rotl64(cell_id, 32)) & _MASK64)
+    key = check_key("origin_seed", origin_seed) ^ _rotl64(check_key("cell_id", cell_id), 32)
+    derived = _splitmix64(key)
     return RngStream(rng=np.random.Generator(np.random.PCG64(derived)))
 
 

@@ -23,12 +23,12 @@ cell has no channel step, and its only impairment is the noise.  One
 :class:`ChannelRealization` is one fading repetition's whole channel, and
 :func:`realize_channel` draws it (one flat gain per OFDM symbol, or one set
 of delay-line taps, quasi-static over the repetition's burst of symbols).
-The receiver side works on a chunk of repetitions at once:
-:func:`channel_freq_response` gives the chunk's response for a window of
-OFDM symbols, or for the whole repetition, and :func:`apply_channel`
-applies the chunk's realizations for the same window in place to its
-``(k, frames, N+L)`` block, a flat channel by multiplying with that
-response; the receiver equalizes with the same response.  Noise is drawn
+The chain works on a chunk of repetitions at once, and makes one channel
+call per window of OFDM symbols (or per whole repetition):
+:func:`apply_channel` applies the chunk's realizations for the window in
+place to its ``(k, frames, N+L)`` block and returns the response it
+formed with :func:`channel_freq_response`, which a flat channel
+multiplies by and the receiver equalizes with.  Noise is drawn
 separately, only through :func:`complex_gaussian`.
 """
 
@@ -118,12 +118,24 @@ def ebno_to_noise_variance(ebno_db: float, config: OfdmConfig, spec: ChannelSpec
 
 
 def exponential_pdp(length: int, decay_db_per_tap: float) -> np.ndarray:
-    """Exponentially decaying power-delay profile, normalized to sum 1."""
-    if length < 1 or not math.isfinite(decay_db_per_tap):
-        raise ValueError(f"need a length >= 1 and a finite decay, got {length}, "
-                         f"{decay_db_per_tap}")
-    powers = 10.0 ** (-decay_db_per_tap * np.arange(length) / 10.0)
-    return powers / powers.sum()
+    """Exponentially decaying power-delay profile, normalized to sum 1.
+
+    ``length`` and ``decay_db_per_tap`` are the ``tdl_len`` and
+    ``tdl_decay_db`` settings, and a ``ValueError`` names the one at fault:
+    a length below 1, a non-finite decay, or a decay so steeply negative
+    that the profile overflows float64.
+    """
+    if length < 1:
+        raise ValueError(f"tdl_len must be >= 1, got {length}")
+    if not math.isfinite(decay_db_per_tap):
+        raise ValueError(f"tdl_decay_db must be finite, got {decay_db_per_tap}")
+    with np.errstate(over="ignore"):  # an overflowed profile is rejected below
+        powers = 10.0 ** (-decay_db_per_tap * np.arange(length) / 10.0)
+        total = powers.sum()
+    if not math.isfinite(total):
+        raise ValueError(f"tdl_decay_db {decay_db_per_tap} overflows float64 "
+                         f"over {length} taps")
+    return powers / total
 
 
 def complex_gaussian(
@@ -166,35 +178,37 @@ def realize_channel(spec: ChannelSpec, stream: RngStream, n_frames: int) -> Chan
 def apply_channel(
     frames: np.ndarray,
     reals: Sequence[ChannelRealization],
-    response: np.ndarray,
+    fft_size: int,
     window: slice = slice(None),
 ) -> np.ndarray:
     """Pass OFDM symbols ``window`` of a chunk of repetitions through their channels, in place.
 
-    ``frames`` is the chunk's ``(k, frames, N+L)`` block, ``reals`` its k
-    realizations, one per row, all of one kind, and ``response`` their
-    :func:`channel_freq_response` for the same window.  A row holds the
-    whole repetition by default, or one window of it, the windows passed in
-    order.  A flat gain is its own response, so flat fading multiplies the
-    chunk by ``response`` in one broadcast multiply.  The delay line does
-    not use ``response``, which holds only once the cyclic prefix is
-    removed: it applies LINEAR convolution with the taps over a
-    repetition's concatenated frames, truncated to their length, so the
-    first taps of each frame see the spill-over from the preceding samples
-    -- exactly the interference a sufficient cyclic prefix absorbs.  It runs
-    row by row, each row one ``np.convolve``.  The line starts silent at the
+    ``frames`` is the chunk's ``(k, frames, N+L)`` block and ``reals`` its
+    k realizations, one per row, all of one kind.  A row holds the whole
+    repetition by default, or one window of it, the windows passed in
+    order.  Returns the window's response, the
+    :func:`channel_freq_response` the receiver equalizes with.  A flat gain
+    is its own response, so flat fading multiplies the chunk by the
+    response in one broadcast multiply.  The delay line does not use the
+    response, which holds only once the cyclic prefix is removed: it
+    applies LINEAR convolution with the taps over a repetition's
+    concatenated frames, truncated to their length, so the first taps of
+    each frame see the spill-over from the preceding samples -- exactly the
+    interference a sufficient cyclic prefix absorbs.  It runs row by row,
+    each row one ``np.convolve``.  The line starts silent at the
     repetition's first symbol; a later window is convolved after the carry
     (the previous window's last ``memory`` pre-channel samples), and only
     the outputs after the carry are kept, which are the ones one convolution
-    over the whole repetition gives.  No noise is added.  Returns ``frames``.
+    over the whole repetition gives.  No noise is added.
     """
     if frames.size == 0:
         raise ValueError("frames must be nonempty")
     if len(reals) != len(frames):
         raise ValueError(f"{len(reals)} realizations for {len(frames)} repetitions")
+    response = channel_freq_response(reals, fft_size, window)
     if reals[0].kind == FLAT:
         frames *= response
-        return frames
+        return response
     for row, real in zip(frames, reals):
         block = row.ravel()
         carry = real.carry if window.start else block[:0]
@@ -202,7 +216,7 @@ def apply_channel(
         real.carry = signal[max(signal.size - (real.taps.size - 1), 0):].copy()
         out = np.convolve(signal, real.taps)[carry.size:signal.size]
         row[...] = out.reshape(row.shape)
-    return frames
+    return response
 
 
 def channel_freq_response(
@@ -210,9 +224,10 @@ def channel_freq_response(
 ) -> np.ndarray:
     """Subcarrier response of a chunk's channels, broadcastable over its ``(k, frames, N)`` grid.
 
-    ``reals`` and ``window`` are as in :func:`apply_channel`.  A flat gain
-    is its own response: a ``(k, frames, 1)`` array, a gain per OFDM
-    symbol, which :func:`apply_channel` applies as it is.  The delay line
+    ``reals`` and ``window`` are as in :func:`apply_channel`, which forms
+    the response with this function and returns it.  A flat gain is its own
+    response: a ``(k, frames, 1)`` array, a gain per OFDM symbol, which
+    :func:`apply_channel` applies as it is.  The delay line
     gives the plain (non-unitary) DFT of the zero-padded taps, one FFT of
     the chunk's ``(k, L+1)`` taps as a ``(k, 1, N)`` array -- that is the
     gain the payload subcarriers actually see when the cyclic prefix turns

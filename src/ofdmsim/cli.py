@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from .bitsource import DEFAULT_MASTER_SEED
+from .bitsource import DEFAULT_MASTER_SEED, check_key
 from .channel import (
     DEFAULT_TDL_DECAY_DB,
     DEFAULT_TDL_LEN,
@@ -22,6 +22,7 @@ from .channel import (
 )
 from .errors import ConfigError, IoError
 from .framing import OfdmConfig
+from .metrics import BerRecord
 from .sweep import (
     SweepFailure,
     SweepGrid,
@@ -102,8 +103,10 @@ def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
     if settings.get("tdl_taps") is not None:
         powers = settings["tdl_taps"]
         total = sum(powers)
-        if total <= 0:
-            raise ConfigError("tdl_taps must contain positive power")
+        # false for a NaN, and for a sum that overflows
+        if not (all(p >= 0.0 for p in powers) and 0.0 < total < math.inf):
+            raise ConfigError("tdl_taps must be nonnegative with a positive finite sum, "
+                              f"got {list(powers)}")
         taps = [p / total for p in powers]
     else:
         taps = exponential_pdp(settings.get("tdl_len", DEFAULT_TDL_LEN),
@@ -234,10 +237,11 @@ def cmd_single(args: argparse.Namespace) -> int:
     settings = _flag_settings(args)
     settings.update(fft_sizes=[args.fft], cp_fractions=[args.cp], ebno_points_db=[args.ebno])
     grid = build_grid(settings)
+    cell_id = check_key("cell_id", args.cell_id)  # before the echo: one stderr line
     _echo_grid(grid)
     _, config, spec, ebno = next(grid.cells())
     record = run_cell(
-        config, spec, ebno, grid.master_seed, args.cell_id,
+        config, spec, ebno, grid.master_seed, cell_id,
         target_errors=grid.target_errors, max_bits=grid.max_bits_per_cell,
         use_equalizer=grid.use_equalizer,
     )
@@ -252,7 +256,7 @@ def cmd_single(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.bits < 1:
         raise ConfigError(f"--bits must be >= 1, got {args.bits}")
-    rows, all_passed = run_validation(seed=args.seed, bits_floor=args.bits)
+    rows, all_passed = run_validation(seed=check_key("seed", args.seed), bits_floor=args.bits)
     print(format_table(rows))
     print(f"validation {'PASSED' if all_passed else 'FAILED'}")
     return EXIT_OK if all_passed else EXIT_VALIDATION_FAILED
@@ -265,7 +269,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise ConfigError(f"records file {args.records} is malformed: {exc!r}") from exc
     if not rows:
         raise ConfigError(f"records file {args.records} holds no records")
-    paths = emit_plot(rows, args.out_dir)
+    paths = emit_plot([BerRecord(**row) for row in rows], args.out_dir)
     print(f"wrote {len(paths)} chart(s) to {args.out_dir}", file=sys.stderr)
     return EXIT_OK
 

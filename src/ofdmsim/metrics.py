@@ -92,11 +92,6 @@ class BerRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(BerRecord))
 
 
-def as_row(record: Any) -> dict[str, Any]:
-    """The column dict of a :class:`BerRecord`, or a row dict as given."""
-    return record.row() if hasattr(record, "row") else dict(record)
-
-
 def make_record(
     config: OfdmConfig,
     channel_summary: str,

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Iterable
 
 from .errors import IoError
-from .metrics import as_row
+from .metrics import BerRecord
 
 #: Zero-error cells are drawn at this BER so the log axis stays total.
 BER_FLOOR = 1e-7
@@ -43,13 +43,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
-def render_chart(rows: list[dict[str, Any]], fft_size: int) -> str:
+def render_chart(records: list[BerRecord], fft_size: int) -> str:
     """Render one chart (a single FFT size) as an SVG document string."""
-    by_cp: dict[Fraction, list[dict[str, Any]]] = {}
-    for row in rows:
-        by_cp.setdefault(Fraction(str(row["cp_fraction"])), []).append(row)
-    fractions = sorted(by_cp, reverse=True)
-    ebnos = sorted({float(r["ebno_db"]) for r in rows})
+    by_cp: dict[str, list[BerRecord]] = {}
+    for record in records:
+        by_cp.setdefault(record.cp_fraction, []).append(record)
+    fractions = sorted(by_cp, key=Fraction, reverse=True)
+    ebnos = sorted({r.ebno_db for r in records})
     lo, hi = ebnos[0], ebnos[-1]
 
     parts = [
@@ -100,12 +100,8 @@ def render_chart(rows: list[dict[str, Any]], fft_size: int) -> str:
     # one polyline (plus markers) per CP fraction
     for i, frac in enumerate(fractions):
         color = _PALETTE[i % len(_PALETTE)]
-        series = sorted(by_cp[frac], key=lambda r: float(r["ebno_db"]))
-        pts = []
-        for row in series:
-            x = _x_px(float(row["ebno_db"]), lo, hi)
-            y = _y_px(float(row["ber"]))
-            pts.append((x, y, float(row["ber"]) <= 0.0))
+        series = sorted(by_cp[frac], key=lambda r: r.ebno_db)
+        pts = [(_x_px(r.ebno_db, lo, hi), _y_px(r.ber), r.ber <= 0.0) for r in series]
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y, _ in pts)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -147,20 +143,21 @@ def render_chart(rows: list[dict[str, Any]], fft_size: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_plot(records: Iterable[Any], out_dir: str) -> list[str]:
+def emit_plot(records: Iterable[BerRecord], out_dir: str) -> list[str]:
     """Write one BER-vs-Eb/No SVG per FFT size present in the records.
 
-    Records may be BerRecord objects or plain row dicts (as read back from
-    a results file).  An FFT size with no finite Eb/No point gets no chart.
-    Returns the written paths.
+    Each record is a :class:`BerRecord`, as a sweep makes it; a records
+    file read back gives ``BerRecord(**row)`` for each typed row.
+    An FFT size with no finite Eb/No point gets no chart.  Returns the
+    written paths.
     """
-    rows = [as_row(r) for r in records]
-    if not rows:
+    records = list(records)
+    if not records:
         raise ValueError("no records to plot")
-    by_fft: dict[int, list[dict[str, Any]]] = {}
-    for row in rows:
-        if math.isfinite(float(row["ebno_db"])):
-            by_fft.setdefault(int(row["fft_size"]), []).append(row)
+    by_fft: dict[int, list[BerRecord]] = {}
+    for record in records:
+        if math.isfinite(record.ebno_db):
+            by_fft.setdefault(record.fft_size, []).append(record)
     paths = []
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -13,12 +13,13 @@ a window shares a chunk with as many others of its size as the window
 holds: the draws of every repetition in the chunk are made first, each
 repetition's in the order above, into (k, ...) arrays; then the chain runs
 once on the whole chunk.  Every step after the draws takes the chunk at
-once -- the bits are packed into PSK labels once, the channel response
-is formed once (the delay-line responses by one FFT) for both the channel
-and the equalizer, flat gains and the zero-forcing division are one
-broadcast operation each -- and gives each element the same floating-point
-operation on the same operands as a repetition on its own; only the
-delay-line convolution runs per repetition.  Zero-forcing clamps are
+once -- the bits are packed into PSK labels once, one channel call
+applies the channel and returns the response it formed (the delay-line
+responses by one FFT), which the equalizer divides by, and flat gains and
+the zero-forcing division are one broadcast operation each -- and gives
+each element the same floating-point operation on the same operands as a
+repetition on its own; only the delay-line convolution runs per
+repetition.  Zero-forcing clamps are
 attributed to their repetitions from the response.  A longer repetition
 runs alone, window by window: its bits and its channel are drawn once,
 then each window's noise is drawn and the chain runs on that window, the
@@ -51,12 +52,11 @@ from typing import Any, Iterable, Iterator, Optional, get_type_hints
 
 import numpy as np
 
-from .bitsource import DEFAULT_MASTER_SEED, draw_bits, make_stream
+from .bitsource import DEFAULT_MASTER_SEED, check_key, draw_bits, make_stream
 from .channel import (
     AWGN,
     ChannelSpec,
     apply_channel,
-    channel_freq_response,
     complex_gaussian,
     ebno_to_noise_variance,
     realize_channel,
@@ -64,13 +64,14 @@ from .channel import (
 from .equalizer import clamped, zero_forcing
 from .errors import ConfigError, IoError, SizeError
 from .framing import OfdmConfig, as_integer, remove_cyclic_prefix
-from .metrics import CSV_COLUMNS, BerRecord, as_row, make_record
+from .metrics import CSV_COLUMNS, BerRecord, make_record
 from .psk import count_psk_errors, map_psk, pack_labels
 from .svgplot import emit_plot  # re-exported: plotting is part of the sweep surface
 from .transform import unitary_dft, unitary_idft
 
 # Kept importable from this module although the chain does not call them:
 # the benchmark's trace (bench/run.py) wraps these names in this namespace.
+from .channel import channel_freq_response  # noqa: F401
 from .framing import add_cyclic_prefix, serial_to_parallel  # noqa: F401
 from .metrics import count_bit_errors  # noqa: F401
 from .psk import demap_psk  # noqa: F401
@@ -100,7 +101,7 @@ class SweepGrid:
     defaults of every entry point (the CLI, the experiment script and
     ``run_cell``); the cyclic-prefix set is the reference experiment grid's.
     The integer fields take a numpy integer but not a float or a bool, and
-    keep it as an int.
+    keep it as an int; ``master_seed`` is a stream key, in 0..2^64-1.
     """
 
     fft_sizes: tuple[int, ...] = (64, 128, 256, 512)
@@ -141,6 +142,7 @@ class SweepGrid:
         # OfdmConfig judges which orders and budgets are valid; the grid keeps ints
         for name in ("modulation_order", "master_seed", "bit_budget"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        check_key("master_seed", self.master_seed)
         for name in ("max_bits_per_cell", "target_errors"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name), minimum=1))
         for n in self.fft_sizes:
@@ -254,10 +256,8 @@ def _run_chain_once(
     unitary_idft(grid, out=tx[..., cp_len:])
     tx[..., :cp_len] = tx[..., n_fft:]  # cyclic prefix: copy of the symbol tail
 
-    if realizations:
-        # one response per window: the flat channel applies it, ZF divides by it
-        response = channel_freq_response(realizations, n_fft, window)
-        apply_channel(tx, realizations, response, window)
+    if realizations:  # the window's response, which ZF divides by
+        response = apply_channel(tx, realizations, n_fft, window)
     rx = tx if work.noise is None else np.add(work.noise[:k, :count], tx,
                                               out=work.noise[:k, :count])
     freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), out=grid)
@@ -427,13 +427,15 @@ def _format_cell(value: Any) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
-def write_records(records: Iterable[Any], path: str, fmt: str = "csv") -> None:
-    """Persist records as CSV or JSON with the fixed column schema.
+def write_records(records: Iterable[BerRecord], path: str, fmt: str = "csv") -> None:
+    """Persist :class:`BerRecord` records as CSV or JSON with the fixed column schema.
 
-    Floats carry 17 significant digits, so a write/read round trip is
-    value-exact; cp_fraction is always the rational string (e.g. "1/4").
+    Each column is written as its column type (an int Eb/No from a direct
+    :func:`run_cell` caller as a float).  Floats carry 17 significant
+    digits, so a write/read round trip is value-exact; cp_fraction is
+    always the rational string (e.g. "1/4").
     """
-    rows = [_typed(as_row(r)) for r in records]
+    rows = [_typed(r.row()) for r in records]
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     try:

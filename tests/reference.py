@@ -5,6 +5,8 @@ They are written for clarity, not speed, and no simulator code calls them.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ofdmsim.bitsource import draw_bits, make_stream
@@ -12,7 +14,6 @@ from ofdmsim.channel import (
     AWGN,
     ChannelRealization,
     apply_channel,
-    channel_freq_response,
     complex_gaussian,
     ebno_to_noise_variance,
     realize_channel,
@@ -25,16 +26,23 @@ from ofdmsim.psk import demap_psk, map_psk, pack_labels
 from ofdmsim.transform import unitary_dft, unitary_idft
 
 
+@functools.lru_cache(maxsize=None)
+def _direct_kernel(n: int, inverse: bool) -> np.ndarray:
+    """The N x N matrix of the unitary transform sum, built once per (N, direction)."""
+    sign = 1.0 if inverse else -1.0
+    idx = np.arange(n)
+    kernel = np.exp(sign * 2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    kernel.flags.writeable = False  # shared by every later call
+    return kernel
+
+
 def direct_transform(samples: np.ndarray, inverse: bool) -> np.ndarray:
     """Literal O(N^2) evaluation of the unitary transform sum (any N >= 1)."""
     samples = np.asarray(samples, dtype=np.complex128)
     n = samples.size
     if n < 1:
         raise SizeError("direct transform needs at least one sample")
-    sign = 1.0 if inverse else -1.0
-    idx = np.arange(n)
-    kernel = np.exp(sign * 2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
-    return kernel @ samples
+    return _direct_kernel(n, inverse) @ samples
 
 
 def post_dft_deviation(n_fft: int, cp: int, memory: int, seed: int, n_frames: int) -> float:
@@ -52,8 +60,8 @@ def post_dft_deviation(n_fft: int, cp: int, memory: int, seed: int, n_frames: in
     matrix, _ = serial_to_parallel(map_psk(pack_labels(bits, 8), 8), n_fft)
     tx = add_cyclic_prefix(unitary_idft(matrix), cp)
     real = ChannelRealization(kind="tdl", taps=taps)
-    rx = apply_channel(tx[None], [real], channel_freq_response([real], n_fft))[0]
-    rx_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))
+    apply_channel(tx[None], [real], n_fft)  # in place
+    rx_freq = unitary_dft(remove_cyclic_prefix(tx, n_fft, cp))
     expected = np.fft.fft(taps, n=n_fft)[None, :] * matrix
     return float(np.max(np.abs(rx_freq - expected)))
 
@@ -79,8 +87,7 @@ def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, ma
         rx = add_cyclic_prefix(unitary_idft(matrix), cp_len)
         if fading:
             real = realize_channel(channel, stream, rx.shape[0])
-            response = channel_freq_response([real], n_fft)
-            rx = apply_channel(rx[None], [real], response)[0]
+            response = apply_channel(rx[None], [real], n_fft)  # in place
         if sigma2 > 0.0:
             rx = rx + complex_gaussian(stream, rx.size, sigma2).reshape(rx.shape)
         freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len))

@@ -1,5 +1,7 @@
 """Tests for channel specs, realizations, calibration, and application."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,11 +30,6 @@ AWGN = ChannelSpec(kind="awgn")
 
 def eight_psk(fft_size: int, cp_fraction: str) -> OfdmConfig:
     return OfdmConfig(fft_size, cp_fraction, modulation_order=8, bit_budget=1000)
-
-
-def through(frames, reals, window=slice(None)):
-    """apply_channel with the chunk's own response for the window, as the chain calls it."""
-    return apply_channel(frames, reals, channel_freq_response(reals, 64, window), window)
 
 
 class TestNoiseCalibration:
@@ -76,6 +73,14 @@ class TestExponentialPdp:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             exponential_pdp(0, 1.0)
+
+    def test_overflowing_decay_rejected_without_a_warning(self):
+        # a steep negative decay still makes a profile while its sum is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exponential_pdp(2, -3000.0)[1] == 1.0
+            with pytest.raises(ValueError, match="^tdl_decay_db -4000.0 overflows"):
+                exponential_pdp(2, -4000.0)
 
 
 class TestChannelSpec:
@@ -197,7 +202,9 @@ class TestApplyChannel:
     def test_single_unit_tap_is_identity(self):
         x = complex_gaussian(make_stream(4, 1), 256, 1.0).reshape(2, 2, 64)
         real = ChannelRealization(kind="tdl", taps=np.array([1.0 + 0j]))
-        np.testing.assert_allclose(through(x.copy(), [real, real]), x, atol=1e-15)
+        frames = x.copy()
+        apply_channel(frames, [real, real], 64)
+        np.testing.assert_allclose(frames, x, atol=1e-15)
 
     def test_flat_gain_scales(self):
         # a chunk of two repetitions of two frames, each frame by its own gain
@@ -205,19 +212,19 @@ class TestApplyChannel:
         gains = np.array([[0.5 + 0.5j, -1.0], [2j, 0.0]])
         frames = x.copy()
         reals = [ChannelRealization(kind="flat", gains=g) for g in gains]
-        returned = through(frames, reals)
-        assert returned is frames  # in place
-        np.testing.assert_array_equal(frames, gains[..., None] * x)
+        response = apply_channel(frames, reals, 16)
+        np.testing.assert_array_equal(frames, gains[..., None] * x)  # in place
+        np.testing.assert_array_equal(response, gains[..., None])
 
     def test_empty_signal_rejected(self):
         real = ChannelRealization(kind="flat", gains=np.ones(0, dtype=complex))
         with pytest.raises(ValueError):
-            through(np.empty((1, 0, 16), dtype=complex), [real])
+            apply_channel(np.empty((1, 0, 16), dtype=complex), [real], 16)
 
     def test_one_realization_per_row(self):
         real = ChannelRealization(kind="flat", gains=np.ones(4))
         with pytest.raises(ValueError):
-            through(np.ones((2, 4, 16), dtype=complex), [real])
+            apply_channel(np.ones((2, 4, 16), dtype=complex), [real], 16)
 
     @pytest.mark.parametrize("kind", ["flat", "tdl"])
     def test_chunk_rows_take_their_own_channels(self, kind):
@@ -228,12 +235,39 @@ class TestApplyChannel:
         stream = make_stream(14, 0)
         reals = [realize_channel(spec, stream, 5) for _ in range(3)]
         x = complex_gaussian(stream, 3 * 5 * 80, 1.0).reshape(3, 5, 80)
-        chunk = through(x.copy(), reals)
-        response = np.broadcast_to(channel_freq_response(reals, 64), (3, 5, 64))
+        chunk = x.copy()
+        response = np.broadcast_to(apply_channel(chunk, reals, 64), (3, 5, 64))
         for row, real, alone, h in zip(x, reals, chunk, response):
-            np.testing.assert_array_equal(through(row.copy()[None], [real])[0], alone)
+            frames = row.copy()[None]
+            apply_channel(frames, [real], 64)
+            np.testing.assert_array_equal(frames[0], alone)
             own = real.gains[:, None] if kind == "flat" else np.fft.fft(real.taps, n=64)
             np.testing.assert_array_equal(h, np.broadcast_to(own, (5, 64)))
+
+    @pytest.mark.parametrize("kind", ["flat", "tdl"])
+    def test_returns_the_response_it_applied(self, kind):
+        # one call changes the frames in place and hands back the window's
+        # response, which the receiver divides by: for a chunk of three
+        # repetitions, and for one repetition's windows in order
+        taps = exponential_pdp(9, 1.0) if kind == "tdl" else None
+        stream = make_stream(15, 0)
+        reals = [realize_channel(ChannelSpec(kind=kind, taps=taps), stream, 6) for _ in range(3)]
+        x = complex_gaussian(stream, 3 * 6 * 80, 1.0).reshape(3, 6, 80)
+        if kind == "flat":
+            expected = x * np.array([real.gains for real in reals])[..., None]
+        else:
+            expected = np.array([np.convolve(row.ravel(), real.taps)[:row.size].reshape(row.shape)
+                                 for row, real in zip(x, reals)])
+        chunk = x.copy()
+        response = apply_channel(chunk, reals, 64)
+        np.testing.assert_array_equal(response, channel_freq_response(reals, 64))
+        np.testing.assert_array_equal(chunk, expected)
+        frames = x[:1].copy()
+        for window in (slice(0, 2), slice(2, 3), slice(3, 6)):
+            response = apply_channel(frames[:, window], reals[:1], 64, window)
+            np.testing.assert_array_equal(response,
+                                          channel_freq_response(reals[:1], 64, window))
+        np.testing.assert_array_equal(frames, expected[:1])
 
     @pytest.mark.parametrize("n_taps", [1, 2, 9, 12])
     def test_windows_in_order_equal_the_whole_repetition(self, n_taps):
@@ -244,20 +278,23 @@ class TestApplyChannel:
         whole = complex_gaussian(stream, 400 * 8, 1.0).reshape(400, 8)
         real = realize_channel(ChannelSpec(kind="tdl", taps=exponential_pdp(n_taps, 1.0)),
                                stream, 400)
-        expected = through(whole.copy()[None], [real])[0]
+        expected = whole.copy()
+        apply_channel(expected[None], [real], 8)
         blocks = whole.copy()
         for window in (slice(0, 300), slice(300, 301), slice(301, 400)):
-            through(blocks[None, window], [real], window)
+            apply_channel(blocks[None, window], [real], 8, window)
         np.testing.assert_array_equal(blocks, expected)
 
     def test_flat_windows_take_their_own_gains(self):
         x = complex_gaussian(make_stream(6, 1), 64, 1.0).reshape(1, 4, 16)
         real = ChannelRealization(kind="flat", gains=np.array([0.5 + 0.5j, -1.0, 2j, 3.0]))
         frames = x.copy()
-        through(frames[:, :3], [real], slice(0, 3))
-        through(frames[:, 3:], [real], slice(3, 4))
-        np.testing.assert_array_equal(frames, through(x.copy(), [real]))
-        np.testing.assert_array_equal(channel_freq_response([real], 16, slice(3, 4)), [[[3.0]]])
+        apply_channel(frames[:, :3], [real], 16, slice(0, 3))
+        last = apply_channel(frames[:, 3:], [real], 16, slice(3, 4))
+        whole = x.copy()
+        apply_channel(whole, [real], 16)
+        np.testing.assert_array_equal(frames, whole)
+        np.testing.assert_array_equal(last, [[[3.0]]])
 
     def test_two_tap_channel_is_per_subcarrier_gain(self):
         # noise-free CP-framed symbol: post-DFT payload equals H[k] * X[k]
@@ -266,8 +303,8 @@ class TestApplyChannel:
         rng = np.random.default_rng(12)
         x_freq = rng.standard_normal(n_fft) + 1j * rng.standard_normal(n_fft)
         tx = add_cyclic_prefix(unitary_idft(x_freq), cp)[None, None, :]
-        rx = through(tx, [ChannelRealization(kind="tdl", taps=taps)])
-        y_freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp))[0, 0]
+        apply_channel(tx, [ChannelRealization(kind="tdl", taps=taps)], n_fft)
+        y_freq = unitary_dft(remove_cyclic_prefix(tx, n_fft, cp))[0, 0]
         expected = np.fft.fft(taps, n=n_fft) * x_freq
         assert np.max(np.abs(y_freq - expected)) < 1e-9
 

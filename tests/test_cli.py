@@ -632,11 +632,15 @@ class TestValidateCommand:
 class TestPlotCommand:
     def test_regenerates_charts_from_csv(self, config_path, tmp_path):
         out = tmp_path / "results.csv"
-        assert run_cli("sweep", "--config", str(config_path), "--out", str(out)).returncode == 0
+        swept = tmp_path / "swept"
+        assert run_cli("sweep", "--config", str(config_path), "--out", str(out),
+                       "--plots", str(swept)).returncode == 0
         result = run_cli("plot", "--records", str(out), "--out-dir", str(tmp_path / "charts"))
         assert result.returncode == 0, result.stderr
         names = sorted(p.name for p in (tmp_path / "charts").iterdir())
         assert names == ["ber_fft128.svg", "ber_fft64.svg"]
+        for name in names:  # the charts of the sweep's own records, byte for byte
+            assert (tmp_path / "charts" / name).read_bytes() == (swept / name).read_bytes()
 
     def test_regenerates_charts_from_json(self, capsys, config_path, tmp_path):
         # a records file ending in .json is read as JSON

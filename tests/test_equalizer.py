@@ -31,12 +31,14 @@ class TestFreqResponse:
         # an AWGN cell forms no response and is not equalized, which is what
         # zero forcing by an all-ones response would give: its record is the
         # same with the equalizer on or off, but for its label
+        import ofdmsim.channel as channel_mod
         import ofdmsim.sweep as sweep_mod
 
         def no_response(*args, **kwargs):
             raise AssertionError("an AWGN cell formed a channel response")
 
-        monkeypatch.setattr(sweep_mod, "channel_freq_response", no_response)
+        # apply_channel forms the response with the channel module's function
+        monkeypatch.setattr(channel_mod, "channel_freq_response", no_response)
         monkeypatch.setattr(sweep_mod, "zero_forcing", no_response)
         config = OfdmConfig(64, "1/4", modulation_order=8, bit_budget=1000)
         records = [sweep_mod.run_cell(config, ChannelSpec(kind="awgn"), 6.0, 3, 0,

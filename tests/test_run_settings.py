@@ -4,12 +4,14 @@ and the grid alone judges a value, whichever way it comes in."""
 import json
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ofdmsim.cli as cli
+from ofdmsim.bitsource import KEY_MAX, make_stream
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.sweep import SweepGrid, run_grid
 
@@ -34,18 +36,16 @@ def script_main(monkeypatch, *argv):
     return runpy.run_path(str(SCRIPT))["main"]
 
 
-@pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("key", list(COUNT_FLAGS))
-@pytest.mark.parametrize("path", ["sweep flag", "single flag", "config file", "script flag"])
-def test_a_count_below_one_is_one_config_error_line(capsys, monkeypatch, tmp_path, path, key,
-                                                   value):
+def rejected(capsys, monkeypatch, tmp_path, path, flag, settings):
+    """Run one entry point with a setting given as ``flag`` (or, for a config
+    file, as ``settings``); returns its stderr after checking that it exited 2
+    with one ``config error`` line and wrote nothing."""
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)  # where single would write, if it wrote
-    flag = [COUNT_FLAGS[key], str(value)]
     out = ["--out", str(work / "x.csv")]
     config = tmp_path / "grid.json"
-    config.write_text(json.dumps({key: value}))
+    config.write_text(json.dumps(settings))
     if path == "script flag":
         code, err = exit_and_stderr(
             capsys, script_main(monkeypatch, "--out-dir", str(work / "grid"), *flag))
@@ -55,12 +55,85 @@ def test_a_count_below_one_is_one_config_error_line(capsys, monkeypatch, tmp_pat
                            *flag, *out],
             "single flag": ["single", "--fft", "64", "--cp", "1/4", "--ebno", "10", *flag],
             "config file": ["sweep", "--config", str(config), *out],
+            "validate flag": ["validate", *flag],
         }[path]
         code, err = exit_and_stderr(capsys, cli.main, argv)
     assert code == 2
     assert len(err.splitlines()) == 1
-    assert "config error" in err and key in err
+    assert "config error" in err
     assert not any(work.iterdir())
+    return err
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("key", list(COUNT_FLAGS))
+@pytest.mark.parametrize("path", ["sweep flag", "single flag", "config file", "script flag"])
+def test_a_count_below_one_is_one_config_error_line(capsys, monkeypatch, tmp_path, path, key,
+                                                   value):
+    err = rejected(capsys, monkeypatch, tmp_path, path, [COUNT_FLAGS[key], str(value)],
+                   {key: value})
+    assert key in err
+
+
+@pytest.mark.parametrize("value", [-1, 2**64])
+@pytest.mark.parametrize("path", ["sweep flag", "single flag", "config file", "script flag"])
+def test_a_master_seed_outside_the_key_range_is_one_config_error_line(
+        capsys, monkeypatch, tmp_path, path, value):
+    # before, the seed was reduced mod 2^64: 2^64 + 5 ran seed 5's draws
+    err = rejected(capsys, monkeypatch, tmp_path, path, ["--seed", str(value)],
+                   {"master_seed": value})
+    assert f"master_seed must be in 0..{KEY_MAX}, got {value}" in err
+
+
+@pytest.mark.parametrize("value", [-1, 2**64])
+@pytest.mark.parametrize("path,flag,name", [("single flag", "--cell-id", "cell_id"),
+                                            ("validate flag", "--seed", "seed")])
+def test_a_stream_key_flag_outside_its_range_exits_2_before_a_run(
+        capsys, monkeypatch, tmp_path, path, flag, name, value):
+    err = rejected(capsys, monkeypatch, tmp_path, path, [flag, str(value)], {})
+    assert err == f"ofdmsim: config error: {name} must be in 0..{KEY_MAX}, got {value}\n"
+
+
+@pytest.mark.parametrize("origin_seed,cell_id,name,value", [
+    (-1, 0, "origin_seed", -1), (2**64, 0, "origin_seed", 2**64),
+    (0, -1, "cell_id", -1), (0, 2**64, "cell_id", 2**64),
+])
+def test_make_stream_rejects_a_key_outside_its_range(origin_seed, cell_id, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be in 0..{KEY_MAX}, got {value}$"):
+        make_stream(origin_seed, cell_id)
+
+
+def test_the_key_range_ends_are_keys():
+    assert KEY_MAX == 2**64 - 1
+    for cell_id in (0, KEY_MAX):  # at one cell id, the two end seeds differ
+        ends = [make_stream(seed, cell_id).rng.bit_generator.random_raw(4).tolist()
+                for seed in (0, KEY_MAX)]
+        assert ends[0] != ends[1]
+    assert SweepGrid(master_seed=KEY_MAX).master_seed == KEY_MAX
+    with pytest.raises(ValueError, match="^master_seed must be in "):
+        SweepGrid(master_seed=-1)
+
+
+#: Delay-line settings that make no profile: (setting, flag, config value,
+#: the value as the error shows it).
+BAD_PROFILES = {
+    "length 0": ("tdl_len", ["--tdl-len", "0"], 0, "got 0"),
+    "overflowing decay": ("tdl_decay_db", ["--tdl-decay-db", "-1000"], -1000, "-1000.0"),
+    "NaN tap": ("tdl_taps", ["--tdl-taps=nan,1"], [float("nan"), 1], "[nan, 1.0]"),
+    "negative tap": ("tdl_taps", ["--tdl-taps=-1,2"], [-1, 2], "[-1.0, 2.0]"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PROFILES))
+@pytest.mark.parametrize("path", ["sweep flag", "config file"])
+def test_a_bad_profile_setting_is_named_with_its_value(capsys, monkeypatch, tmp_path, path,
+                                                       case):
+    key, flag, value, shown = BAD_PROFILES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow or invalid-value warning
+        err = rejected(capsys, monkeypatch, tmp_path, path, ["--channel", "tdl", *flag],
+                       {"channel": "tdl", key: value})
+    assert err.startswith(f"ofdmsim: config error: {key} ") and shown in err
 
 
 #: A value of the wrong JSON type for every setting key.

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ofdmsim.channel import ChannelSpec, exponential_pdp
 from ofdmsim.framing import OfdmConfig
-from ofdmsim.metrics import CSV_COLUMNS, make_record
+from ofdmsim.metrics import CSV_COLUMNS, BerRecord, make_record
 from ofdmsim.sweep import (
     SweepFailure,
     SweepGrid,
@@ -181,13 +181,15 @@ class TestChunkedExecution:
         # AWGN has no realization: the chain never draws, applies or
         # equalizes a channel, whether a chunk holds many repetitions or a
         # repetition runs in windows, and still gives the reference's record
+        import ofdmsim.channel as channel_mod
         import ofdmsim.sweep as sweep_mod
 
         def no_channel_step(*args, **kwargs):
             raise AssertionError("an AWGN cell took a channel step")
 
-        for name in ("realize_channel", "apply_channel", "channel_freq_response"):
+        for name in ("realize_channel", "apply_channel"):
             monkeypatch.setattr(sweep_mod, name, no_channel_step)
+        monkeypatch.setattr(channel_mod, "channel_freq_response", no_channel_step)
         awgn = ChannelSpec(kind="awgn")
         chunked = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
         windowed = OfdmConfig(64, Fraction(1, 32), modulation_order=8, bit_budget=60_000)
@@ -589,5 +591,7 @@ class TestPlots:
         csv_path = tmp_path / "r.csv"
         write_records(records, str(csv_path))
         rows = read_records(str(csv_path))
-        paths = emit_plot(rows, str(tmp_path / "again"))
+        paths = emit_plot([BerRecord(**row) for row in rows], str(tmp_path / "again"))
         assert len(paths) == 2
+        for path, swept in zip(paths, emit_plot(records, str(tmp_path / "swept"))):
+            assert open(path, "rb").read() == open(swept, "rb").read()
