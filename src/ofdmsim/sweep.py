@@ -19,14 +19,13 @@ responses by one FFT), which the equalizer divides by, and flat gains and
 the zero-forcing division are one broadcast operation each -- and gives
 each element the same floating-point operation on the same operands as a
 repetition on its own; only the delay-line convolution runs per
-repetition.  Zero-forcing clamps are
-attributed to their repetitions from the response.  A longer repetition
-runs alone, window by window: its bits and its channel are drawn once,
-then each window's noise is drawn and the chain runs on that window, the
-delay line carrying its last samples into the next.  The draws are the
-repetition's own, in its order, so a record does not depend on the
-windows; a cell's memory is about one window plus one byte per bit of its
-repetition.
+repetition.  Zero-forcing clamps are attributed to their repetitions from
+the response.  A longer repetition runs alone, window by window: its bits
+and its channel are drawn once, then each window's noise is drawn and the
+chain runs on that window, the delay line carrying its last samples into
+the next.  The draws are the repetition's own, in its order, so a record
+does not depend on the windows; a cell's memory is about one window plus
+one byte per bit of its repetition.
 
 The cell stops at the first repetition whose running totals reach
 ``target_errors`` or ``max_bits``, and the draws of the chunk's later
