@@ -35,23 +35,36 @@ the repetitions were chunked.  The first chunk is one repetition; each
 later chunk holds the repetitions the error rate so far predicts are still
 needed, at most as many as have already run (so with no errors yet the
 total doubles) and at most as many as one window holds.
+
+The Eb/No cells of one (N, CP) config can run as a group, in lockstep.
+Each round, every cell that has not stopped draws its next chunk exactly as
+above, from its own stream and with its own noise variance; the round's
+rows of one repetition size and one noise presence are stacked, up to a
+window's capacity, into one pass of the chain; and each cell applies its
+own stop rule to its own rows.  Rows of different cells get the operations
+they get alone, as rows of one cell do, so a group gives each cell its own
+record, and a single cell is the group of one.  ``run_grid`` runs groups on
+a process pool that this module keeps across calls, longest first, one
+group per task; with one worker it runs the cells one at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
+import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import operator
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Optional, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .bitsource import DEFAULT_MASTER_SEED, check_key, draw_bits, make_stream
+from .bitsource import DEFAULT_MASTER_SEED, RngStream, check_key, draw_bits, make_stream
 from .channel import (
     AWGN,
     ChannelSpec,
@@ -272,6 +285,138 @@ def _run_chain_once(
     return errors, clamps
 
 
+def _repetition_bits(config: OfdmConfig, remaining: int) -> int:
+    """Bits of the next repetition of a cell that may still send ``remaining``:
+    the bit budget, or only the bits still allowed near the cap, rounded down
+    to a multiple of log2 M, and never fewer than log2 M."""
+    b = config.bits_per_symbol
+    return max(b, (min(config.bit_budget, remaining) // b) * b)
+
+
+@dataclass(eq=False)
+class _CellRun:
+    """One cell of a group: its private stream, its noise variance, and its
+    running totals until it stops with its record."""
+
+    cell_id: int
+    ebno_db: float
+    stream: RngStream
+    sigma2: float
+    bits_sent: int = 0
+    bit_errors: int = 0
+    zf_clamps: int = 0
+    reps: int = 0
+    chunk: int = 1  # repetitions in its next chunk, before the size and window caps
+    record: Optional[BerRecord] = None
+
+
+def _run_rows(
+    work: _Workspace,
+    rows: list[_CellRun],
+    config: OfdmConfig,
+    channel: ChannelSpec,
+    use_equalizer: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one repetition into each row of ``work``, row r from the stream of
+    ``rows[r]``, and run the chain on them, window by window.
+
+    Each repetition draws its bits, its channel, then its noise window by
+    window, as it would alone.  Returns per-row (bit errors, zero-forcing
+    clamps).
+    """
+    fading = channel.kind != AWGN
+    realizations: list = []
+    errors = clamps = 0
+    for window in work.windows():  # one, unless the repetition runs alone
+        frames = window.stop - window.start
+        for r, cell in enumerate(rows):
+            if not window.start:
+                draw_bits(cell.stream, work.n_bits, out=work.bits[r])
+                if fading:
+                    realizations.append(realize_channel(channel, cell.stream, work.n_frames))
+            if work.noise is not None:
+                noise = work.noise[r, :frames]
+                complex_gaussian(cell.stream, noise.size, cell.sigma2, out=noise)
+        window_errors, window_clamps = _run_chain_once(
+            work, len(rows), window, config, realizations, use_equalizer)
+        errors += window_errors
+        clamps += window_clamps
+    return errors, clamps
+
+
+def _run_group(
+    config: OfdmConfig,
+    channel: ChannelSpec,
+    points: Sequence[tuple[int, float]],
+    seed: int,
+    *,
+    target_errors: int,
+    max_bits: int,
+    use_equalizer: bool,
+) -> list[BerRecord]:
+    """Measure the cells ``points``, (cell_id, ebno_db) pairs of one config, in lockstep.
+
+    Each round, every cell that has not stopped draws its next chunk as it
+    would alone; the round's rows of one repetition size and one noise
+    presence are stacked, up to a window's capacity, into one chain call;
+    and each cell applies its own stop rule to its own rows.  A row gets the
+    operations it gets alone, so the records, in the order of ``points``,
+    are the ones :func:`run_cell` gives each cell.
+    """
+    if target_errors < 1 or max_bits < 1:
+        raise ValueError("target_errors and max_bits must be >= 1")
+    cells = [_CellRun(cell_id, ebno_db, make_stream(seed, cell_id),
+                      ebno_to_noise_variance(ebno_db, config, channel))
+             for cell_id, ebno_db in points]
+    summary = channel.summary() + ("" if use_equalizer else "/noeq")
+    works: dict[tuple[int, bool], _Workspace] = {}
+    live = cells
+    while live:
+        sizes = [_repetition_bits(config, max_bits - cell.bits_sent) for cell in live]
+        keys = [(n_bits, cell.sigma2 > 0.0) for n_bits, cell in zip(sizes, live)]
+        # the round's workspaces: kept from the last round where the key is the same
+        works = {key: works.get(key) or _Workspace(config, *key) for key in dict.fromkeys(keys)}
+        stacks: dict[tuple[int, bool], list[_CellRun]] = {key: [] for key in works}
+        for cell, n_bits, key in zip(live, sizes, keys):
+            remaining = max_bits - cell.bits_sent
+            # only repetitions of the same size share a chunk
+            same_size = ((remaining - config.bit_budget) // n_bits + 1
+                         if remaining >= config.bit_budget else 1)
+            stacks[key] += [cell] * min(cell.chunk, same_size, works[key].capacity)
+
+        outcomes: dict[_CellRun, list[tuple[int, int]]] = {cell: [] for cell in live}
+        for key, stack in stacks.items():
+            work = works[key]
+            for start in range(0, len(stack), work.capacity):
+                rows = stack[start:start + work.capacity]
+                errors, clamps = _run_rows(work, rows, config, channel, use_equalizer)
+                for cell, row in zip(rows, zip(errors.tolist(), clamps.tolist())):
+                    outcomes[cell].append(row)
+
+        for cell, n_bits in zip(live, sizes):
+            for rep_errors, rep_clamps in outcomes[cell]:
+                cell.bits_sent += n_bits
+                cell.bit_errors += rep_errors
+                cell.zf_clamps += rep_clamps
+                cell.reps += 1
+                if cell.bit_errors >= target_errors or cell.bits_sent >= max_bits:
+                    # draws of the chunk's later repetitions are discarded
+                    cell.record = make_record(config, summary, cell.ebno_db, cell.bits_sent,
+                                              cell.bit_errors, cell.zf_clamps, seed,
+                                              cell.cell_id)
+                    break
+            else:
+                # next chunk: the repetitions the error rate so far predicts are
+                # still needed, but at most as many as have run, so the total at
+                # most doubles
+                cell.chunk = cell.reps
+                if cell.bit_errors:
+                    cell.chunk = min(cell.chunk, -(-(target_errors - cell.bit_errors)
+                                                   * cell.reps // cell.bit_errors))
+        live = [cell for cell in live if cell.record is None]
+    return [cell.record for cell in cells]
+
+
 def run_cell(
     config: OfdmConfig,
     channel: ChannelSpec,
@@ -297,58 +442,10 @@ def run_cell(
 
     Repetitions run in chunks, and a long one in windows (see the module
     docstring); the record is the one a repetition-at-a-time loop would
-    give.
+    give.  A cell is the lockstep group of one.
     """
-    if target_errors < 1 or max_bits < 1:
-        raise ValueError("target_errors and max_bits must be >= 1")
-    stream = make_stream(seed, cell_id)
-    b = config.bits_per_symbol
-    budget = config.bit_budget
-    sigma2 = ebno_to_noise_variance(ebno_db, config, channel)
-    fading = channel.kind != AWGN
-    work: Optional[_Workspace] = None
-    bits_sent = bit_errors = zf_clamps = reps = 0
-    chunk = 1
-    while True:
-        remaining = max_bits - bits_sent
-        n_bits = max(b, (min(budget, remaining) // b) * b)
-        if work is None or work.n_bits != n_bits:
-            work = _Workspace(config, n_bits, noisy=sigma2 > 0.0)
-        # only repetitions of the same size share a chunk
-        same_size = (remaining - budget) // n_bits + 1 if remaining >= budget else 1
-        k = min(chunk, same_size, work.capacity)
-
-        realizations = []
-        errors = clamps = 0
-        for window in work.windows():  # one, unless the repetition runs alone
-            for r in range(k):  # per repetition: bits, channel, then noise window by window
-                if not window.start:
-                    draw_bits(stream, n_bits, out=work.bits[r])
-                    if fading:
-                        realizations.append(realize_channel(channel, stream, work.n_frames))
-                if work.noise is not None:
-                    noise = work.noise[r, :window.stop - window.start]
-                    complex_gaussian(stream, noise.size, sigma2, out=noise)
-            window_errors, window_clamps = _run_chain_once(
-                work, k, window, config, realizations, use_equalizer)
-            errors += window_errors
-            clamps += window_clamps
-
-        for rep_errors, rep_clamps in zip(errors.tolist(), clamps.tolist()):
-            bits_sent += n_bits
-            bit_errors += rep_errors
-            zf_clamps += rep_clamps
-            reps += 1
-            if bit_errors >= target_errors or bits_sent >= max_bits:
-                # draws of the chunk's later repetitions are discarded
-                summary = channel.summary() + ("" if use_equalizer else "/noeq")
-                return make_record(config, summary, ebno_db, bits_sent, bit_errors,
-                                   zf_clamps, seed, cell_id)
-        # next chunk: the repetitions the error rate so far predicts are still
-        # needed, but at most as many as have run, so the total at most doubles
-        chunk = reps
-        if bit_errors:
-            chunk = min(chunk, -(-(target_errors - bit_errors) * reps // bit_errors))
+    return _run_group(config, channel, [(cell_id, ebno_db)], seed, target_errors=target_errors,
+                      max_bits=max_bits, use_equalizer=use_equalizer)[0]
 
 
 _CellResult = tuple[int, Optional[BerRecord], Optional[str]]
@@ -366,48 +463,131 @@ def _cell_result(grid: SweepGrid, cell: _Cell) -> _CellResult:
     return cell_id, record, None
 
 
+def _group_result(grid: SweepGrid, group: list[_Cell]) -> list[_CellResult]:
+    """The :func:`_cell_result` of each cell of one config's group, run in lockstep.
+
+    If the group raises, its cells run again one at a time, as groups of
+    one, so that only a cell that raises fails.
+    """
+    _, config, spec, _ = group[0]
+    try:
+        records = _run_group(config, spec, [(cell_id, ebno) for cell_id, _, _, ebno in group],
+                             grid.master_seed, target_errors=grid.target_errors,
+                             max_bits=grid.max_bits_per_cell, use_equalizer=grid.use_equalizer)
+    except Exception:  # find which cell failed
+        return [_cell_result(grid, cell) for cell in group]
+    return [(cell_id, record, None) for (cell_id, *_), record in zip(group, records)]
+
+
+def _repetition_samples(config: OfdmConfig, max_bits: int) -> int:
+    """Time-domain samples of a cell's first repetition, (N+L) * frames."""
+    used = _repetition_bits(config, max_bits) // config.bits_per_symbol
+    return (config.fft_size + config.cp_len) * -(-used // config.fft_size)
+
+
 def check_workers(workers: int) -> int:
-    """``workers``, or a :class:`ConfigError` if it is below 1."""
+    """``workers`` as an int, judged as a grid's counts are (a numpy integer is
+    kept as an int, and a float or a bool is a ``TypeError`` naming it), or a
+    :class:`ConfigError` if it is below 1."""
+    workers = as_integer("workers", workers)
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     return workers
 
 
-def _results(grid: SweepGrid, cells: list[_Cell], n_workers: int) -> Iterator[_CellResult]:
-    """Each cell's :func:`_cell_result`, in cell order."""
-    run = functools.partial(_cell_result, grid)
-    if n_workers == 1:
-        yield from map(run, cells)
-        return
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        # a fixed chunk size: about four chunks per worker balance the load,
-        # and each costs one round trip instead of one per cell
-        yield from pool.map(run, cells, chunksize=max(1, len(cells) // (4 * n_workers)))
+class _KeptPool:
+    """The process pool that :func:`run_grid` keeps across its calls.
+
+    There is one per process.  A call that needs another worker count
+    replaces it, a worker that dies drops it, and at exit
+    ``concurrent.futures`` joins its workers.  Its workers start with it, so
+    a name of this module patched later does not reach them.  The lock
+    makes taking the pool and submitting to it one step, so that a call
+    from another thread cannot shut it down in between.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.n_workers = 0
+
+    def submit(self, n_workers: int, fn: Callable, tasks: Iterable[tuple]
+               ) -> tuple[ProcessPoolExecutor, list[Future]]:
+        """The pool of ``n_workers``, and one future of ``fn(*task)`` per task.
+
+        A pool that is broken already gives futures that hold its
+        :class:`BrokenProcessPool`.
+        """
+        with self._lock:
+            if self.pool is None or self.n_workers != n_workers:
+                self._shutdown()
+                self.pool, self.n_workers = ProcessPoolExecutor(max_workers=n_workers), n_workers
+            futures = []
+            for task in tasks:
+                try:
+                    futures.append(self.pool.submit(fn, *task))
+                except BrokenProcessPool as exc:  # a worker died since the last call
+                    futures.append(Future())
+                    futures[-1].set_exception(exc)
+            return self.pool, futures
+
+    def drop(self, pool: Optional[ProcessPoolExecutor] = None) -> None:
+        """Shut down the kept pool, or only ``pool`` if that is the one kept."""
+        with self._lock:
+            if pool is None or pool is self.pool:
+                self._shutdown()
+
+    def _shutdown(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
+
+
+_POOL = _KeptPool()
+
+
+def _pool_results(grid: SweepGrid, cells: list[_Cell], workers: int) -> list[_CellResult]:
+    """Each cell's result, its config's group run on the kept pool, one group per task.
+
+    The pool has at most one worker per group.  The groups go longest
+    first, ranked by the samples of a repetition.  A worker that dies fails
+    every cell whose group had not come back, and drops the pool.
+    """
+    groups = [list(group) for _, group in itertools.groupby(cells, key=operator.itemgetter(1))]
+    groups.sort(key=lambda group: _repetition_samples(group[0][1], grid.max_bits_per_cell),
+                reverse=True)
+    pool, futures = _POOL.submit(min(workers, len(groups)), _group_result,
+                                 [(grid, group) for group in groups])
+    results: list[_CellResult] = []
+    for group, future in zip(groups, futures):
+        try:
+            results += future.result()
+        except BrokenProcessPool as exc:
+            _POOL.drop(pool)
+            results += [(cell_id, None, str(exc)) for cell_id, *_ in group]
+    return results
 
 
 def run_grid(grid: SweepGrid, workers: int = 1) -> list[BerRecord]:
     """Run every cell of the grid; output is sorted by cell_id.
 
-    Cells are independent; with ``workers > 1`` they run on a process pool
-    of at most one worker per cell, sent to it in batches of about a quarter
-    of each worker's share.  The count is the caller's alone (a count below
-    1 is a :class:`ConfigError`), and it never changes any record.  If
-    cells fail, the completed records are kept on the raised
-    :class:`SweepFailure`; a worker that dies fails every cell whose result
-    had not come back.
+    Cells are independent.  With ``workers`` 1 they run one at a time, in
+    cell order.  With more, the Eb/No cells of each (N, CP) config form a
+    group that runs in lockstep, and the groups run on a process pool that
+    this module keeps across calls, of at most one worker per group.  The
+    count is the caller's alone (an integer; a count below 1 is a
+    :class:`ConfigError`), and it never changes any record.  If cells fail,
+    the completed records are kept on the raised :class:`SweepFailure`; a
+    worker that dies fails every cell whose group had not come back.
     """
+    n_workers = check_workers(workers)
     cells = list(grid.cells())
-    n_workers = min(check_workers(workers), len(cells))
-    records: list[BerRecord] = []
-    failures: list[tuple[int, str]] = []
-    try:
-        for cell_id, record, message in _results(grid, cells, n_workers):
-            if message is None:
-                records.append(record)
-            else:
-                failures.append((cell_id, message))
-    except BrokenProcessPool as exc:  # results come in cell order: the rest are lost
-        failures += [(cell_id, str(exc)) for cell_id, *_ in cells[len(records) + len(failures):]]
+    if n_workers == 1:
+        results = [_cell_result(grid, cell) for cell in cells]
+    else:
+        results = sorted(_pool_results(grid, cells, n_workers), key=operator.itemgetter(0))
+    records = [record for _, record, message in results if message is None]
+    failures = [(cell_id, message) for cell_id, _, message in results if message is not None]
     if failures:
         raise SweepFailure(failures, records)
     return records

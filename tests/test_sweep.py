@@ -2,22 +2,34 @@
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ofdmsim
 from ofdmsim.channel import ChannelSpec, exponential_pdp
+from ofdmsim.errors import ConfigError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import CSV_COLUMNS, BerRecord, make_record
 from ofdmsim.sweep import (
+    _POOL,
     SweepFailure,
     SweepGrid,
+    check_workers,
     emit_plot,
     read_records,
     run_cell,
@@ -28,10 +40,33 @@ from ofdmsim.validate import RAW_MODEM
 from reference import reference_cell
 
 NOISELESS = 300.0
+# the package this test imported, for a child process whatever the caller's environment
+SRC = str(Path(ofdmsim.__file__).resolve().parents[1])
 
 # a monkeypatched function reaches pool workers only when they are forked
 FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                reason="needs fork-started pool workers")
+
+
+@pytest.fixture
+def fresh_pool():
+    """No kept pool before the test, nor after it: pool workers see a patch
+    only if they are forked after it, and must not carry it into later tests."""
+    _POOL.drop()
+    yield
+    _POOL.drop()
+
+
+def _worker_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def small_grid(**overrides) -> SweepGrid:
@@ -205,33 +240,64 @@ class TestChunkedExecution:
 
     @staticmethod
     def _clamp_alternate_repetitions(monkeypatch, clamp):
-        """Make ``clamp(real)`` act on every other repetition's channel draw,
-        starting with the first; returns the list of draws as they are made."""
+        """Make ``clamp(real)`` act on every other channel draw of each cell,
+        starting with its first; returns each cell's draws, by stream, in the
+        order the cells first draw, and the stream of each draw."""
         import ofdmsim.sweep as sweep_mod
 
         original = sweep_mod.realize_channel
-        drawn = []
+        drawn, owner = {}, {}
 
         def alternate(spec, stream, n_frames):
             real = original(spec, stream, n_frames)
-            if len(drawn) % 2 == 0:
+            mine = drawn.setdefault(id(stream), [])
+            if len(mine) % 2 == 0:
                 clamp(real)
-            drawn.append(real)
+            mine.append(real)
+            owner[id(real)] = id(stream)
             return real
 
         monkeypatch.setattr(sweep_mod, "realize_channel", alternate)
-        return drawn
+        return drawn, owner
 
-    def _assert_clamps_stay_with_their_repetitions(self, drawn, channel, cells, per_rep):
+    def _assert_clamps_stay_with_their_repetitions(self, monkeypatch, drawn, owner, channel,
+                                                   cells, group, per_rep):
         # the chunk's response mixes clamped and clean rows, and each stop
         # discards at least one clamped repetition of its chunk
+        import ofdmsim.sweep as sweep_mod
+
         config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
+
+        def check(record, draws):
+            kept = record.bits_sent // 999
+            assert kept % 2 == 0 and len(draws) > kept  # the stop falls inside a chunk
+            assert record.zf_clamps == (kept // 2) * per_rep
+
         for cell_id, target in cells:
             drawn.clear()
             record = run_cell(config, channel, 10.0, 12, cell_id, target_errors=target)
-            kept = record.bits_sent // 999
-            assert kept % 2 == 0 and len(drawn) > kept  # the stop falls inside a chunk
-            assert record.zf_clamps == (kept // 2) * per_rep
+            check(record, *drawn.values())
+
+        # the same in lockstep, where one chain call stacks rows of every cell
+        target, cell_ids = group
+        original = sweep_mod._run_chain_once
+        stacked = []
+
+        def chain(work, k, window, config, realizations, use_equalizer):
+            stacked.append({owner[id(real)] for real in realizations})
+            return original(work, k, window, config, realizations, use_equalizer)
+
+        monkeypatch.setattr(sweep_mod, "_run_chain_once", chain)
+        drawn.clear()
+        records = sweep_mod._run_group(config, channel, [(cell_id, 10.0) for cell_id in cell_ids],
+                                       12, target_errors=target, max_bits=2_000_000,
+                                       use_equalizer=True)
+        assert max(len(owners) for owners in stacked) == len(cell_ids)
+        for record, draws in zip(records, drawn.values()):
+            check(record, draws)
+        for cell_id, record in zip(cell_ids, records):
+            drawn.clear()  # a freed stream's id may come again
+            assert record == run_cell(config, channel, 10.0, 12, cell_id, target_errors=target)
 
     def test_flat_clamps_of_alternate_repetitions_stay_with_their_rows(self, monkeypatch):
         # the last OFDM symbol's gain is zero in every other repetition: 64
@@ -239,9 +305,10 @@ class TestChunkedExecution:
         def dead_last_symbol(real):
             real.gains[-1] = 0.0
 
-        drawn = self._clamp_alternate_repetitions(monkeypatch, dead_last_symbol)
+        drawn, owner = self._clamp_alternate_repetitions(monkeypatch, dead_last_symbol)
         self._assert_clamps_stay_with_their_repetitions(
-            drawn, ChannelSpec(kind="flat"), [(3, 400), (6, 1200)], per_rep=64)
+            monkeypatch, drawn, owner, ChannelSpec(kind="flat"), [(3, 400), (6, 1200)],
+            group=(1200, [2, 6, 10]), per_rep=64)
 
     def test_tdl_spectral_null_clamps_stay_with_their_rows(self, monkeypatch):
         # equal taps [a, a] give exactly H[N/2] = 0: one clamped subcarrier in
@@ -249,9 +316,82 @@ class TestChunkedExecution:
         def null_at_half_band(real):
             real.taps[1] = real.taps[0]
 
-        drawn = self._clamp_alternate_repetitions(monkeypatch, null_at_half_band)
+        drawn, owner = self._clamp_alternate_repetitions(monkeypatch, null_at_half_band)
         self._assert_clamps_stay_with_their_repetitions(
-            drawn, ChannelSpec(kind="tdl", taps=(0.5, 0.5)), [(4, 1600), (6, 400)], per_rep=6)
+            monkeypatch, drawn, owner, ChannelSpec(kind="tdl", taps=(0.5, 0.5)),
+            [(4, 1600), (6, 400)], group=(1600, [2, 3, 4]), per_rep=6)
+
+
+@st.composite
+def groups(draw):
+    """One config's group of cells, its stops, and a window size: the default,
+    or one small enough that repetitions of these budgets span several windows."""
+    n_fft = draw(st.sampled_from([1, 64, 128, 256, 512]))
+    cp = Fraction(0) if n_fft == 1 else draw(st.sampled_from(
+        [Fraction(0), Fraction(1, 32), Fraction(1, 16), Fraction(1, 4), Fraction(1, 2)]))
+    order = draw(st.sampled_from([2, 4, 8, 16]))
+    config = OfdmConfig(n_fft, cp, modulation_order=order, bit_budget=draw(st.integers(2, 4000)))
+    kind = draw(st.sampled_from(["awgn", "flat", "tdl"]))
+    taps = None
+    if kind == "tdl":
+        taps = tuple(exponential_pdp(draw(st.integers(1, 12)), draw(st.floats(0.0, 6.0))))
+    channel = ChannelSpec(kind=kind, taps=taps)
+    points = draw(st.lists(st.one_of(st.floats(-2.0, 30.0), st.just(float("inf"))),
+                           min_size=1, max_size=11, unique=True))
+    b = config.bits_per_symbol
+    rep = max(b, config.bit_budget // b * b)  # a repetition's bits, below the cap
+    # a cap that is not a multiple of the repetition: the last ones are shorter
+    max_bits = draw(st.integers(0, 12)) * rep + draw(st.integers(1, rep - 1))
+    # a target no cell reaches runs every cell to the cap, noiseless ones too
+    stops = dict(target_errors=draw(st.one_of(st.integers(1, 400), st.just(2**62))),
+                 max_bits=max_bits, use_equalizer=draw(st.booleans()))
+    window = draw(st.sampled_from([None, 2_000, 300]))
+    return config, channel, points, stops, window
+
+
+class TestLockstepGroups:
+    @given(group=groups(), seed=st.integers(0, 2**64 - 1), first_id=st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_a_group_gives_each_cell_its_run_cell_record(self, group, seed, first_id):
+        import ofdmsim.sweep as sweep_mod
+
+        config, channel, points, stops, window = group
+        cells = [(first_id + i, ebno_db) for i, ebno_db in enumerate(points)]
+        with mock.patch.object(sweep_mod, "_CHUNK_SAMPLES", window or sweep_mod._CHUNK_SAMPLES):
+            records = sweep_mod._run_group(config, channel, cells, seed, **stops)
+            assert records == [run_cell(config, channel, ebno_db, seed, cell_id, **stops)
+                               for cell_id, ebno_db in cells]
+
+    def test_cells_reach_the_cap_in_different_rounds(self, monkeypatch):
+        # a cell slowed by its errors is still sending whole repetitions when
+        # another sends its last, shorter one: one round runs both sizes
+        import ofdmsim.sweep as sweep_mod
+
+        sizes, rounds = sweep_mod._repetition_bits, []
+        run_rows, last = sweep_mod._run_rows, ["rows"]
+
+        def size(config, remaining):  # a round sizes every live cell, then runs its rows
+            if last[0] == "rows":
+                rounds.append(set())
+            last[0] = "size"
+            n_bits = sizes(config, remaining)
+            rounds[-1].add(n_bits)
+            return n_bits
+
+        def rows(*args):
+            last[0] = "rows"
+            return run_rows(*args)
+
+        monkeypatch.setattr(sweep_mod, "_repetition_bits", size)
+        monkeypatch.setattr(sweep_mod, "_run_rows", rows)
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
+        cells = [(cell_id, float(2 * cell_id)) for cell_id in range(11)]
+        stops = dict(target_errors=100, max_bits=12_345, use_equalizer=True)
+        flat = ChannelSpec(kind="flat")
+        records = sweep_mod._run_group(config, flat, cells, 0, **stops)
+        assert any(len(round_sizes) > 1 for round_sizes in rounds)
+        assert records == [run_cell(config, flat, ebno_db, 0, cell_id, **stops)
+                           for cell_id, ebno_db in cells]
 
 
 TDL_12 = ChannelSpec(kind="tdl", taps=exponential_pdp(12, 1.0))
@@ -359,21 +499,24 @@ class TestRunGrid:
         self._check_one_cell_fails(monkeypatch, workers=1)
 
     @FORK_ONLY
+    @pytest.mark.usefixtures("fresh_pool")
     def test_failures_keep_completed_cells_on_the_pool(self, monkeypatch):
         self._check_one_cell_fails(monkeypatch, workers=2)
 
     @staticmethod
     def _check_one_cell_fails(monkeypatch, workers):
+        # a cell's record is the last step of its run: on the pool the group
+        # that holds the cell raises, and its cells then run one at a time
         import ofdmsim.sweep as sweep_mod
 
-        original = sweep_mod.run_cell
+        original = sweep_mod.make_record
 
-        def flaky(config, spec, ebno_db, seed, cell_id, **kwargs):
-            if cell_id == 1:
+        def flaky(*args):
+            if args[-1] == 1:  # the cell id
                 raise RuntimeError("injected")
-            return original(config, spec, ebno_db, seed, cell_id, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(sweep_mod, "run_cell", flaky)
+        monkeypatch.setattr(sweep_mod, "make_record", flaky)
         with pytest.raises(SweepFailure) as excinfo:
             run_grid(small_grid(), workers=workers)
         failure = excinfo.value
@@ -382,20 +525,21 @@ class TestRunGrid:
         assert all(r.cell_id != 1 for r in failure.records)
 
     @FORK_ONLY
+    @pytest.mark.usefixtures("fresh_pool")
     def test_a_dead_worker_fails_its_cells_and_keeps_the_rest(self, monkeypatch):
         import ofdmsim.sweep as sweep_mod
 
         grid = small_grid()
-        serial = {r.cell_id: r for r in run_grid(grid)}
-        original = sweep_mod.run_cell
+        serial = run_grid(grid)
+        original = sweep_mod.make_record
         last = grid.n_cells - 1
 
-        def fatal(config, spec, ebno_db, seed, cell_id, **kwargs):
-            if cell_id == last:
+        def fatal(*args):
+            if args[-1] == last:
                 os._exit(1)  # the worker process dies; the pool breaks
-            return original(config, spec, ebno_db, seed, cell_id, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(sweep_mod, "run_cell", fatal)
+        monkeypatch.setattr(sweep_mod, "make_record", fatal)
         with pytest.raises(SweepFailure) as excinfo:
             run_grid(grid, workers=2)
         failure = excinfo.value
@@ -404,33 +548,117 @@ class TestRunGrid:
         assert failure.records  # cells that finished before the break are kept
         assert sorted(failed + [r.cell_id for r in failure.records]) == list(range(grid.n_cells))
         assert all(r == serial[r.cell_id] for r in failure.records)
+        # the broken pool was dropped: the next call starts workers of its own
+        monkeypatch.undo()
+        assert run_grid(grid, workers=2) == serial
 
+    @pytest.mark.usefixtures("fresh_pool")
+    def test_a_worker_killed_between_calls_is_replaced(self):
+        # the kept pool breaks while idle: once it has noticed (it reaps every
+        # worker), the next call fails all its cells, and the one after runs
+        # on a new pool
+        grid = small_grid()
+        serial = run_grid(grid)
+        assert run_grid(grid, workers=2) == serial
+        broken = _worker_pids()
+        os.kill(min(broken), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while any(_alive(pid) for pid in broken):
+            assert time.monotonic() < deadline, "the pool did not reap its workers"
+            time.sleep(0.01)
+        with pytest.raises(SweepFailure) as excinfo:
+            run_grid(grid, workers=2)
+        assert [cell_id for cell_id, _ in excinfo.value.failures] == list(range(grid.n_cells))
+        assert run_grid(grid, workers=2) == serial
+        assert len(_worker_pids()) == 2
+
+    @pytest.mark.usefixtures("fresh_pool")
     def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
+        # nor the group count: the pool has at most one worker per (N, CP)
         import ofdmsim.sweep as sweep_mod
 
-        asked = []
+        asked, ranks = [], []
 
         class InlineExecutor:
-            """Records the worker count asked for and runs the tasks in this process."""
+            """Records the worker count asked for and runs each task in this process."""
 
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, grid, group):
+                config = group[0][1]
+                ranks.append(sweep_mod._repetition_samples(config, grid.max_bits_per_cell))
+                future = Future()
+                future.set_result(fn(grid, group))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+            def shutdown(self):
+                pass
 
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlineExecutor)
-        two_cells = small_grid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),),
+        one_group = small_grid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),),
                                ebno_points_db=(0.0, 6.0))
-        assert run_grid(two_cells, workers=8) == run_grid(two_cells)
+        two_groups = small_grid(fft_sizes=(64,), ebno_points_db=(0.0, 6.0))
+        assert run_grid(one_group, workers=8) == run_grid(one_group)
+        assert run_grid(two_groups, workers=8) == run_grid(two_groups)
+        del ranks[:]
         assert run_grid(small_grid(), workers=3) == run_grid(small_grid())
-        assert asked == [2, 3]
+        assert run_grid(small_grid(), workers=3) == run_grid(small_grid())  # the pool is kept
+        assert asked == [1, 2, 3]
+        # one group per task, the longest first: (N+L) * frames per repetition
+        assert ranks[:4] == [1280, 1280, 1088, 1088]
+
+    @pytest.mark.usefixtures("fresh_pool")
+    def test_calls_with_the_same_count_share_the_workers(self):
+        run_grid(small_grid(), workers=2)
+        first = _worker_pids()
+        assert len(first) == 2
+        run_grid(small_grid(channel=ChannelSpec(kind="flat")), workers=2)
+        assert _worker_pids() == first
+
+    @pytest.mark.usefixtures("fresh_pool")
+    def test_another_count_replaces_the_pool(self):
+        run_grid(small_grid(), workers=2)
+        first = _worker_pids()
+        run_grid(small_grid(), workers=3)
+        second = _worker_pids()
+        assert len(second) == 3 and not first & second
+        assert not any(_alive(pid) for pid in first)  # shut down and reaped
+
+    def test_no_worker_outlives_its_process(self):
+        code = textwrap.dedent("""
+            import multiprocessing
+            from ofdmsim.sweep import SweepGrid, run_grid
+
+            run_grid(SweepGrid(fft_sizes=(64, 128), ebno_points_db=(0.0, 6.0),
+                               max_bits_per_cell=3000), workers=2)
+            print(*(child.pid for child in multiprocessing.active_children()))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        pids = [int(pid) for pid in result.stdout.split()]
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+    @pytest.mark.parametrize("workers", [2.0, True])
+    def test_a_worker_count_must_be_an_integer(self, workers):
+        with pytest.raises(TypeError, match="workers must be an integer"):
+            check_workers(workers)
+        with pytest.raises(TypeError, match="workers must be an integer"):
+            run_grid(small_grid(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_a_worker_count_below_one_is_a_config_error(self, workers):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            run_grid(small_grid(), workers=workers)
+
+    def test_a_numpy_worker_count_is_kept_as_an_int(self):
+        count = check_workers(np.int64(2))
+        assert type(count) is int and count == 2
+        assert run_grid(small_grid(), workers=np.int64(2)) == run_grid(small_grid())
 
     def test_invalid_grid_combination_rejected_up_front(self):
         with pytest.raises(ValueError):
