@@ -44,8 +44,8 @@ window's capacity, into one pass of the chain; and each cell applies its
 own stop rule to its own rows.  Rows of different cells get the operations
 they get alone, as rows of one cell do, so a group gives each cell its own
 record, and a single cell is the group of one.  ``run_grid`` runs groups on
-a process pool that this module keeps across calls, longest first, one
-group per task; with one worker it runs the cells one at a time.
+a process pool of its own, longest first, one group per task; with one
+worker it runs the cells one at a time.
 """
 
 from __future__ import annotations
@@ -55,12 +55,11 @@ import itertools
 import json
 import math
 import operator
-import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, get_type_hints
+from typing import Any, Iterable, Iterator, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -377,42 +376,50 @@ def _run_group(
         # the round's workspaces: kept from the last round where the key is the same
         works = {key: works.get(key) or _Workspace(config, *key) for key in dict.fromkeys(keys)}
         stacks: dict[tuple[int, bool], list[_CellRun]] = {key: [] for key in works}
+        spans = []  # each cell's rows: from start to stop in its key's stack
         for cell, n_bits, key in zip(live, sizes, keys):
             remaining = max_bits - cell.bits_sent
             # only repetitions of the same size share a chunk
             same_size = ((remaining - config.bit_budget) // n_bits + 1
                          if remaining >= config.bit_budget else 1)
-            stacks[key] += [cell] * min(cell.chunk, same_size, works[key].capacity)
+            stack = stacks[key]
+            start = len(stack)
+            stack += [cell] * min(cell.chunk, same_size, works[key].capacity)
+            spans.append((key, start, len(stack)))
 
-        outcomes: dict[_CellRun, list[tuple[int, int]]] = {cell: [] for cell in live}
+        outcomes: dict[tuple[int, bool], tuple[list[int], list[int]]] = {}
         for key, stack in stacks.items():
             work = works[key]
+            outcomes[key] = errors, clamps = [], []  # per row of the stack
             for start in range(0, len(stack), work.capacity):
                 rows = stack[start:start + work.capacity]
-                errors, clamps = _run_rows(work, rows, config, channel, use_equalizer)
-                for cell, row in zip(rows, zip(errors.tolist(), clamps.tolist())):
-                    outcomes[cell].append(row)
+                row_errors, row_clamps = _run_rows(work, rows, config, channel, use_equalizer)
+                errors += row_errors.tolist()
+                clamps += row_clamps.tolist()
 
-        for cell, n_bits in zip(live, sizes):
-            for rep_errors, rep_clamps in outcomes[cell]:
-                cell.bits_sent += n_bits
-                cell.bit_errors += rep_errors
-                cell.zf_clamps += rep_clamps
-                cell.reps += 1
-                if cell.bit_errors >= target_errors or cell.bits_sent >= max_bits:
+        for cell, n_bits, (key, start, stop) in zip(live, sizes, spans):
+            errors, clamps = outcomes[key]
+            bits_sent, bit_errors, zf_clamps, reps = (cell.bits_sent, cell.bit_errors,
+                                                      cell.zf_clamps, cell.reps)
+            for rep_errors, rep_clamps in zip(errors[start:stop], clamps[start:stop]):
+                bits_sent += n_bits
+                bit_errors += rep_errors
+                zf_clamps += rep_clamps
+                reps += 1
+                if bit_errors >= target_errors or bits_sent >= max_bits:
                     # draws of the chunk's later repetitions are discarded
-                    cell.record = make_record(config, summary, cell.ebno_db, cell.bits_sent,
-                                              cell.bit_errors, cell.zf_clamps, seed,
-                                              cell.cell_id)
+                    cell.record = make_record(config, summary, cell.ebno_db, bits_sent,
+                                              bit_errors, zf_clamps, seed, cell.cell_id)
                     break
             else:
+                cell.bits_sent, cell.bit_errors, cell.zf_clamps, cell.reps = (
+                    bits_sent, bit_errors, zf_clamps, reps)
                 # next chunk: the repetitions the error rate so far predicts are
                 # still needed, but at most as many as have run, so the total at
                 # most doubles
-                cell.chunk = cell.reps
-                if cell.bit_errors:
-                    cell.chunk = min(cell.chunk, -(-(target_errors - cell.bit_errors)
-                                                   * cell.reps // cell.bit_errors))
+                cell.chunk = reps
+                if bit_errors:
+                    cell.chunk = min(reps, -(-(target_errors - bit_errors) * reps // bit_errors))
         live = [cell for cell in live if cell.record is None]
     return [cell.record for cell in cells]
 
@@ -495,76 +502,38 @@ def check_workers(workers: int) -> int:
     return workers
 
 
-class _KeptPool:
-    """The process pool that :func:`run_grid` keeps across its calls.
+def _tasks(grid: SweepGrid, cells: list[_Cell], workers: int) -> list[list[_Cell]]:
+    """The pool's tasks, each a lockstep group of one config's cells, longest first.
 
-    There is one per process.  A call that needs another worker count
-    replaces it, a worker that dies drops it, and at exit
-    ``concurrent.futures`` joins its workers.  Its workers start with it, so
-    a name of this module patched later does not reach them.  The lock
-    makes taking the pool and submitting to it one step, so that a call
-    from another thread cannot shut it down in between.
+    A task is a config's cells, unless there are fewer configs than
+    workers: then each config's cells are dealt, in turn, into enough
+    groups to give every worker a task.  The tasks are ranked by the
+    samples of one repetition of each of their cells.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self.n_workers = 0
-
-    def submit(self, n_workers: int, fn: Callable, tasks: Iterable[tuple]
-               ) -> tuple[ProcessPoolExecutor, list[Future]]:
-        """The pool of ``n_workers``, and one future of ``fn(*task)`` per task.
-
-        A pool that is broken already gives futures that hold its
-        :class:`BrokenProcessPool`.
-        """
-        with self._lock:
-            if self.pool is None or self.n_workers != n_workers:
-                self._shutdown()
-                self.pool, self.n_workers = ProcessPoolExecutor(max_workers=n_workers), n_workers
-            futures = []
-            for task in tasks:
-                try:
-                    futures.append(self.pool.submit(fn, *task))
-                except BrokenProcessPool as exc:  # a worker died since the last call
-                    futures.append(Future())
-                    futures[-1].set_exception(exc)
-            return self.pool, futures
-
-    def drop(self, pool: Optional[ProcessPoolExecutor] = None) -> None:
-        """Shut down the kept pool, or only ``pool`` if that is the one kept."""
-        with self._lock:
-            if pool is None or pool is self.pool:
-                self._shutdown()
-
-    def _shutdown(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
-
-
-_POOL = _KeptPool()
+    groups = [list(group) for _, group in itertools.groupby(cells, key=operator.itemgetter(1))]
+    parts = -(-workers // len(groups))
+    tasks = [group[i::parts] for group in groups for i in range(min(parts, len(group)))]
+    max_bits = grid.max_bits_per_cell
+    tasks.sort(key=lambda task: len(task) * _repetition_samples(task[0][1], max_bits),
+               reverse=True)
+    return tasks
 
 
 def _pool_results(grid: SweepGrid, cells: list[_Cell], workers: int) -> list[_CellResult]:
-    """Each cell's result, its config's group run on the kept pool, one group per task.
+    """Each cell's result, its lockstep group run on a process pool, one group per task.
 
-    The pool has at most one worker per group.  The groups go longest
-    first, ranked by the samples of a repetition.  A worker that dies fails
-    every cell whose group had not come back, and drops the pool.
+    The pool has at most one worker per task.  A worker that dies fails
+    every cell whose group had not come back.
     """
-    groups = [list(group) for _, group in itertools.groupby(cells, key=operator.itemgetter(1))]
-    groups.sort(key=lambda group: _repetition_samples(group[0][1], grid.max_bits_per_cell),
-                reverse=True)
-    pool, futures = _POOL.submit(min(workers, len(groups)), _group_result,
-                                 [(grid, group) for group in groups])
+    tasks = _tasks(grid, cells, workers)
     results: list[_CellResult] = []
-    for group, future in zip(groups, futures):
-        try:
-            results += future.result()
-        except BrokenProcessPool as exc:
-            _POOL.drop(pool)
-            results += [(cell_id, None, str(exc)) for cell_id, *_ in group]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        futures = [pool.submit(_group_result, grid, task) for task in tasks]
+        for task, future in zip(tasks, futures):
+            try:
+                results += future.result()
+            except BrokenProcessPool as exc:
+                results += [(cell_id, None, str(exc)) for cell_id, *_ in task]
     return results
 
 
@@ -573,12 +542,13 @@ def run_grid(grid: SweepGrid, workers: int = 1) -> list[BerRecord]:
 
     Cells are independent.  With ``workers`` 1 they run one at a time, in
     cell order.  With more, the Eb/No cells of each (N, CP) config form a
-    group that runs in lockstep, and the groups run on a process pool that
-    this module keeps across calls, of at most one worker per group.  The
-    count is the caller's alone (an integer; a count below 1 is a
-    :class:`ConfigError`), and it never changes any record.  If cells fail,
-    the completed records are kept on the raised :class:`SweepFailure`; a
-    worker that dies fails every cell whose group had not come back.
+    group that runs in lockstep (split further when there are fewer configs
+    than workers), and the groups run on a process pool of this call, of at
+    most one worker per group.  The count is the caller's alone (an
+    integer; a count below 1 is a :class:`ConfigError`), and it never
+    changes any record.  If cells fail, the completed records are kept on
+    the raised :class:`SweepFailure`; a worker that dies fails every cell
+    whose group had not come back.
     """
     n_workers = check_workers(workers)
     cells = list(grid.cells())

@@ -2,17 +2,11 @@
 
 import multiprocessing
 import os
-import signal
-import subprocess
-import sys
-import textwrap
-import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,13 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ofdmsim
 from ofdmsim.channel import ChannelSpec, exponential_pdp
 from ofdmsim.errors import ConfigError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import CSV_COLUMNS, BerRecord, make_record
 from ofdmsim.sweep import (
-    _POOL,
     SweepFailure,
     SweepGrid,
     check_workers,
@@ -40,33 +32,10 @@ from ofdmsim.validate import RAW_MODEM
 from reference import reference_cell
 
 NOISELESS = 300.0
-# the package this test imported, for a child process whatever the caller's environment
-SRC = str(Path(ofdmsim.__file__).resolve().parents[1])
 
 # a monkeypatched function reaches pool workers only when they are forked
 FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                                reason="needs fork-started pool workers")
-
-
-@pytest.fixture
-def fresh_pool():
-    """No kept pool before the test, nor after it: pool workers see a patch
-    only if they are forked after it, and must not carry it into later tests."""
-    _POOL.drop()
-    yield
-    _POOL.drop()
-
-
-def _worker_pids() -> set[int]:
-    return {child.pid for child in multiprocessing.active_children()}
-
-
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
 
 
 def small_grid(**overrides) -> SweepGrid:
@@ -499,7 +468,6 @@ class TestRunGrid:
         self._check_one_cell_fails(monkeypatch, workers=1)
 
     @FORK_ONLY
-    @pytest.mark.usefixtures("fresh_pool")
     def test_failures_keep_completed_cells_on_the_pool(self, monkeypatch):
         self._check_one_cell_fails(monkeypatch, workers=2)
 
@@ -525,7 +493,6 @@ class TestRunGrid:
         assert all(r.cell_id != 1 for r in failure.records)
 
     @FORK_ONLY
-    @pytest.mark.usefixtures("fresh_pool")
     def test_a_dead_worker_fails_its_cells_and_keeps_the_rest(self, monkeypatch):
         import ofdmsim.sweep as sweep_mod
 
@@ -548,100 +515,62 @@ class TestRunGrid:
         assert failure.records  # cells that finished before the break are kept
         assert sorted(failed + [r.cell_id for r in failure.records]) == list(range(grid.n_cells))
         assert all(r == serial[r.cell_id] for r in failure.records)
-        # the broken pool was dropped: the next call starts workers of its own
+        # the next call runs on a pool of its own
         monkeypatch.undo()
         assert run_grid(grid, workers=2) == serial
 
-    @pytest.mark.usefixtures("fresh_pool")
-    def test_a_worker_killed_between_calls_is_replaced(self):
-        # the kept pool breaks while idle: once it has noticed (it reaps every
-        # worker), the next call fails all its cells, and the one after runs
-        # on a new pool
-        grid = small_grid()
-        serial = run_grid(grid)
-        assert run_grid(grid, workers=2) == serial
-        broken = _worker_pids()
-        os.kill(min(broken), signal.SIGKILL)
-        deadline = time.monotonic() + 60
-        while any(_alive(pid) for pid in broken):
-            assert time.monotonic() < deadline, "the pool did not reap its workers"
-            time.sleep(0.01)
-        with pytest.raises(SweepFailure) as excinfo:
-            run_grid(grid, workers=2)
-        assert [cell_id for cell_id, _ in excinfo.value.failures] == list(range(grid.n_cells))
-        assert run_grid(grid, workers=2) == serial
-        assert len(_worker_pids()) == 2
-
-    @pytest.mark.usefixtures("fresh_pool")
-    def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
-        # nor the group count: the pool has at most one worker per (N, CP)
+    @staticmethod
+    def _inline_pool(monkeypatch):
+        """Run pool tasks in this process; returns the worker counts asked for
+        and each task's cell ids, in the order they were sent."""
         import ofdmsim.sweep as sweep_mod
 
-        asked, ranks = [], []
+        asked, sent = [], []
 
         class InlineExecutor:
-            """Records the worker count asked for and runs each task in this process."""
-
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
-            def submit(self, fn, grid, group):
-                config = group[0][1]
-                ranks.append(sweep_mod._repetition_samples(config, grid.max_bits_per_cell))
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, grid, task):
+                sent.append([cell_id for cell_id, *_ in task])
                 future = Future()
-                future.set_result(fn(grid, group))
+                future.set_result(fn(grid, task))
                 return future
 
-            def shutdown(self):
-                pass
-
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlineExecutor)
-        one_group = small_grid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),),
+        return asked, sent
+
+    def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
+        asked, sent = self._inline_pool(monkeypatch)
+        two_cells = small_grid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),),
                                ebno_points_db=(0.0, 6.0))
-        two_groups = small_grid(fft_sizes=(64,), ebno_points_db=(0.0, 6.0))
-        assert run_grid(one_group, workers=8) == run_grid(one_group)
-        assert run_grid(two_groups, workers=8) == run_grid(two_groups)
-        del ranks[:]
+        assert run_grid(two_cells, workers=8) == run_grid(two_cells)
         assert run_grid(small_grid(), workers=3) == run_grid(small_grid())
-        assert run_grid(small_grid(), workers=3) == run_grid(small_grid())  # the pool is kept
-        assert asked == [1, 2, 3]
-        # one group per task, the longest first: (N+L) * frames per repetition
-        assert ranks[:4] == [1280, 1280, 1088, 1088]
+        assert asked == [2, 3]
+        # one task per (N, CP) config, the longest first: (N+L) * frames of a
+        # repetition is 1280 at CP 1/4 and 1088 at CP 1/16, for N 64 and 128
+        assert sent[2:] == [[0, 1, 2], [6, 7, 8], [3, 4, 5], [9, 10, 11]]
 
-    @pytest.mark.usefixtures("fresh_pool")
-    def test_calls_with_the_same_count_share_the_workers(self):
+    def test_fewer_configs_than_workers_deal_their_cells_into_more_groups(self, monkeypatch):
+        asked, sent = self._inline_pool(monkeypatch)
+        one_config = small_grid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),),
+                                ebno_points_db=tuple(float(e) for e in range(0, 21, 2)))
+        assert run_grid(one_config, workers=8) == run_grid(one_config)
+        assert asked == [8]
+        assert sent == [[0, 8], [1, 9], [2, 10], [3], [4], [5], [6], [7]]
+        two_configs = small_grid(fft_sizes=(64,), ebno_points_db=(0.0, 6.0, 12.0))
+        assert run_grid(two_configs, workers=3) == run_grid(two_configs)
+        assert asked[1:] == [3] and sent[8:] == [[0, 2], [3, 5], [1], [4]]
+
+    def test_no_worker_outlives_the_call(self):
         run_grid(small_grid(), workers=2)
-        first = _worker_pids()
-        assert len(first) == 2
-        run_grid(small_grid(channel=ChannelSpec(kind="flat")), workers=2)
-        assert _worker_pids() == first
-
-    @pytest.mark.usefixtures("fresh_pool")
-    def test_another_count_replaces_the_pool(self):
-        run_grid(small_grid(), workers=2)
-        first = _worker_pids()
-        run_grid(small_grid(), workers=3)
-        second = _worker_pids()
-        assert len(second) == 3 and not first & second
-        assert not any(_alive(pid) for pid in first)  # shut down and reaped
-
-    def test_no_worker_outlives_its_process(self):
-        code = textwrap.dedent("""
-            import multiprocessing
-            from ofdmsim.sweep import SweepGrid, run_grid
-
-            run_grid(SweepGrid(fft_sizes=(64, 128), ebno_points_db=(0.0, 6.0),
-                               max_bits_per_cell=3000), workers=2)
-            print(*(child.pid for child in multiprocessing.active_children()))
-        """)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                env=env, timeout=120)
-        assert result.returncode == 0, result.stderr
-        pids = [int(pid) for pid in result.stdout.split()]
-        assert len(pids) == 2
-        assert not any(_alive(pid) for pid in pids)
+        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [2.0, True])
     def test_a_worker_count_must_be_an_integer(self, workers):
