@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bitsource import RngStream
-from .framing import OfdmConfig
+from .framing import OfdmConfig, as_axis, as_integer, as_number, as_switch
 
 AWGN = "awgn"
 FLAT = "flat"
@@ -60,9 +60,13 @@ DEFAULT_TDL_DECAY_DB = 1.0
 class ChannelSpec:
     """Which channel to simulate and how to calibrate its noise.
 
-    ``taps`` is the power-delay profile for the tapped delay line (must sum
-    to 1), any sequence of tap powers, a numpy array included, kept as a
-    tuple of floats; the channel memory is ``len(taps) - 1``.
+    ``kind`` is one of :data:`KINDS`, a str.  ``taps`` is the power-delay
+    profile for the tapped delay line (must sum to 1): a list, a tuple or a
+    1-D numpy array of real tap powers, kept as a tuple of floats; the
+    channel memory is ``len(taps) - 1``.  ``account_cp_overhead`` is a bool
+    or a numpy bool, kept as a bool.  A value of the wrong type is a
+    ``TypeError`` naming the setting as a config file does (``channel``,
+    ``tdl_taps``, ``account_cp_overhead``).
     """
 
     kind: str
@@ -70,10 +74,15 @@ class ChannelSpec:
     account_cp_overhead: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, str):
+            raise TypeError(f"channel: expected a string, got {self.kind!r}")
         if self.kind not in KINDS:
             raise ValueError(f"channel kind must be one of {KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "account_cp_overhead",
+                           as_switch("account_cp_overhead", self.account_cp_overhead))
         if self.kind == TDL:
-            taps = () if self.taps is None else tuple(float(p) for p in self.taps)
+            taps = () if self.taps is None else tuple(
+                as_number("tdl_taps", p) for p in as_axis("tdl_taps", self.taps))
             if not taps:
                 raise ValueError("tdl channel requires a power-delay profile")
             if not all(0.0 <= p < math.inf for p in taps):
@@ -121,12 +130,14 @@ def exponential_pdp(length: int, decay_db_per_tap: float) -> np.ndarray:
     """Exponentially decaying power-delay profile, normalized to sum 1.
 
     ``length`` and ``decay_db_per_tap`` are the ``tdl_len`` and
-    ``tdl_decay_db`` settings, and a ``ValueError`` names the one at fault:
-    a length below 1, a non-finite decay, or a decay so steeply negative
-    that the profile overflows float64.
+    ``tdl_decay_db`` settings, an integer and a real number (numpy's too,
+    but not a bool or a str; anything else is a ``TypeError``), and a
+    ``ValueError`` names the one at fault: a length below 1, a non-finite
+    decay, or a decay so steeply negative that the profile overflows
+    float64.
     """
-    if length < 1:
-        raise ValueError(f"tdl_len must be >= 1, got {length}")
+    length = as_integer("tdl_len", length, minimum=1)
+    decay_db_per_tap = as_number("tdl_decay_db", decay_db_per_tap)
     if not math.isfinite(decay_db_per_tap):
         raise ValueError(f"tdl_decay_db must be finite, got {decay_db_per_tap}")
     with np.errstate(over="ignore"):  # an overflowed profile is rejected below

@@ -21,11 +21,12 @@ from .channel import (
     exponential_pdp,
 )
 from .errors import ConfigError, IoError
-from .framing import OfdmConfig
+from .framing import OfdmConfig, as_axis, as_number
 from .metrics import BerRecord
 from .sweep import (
     SweepFailure,
     SweepGrid,
+    check_workers,
     emit_plot,
     read_records,
     run_cell,
@@ -47,97 +48,67 @@ def _parse_list(key: str, text: str, conv) -> tuple:
         raise ConfigError(f"{key}: cannot parse {text!r}: {exc}") from exc
 
 
-def _integer(value: Any) -> int:
-    """A count from a config file: an integer, or a float with no fraction (2e6)."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"expected an integer, got {value!r}")
-
-
-def _real(value: Any) -> float:
-    """A quantity from a config file: a JSON number, never a string."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"expected a number, got {value!r}")
-
-
-def _boolean(value: Any) -> bool:
-    """A switch from a config file: JSON true or false only."""
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"expected true or false, got {value!r}")
-
-
-def _string(value: Any) -> str:
-    """A name from a config file: a JSON string."""
-    if isinstance(value, str):
-        return value
-    raise ConfigError(f"expected a string, got {value!r}")
-
-
-def _list(value: Any, convert: Callable[[Any], Any]) -> tuple:
-    """A list from a config file (or a comma-list flag's tuple), each item
-    converted by ``convert``."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"expected a list, got {value!r}")
-    return tuple(convert(item) for item in value)
-
-
 #: The delay-line settings, which only the tdl channel takes.
 _TDL_KEYS = ("tdl_taps", "tdl_len", "tdl_decay_db")
+#: The channel's settings; every other setting key is a SweepGrid field.
+_CHANNEL_KEYS = ("channel", *_TDL_KEYS, "account_cp_overhead")
+#: Every setting key: the keys a config file may hold, and the dests of the
+#: setting flags.
+_GRID_KEYS = (*(f.name for f in dataclasses.fields(SweepGrid) if f.name != "channel"),
+              *_CHANNEL_KEYS)
+#: The counts other than the FFT sizes, which a config file may give as
+#: floats with no fraction (2e6).
+_COUNT_KEYS = ("modulation_order", "master_seed", "max_bits_per_cell", "target_errors",
+               "bit_budget", "tdl_len")
+
+
+def _integral(value: Any) -> Any:
+    """A float with no fraction as an int (2e6 in a config file); else ``value``."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _relax(key: str, value: Any) -> Any:
+    """Setting ``key`` with the two relaxations of a JSON value: a count may be
+    an integral float, and a CP fraction is read from its decimal text, so
+    0.1 is 1/10.  The types judge everything else."""
+    if key in _COUNT_KEYS:
+        return _integral(value)
+    if not isinstance(value, (list, tuple)):
+        return value
+    if key == "fft_sizes":
+        return [_integral(n) for n in value]
+    if key == "cp_fractions":
+        try:
+            return [Fraction(str(g)) for g in value]
+        except (ValueError, ZeroDivisionError) as exc:  # e.g. "abc" or "1/0"
+            raise ConfigError(f"{key}: {exc}") from exc
+    return value
 
 
 def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
-    """The channel of converted settings; a setting not given takes its default."""
+    """The channel of the settings; a setting not given takes its default."""
     default = SweepGrid.channel
     kind = settings.get("channel", default.kind)
     overhead = settings.get("account_cp_overhead", default.account_cp_overhead)
     if kind != TDL:
+        spec = ChannelSpec(kind=kind, account_cp_overhead=overhead)
         stray = [key for key in _TDL_KEYS if key in settings]
         if stray:
             raise ConfigError(f"channel {kind} takes no delay-line settings, "
                               f"got {', '.join(stray)}")
-        return ChannelSpec(kind=kind, account_cp_overhead=overhead)
+        return spec
+    # a profile setting given with tdl_taps is judged, though the taps win
+    taps = exponential_pdp(settings.get("tdl_len", DEFAULT_TDL_LEN),
+                           settings.get("tdl_decay_db", DEFAULT_TDL_DECAY_DB))
     if settings.get("tdl_taps") is not None:
-        powers = settings["tdl_taps"]
+        powers = [as_number("tdl_taps", p) for p in as_axis("tdl_taps", settings["tdl_taps"])]
         total = sum(powers)
         # false for a NaN, and for a sum that overflows
         if not (all(p >= 0.0 for p in powers) and 0.0 < total < math.inf):
             raise ConfigError("tdl_taps must be nonnegative with a positive finite sum, "
-                              f"got {list(powers)}")
+                              f"got {powers}")
         taps = [p / total for p in powers]
-    else:
-        taps = exponential_pdp(settings.get("tdl_len", DEFAULT_TDL_LEN),
-                               settings.get("tdl_decay_db", DEFAULT_TDL_DECAY_DB))
     return ChannelSpec(kind=TDL, taps=taps, account_cp_overhead=overhead)
-
-
-#: SweepGrid fields a config file or flag may set, with their converters;
-#: a field not set keeps its SweepGrid default.
-_GRID_FIELDS = {
-    "fft_sizes": lambda sizes: _list(sizes, _integer),
-    "cp_fractions": lambda fractions: _list(fractions, lambda g: Fraction(str(g))),
-    "ebno_points_db": lambda points: _list(points, _real),
-    "modulation_order": _integer,
-    "master_seed": _integer,
-    "max_bits_per_cell": _integer,
-    "target_errors": _integer,
-    "bit_budget": _integer,
-    "use_equalizer": _boolean,
-}
-#: The channel's settings, with their converters (null taps are none).
-_CHANNEL_FIELDS = {
-    "channel": _string,
-    "tdl_taps": lambda taps: None if taps is None else _list(taps, _real),
-    "tdl_len": _integer,
-    "tdl_decay_db": _real,
-    "account_cp_overhead": _boolean,
-}
-#: Every setting key: the keys a config file may hold, and the dests of the
-#: setting flags.
-_GRID_KEYS = (*_GRID_FIELDS, *_CHANNEL_FIELDS)
 
 
 def _load_config_file(path: Optional[str]) -> dict[str, Any]:
@@ -160,18 +131,13 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
 
 def build_grid(settings: dict[str, Any]) -> SweepGrid:
     """The grid for resolved settings, a dict that may hold other keys too: the
-    one validation path of every command."""
-    converted = {}  # the one place a malformed value gets its key
-    for key, convert in {**_GRID_FIELDS, **_CHANNEL_FIELDS}.items():
-        if key in settings:
-            try:
-                converted[key] = convert(settings[key])
-            except (TypeError, ValueError, ZeroDivisionError) as exc:  # e.g. "1/0"
-                raise ConfigError(f"{key}: {exc}") from exc
-    fields = {key: converted[key] for key in _GRID_FIELDS if key in converted}
+    one validation path of every command.  The types judge each value, and
+    a value they reject is a :class:`ConfigError`."""
+    given = {key: _relax(key, settings[key]) for key in _GRID_KEYS if key in settings}
+    fields = {key: value for key, value in given.items() if key not in _CHANNEL_KEYS}
     try:
-        return SweepGrid(channel=_build_channel(converted), **fields)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:  # a value the grid rejects
+        return SweepGrid(channel=_build_channel(given), **fields)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:  # a value a type rejects
         raise ConfigError(str(exc)) from exc
 
 
@@ -203,13 +169,14 @@ def _sample_snr_db(ebno_db: float, config: OfdmConfig, spec: ChannelSpec) -> flo
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = build_grid({**_load_config_file(args.config), **_flag_settings(args)})
+    workers = check_workers(args.workers)  # before the echo: one stderr line
     _echo_grid(grid)
     if args.report_snr:
         for _, config, spec, ebno in grid.cells():
             snr = _sample_snr_db(ebno, config, spec)
             print(f"fft={config.fft_size} cp={config.cp_fraction} ebno_db={ebno:g} "
                   f"sample_snr_db={snr:.4f}", file=sys.stderr)
-    return run_sweep(grid, args.workers, args.out, args.json_out, args.plots)
+    return run_sweep(grid, workers, args.out, args.json_out, args.plots)
 
 
 def run_sweep(grid: SweepGrid, workers: int, out: str,

@@ -19,10 +19,43 @@ def as_integer(name: str, value: Any, minimum: Optional[int] = None) -> int:
     too).  A bool or a non-integer is a ``TypeError``, and a value below
     ``minimum`` a ``ValueError``; each names the setting."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise TypeError(f"{name}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def as_number(name: str, value: Any) -> float:
+    """The real setting ``name`` as a float, from any real type (numpy's too).
+    A bool, a str or a non-real is a ``TypeError`` naming the setting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name}: expected a number, got {value!r}")
+    return float(value)
+
+
+def as_switch(name: str, value: Any) -> bool:
+    """The on/off setting ``name`` as a bool, from a bool or a numpy bool.
+    Anything else, 0 and 1 and "no" included, is a ``TypeError`` naming it."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name}: expected true or false, got {value!r}")
+    return bool(value)
+
+
+def as_axis(name: str, value: Any) -> tuple:
+    """The list setting ``name`` as a tuple of its items, from a list, a tuple
+    or a 1-D numpy array.  A str or a scalar is a ``TypeError`` naming it."""
+    if not (isinstance(value, (list, tuple))
+            or isinstance(value, np.ndarray) and value.ndim == 1):
+        raise TypeError(f"{name}: expected a list, got {value!r}")
+    return tuple(value)
+
+
+def as_fraction(name: str, value: Any) -> Fraction:
+    """The exact rational setting ``name`` as a Fraction, from a rational, a
+    float or its text ("1/4").  A bool is a ``TypeError`` naming it."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name}: expected a fraction, got {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -31,9 +64,10 @@ class OfdmConfig:
 
     ``fft_size`` is any power of two; N=1 with no prefix is plain
     single-carrier PSK, the chain with its framing bypassed.
-    ``cp_fraction`` is an exact rational (accepts a string like "1/4");
-    the cyclic prefix is ``cp_fraction * fft_size`` samples and must come
-    out integer -- non-integer products are rejected, never rounded.
+    ``cp_fraction`` is an exact rational (accepts a string like "1/4", but
+    not a bool); the cyclic prefix is ``cp_fraction * fft_size`` samples
+    and must come out integer -- non-integer products are rejected, never
+    rounded.
     ``bit_budget`` bounds the information bits of one Monte Carlo
     repetition (one channel realization per repetition): a repetition sends
     it rounded down to a multiple of log2 M, and never fewer than log2 M
@@ -50,7 +84,7 @@ class OfdmConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fft_size", as_integer("fft_size", self.fft_size))
-        object.__setattr__(self, "cp_fraction", Fraction(self.cp_fraction))
+        object.__setattr__(self, "cp_fraction", as_fraction("cp_fraction", self.cp_fraction))
         object.__setattr__(self, "modulation_order",
                            as_integer("modulation_order", self.modulation_order))
         object.__setattr__(self, "bit_budget",

@@ -74,7 +74,8 @@ from .channel import (
 )
 from .equalizer import clamped, zero_forcing
 from .errors import ConfigError, IoError, SizeError
-from .framing import OfdmConfig, as_integer, remove_cyclic_prefix
+from .framing import (OfdmConfig, as_axis, as_fraction, as_integer, as_number, as_switch,
+                      remove_cyclic_prefix)
 from .metrics import CSV_COLUMNS, BerRecord, make_record
 from .psk import count_psk_errors, map_psk, pack_labels
 from .svgplot import emit_plot  # re-exported: plotting is part of the sweep surface
@@ -111,8 +112,15 @@ class SweepGrid:
     ebno_db), with Eb/No varying fastest.  The field defaults are the
     defaults of every entry point (the CLI, the experiment script and
     ``run_cell``); the cyclic-prefix set is the reference experiment grid's.
-    The integer fields take a numpy integer but not a float or a bool, and
-    keep it as an int; ``master_seed`` is a stream key, in 0..2^64-1.
+    Each field is judged when the grid is built, and a value of the wrong
+    type is a ``TypeError`` naming the field: an axis is a list, a tuple or
+    a 1-D numpy array, never a str or a scalar; the integer fields and FFT
+    sizes take a numpy integer but not a float or a bool, and keep it as an
+    int; a CP fraction is a rational, a float or its text, not a bool; an
+    Eb/No point is a real number, not a str or a bool, kept as a float;
+    ``use_equalizer`` is a bool or a numpy bool, kept as a bool; and
+    ``channel`` is a :class:`ChannelSpec`, which judges its own fields.
+    ``master_seed`` is a stream key, in 0..2^64-1.
     """
 
     fft_sizes: tuple[int, ...] = (64, 128, 256, 512)
@@ -129,15 +137,10 @@ class SweepGrid:
     use_equalizer: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "fft_sizes", tuple(as_integer("fft_sizes", n) for n in self.fft_sizes)
-        )
-        object.__setattr__(
-            self, "cp_fractions", tuple(Fraction(g) for g in self.cp_fractions)
-        )
-        object.__setattr__(
-            self, "ebno_points_db", tuple(float(e) for e in self.ebno_points_db)
-        )
+        for name, item in (("fft_sizes", as_integer), ("cp_fractions", as_fraction),
+                           ("ebno_points_db", as_number)):
+            axis = as_axis(name, getattr(self, name))
+            object.__setattr__(self, name, tuple(item(name, value) for value in axis))
         if not (self.fft_sizes and self.cp_fractions and self.ebno_points_db):
             raise ValueError("grid axes must be nonempty")
         # false for NaN too; +inf is the noiseless point
@@ -156,6 +159,9 @@ class SweepGrid:
         check_key("master_seed", self.master_seed)
         for name in ("max_bits_per_cell", "target_errors"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name), minimum=1))
+        object.__setattr__(self, "use_equalizer", as_switch("use_equalizer", self.use_equalizer))
+        if not isinstance(self.channel, ChannelSpec):
+            raise TypeError(f"channel: expected a ChannelSpec, got {self.channel!r}")
         for n in self.fft_sizes:
             if n not in SUPPORTED_FFT_SIZES:
                 raise SizeError(f"fft_size must be one of {SUPPORTED_FFT_SIZES}, got {n}")

@@ -495,7 +495,8 @@ class TestNonFiniteInputs:
         out = tmp_path / "x.csv"
         assert cli.main(["sweep", *self.SWEEP_CELL, f"--ebno={ebno}", "--max-bits", "999",
                          "--out", str(out)]) == 0
-        assert len(list(csv.DictReader(out.open()))) == 1
+        with out.open() as fh:
+            assert len(list(csv.DictReader(fh))) == 1
 
     def test_plus_inf_is_noiseless(self, capsys, tmp_path):
         import ofdmsim.cli as cli
@@ -509,7 +510,8 @@ class TestNonFiniteInputs:
         path.write_text(json.dumps({**SMALL_CONFIG, "ebno_points_db": [float("inf")]}))
         out = tmp_path / "x.csv"
         assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert {(row["ebno_db"], row["bit_errors"]) for row in rows} == {("inf", "0")}
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import ofdmsim.cli as cli
 from ofdmsim.bitsource import KEY_MAX, make_stream
+from ofdmsim.channel import ChannelSpec, exponential_pdp
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.sweep import SweepGrid, run_grid
 
@@ -85,6 +86,16 @@ def test_a_master_seed_outside_the_key_range_is_one_config_error_line(
     assert f"master_seed must be in 0..{KEY_MAX}, got {value}" in err
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("path,flags", [("sweep flag", []), ("sweep flag", ["--report-snr"]),
+                                        ("script flag", [])])
+def test_a_worker_count_below_one_is_one_config_error_line(capsys, monkeypatch, tmp_path, path,
+                                                          flags, value):
+    # before, sweep echoed the effective config (and each cell's SNR) first
+    err = rejected(capsys, monkeypatch, tmp_path, path, ["--workers", str(value), *flags], {})
+    assert err.endswith(f": config error: workers must be >= 1, got {value}\n")
+
+
 @pytest.mark.parametrize("value", [-1, 2**64])
 @pytest.mark.parametrize("path,flag,name", [("single flag", "--cell-id", "cell_id"),
                                             ("validate flag", "--seed", "seed")])
@@ -136,6 +147,13 @@ def test_a_bad_profile_setting_is_named_with_its_value(capsys, monkeypatch, tmp_
     assert err.startswith(f"ofdmsim: config error: {key} ") and shown in err
 
 
+def test_a_profile_setting_given_with_taps_is_still_judged(capsys, monkeypatch, tmp_path):
+    # the taps win over the profile, but a bad length beside them was ignored before
+    err = rejected(capsys, monkeypatch, tmp_path, "config file", [],
+                   {"channel": "tdl", "tdl_taps": [1], "tdl_len": 0})
+    assert err == "ofdmsim: config error: tdl_len must be >= 1, got 0\n"
+
+
 #: A value of the wrong JSON type for every setting key.
 WRONG_TYPES = {
     "fft_sizes": 64, "cp_fractions": "1/4", "ebno_points_db": 6, "modulation_order": "8",
@@ -167,7 +185,7 @@ def test_a_value_of_the_wrong_type_names_its_key(capsys, tmp_path, key):
     ("fft_sizes", (64, np.True_)),
 ])
 def test_grid_rejects_a_non_integer_at_construction(field, value):
-    with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+    with pytest.raises(TypeError, match=f"^{field}: expected an integer, got "):
         SweepGrid(**{field: value})
 
 
@@ -178,8 +196,55 @@ def test_grid_rejects_a_non_integer_at_construction(field, value):
 def test_config_rejects_a_non_integer_at_construction(field, value):
     settings = {"fft_size": 64, "cp_fraction": "1/4", "modulation_order": 8, "bit_budget": 999,
                 field: value}
-    with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+    with pytest.raises(TypeError, match=f"^{field}: expected an integer, got "):
         OfdmConfig(**settings)
+
+
+#: Values of the wrong type that a Python caller's grid, config, channel or
+#: profile used to take silently (or reject without naming the setting):
+#: (construction, the setting its TypeError names, what it expected).
+WRONG_PYTHON_TYPES = {
+    "equalizer switch as text": (
+        lambda: SweepGrid(use_equalizer="no", channel=ChannelSpec(kind="flat")),
+        "use_equalizer", "true or false"),
+    "bool CP fraction": (lambda: SweepGrid(cp_fractions=(True,)), "cp_fractions", "a fraction"),
+    "bool CP fraction of a config": (
+        lambda: OfdmConfig(64, True, modulation_order=8, bit_budget=999),
+        "cp_fraction", "a fraction"),
+    "Eb/No as text": (lambda: SweepGrid(ebno_points_db=("10",)), "ebno_points_db", "a number"),
+    "bool Eb/No": (lambda: SweepGrid(ebno_points_db=(True,)), "ebno_points_db", "a number"),
+    "scalar FFT axis": (lambda: SweepGrid(fft_sizes=64), "fft_sizes", "a list"),
+    "CP axis as text": (lambda: SweepGrid(cp_fractions="1/4"), "cp_fractions", "a list"),
+    "overhead switch as text": (
+        lambda: ChannelSpec(kind="awgn", account_cp_overhead="yes"),
+        "account_cp_overhead", "true or false"),
+    "channel kind not a str": (lambda: ChannelSpec(kind=5), "channel", "a string"),
+    "grid channel as text": (lambda: SweepGrid(channel="flat"), "channel", "a ChannelSpec"),
+    "taps as text": (lambda: ChannelSpec(kind="tdl", taps="1"), "tdl_taps", "a list"),
+    "profile length as text": (lambda: exponential_pdp("9", 1.0), "tdl_len", "an integer"),
+    "profile decay as text": (lambda: exponential_pdp(9, "1.0"), "tdl_decay_db", "a number"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_PYTHON_TYPES))
+def test_python_callers_get_the_type_checks_of_the_cli(case):
+    build, name, expected = WRONG_PYTHON_TYPES[case]
+    with pytest.raises(TypeError, match=f"^{name}: expected {expected}, got "):
+        build()
+
+
+def test_numpy_bools_and_floats_are_kept_as_python_ones():
+    grid = SweepGrid(fft_sizes=(64,), cp_fractions=(np.float64(0.25),),
+                     ebno_points_db=np.array([4.0, 8.0], dtype=np.float32),
+                     use_equalizer=np.False_,
+                     channel=ChannelSpec(kind="flat", account_cp_overhead=np.True_))
+    assert grid == SweepGrid(fft_sizes=(64,), cp_fractions=("1/4",), ebno_points_db=(4.0, 8.0),
+                             use_equalizer=False,
+                             channel=ChannelSpec(kind="flat", account_cp_overhead=True))
+    assert {type(e) for e in grid.ebno_points_db} == {float}
+    assert type(grid.use_equalizer) is bool and type(grid.channel.account_cp_overhead) is bool
+    taps = ChannelSpec(kind="tdl", taps=np.array([0.5, 0.5], dtype=np.float32)).taps
+    assert taps == (0.5, 0.5) and {type(p) for p in taps} == {float}
 
 
 def test_numpy_integers_are_integers():
