@@ -31,11 +31,12 @@ languages or numpy bit-generator rewrites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from .errors import ConfigError
+from .framing import as_integer
 
 #: Default master seed for all CLI entry points (arbitrary documented constant).
 DEFAULT_MASTER_SEED = 0x0FDA_0FDA_0FDA_0FDA
@@ -53,9 +54,12 @@ _RAW_WORDS = np.dtype("<u8")
 _RAW_BLOCK = 8192
 
 
-def check_key(name: str, key: int) -> int:
-    """``key``, or a :class:`ConfigError` (a ``ValueError``) naming ``name`` if
-    it is outside 0..KEY_MAX."""
+def check_key(name: str, key: Any) -> int:
+    """The stream key ``key`` as an int, judged as an integer setting named
+    ``name`` (:func:`~ofdmsim.framing.as_integer`: a float or a bool is a
+    ``TypeError``), or a :class:`ConfigError` (a ``ValueError``) naming
+    ``name`` if it is outside 0..KEY_MAX."""
+    key = as_integer(name, key)
     if not 0 <= key <= KEY_MAX:
         raise ConfigError(f"{name} must be in 0..{KEY_MAX}, got {key}")
     return key
@@ -93,7 +97,9 @@ def make_stream(origin_seed: int, cell_id: int) -> RngStream:
     """Create the deterministic substream for one sweep cell.
 
     The internal seed is ``splitmix64(origin_seed XOR rotl64(cell_id, 32))``,
-    driving a PCG64 generator.  A key outside 0..KEY_MAX is a ``ValueError``.
+    driving a PCG64 generator.  Each key is judged by :func:`check_key`: a
+    float or a bool is a ``TypeError``, and a key outside 0..KEY_MAX a
+    ``ValueError``, each naming ``origin_seed`` or ``cell_id``.
     """
     key = check_key("origin_seed", origin_seed) ^ _rotl64(check_key("cell_id", cell_id), 32)
     derived = _splitmix64(key)

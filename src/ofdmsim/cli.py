@@ -56,33 +56,14 @@ _CHANNEL_KEYS = ("channel", *_TDL_KEYS, "account_cp_overhead")
 #: setting flags.
 _GRID_KEYS = (*(f.name for f in dataclasses.fields(SweepGrid) if f.name != "channel"),
               *_CHANNEL_KEYS)
-#: The counts other than the FFT sizes, which a config file may give as
-#: floats with no fraction (2e6).
-_COUNT_KEYS = ("modulation_order", "master_seed", "max_bits_per_cell", "target_errors",
-               "bit_budget", "tdl_len")
 
 
-def _integral(value: Any) -> Any:
-    """A float with no fraction as an int (2e6 in a config file); else ``value``."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
-def _relax(key: str, value: Any) -> Any:
-    """Setting ``key`` with the two relaxations of a JSON value: a count may be
-    an integral float, and a CP fraction is read from its decimal text, so
-    0.1 is 1/10.  The types judge everything else."""
-    if key in _COUNT_KEYS:
-        return _integral(value)
-    if not isinstance(value, (list, tuple)):
-        return value
-    if key == "fft_sizes":
-        return [_integral(n) for n in value]
-    if key == "cp_fractions":
-        try:
-            return [Fraction(str(g)) for g in value]
-        except (ValueError, ZeroDivisionError) as exc:  # e.g. "abc" or "1/0"
-            raise ConfigError(f"{key}: {exc}") from exc
-    return value
+def _json_float(text: str) -> Any:
+    """A JSON float of a config file, as an int if it has no fractional part
+    (2e6, 64.0), whatever its key.  -0.0 stays a float, so an Eb/No of -0.0
+    is recorded as -0, as ``--ebno=-0`` is."""
+    value = float(text)
+    return int(value) if value.is_integer() and (value or text[0] != "-") else value
 
 
 def _build_channel(settings: dict[str, Any]) -> ChannelSpec:
@@ -116,7 +97,7 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_json_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -131,13 +112,13 @@ def _load_config_file(path: Optional[str]) -> dict[str, Any]:
 
 def build_grid(settings: dict[str, Any]) -> SweepGrid:
     """The grid for resolved settings, a dict that may hold other keys too: the
-    one validation path of every command.  The types judge each value, and
-    a value they reject is a :class:`ConfigError`."""
-    given = {key: _relax(key, settings[key]) for key in _GRID_KEYS if key in settings}
+    one validation path of every command.  The types judge each value as
+    given, and a value they reject is a :class:`ConfigError`."""
+    given = {key: settings[key] for key in _GRID_KEYS if key in settings}
     fields = {key: value for key, value in given.items() if key not in _CHANNEL_KEYS}
     try:
         return SweepGrid(channel=_build_channel(given), **fields)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:  # a value a type rejects
+    except (TypeError, ValueError) as exc:  # a value a type rejects
         raise ConfigError(str(exc)) from exc
 
 
@@ -221,9 +202,7 @@ def cmd_single(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.bits < 1:
-        raise ConfigError(f"--bits must be >= 1, got {args.bits}")
-    rows, all_passed = run_validation(seed=check_key("seed", args.seed), bits_floor=args.bits)
+    rows, all_passed = run_validation(seed=args.seed, bits_floor=args.bits)
     print(format_table(rows))
     print(f"validation {'PASSED' if all_passed else 'FAILED'}")
     return EXIT_OK if all_passed else EXIT_VALIDATION_FAILED

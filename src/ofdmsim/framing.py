@@ -10,18 +10,19 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import CpLengthError, SizeError
+from .errors import ConfigError, CpLengthError, SizeError
 from .psk import bits_per_symbol, is_power_of_two
 
 
 def as_integer(name: str, value: Any, minimum: Optional[int] = None) -> int:
     """The integer setting ``name`` as an int, from any integer type (numpy's
     too).  A bool or a non-integer is a ``TypeError``, and a value below
-    ``minimum`` a ``ValueError``; each names the setting."""
+    ``minimum`` a :class:`ConfigError` (a ``ValueError``); each names the
+    setting."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -51,11 +52,20 @@ def as_axis(name: str, value: Any) -> tuple:
 
 
 def as_fraction(name: str, value: Any) -> Fraction:
-    """The exact rational setting ``name`` as a Fraction, from a rational, a
-    float or its text ("1/4").  A bool is a ``TypeError`` naming it."""
-    if isinstance(value, (bool, np.bool_)):
+    """The exact rational setting ``name`` as a Fraction, from a rational
+    (numpy's integers too), its text ("1/4", "0.25") or a float.  A float,
+    Python's or numpy's float64, means its decimal text,
+    ``Fraction(str(value))``, so 0.1 is exactly 1/10 from every caller.  A
+    bool or any other type is a ``TypeError``, and text or a float that is
+    no fraction ("abc", "1/0", inf, NaN) a ``ValueError``; each names the
+    setting (``cp_fractions: Invalid literal for Fraction: 'abc'``)."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (numbers.Rational, float, str))):
         raise TypeError(f"{name}: expected a fraction, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(str(value) if isinstance(value, float) else value)
+    except (ValueError, ZeroDivisionError) as exc:  # e.g. "abc", "1/0" or inf
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -64,8 +74,9 @@ class OfdmConfig:
 
     ``fft_size`` is any power of two; N=1 with no prefix is plain
     single-carrier PSK, the chain with its framing bypassed.
-    ``cp_fraction`` is an exact rational (accepts a string like "1/4", but
-    not a bool); the cyclic prefix is ``cp_fraction * fft_size`` samples
+    ``cp_fraction`` is an exact rational, as :func:`as_fraction` reads it
+    (a string like "1/4", or a float by its decimal text, but not a bool);
+    the cyclic prefix is ``cp_fraction * fft_size`` samples
     and must come out integer -- non-integer products are rejected, never
     rounded.
     ``bit_budget`` bounds the information bits of one Monte Carlo

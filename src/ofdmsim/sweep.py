@@ -95,6 +95,20 @@ SUPPORTED_FFT_SIZES = (64, 128, 256, 512)
 #: about 1e-101..1e99, where its conversion neither overflows nor underflows.
 EBNO_LIMIT_DB = 1000.0
 
+
+def check_ebno(name: str, value: Any) -> float:
+    """The Eb/No setting ``name``, in dB, as a float: a real number
+    (:func:`~ofdmsim.framing.as_number`; a str or a bool is a ``TypeError``)
+    within +-:data:`EBNO_LIMIT_DB`, or +inf, the noiseless point.  NaN, -inf
+    and a finite value beyond the limit are a :class:`ConfigError` (a
+    ``ValueError``) naming the setting and the value."""
+    ebno_db = as_number(name, value)
+    if not (abs(ebno_db) <= EBNO_LIMIT_DB or ebno_db == math.inf):  # NaN passes neither
+        raise ConfigError(f"{name} must be within +-{EBNO_LIMIT_DB:g} dB or +inf, "
+                          f"got {ebno_db}")
+    return ebno_db
+
+
 #: Most time-domain samples a window holds, which keeps the chain's arrays
 #: under about 1 MB: a window is floor(_CHUNK_SAMPLES / (N+L)) OFDM symbols
 #: (at least one), a chunk is as many whole repetitions as fit in one
@@ -116,11 +130,13 @@ class SweepGrid:
     type is a ``TypeError`` naming the field: an axis is a list, a tuple or
     a 1-D numpy array, never a str or a scalar; the integer fields and FFT
     sizes take a numpy integer but not a float or a bool, and keep it as an
-    int; a CP fraction is a rational, a float or its text, not a bool; an
-    Eb/No point is a real number, not a str or a bool, kept as a float;
-    ``use_equalizer`` is a bool or a numpy bool, kept as a bool; and
-    ``channel`` is a :class:`ChannelSpec`, which judges its own fields.
-    ``master_seed`` is a stream key, in 0..2^64-1.
+    int; a CP fraction is a rational, a float or its text, not a bool
+    (:func:`~ofdmsim.framing.as_fraction`: a float means its decimal text,
+    so 0.1 is 1/10); an Eb/No point is judged by :func:`check_ebno` and kept
+    as a float; ``use_equalizer`` is a bool or a numpy bool, kept as a bool;
+    and ``channel`` is a :class:`ChannelSpec`, which judges its own fields.
+    ``master_seed`` is a stream key, in 0..2^64-1.  An empty axis, or one
+    that repeats a value, is a ``ValueError`` naming it.
     """
 
     fft_sizes: tuple[int, ...] = (64, 128, 256, 512)
@@ -138,25 +154,19 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         for name, item in (("fft_sizes", as_integer), ("cp_fractions", as_fraction),
-                           ("ebno_points_db", as_number)):
-            axis = as_axis(name, getattr(self, name))
-            object.__setattr__(self, name, tuple(item(name, value) for value in axis))
-        if not (self.fft_sizes and self.cp_fractions and self.ebno_points_db):
-            raise ValueError("grid axes must be nonempty")
-        # false for NaN too; +inf is the noiseless point
-        if not all(abs(e) <= EBNO_LIMIT_DB or e == math.inf for e in self.ebno_points_db):
-            raise ValueError(f"Eb/No points must be within +-{EBNO_LIMIT_DB:g} dB or +inf, "
-                             f"got {self.ebno_points_db}")
-        # a repeated value would run the same point twice under two cell ids
-        for name in ("fft_sizes", "cp_fractions", "ebno_points_db"):
-            axis = getattr(self, name)
+                           ("ebno_points_db", check_ebno)):
+            axis = tuple(item(name, value) for value in as_axis(name, getattr(self, name)))
+            if not axis:
+                raise ValueError(f"{name} must not be empty")
+            # a repeated value would run the same point twice under two cell ids
             if len(set(axis)) < len(axis):
                 raise ValueError(f"{name} must not repeat a value, got "
                                  f"{', '.join(str(v) for v in axis)}")
+            object.__setattr__(self, name, axis)
         # OfdmConfig judges which orders and budgets are valid; the grid keeps ints
-        for name in ("modulation_order", "master_seed", "bit_budget"):
+        for name in ("modulation_order", "bit_budget"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        check_key("master_seed", self.master_seed)
+        object.__setattr__(self, "master_seed", check_key("master_seed", self.master_seed))
         for name in ("max_bits_per_cell", "target_errors"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name), minimum=1))
         object.__setattr__(self, "use_equalizer", as_switch("use_equalizer", self.use_equalizer))
@@ -366,10 +376,9 @@ def _run_group(
     presence are stacked, up to a window's capacity, into one chain call;
     and each cell applies its own stop rule to its own rows.  A row gets the
     operations it gets alone, so the records, in the order of ``points``,
-    are the ones :func:`run_cell` gives each cell.
+    are the ones :func:`run_cell` gives each cell.  The values come judged,
+    by :func:`run_cell` or by the grid.
     """
-    if target_errors < 1 or max_bits < 1:
-        raise ValueError("target_errors and max_bits must be >= 1")
     cells = [_CellRun(cell_id, ebno_db, make_stream(seed, cell_id),
                       ebno_to_noise_variance(ebno_db, config, channel))
              for cell_id, ebno_db in points]
@@ -456,9 +465,19 @@ def run_cell(
     Repetitions run in chunks, and a long one in windows (see the module
     docstring); the record is the one a repetition-at-a-time loop would
     give.  A cell is the lockstep group of one.
+
+    Each value is judged as a grid's is, before any draw: ``ebno_db`` by
+    :func:`check_ebno` (kept as a float), ``target_errors`` and
+    ``max_bits`` as integers of at least 1, ``use_equalizer`` as a switch
+    (a bool or a numpy bool), and ``seed`` and ``cell_id`` as the stream
+    keys of :func:`~ofdmsim.bitsource.make_stream`.  A value of the wrong
+    type is a ``TypeError``, and one out of range a :class:`ConfigError`;
+    each names its setting.
     """
-    return _run_group(config, channel, [(cell_id, ebno_db)], seed, target_errors=target_errors,
-                      max_bits=max_bits, use_equalizer=use_equalizer)[0]
+    return _run_group(config, channel, [(cell_id, check_ebno("ebno_db", ebno_db))], seed,
+                      target_errors=as_integer("target_errors", target_errors, minimum=1),
+                      max_bits=as_integer("max_bits", max_bits, minimum=1),
+                      use_equalizer=as_switch("use_equalizer", use_equalizer))[0]
 
 
 _CellResult = tuple[int, Optional[BerRecord], Optional[str]]
@@ -502,10 +521,7 @@ def check_workers(workers: int) -> int:
     """``workers`` as an int, judged as a grid's counts are (a numpy integer is
     kept as an int, and a float or a bool is a ``TypeError`` naming it), or a
     :class:`ConfigError` if it is below 1."""
-    workers = as_integer("workers", workers)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
+    return as_integer("workers", workers, minimum=1)
 
 
 def _tasks(grid: SweepGrid, cells: list[_Cell], workers: int) -> list[list[_Cell]]:
@@ -585,8 +601,8 @@ def _format_cell(value: Any) -> str:
 def write_records(records: Iterable[BerRecord], path: str, fmt: str = "csv") -> None:
     """Persist :class:`BerRecord` records as CSV or JSON with the fixed column schema.
 
-    Each column is written as its column type (an int Eb/No from a direct
-    :func:`run_cell` caller as a float).  Floats carry 17 significant
+    Each column is written as its column type (an int Eb/No of a record
+    built by hand as a float).  Floats carry 17 significant
     digits, so a write/read round trip is value-exact; cp_fraction is
     always the rational string (e.g. "1/4").
     """

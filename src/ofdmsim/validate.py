@@ -27,8 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bitsource import check_key
 from .channel import AWGN, FLAT, TDL, ChannelSpec, exponential_pdp
-from .framing import OfdmConfig
+from .framing import OfdmConfig, as_integer
 from .metrics import theoretical_mpsk_ber
 from .sweep import SUPPORTED_FFT_SIZES, run_cell
 
@@ -156,7 +157,16 @@ def check_noiseless_identity(seed: int) -> list[ValidationRow]:
 
 
 def run_validation(seed: int, bits_floor: int) -> tuple[list[ValidationRow], bool]:
-    """Run the three families in order; returns (rows, all_passed)."""
+    """Run the three families in order; returns (rows, all_passed).
+
+    ``seed`` is a stream key (:func:`~ofdmsim.bitsource.check_key`, in
+    0..2^64-1) and ``bits_floor`` an integer of at least 1, the fewest
+    bits of a theory point.  Both are judged before any cell runs: a float
+    or a bool is a ``TypeError``, and a value out of range a
+    :class:`~ofdmsim.errors.ConfigError`, each naming the setting.
+    """
+    seed = check_key("seed", seed)
+    bits_floor = as_integer("bits_floor", bits_floor, minimum=1)
     rows, baselines = check_awgn_theory(seed, bits_floor)
     rows += check_ofdm_transparency(baselines, seed)
     rows += check_noiseless_identity(seed)

@@ -299,6 +299,23 @@ class TestErrorBoundary:
         assert effective["use_equalizer"] is False
         assert effective["account_cp_overhead"] is True
 
+    def test_an_ebno_of_minus_zero_is_kept(self, capsys, tmp_path):
+        # a JSON float with no fraction is read as an int, but -0.0 keeps its sign
+        import ofdmsim.cli as cli
+
+        path = tmp_path / "grid.json"
+        path.write_text('{"fft_sizes": [64], "cp_fractions": [0.25], "ebno_points_db": [-0.0, 1e1],'
+                        ' "max_bits_per_cell": 3e3}')
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "a.csv")]) == 0
+        assert cli.main(["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno=-0,10",
+                         "--max-bits", "3000", "--out", str(tmp_path / "b.csv")]) == 0
+        echoes = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("effective config: ")]
+        assert echoes[0] == echoes[1] and '"ebno_points_db": [-0.0, 10.0]' in echoes[0]
+        written = (tmp_path / "a.csv").read_text()
+        assert written == (tmp_path / "b.csv").read_text()
+        assert written.splitlines()[1].startswith("64,1/4,awgn,-0,")
+
     # the count is the flag's alone: OFDMSIM_WORKERS does not rescue a bad one
     @pytest.mark.parametrize("flag,variable", [("0", None), ("-2", None), ("0", "2")])
     def test_worker_count_below_one_exits_2(self, monkeypatch, capsys, tmp_path, flag,
@@ -393,6 +410,16 @@ class TestErrorBoundary:
         result = run_cli("plot", "--records", str(path), "--out-dir", str(tmp_path / "charts"))
         assert result.returncode == 2
         assert "malformed" in result.stderr
+
+    def test_missing_records_file_is_one_io_error_line(self, capsys, tmp_path):
+        import ofdmsim.cli as cli
+
+        path = tmp_path / "absent.csv"
+        assert cli.main(["plot", "--records", str(path), "--out-dir", str(tmp_path / "c")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ofdmsim: io error: failed to read records from {path}: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("name,text", [
         ("short.csv", ",".join(CSV_COLUMNS) + "\n64,1/4\n"),  # a row shorter than the header

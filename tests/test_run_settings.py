@@ -2,9 +2,12 @@
 and the grid alone judges a value, whichever way it comes in."""
 
 import json
+import math
+import re
 import runpy
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +16,10 @@ import pytest
 import ofdmsim.cli as cli
 from ofdmsim.bitsource import KEY_MAX, make_stream
 from ofdmsim.channel import ChannelSpec, exponential_pdp
-from ofdmsim.framing import OfdmConfig
-from ofdmsim.sweep import SweepGrid, run_grid
+from ofdmsim.errors import ConfigError
+from ofdmsim.framing import OfdmConfig, as_fraction
+from ofdmsim.sweep import SweepGrid, run_cell, run_grid
+from ofdmsim.validate import run_validation
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment_grid.py"
 #: The count settings and their flags.
@@ -270,3 +275,107 @@ def test_script_help_is_the_sweep_help_of_the_run_flags(capsys, monkeypatch):
     for key in ("master_seed", *COUNT_FLAGS):
         flag = sweep[key]
         assert f"{flag.option_strings[0]} {key.upper()} {' '.join(flag.help.split())}" in text
+
+
+#: Values that an entry point behind a cell, ``single`` or ``validate`` took
+#: unjudged (and ran, or failed on deep inside): (call, exception, message).
+#: Each message names the setting.
+_FLAT_CELL = (OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=999),
+              ChannelSpec(kind="flat"))
+_AWGN_CELL = (_FLAT_CELL[0], ChannelSpec(kind="awgn"))
+UNJUDGED_ENTRY_VALUES = {
+    "equalizer switch as text": (
+        lambda: run_cell(*_FLAT_CELL, 10.0, 0, 0, max_bits=3000, use_equalizer="no"),
+        TypeError, "use_equalizer: expected true or false, got 'no'"),
+    "NaN Eb/No": (lambda: run_cell(*_AWGN_CELL, math.nan, 0, 0, max_bits=3000),
+                  ConfigError, "ebno_db must be within +-1000 dB or +inf, got nan"),
+    "Eb/No beyond the limit": (lambda: run_cell(*_AWGN_CELL, -4000, 0, 0, max_bits=3000),
+                               ConfigError, "ebno_db must be within +-1000 dB or +inf, got -4000.0"),
+    "fractional error target": (
+        lambda: run_cell(*_AWGN_CELL, 10.0, 0, 0, target_errors=2.5, max_bits=3000),
+        TypeError, "target_errors: expected an integer, got 2.5"),
+    "fractional bit cap": (lambda: run_cell(*_AWGN_CELL, 10.0, 0, 0, max_bits=3000.5),
+                           TypeError, "max_bits: expected an integer, got 3000.5"),
+    "bit cap of 0": (lambda: run_cell(*_AWGN_CELL, 10.0, 0, 0, max_bits=0),
+                     ConfigError, "max_bits must be >= 1, got 0"),
+    "fractional stream seed": (lambda: make_stream(1.5, 0),
+                               TypeError, "origin_seed: expected an integer, got 1.5"),
+    "bool stream seed": (lambda: make_stream(True, 0),
+                         TypeError, "origin_seed: expected an integer, got True"),
+    "float cell id": (lambda: make_stream(0, 2.0), TypeError, "cell_id: expected an integer, got 2.0"),
+    "bits floor of 0": (lambda: run_validation(seed=0, bits_floor=0),
+                        ConfigError, "bits_floor must be >= 1, got 0"),
+    "validation seed below 0": (lambda: run_validation(seed=-1, bits_floor=1000),
+                                ConfigError, f"seed must be in 0..{KEY_MAX}, got -1"),
+    "fractional validation seed": (lambda: run_validation(seed=0.5, bits_floor=1000),
+                                   TypeError, "seed: expected an integer, got 0.5"),
+    "infinite CP fraction": (lambda: SweepGrid(cp_fractions=(math.inf,)),
+                             ValueError, "cp_fractions: Invalid literal for Fraction: 'inf'"),
+    "CP fraction 1/0": (lambda: SweepGrid(cp_fractions=("1/0",)),
+                        ValueError, "cp_fractions: Fraction(1, 0)"),
+    "empty FFT axis": (lambda: SweepGrid(fft_sizes=()), ValueError, "fft_sizes must not be empty"),
+    "empty Eb/No axis": (lambda: SweepGrid(ebno_points_db=np.array([])),
+                         ValueError, "ebno_points_db must not be empty"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNJUDGED_ENTRY_VALUES))
+def test_every_entry_point_judges_what_it_takes(case):
+    call, error, message = UNJUDGED_ENTRY_VALUES[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_run_cell_keeps_the_judged_values():
+    config, spec = _FLAT_CELL
+    plain = run_cell(config, spec, 10.0, 3, 1, target_errors=20, max_bits=3000,
+                     use_equalizer=False)
+    from_numpy = run_cell(config, spec, np.int64(10), np.uint64(3), np.int64(1),
+                          target_errors=np.int32(20), max_bits=np.int64(3000),
+                          use_equalizer=np.False_)
+    assert from_numpy == plain and plain.channel == "flat/noeq"
+    assert type(from_numpy.ebno_db) is float
+
+
+@pytest.mark.parametrize("value,text", [(0.1, "1/10"), (np.float64(0.1), "1/10"), (0.25, "1/4"),
+                                        ("0.25", "1/4"), (1e-20, "1/100000000000000000000")])
+def test_a_float_cp_fraction_is_its_decimal_text(value, text):
+    assert as_fraction("cp_fractions", value) == Fraction(text)
+
+
+def test_a_float_cp_fraction_is_reported_as_its_decimal_text(capsys, monkeypatch, tmp_path):
+    # before, a Python float 0.1 was its binary value, 3602879701896397/36028797018963968
+    message = "cp_fraction 1/10 x fft_size 64 is not an integer number of samples"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SweepGrid(fft_sizes=(64,), cp_fractions=(0.1,))
+    err = rejected(capsys, monkeypatch, tmp_path, "config file", [],
+                   {"fft_sizes": [64], "cp_fractions": [0.1]})
+    assert err == f"ofdmsim: config error: {message}\n"
+
+
+@pytest.mark.parametrize("axis,flag", [("fft_sizes", "--fft-sizes"),
+                                       ("cp_fractions", "--cp-fractions"),
+                                       ("ebno_points_db", "--ebno")])
+def test_an_empty_axis_is_named(capsys, monkeypatch, tmp_path, axis, flag):
+    # before, every empty axis gave "grid axes must be nonempty"
+    err = rejected(capsys, monkeypatch, tmp_path, "sweep flag", [flag, ","], {})
+    assert err == f"ofdmsim: config error: {axis} must not be empty\n"
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_a_bits_floor_below_one_is_one_config_error_line(capsys, monkeypatch, tmp_path, value):
+    err = rejected(capsys, monkeypatch, tmp_path, "validate flag", ["--bits", str(value)], {})
+    assert err == f"ofdmsim: config error: bits_floor must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("key", ["master_seed", *COUNT_FLAGS, "modulation_order", "tdl_len"])
+def test_a_count_written_minus_zero_is_a_float(capsys, monkeypatch, tmp_path, key):
+    # an integral JSON float is an int, except -0.0, which keeps its sign
+    err = rejected(capsys, monkeypatch, tmp_path, "config file", [],
+                   {"channel": "tdl", key: -0.0})
+    assert err == f"ofdmsim: config error: {key}: expected an integer, got -0.0\n"
+
+
+def test_an_integral_json_float_is_an_int_whatever_its_key(capsys, monkeypatch, tmp_path):
+    err = rejected(capsys, monkeypatch, tmp_path, "config file", [], {"use_equalizer": 1.0})
+    assert err == "ofdmsim: config error: use_equalizer: expected true or false, got 1\n"

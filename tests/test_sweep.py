@@ -1,5 +1,6 @@
 """Tests for cell execution, grid orchestration, persistence, and plots."""
 
+import math
 import multiprocessing
 import os
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsim.channel import ChannelSpec, exponential_pdp
+from ofdmsim.channel import ChannelSpec, ebno_to_noise_variance, exponential_pdp
 from ofdmsim.errors import ConfigError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import CSV_COLUMNS, BerRecord, make_record
@@ -113,6 +114,57 @@ class TestRunCell:
         record = run_cell(config, ChannelSpec(kind="flat"), 25.0, 8, 0,
                           target_errors=50, max_bits=48_000)
         assert 0.0 <= record.ber < 0.1
+
+
+class TestFadingConditionalBer:
+    """A fading cell's errors against their exact expectation given the
+    channel it drew.  With ZF and a CP at least the channel memory, a used
+    subcarrier of gain H carries QPSK at per-bit error probability
+    p = Q(|H|/sigma), so the noise alone spreads the count around sum 2p
+    with variance sum 2p(1 - p): the check holds the channel's luck fixed
+    and tests the noise scaling, the channel normalization, ZF and the
+    decision under fading."""
+
+    BITS = 300_000  # a fixed count: the error target below is never reached
+
+    @staticmethod
+    def _gains(real, fft_size: int, used: int) -> np.ndarray:
+        """|H| of each of a repetition's ``used`` symbols, in slot order."""
+        frames = -(-used // fft_size)
+        if real.kind == "flat":
+            return np.repeat(np.abs(real.gains), fft_size)[:used]
+        return np.tile(np.abs(np.fft.fft(real.taps, n=fft_size)), frames)[:used]
+
+    @pytest.mark.parametrize("ebno_db", [10.0, 20.0])
+    @pytest.mark.parametrize("kind", ["flat", "tdl"])
+    @pytest.mark.parametrize("fft_size", [64, 512])
+    def test_errors_match_the_expectation_given_the_drawn_channel(self, monkeypatch, fft_size,
+                                                                   kind, ebno_db):
+        import ofdmsim.sweep as sweep_mod
+
+        drawn = []
+        original = sweep_mod.realize_channel
+
+        def capture(spec, stream, n_frames):
+            drawn.append(original(spec, stream, n_frames))
+            return drawn[-1]
+
+        monkeypatch.setattr(sweep_mod, "realize_channel", capture)
+        config = OfdmConfig(fft_size, Fraction(1, 4), modulation_order=4, bit_budget=1000)
+        spec = (ChannelSpec(kind="flat") if kind == "flat"
+                else ChannelSpec(kind="tdl", taps=exponential_pdp(9, 1.0)))
+        record = run_cell(config, spec, ebno_db, 31, fft_size + int(ebno_db),
+                          target_errors=10**9, max_bits=self.BITS)
+        assert record.bits_sent == self.BITS and record.zf_clamps == 0
+        # a chunk's draws past the stop are discarded: keep each kept repetition's
+        kept = drawn[:record.bits_sent // config.bit_budget]
+        used = config.bit_budget // config.bits_per_symbol
+        sigma = math.sqrt(ebno_to_noise_variance(ebno_db, config, spec))
+        ratio = np.concatenate([self._gains(real, fft_size, used) for real in kept]) / sigma
+        p = np.array([0.5 * math.erfc(x / math.sqrt(2.0)) for x in ratio.tolist()])
+        expected, variance = np.sum(2.0 * p), np.sum(2.0 * p * (1.0 - p))
+        z = (record.bit_errors - expected) / math.sqrt(variance)
+        assert abs(z) <= 4.0, (record.bit_errors, expected, z)
 
 
 @st.composite
@@ -605,7 +657,7 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     def test_nan_and_minus_inf_ebno_rejected(self, bad):
-        with pytest.raises(ValueError, match="Eb/No"):
+        with pytest.raises(ValueError, match=f"^ebno_points_db must be within .*, got {bad}$"):
             small_grid(ebno_points_db=(6.0, bad))
 
     def test_plus_inf_ebno_is_the_noiseless_point(self):
