@@ -34,6 +34,10 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
+# numpy imports its submodules lazily; importing the generator with the
+# package lets fork-started pool workers inherit it instead of each
+# importing it on its first cell
+import numpy.random  # noqa: F401
 
 from .errors import ConfigError
 from .framing import as_integer

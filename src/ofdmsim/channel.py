@@ -18,16 +18,17 @@ Fading gains are normalized to unit mean power: a flat gain is
 to one.
 
 This module decides which channels exist (:data:`KINDS`) and is the only
-code that draws or applies one.  Realizations are fading-only: an AWGN
-cell has no channel step, and its only impairment is the noise.  One
-:class:`ChannelRealization` is one fading repetition's whole channel, and
-:func:`realize_channel` draws it (one flat gain per OFDM symbol, or one set
-of delay-line taps, quasi-static over the repetition's burst of symbols).
-The chain works on a chunk of repetitions at once, and makes one channel
-call per window of OFDM symbols (or per whole repetition):
-:func:`apply_channel` applies the chunk's realizations for the window in
-place to its ``(k, frames, N+L)`` block and returns the response it
-formed with :func:`channel_freq_response`, which a flat channel
+code that draws or applies one.  Channels are fading-only: an AWGN cell
+has no channel step, and its only impairment is the noise.  The chain
+works on a chunk of repetitions at once, and its fading channels are one
+:class:`ChannelState`, stacked arrays with a row per repetition:
+:func:`realize_channel` draws one repetition's whole channel into its row
+(one flat gain per OFDM symbol, or one set of delay-line taps,
+quasi-static over the repetition's burst of symbols).  The chain makes one
+channel call per window of OFDM symbols (or per whole repetition):
+:func:`apply_channel` applies the chunk's channels for the window in place
+to its ``(k, frames, N+L)`` block and returns the response it formed with
+:func:`channel_freq_response` from the stacked rows, which a flat channel
 multiplies by and the receiver equalizes with.  Noise is drawn
 separately, only through :func:`complex_gaussian`.
 """
@@ -35,7 +36,7 @@ separately, only through :func:`complex_gaussian`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,21 +102,33 @@ class ChannelSpec:
         return self.kind
 
 
-@dataclass
-class ChannelRealization:
-    """One fading repetition's channel draw (AWGN has none).
+class ChannelState:
+    """The fading channels of a chunk of up to ``rows`` repetitions of
+    ``n_frames`` OFDM symbols each, one repetition's per row (AWGN has none).
 
-    ``kind`` is :data:`FLAT`, with ``gains`` the gain of each OFDM symbol,
-    or :data:`TDL`, with ``taps`` the delay-line taps.  ``carry`` is the
-    delay line's contents between windows of the repetition: the last
-    ``len(taps) - 1`` pre-channel samples :func:`apply_channel` has passed
-    through it (fewer if fewer have passed).
+    :func:`realize_channel` draws row r, repetition r's channel: for
+    :data:`FLAT`, row r of ``gains``, a ``(rows, n_frames)`` array with the
+    gain of each OFDM symbol; for :data:`TDL`, row r of ``taps``, a
+    ``(rows, L+1)`` array of delay-line taps, each row scaled by
+    ``amplitudes``, the sqrt(p_l) of the profile, computed once here and not
+    per row.  ``carry`` is the delay line's contents between windows of a
+    repetition that spans several: a ``(k, L)`` array of the last
+    pre-channel samples :func:`apply_channel` has passed through each of the
+    window's k rows (fewer if fewer have passed), kept only while a later
+    window follows, and ``None`` otherwise.  An AWGN spec has no state: a
+    ``ValueError``.
     """
 
-    kind: str
-    gains: Optional[np.ndarray] = None
-    taps: Optional[np.ndarray] = None
-    carry: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    def __init__(self, spec: ChannelSpec, rows: int, n_frames: int):
+        if spec.kind not in (FLAT, TDL):
+            raise ValueError(f"{spec.kind} has no channel realization")
+        self.kind, self.n_frames = spec.kind, n_frames
+        self.gains = self.taps = self.amplitudes = self.carry = None
+        if spec.kind == FLAT:
+            self.gains = np.empty((rows, n_frames), dtype=np.complex128)
+        else:
+            self.amplitudes = np.sqrt(np.asarray(spec.taps, dtype=np.float64))
+            self.taps = np.empty((rows, self.amplitudes.size), dtype=np.complex128)
 
 
 def ebno_to_noise_variance(ebno_db: float, config: OfdmConfig, spec: ChannelSpec) -> float:
@@ -170,81 +183,89 @@ def complex_gaussian(
     return out
 
 
-def realize_channel(spec: ChannelSpec, stream: RngStream, n_frames: int) -> ChannelRealization:
-    """Draw the fading channel of one repetition of ``n_frames`` OFDM symbols.
+def realize_channel(state: ChannelState, row: int, stream: RngStream) -> ChannelState:
+    """Draw one fading repetition's channel into row ``row`` of ``state``; returns ``state``.
 
-    Flat fading draws one gain per symbol; the delay line draws one set of
-    taps for the whole burst.  AWGN has no channel step, so it has no
-    realization: a ``ValueError``.
+    Flat fading draws one gain per OFDM symbol; the delay line draws one set
+    of taps for the whole burst, tap l scaled by ``sqrt(p_l)``
+    (``state.amplitudes``).  The draws and their operations
+    are the ones of the repetition on its own, whichever row takes them.
     """
-    if spec.kind == FLAT:
-        return ChannelRealization(kind=FLAT, gains=complex_gaussian(stream, n_frames, 1.0))
-    if spec.kind != TDL:
-        raise ValueError(f"{spec.kind} has no channel realization")
-    powers = np.asarray(spec.taps, dtype=np.float64)
-    taps = complex_gaussian(stream, powers.size, 1.0) * np.sqrt(powers)
-    return ChannelRealization(kind=TDL, taps=taps)
+    if state.kind == FLAT:
+        complex_gaussian(stream, state.n_frames, 1.0, out=state.gains[row])
+    else:
+        taps = complex_gaussian(stream, state.taps.shape[1], 1.0, out=state.taps[row])
+        taps *= state.amplitudes
+    return state
 
 
 def apply_channel(
     frames: np.ndarray,
-    reals: Sequence[ChannelRealization],
+    state: ChannelState,
     fft_size: int,
     window: slice = slice(None),
 ) -> np.ndarray:
     """Pass OFDM symbols ``window`` of a chunk of repetitions through their channels, in place.
 
-    ``frames`` is the chunk's ``(k, frames, N+L)`` block and ``reals`` its
-    k realizations, one per row, all of one kind.  A row holds the whole
-    repetition by default, or one window of it, the windows passed in
-    order.  Returns the window's response, the
-    :func:`channel_freq_response` the receiver equalizes with.  A flat gain
-    is its own response, so flat fading multiplies the chunk by the
-    response in one broadcast multiply.  The delay line does not use the
-    response, which holds only once the cyclic prefix is removed: it
-    applies LINEAR convolution with the taps over a repetition's
-    concatenated frames, truncated to their length, so the first taps of
-    each frame see the spill-over from the preceding samples -- exactly the
-    interference a sufficient cyclic prefix absorbs.  It runs row by row,
-    each row one ``np.convolve``.  The line starts silent at the
-    repetition's first symbol; a later window is convolved after the carry
-    (the previous window's last ``memory`` pre-channel samples), and only
-    the outputs after the carry are kept, which are the ones one convolution
-    over the whole repetition gives.  No noise is added.
+    ``frames`` is the chunk's ``(k, frames, N+L)`` block, and row r of it
+    takes row r of ``state``.  A row holds the whole repetition by default,
+    or one window of it, the windows passed in order.  Returns the window's
+    response, the :func:`channel_freq_response` the receiver equalizes
+    with.  A flat gain is its own response, so flat fading multiplies the
+    chunk by the response in one broadcast multiply.  The delay line does
+    not use the response, which holds only once the cyclic prefix is
+    removed: it applies LINEAR convolution with the taps over a
+    repetition's concatenated frames, truncated to their length, so the
+    first taps of each frame see the spill-over from the preceding samples
+    -- exactly the interference a sufficient cyclic prefix absorbs.  It
+    runs row by row, each row one ``np.convolve``.  The line starts silent
+    at the repetition's first symbol; a later window is convolved after the
+    carry (the previous window's last ``memory`` pre-channel samples), and
+    only the outputs after the carry are kept, which are the ones one
+    convolution over the whole repetition gives.  No noise is added.
     """
     if frames.size == 0:
         raise ValueError("frames must be nonempty")
-    if len(reals) != len(frames):
-        raise ValueError(f"{len(reals)} realizations for {len(frames)} repetitions")
-    response = channel_freq_response(reals, fft_size, window)
-    if reals[0].kind == FLAT:
+    k = len(frames)
+    held = len(state.gains if state.kind == FLAT else state.taps)
+    if k > held:
+        raise ValueError(f"{k} repetitions, but the channel state holds {held}")
+    response = channel_freq_response(state, fft_size, window, k)
+    if state.kind == FLAT:
         frames *= response
         return response
-    for row, real in zip(frames, reals):
+    carry = state.carry if window.start else None
+    before = 0 if carry is None else carry.shape[1]
+    if window.stop is not None and window.stop < state.n_frames:  # a later window follows
+        kept = min(state.taps.shape[1] - 1, before + frames[0].size)
+        state.carry = np.empty((k, kept), dtype=np.complex128)
+    else:
+        state.carry = None
+    for r, (row, taps) in enumerate(zip(frames, state.taps)):
         block = row.ravel()
-        carry = real.carry if window.start else block[:0]
-        signal = np.concatenate((carry, block)) if carry.size else block
-        real.carry = signal[max(signal.size - (real.taps.size - 1), 0):].copy()
-        out = np.convolve(signal, real.taps)[carry.size:signal.size]
-        row[...] = out.reshape(row.shape)
+        signal = np.concatenate((carry[r], block)) if before else block
+        if state.carry is not None:
+            state.carry[r] = signal[signal.size - state.carry.shape[1]:]
+        row[...] = np.convolve(signal, taps)[before:signal.size].reshape(row.shape)
     return response
 
 
 def channel_freq_response(
-    reals: Sequence[ChannelRealization], fft_size: int, window: slice = slice(None)
+    state: ChannelState, fft_size: int, window: slice = slice(None), rows: Optional[int] = None
 ) -> np.ndarray:
     """Subcarrier response of a chunk's channels, broadcastable over its ``(k, frames, N)`` grid.
 
-    ``reals`` and ``window`` are as in :func:`apply_channel`, which forms
-    the response with this function and returns it.  A flat gain is its own
-    response: a ``(k, frames, 1)`` array, a gain per OFDM symbol, which
-    :func:`apply_channel` applies as it is.  The delay line
-    gives the plain (non-unitary) DFT of the zero-padded taps, one FFT of
-    the chunk's ``(k, L+1)`` taps as a ``(k, 1, N)`` array -- that is the
-    gain the payload subcarriers actually see when the cyclic prefix turns
-    the delay line into a circular convolution, given the simulator's
-    unitary transform pair.  AWGN has no realization, so no response.
+    ``state`` and ``window`` are as in :func:`apply_channel`, which forms
+    the response of its k rows with this function and returns it; ``rows``
+    is k, all of the state's rows by default.  A flat gain is its own
+    response: a ``(k, frames, 1)`` view of the state's gains, a gain per
+    OFDM symbol, which :func:`apply_channel` applies as it is.  The delay
+    line gives the plain (non-unitary) DFT of the zero-padded taps, one FFT
+    of the chunk's ``(k, L+1)`` taps as a ``(k, 1, N)`` array -- that is
+    the gain the payload subcarriers actually see when the cyclic prefix
+    turns the delay line into a circular convolution, given the simulator's
+    unitary transform pair.  AWGN has no state, so no response.
     """
-    if reals[0].kind == FLAT:
-        return np.array([real.gains[window] for real in reals])[..., None]
-    return np.fft.fft(np.array([real.taps for real in reals]), n=fft_size)[:, None, :]
+    if state.kind == FLAT:
+        return state.gains[:rows, window, None]
+    return np.fft.fft(state.taps[:rows], n=fft_size)[:, None, :]

@@ -28,10 +28,16 @@ def as_integer(name: str, value: Any, minimum: Optional[int] = None) -> int:
 
 def as_number(name: str, value: Any) -> float:
     """The real setting ``name`` as a float, from any real type (numpy's too).
-    A bool, a str or a non-real is a ``TypeError`` naming the setting."""
+    A bool, a str or a non-real is a ``TypeError``, and a value beyond the
+    range of a float (an integer of 309 digits, say) a :class:`ConfigError`
+    (a ``ValueError``); each names the setting."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be within the range of a float, "
+                          f"about +-1.8e308") from None
 
 
 def as_switch(name: str, value: Any) -> bool:

@@ -11,11 +11,13 @@ Repetitions run in chunks of windows.  A window is the OFDM symbols that
 fit in ``_CHUNK_SAMPLES`` time-domain samples.  A repetition that fits in
 a window shares a chunk with as many others of its size as the window
 holds: the draws of every repetition in the chunk are made first, each
-repetition's in the order above, into (k, ...) arrays; then the chain runs
-once on the whole chunk.  Every step after the draws takes the chunk at
-once -- the bits are packed into PSK labels once, one channel call
-applies the channel and returns the response it formed (the delay-line
-responses by one FFT), which the equalizer divides by, and flat gains and
+repetition's in the order above, into (k, ...) arrays (the fading
+channels too, into the chunk's channel state, a row per repetition, not
+an object per repetition); then the chain runs once on the whole chunk.
+Every step after the draws takes the chunk at once -- the bits are
+packed into PSK labels once, one channel call applies the channel and
+returns the response it formed (the delay-line responses by one FFT of
+the stacked taps), which the equalizer divides by, and flat gains and
 the zero-forcing division are one broadcast operation each -- and gives
 each element the same floating-point operation on the same operands as a
 repetition on its own; only the delay-line convolution runs per
@@ -45,7 +47,9 @@ own stop rule to its own rows.  Rows of different cells get the operations
 they get alone, as rows of one cell do, so a group gives each cell its own
 record, and a single cell is the group of one.  ``run_grid`` runs groups on
 a process pool of its own, longest first, one group per task; with one
-worker it runs the cells one at a time.
+worker it runs the cells one at a time.  The package imports the numpy
+modules the chain uses (``numpy.random``, ``numpy.fft``) when it is
+imported, so fork-started workers begin with them loaded.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .bitsource import DEFAULT_MASTER_SEED, RngStream, check_key, draw_bits, mak
 from .channel import (
     AWGN,
     ChannelSpec,
+    ChannelState,
     apply_channel,
     complex_gaussian,
     ebno_to_noise_variance,
@@ -218,13 +223,16 @@ class _Workspace:
     ``frames`` of its OFDM symbols.  A repetition that fits in a window has
     all of its symbols there, and a chunk fills up to ``capacity`` rows; a
     longer one runs alone, its symbols a window of ``frames`` at a time.
-    One workspace serves every chunk of a cell with that repetition size:
-    the draws go into it and the chain works in it in place, so a chunk
-    allocates nothing in proportion to its size, and a cell's memory is
-    about one window plus one byte per bit of its repetition.
+    A fading cell's channels are drawn into ``channel``, the chunk's
+    :class:`~ofdmsim.channel.ChannelState`, a row per repetition (``None``
+    for AWGN).  One workspace serves every chunk of a cell with that
+    repetition size: the draws go into it and the chain works in it in
+    place, so a chunk allocates nothing in proportion to its size, and a
+    cell's memory is about one window plus one byte per bit of its
+    repetition.
     """
 
-    def __init__(self, config: OfdmConfig, n_bits: int, noisy: bool):
+    def __init__(self, config: OfdmConfig, channel: ChannelSpec, n_bits: int, noisy: bool):
         n_fft, cp_len = config.fft_size, config.cp_len
         self.n_bits = n_bits
         self.used = n_bits // config.bits_per_symbol
@@ -238,6 +246,8 @@ class _Workspace:
         self.grid = np.empty(frames + (n_fft,), dtype=np.complex128)
         self.tx = np.empty(frames + (n_fft + cp_len,), dtype=np.complex128)
         self.noise = np.empty_like(self.tx) if noisy else None
+        self.channel = (None if channel.kind == AWGN
+                        else ChannelState(channel, self.capacity, self.n_frames))
 
     def windows(self) -> Iterator[slice]:
         """A repetition's OFDM symbols, at most ``frames`` at a time, in order."""
@@ -250,18 +260,16 @@ def _run_chain_once(
     k: int,
     window: slice,
     config: OfdmConfig,
-    realizations: list,
     use_equalizer: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The full transmit/channel/receive chain on one window of k repetitions.
 
     Works on OFDM symbols ``window`` of the first k rows of ``work``: the
-    bits and the window's noise are drawn into it beforehand, and
-    ``realizations`` holds the k channel draws of a fading cell (none for
-    AWGN).  Each step takes the whole chunk, and gives every element the
-    operation it would get in its repetition alone, so a chunk gives the
-    same result as its repetitions one at a time, and a repetition's
-    windows the same as the whole repetition at once.
+    bits, the channels of a fading cell and the window's noise are drawn
+    into it beforehand.  Each step takes the whole chunk, and gives every
+    element the operation it would get in its repetition alone, so a chunk
+    gives the same result as its repetitions one at a time, and a
+    repetition's windows the same as the whole repetition at once.
 
     Returns per-repetition (bit errors, zero-forcing clamps) of the window;
     the chunk's clamps are attributed to their rows from the response.
@@ -283,14 +291,15 @@ def _run_chain_once(
     unitary_idft(grid, out=tx[..., cp_len:])
     tx[..., :cp_len] = tx[..., n_fft:]  # cyclic prefix: copy of the symbol tail
 
-    if realizations:  # the window's response, which ZF divides by
-        response = apply_channel(tx, realizations, n_fft, window)
+    fading = work.channel is not None
+    if fading:  # the window's response, which ZF divides by
+        response = apply_channel(tx, work.channel, n_fft, window)
     rx = tx if work.noise is None else np.add(work.noise[:k, :count], tx,
                                               out=work.noise[:k, :count])
     freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), out=grid)
 
     clamps = np.zeros(k, dtype=np.int64)
-    if use_equalizer and realizations:
+    if use_equalizer and fading:
         if zero_forcing(freq, response)[1]:  # equalizes freq in place
             # per repetition: a record counts only the kept ones' clamps
             bad = np.broadcast_to(clamped(response), freq.shape)
@@ -329,31 +338,28 @@ def _run_rows(
     work: _Workspace,
     rows: list[_CellRun],
     config: OfdmConfig,
-    channel: ChannelSpec,
     use_equalizer: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one repetition into each row of ``work``, row r from the stream of
     ``rows[r]``, and run the chain on them, window by window.
 
-    Each repetition draws its bits, its channel, then its noise window by
-    window, as it would alone.  Returns per-row (bit errors, zero-forcing
-    clamps).
+    Each repetition draws its bits, its channel (into its row of the
+    workspace's channel state), then its noise window by window, as it would
+    alone.  Returns per-row (bit errors, zero-forcing clamps).
     """
-    fading = channel.kind != AWGN
-    realizations: list = []
     errors = clamps = 0
     for window in work.windows():  # one, unless the repetition runs alone
         frames = window.stop - window.start
         for r, cell in enumerate(rows):
             if not window.start:
                 draw_bits(cell.stream, work.n_bits, out=work.bits[r])
-                if fading:
-                    realizations.append(realize_channel(channel, cell.stream, work.n_frames))
+                if work.channel is not None:
+                    realize_channel(work.channel, r, cell.stream)
             if work.noise is not None:
                 noise = work.noise[r, :frames]
                 complex_gaussian(cell.stream, noise.size, cell.sigma2, out=noise)
         window_errors, window_clamps = _run_chain_once(
-            work, len(rows), window, config, realizations, use_equalizer)
+            work, len(rows), window, config, use_equalizer)
         errors += window_errors
         clamps += window_clamps
     return errors, clamps
@@ -389,7 +395,8 @@ def _run_group(
         sizes = [_repetition_bits(config, max_bits - cell.bits_sent) for cell in live]
         keys = [(n_bits, cell.sigma2 > 0.0) for n_bits, cell in zip(sizes, live)]
         # the round's workspaces: kept from the last round where the key is the same
-        works = {key: works.get(key) or _Workspace(config, *key) for key in dict.fromkeys(keys)}
+        works = {key: works.get(key) or _Workspace(config, channel, *key)
+                 for key in dict.fromkeys(keys)}
         stacks: dict[tuple[int, bool], list[_CellRun]] = {key: [] for key in works}
         spans = []  # each cell's rows: from start to stop in its key's stack
         for cell, n_bits, key in zip(live, sizes, keys):
@@ -408,7 +415,7 @@ def _run_group(
             outcomes[key] = errors, clamps = [], []  # per row of the stack
             for start in range(0, len(stack), work.capacity):
                 rows = stack[start:start + work.capacity]
-                row_errors, row_clamps = _run_rows(work, rows, config, channel, use_equalizer)
+                row_errors, row_clamps = _run_rows(work, rows, config, use_equalizer)
                 errors += row_errors.tolist()
                 clamps += row_clamps.tolist()
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+import numpy.fft  # noqa: F401  -- loaded with the package, see ofdmsim.bitsource
 
 
 def unitary_dft(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

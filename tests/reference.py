@@ -12,10 +12,12 @@ import numpy as np
 from ofdmsim.bitsource import draw_bits, make_stream
 from ofdmsim.channel import (
     AWGN,
-    ChannelRealization,
+    ChannelSpec,
+    ChannelState,
     apply_channel,
     complex_gaussian,
     ebno_to_noise_variance,
+    exponential_pdp,
     realize_channel,
 )
 from ofdmsim.equalizer import zero_forcing
@@ -45,6 +47,22 @@ def direct_transform(samples: np.ndarray, inverse: bool) -> np.ndarray:
     return _direct_kernel(n, inverse) @ samples
 
 
+def channel_state(kind: str, values, n_frames: int = 1) -> ChannelState:
+    """A channel state holding ``values``, one repetition's per row: flat
+    gains, a gain per OFDM symbol, or delay-line taps (of a repetition of
+    ``n_frames`` symbols)."""
+    values = np.asarray(values, dtype=np.complex128)
+    rows, width = values.shape
+    if kind == "flat":
+        state = ChannelState(ChannelSpec(kind="flat"), rows, width)
+        state.gains[...] = values
+    else:
+        state = ChannelState(ChannelSpec(kind="tdl", taps=exponential_pdp(width, 0.0)), rows,
+                             n_frames)
+        state.taps[...] = values
+    return state
+
+
 def post_dft_deviation(n_fft: int, cp: int, memory: int, seed: int, n_frames: int) -> float:
     """Largest deviation of the received subcarriers from a per-subcarrier gain.
 
@@ -59,8 +77,7 @@ def post_dft_deviation(n_fft: int, cp: int, memory: int, seed: int, n_frames: in
     bits = rng.integers(0, 2, size=3 * n_fft * n_frames, dtype=np.uint8)
     matrix, _ = serial_to_parallel(map_psk(pack_labels(bits, 8), 8), n_fft)
     tx = add_cyclic_prefix(unitary_idft(matrix), cp)
-    real = ChannelRealization(kind="tdl", taps=taps)
-    apply_channel(tx[None], [real], n_fft)  # in place
+    apply_channel(tx[None], channel_state("tdl", [taps]), n_fft)  # in place
     rx_freq = unitary_dft(remove_cyclic_prefix(tx, n_fft, cp))
     expected = np.fft.fft(taps, n=n_fft)[None, :] * matrix
     return float(np.max(np.abs(rx_freq - expected)))
@@ -86,8 +103,8 @@ def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, ma
         matrix, used = serial_to_parallel(map_psk(pack_labels(tx_bits, order), order), n_fft)
         rx = add_cyclic_prefix(unitary_idft(matrix), cp_len)
         if fading:
-            real = realize_channel(channel, stream, rx.shape[0])
-            response = apply_channel(rx[None], [real], n_fft)  # in place
+            state = realize_channel(ChannelState(channel, 1, rx.shape[0]), 0, stream)
+            response = apply_channel(rx[None], state, n_fft)  # in place
         if sigma2 > 0.0:
             rx = rx + complex_gaussian(stream, rx.size, sigma2).reshape(rx.shape)
         freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len))

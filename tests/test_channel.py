@@ -1,4 +1,4 @@
-"""Tests for channel specs, realizations, calibration, and application."""
+"""Tests for channel specs, channel states, calibration, and application."""
 
 import warnings
 
@@ -7,8 +7,8 @@ import pytest
 
 from ofdmsim.bitsource import make_stream
 from ofdmsim.channel import (
-    ChannelRealization,
     ChannelSpec,
+    ChannelState,
     apply_channel,
     channel_freq_response,
     complex_gaussian,
@@ -23,7 +23,7 @@ from ofdmsim.framing import (
 )
 from ofdmsim.psk import map_psk, pack_labels
 from ofdmsim.transform import unitary_dft, unitary_idft
-from reference import post_dft_deviation, reference_cell
+from reference import channel_state, post_dft_deviation, reference_cell
 
 AWGN = ChannelSpec(kind="awgn")
 
@@ -128,40 +128,50 @@ class TestChannelSpec:
 
 class TestRealizeChannel:
     def test_awgn_carries_no_gain(self):
-        # AWGN has no realization; without the guard an AWGN spec would draw
-        # one NaN tap
+        # AWGN has no channel state; without the guard an AWGN spec would
+        # draw one NaN tap
         with pytest.raises(ValueError, match="no channel realization"):
-            realize_channel(AWGN, make_stream(1, 0), 4)
+            realize_channel(ChannelState(AWGN, 1, 4), 0, make_stream(1, 0))
 
     def test_awgn_consumes_no_draws(self):
         # the guard comes before any draw, so the stream is left as it was
         stream = make_stream(1, 1)
         with pytest.raises(ValueError):
-            realize_channel(AWGN, stream, 4)
+            realize_channel(ChannelState(AWGN, 1, 4), 0, stream)
         np.testing.assert_array_equal(complex_gaussian(stream, 8, 1.0),
                                       complex_gaussian(make_stream(1, 1), 8, 1.0))
 
     def test_flat_gain_unit_mean_power(self):
-        real = realize_channel(ChannelSpec(kind="flat"), make_stream(8, 0), 100_000)
-        assert real.gains.shape == (100_000,)
-        assert 0.99 <= np.mean(np.abs(real.gains) ** 2) <= 1.01
+        state = ChannelState(ChannelSpec(kind="flat"), 1, 100_000)
+        assert realize_channel(state, 0, make_stream(8, 0)) is state
+        assert state.gains.shape == (1, 100_000)
+        assert 0.99 <= np.mean(np.abs(state.gains) ** 2) <= 1.01
 
     def test_flat_draw_is_one_gain_per_symbol_in_order(self):
+        # one repetition of 7 symbols draws what 7 stacked rows of one do
         spec = ChannelSpec(kind="flat")
-        together = realize_channel(spec, make_stream(10, 0), 7).gains
-        stream = make_stream(10, 0)
-        one_by_one = [realize_channel(spec, stream, 1).gains[0] for _ in range(7)]
-        np.testing.assert_array_equal(together, one_by_one)
+        together = realize_channel(ChannelState(spec, 1, 7), 0, make_stream(10, 0)).gains[0]
+        stacked, stream = ChannelState(spec, 7, 1), make_stream(10, 0)
+        for row in range(7):
+            realize_channel(stacked, row, stream)
+        np.testing.assert_array_equal(together, stacked.gains[:, 0])
+
+    def test_tdl_row_is_the_scaled_draw(self):
+        # a row's taps are its unit-power Gaussians times sqrt(p), whichever row
+        spec = ChannelSpec(kind="tdl", taps=exponential_pdp(9, 1.0))
+        state = ChannelState(spec, 3, 4)
+        realize_channel(state, 2, make_stream(16, 0))
+        expected = complex_gaussian(make_stream(16, 0), 9, 1.0) * np.sqrt(exponential_pdp(9, 1.0))
+        np.testing.assert_array_equal(state.taps[2], expected)
 
     def test_tdl_per_tap_power_matches_profile(self):
         powers = (0.5, 0.3, 0.2)
-        spec = ChannelSpec(kind="tdl", taps=powers)
-        stream = make_stream(9, 0)
         trials = 100_000
-        acc = np.zeros(3)
-        for _ in range(trials):
-            acc += np.abs(realize_channel(spec, stream, 1).taps) ** 2
-        mean = acc / trials
+        state = ChannelState(ChannelSpec(kind="tdl", taps=powers), trials, 1)
+        stream = make_stream(9, 0)
+        for row in range(trials):
+            realize_channel(state, row, stream)
+        mean = np.mean(np.abs(state.taps) ** 2, axis=0)
         for measured, p in zip(mean, powers):
             assert abs(measured - p) <= 3 * p / np.sqrt(trials)
 
@@ -201,9 +211,8 @@ class TestApplyChannel:
 
     def test_single_unit_tap_is_identity(self):
         x = complex_gaussian(make_stream(4, 1), 256, 1.0).reshape(2, 2, 64)
-        real = ChannelRealization(kind="tdl", taps=np.array([1.0 + 0j]))
         frames = x.copy()
-        apply_channel(frames, [real, real], 64)
+        apply_channel(frames, channel_state("tdl", [[1.0], [1.0]]), 64)
         np.testing.assert_allclose(frames, x, atol=1e-15)
 
     def test_flat_gain_scales(self):
@@ -211,20 +220,27 @@ class TestApplyChannel:
         x = complex_gaussian(make_stream(5, 1), 64, 1.0).reshape(2, 2, 16)
         gains = np.array([[0.5 + 0.5j, -1.0], [2j, 0.0]])
         frames = x.copy()
-        reals = [ChannelRealization(kind="flat", gains=g) for g in gains]
-        response = apply_channel(frames, reals, 16)
+        response = apply_channel(frames, channel_state("flat", gains), 16)
         np.testing.assert_array_equal(frames, gains[..., None] * x)  # in place
         np.testing.assert_array_equal(response, gains[..., None])
 
     def test_empty_signal_rejected(self):
-        real = ChannelRealization(kind="flat", gains=np.ones(0, dtype=complex))
         with pytest.raises(ValueError):
-            apply_channel(np.empty((1, 0, 16), dtype=complex), [real], 16)
+            apply_channel(np.empty((1, 0, 16), dtype=complex), channel_state("flat", [[]]), 16)
 
     def test_one_realization_per_row(self):
-        real = ChannelRealization(kind="flat", gains=np.ones(4))
         with pytest.raises(ValueError):
-            apply_channel(np.ones((2, 4, 16), dtype=complex), [real], 16)
+            apply_channel(np.ones((2, 4, 16), dtype=complex), channel_state("flat", [[1] * 4]), 16)
+
+    def test_a_chunk_takes_the_first_rows_of_the_state(self):
+        # a chunk of two repetitions of a state of three rows: its response
+        # and channel are those of the first two rows
+        gains = np.array([[0.5j, 2.0], [-1.0, 1j], [3.0, 4.0]])
+        x = complex_gaussian(make_stream(17, 1), 64, 1.0).reshape(2, 2, 16)
+        frames = x.copy()
+        response = apply_channel(frames, channel_state("flat", gains), 16)
+        np.testing.assert_array_equal(response, gains[:2, :, None])
+        np.testing.assert_array_equal(frames, gains[:2, :, None] * x)
 
     @pytest.mark.parametrize("kind", ["flat", "tdl"])
     def test_chunk_rows_take_their_own_channels(self, kind):
@@ -233,15 +249,18 @@ class TestApplyChannel:
         taps = exponential_pdp(9, 1.0) if kind == "tdl" else None
         spec = ChannelSpec(kind=kind, taps=taps)
         stream = make_stream(14, 0)
-        reals = [realize_channel(spec, stream, 5) for _ in range(3)]
+        state = ChannelState(spec, 3, 5)
+        for row in range(3):
+            realize_channel(state, row, stream)
+        own_rows = state.gains if kind == "flat" else state.taps
         x = complex_gaussian(stream, 3 * 5 * 80, 1.0).reshape(3, 5, 80)
         chunk = x.copy()
-        response = np.broadcast_to(apply_channel(chunk, reals, 64), (3, 5, 64))
-        for row, real, alone, h in zip(x, reals, chunk, response):
+        response = np.broadcast_to(apply_channel(chunk, state, 64), (3, 5, 64))
+        for row, values, alone, h in zip(x, own_rows, chunk, response):
             frames = row.copy()[None]
-            apply_channel(frames, [real], 64)
+            apply_channel(frames, channel_state(kind, [values], 5), 64)
             np.testing.assert_array_equal(frames[0], alone)
-            own = real.gains[:, None] if kind == "flat" else np.fft.fft(real.taps, n=64)
+            own = values[:, None] if kind == "flat" else np.fft.fft(values, n=64)
             np.testing.assert_array_equal(h, np.broadcast_to(own, (5, 64)))
 
     @pytest.mark.parametrize("kind", ["flat", "tdl"])
@@ -251,22 +270,24 @@ class TestApplyChannel:
         # repetitions, and for one repetition's windows in order
         taps = exponential_pdp(9, 1.0) if kind == "tdl" else None
         stream = make_stream(15, 0)
-        reals = [realize_channel(ChannelSpec(kind=kind, taps=taps), stream, 6) for _ in range(3)]
+        state = ChannelState(ChannelSpec(kind=kind, taps=taps), 3, 6)
+        for row in range(3):
+            realize_channel(state, row, stream)
         x = complex_gaussian(stream, 3 * 6 * 80, 1.0).reshape(3, 6, 80)
         if kind == "flat":
-            expected = x * np.array([real.gains for real in reals])[..., None]
+            expected = x * state.gains[..., None]
         else:
-            expected = np.array([np.convolve(row.ravel(), real.taps)[:row.size].reshape(row.shape)
-                                 for row, real in zip(x, reals)])
+            expected = np.array([np.convolve(row.ravel(), taps)[:row.size].reshape(row.shape)
+                                 for row, taps in zip(x, state.taps)])
         chunk = x.copy()
-        response = apply_channel(chunk, reals, 64)
-        np.testing.assert_array_equal(response, channel_freq_response(reals, 64))
+        response = apply_channel(chunk, state, 64)
+        np.testing.assert_array_equal(response, channel_freq_response(state, 64))
         np.testing.assert_array_equal(chunk, expected)
         frames = x[:1].copy()
         for window in (slice(0, 2), slice(2, 3), slice(3, 6)):
-            response = apply_channel(frames[:, window], reals[:1], 64, window)
+            response = apply_channel(frames[:, window], state, 64, window)
             np.testing.assert_array_equal(response,
-                                          channel_freq_response(reals[:1], 64, window))
+                                          channel_freq_response(state, 64, window, rows=1))
         np.testing.assert_array_equal(frames, expected[:1])
 
     @pytest.mark.parametrize("n_taps", [1, 2, 9, 12])
@@ -276,23 +297,46 @@ class TestApplyChannel:
         # spans the whole middle window
         stream = make_stream(13, n_taps)
         whole = complex_gaussian(stream, 400 * 8, 1.0).reshape(400, 8)
-        real = realize_channel(ChannelSpec(kind="tdl", taps=exponential_pdp(n_taps, 1.0)),
-                               stream, 400)
+        state = ChannelState(ChannelSpec(kind="tdl", taps=exponential_pdp(n_taps, 1.0)), 1, 400)
+        realize_channel(state, 0, stream)
         expected = whole.copy()
-        apply_channel(expected[None], [real], 8)
+        apply_channel(expected[None], state, 8)
+        assert state.carry is None  # no later window
         blocks = whole.copy()
         for window in (slice(0, 300), slice(300, 301), slice(301, 400)):
-            apply_channel(blocks[None, window], [real], 8, window)
+            apply_channel(blocks[None, window], state, 8, window)
+            # the carry is kept only while a later window follows
+            assert (state.carry is None) == (window.stop == 400)
+            assert state.carry is None or state.carry.shape == (1, n_taps - 1)
         np.testing.assert_array_equal(blocks, expected)
+
+    def test_carry_shorter_than_the_memory_when_fewer_samples_passed(self):
+        # a 12-tap line after windows of one 4-sample frame: the carry holds
+        # every sample so far until the memory of 11 is full
+        stream = make_stream(18, 0)
+        whole = complex_gaussian(stream, 6 * 4, 1.0).reshape(6, 4)
+        state = ChannelState(ChannelSpec(kind="tdl", taps=exponential_pdp(12, 1.0)), 1, 6)
+        realize_channel(state, 0, stream)
+        expected = whole.copy()
+        apply_channel(expected[None], state, 4)
+        blocks = whole.copy()
+        for start in range(6):
+            window = slice(start, start + 1)
+            apply_channel(blocks[None, window], state, 4, window)
+            if start < 5:
+                assert state.carry.shape == (1, min(11, 4 * (start + 1)))
+        # np.convolve swaps its operands when the signal is shorter than the
+        # taps, which orders the sums differently: equal up to rounding
+        np.testing.assert_allclose(blocks, expected, rtol=0, atol=1e-15)
 
     def test_flat_windows_take_their_own_gains(self):
         x = complex_gaussian(make_stream(6, 1), 64, 1.0).reshape(1, 4, 16)
-        real = ChannelRealization(kind="flat", gains=np.array([0.5 + 0.5j, -1.0, 2j, 3.0]))
+        state = channel_state("flat", [[0.5 + 0.5j, -1.0, 2j, 3.0]])
         frames = x.copy()
-        apply_channel(frames[:, :3], [real], 16, slice(0, 3))
-        last = apply_channel(frames[:, 3:], [real], 16, slice(3, 4))
+        apply_channel(frames[:, :3], state, 16, slice(0, 3))
+        last = apply_channel(frames[:, 3:], state, 16, slice(3, 4))
         whole = x.copy()
-        apply_channel(whole, [real], 16)
+        apply_channel(whole, state, 16)
         np.testing.assert_array_equal(frames, whole)
         np.testing.assert_array_equal(last, [[[3.0]]])
 
@@ -303,7 +347,7 @@ class TestApplyChannel:
         rng = np.random.default_rng(12)
         x_freq = rng.standard_normal(n_fft) + 1j * rng.standard_normal(n_fft)
         tx = add_cyclic_prefix(unitary_idft(x_freq), cp)[None, None, :]
-        apply_channel(tx, [ChannelRealization(kind="tdl", taps=taps)], n_fft)
+        apply_channel(tx, channel_state("tdl", [taps]), n_fft)
         y_freq = unitary_dft(remove_cyclic_prefix(tx, n_fft, cp))[0, 0]
         expected = np.fft.fft(taps, n=n_fft) * x_freq
         assert np.max(np.abs(y_freq - expected)) < 1e-9

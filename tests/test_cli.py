@@ -512,6 +512,22 @@ class TestNonFiniteInputs:
         out = tmp_path / "x.csv"
         self._exits_2(capsys, ["sweep", "--config", str(path), "--out", str(out)], out)
 
+    @pytest.mark.parametrize("key,value", [
+        ("ebno_points_db", [6, 10**400]), ("tdl_decay_db", -(10**400)), ("tdl_taps", [10**400, 1]),
+    ], ids=["ebno_points_db", "tdl_decay_db", "tdl_taps"])
+    def test_config_number_beyond_float_range(self, capsys, tmp_path, key, value):
+        # an integer too large for a float is one config error naming its key
+        import ofdmsim.cli as cli
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "channel": "tdl", key: value}))
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ofdmsim: config error: {key} must be within the range of a float, "
+                       "about +-1.8e308"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("ebno", ["300", "1000", "-1000"])
     def test_large_ebno_inside_the_limit_runs(self, capsys, tmp_path, ebno):
         import ofdmsim.cli as cli

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ofdmsim.channel import ChannelRealization, ChannelSpec, channel_freq_response
+from ofdmsim.channel import ChannelSpec, channel_freq_response
 from ofdmsim.equalizer import ZF_CLAMP_EPS, zero_forcing
 from ofdmsim.framing import OfdmConfig
+from reference import channel_state
 
 
 def random_complex(n: int, seed: int) -> np.ndarray:
@@ -17,14 +18,14 @@ def random_complex(n: int, seed: int) -> np.ndarray:
 
 class TestFreqResponse:
     def test_unit_tap_is_flat(self):
-        real = ChannelRealization(kind="tdl", taps=np.array([1.0 + 0j]))
-        np.testing.assert_allclose(channel_freq_response([real], 8)[0, 0], np.ones(8), atol=1e-15)
+        state = channel_state("tdl", [[1.0]])
+        np.testing.assert_allclose(channel_freq_response(state, 8)[0, 0], np.ones(8), atol=1e-15)
 
     def test_flat_gain_repeats(self):
         # a flat gain is its own response, one per OFDM symbol, on every subcarrier
         gains = np.array([0.5 + 0.5j, -2.0, 1j])
-        real = ChannelRealization(kind="flat", gains=gains)
-        response = np.broadcast_to(channel_freq_response([real], 16), (1, 3, 16))
+        response = np.broadcast_to(channel_freq_response(channel_state("flat", [gains]), 16),
+                                   (1, 3, 16))
         np.testing.assert_array_equal(response[0], np.repeat(gains[:, None], 16, axis=1))
 
     def test_awgn_gives_all_ones(self, monkeypatch):
@@ -49,10 +50,10 @@ class TestFreqResponse:
 
     def test_two_taps_closed_form(self):
         h0, h1 = 0.9 - 0.2j, 0.1 + 0.3j
-        real = ChannelRealization(kind="tdl", taps=np.array([h0, h1]))
+        state = channel_state("tdl", [[h0, h1]])
         k = np.arange(4)
         expected = h0 + h1 * np.exp(-1j * np.pi * k / 2)
-        np.testing.assert_allclose(channel_freq_response([real], 4)[0, 0], expected,
+        np.testing.assert_allclose(channel_freq_response(state, 4)[0, 0], expected,
                                    atol=1e-12)
 
 

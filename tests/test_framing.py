@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsim.errors import CpLengthError, SizeError
+from ofdmsim.errors import ConfigError, CpLengthError, SizeError
 from ofdmsim.framing import (
     OfdmConfig,
     add_cyclic_prefix,
+    as_number,
     remove_cyclic_prefix,
     serial_to_parallel,
 )
@@ -24,6 +25,24 @@ GRID_FRACTIONS = [Fraction(0), Fraction(1, 32), Fraction(1, 16),
 def random_complex(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+class TestAsNumber:
+    @pytest.mark.parametrize("value", [3, np.int64(-2), 0.5, np.float32(1.5), Fraction(1, 4),
+                                       10**308, -(10**308)])
+    def test_real_values_become_floats(self, value):
+        assert type(as_number("x", value)) is float and as_number("x", value) == float(value)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**309), Fraction(10**400, 3)],
+                             ids=["1e400", "-1e309", "1e400/3"])
+    def test_beyond_float_range_is_a_config_error_naming_the_setting(self, value):
+        with pytest.raises(ConfigError, match="^tdl_decay_db must be within the range of a float"):
+            as_number("tdl_decay_db", value)
+
+    @pytest.mark.parametrize("value", [True, "1.0", 1j, None])
+    def test_non_reals_are_type_errors(self, value):
+        with pytest.raises(TypeError, match="^x: expected a number"):
+            as_number("x", value)
 
 
 class TestOfdmConfig:

@@ -1,12 +1,14 @@
 """Tests for cell execution, grid orchestration, persistence, and plots."""
 
+import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from concurrent.futures import Future
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -128,12 +130,13 @@ class TestFadingConditionalBer:
     BITS = 300_000  # a fixed count: the error target below is never reached
 
     @staticmethod
-    def _gains(real, fft_size: int, used: int) -> np.ndarray:
-        """|H| of each of a repetition's ``used`` symbols, in slot order."""
+    def _gains(kind: str, drawn: np.ndarray, fft_size: int, used: int) -> np.ndarray:
+        """|H| of each of a repetition's ``used`` symbols, in slot order, from
+        its drawn flat gains or delay-line taps."""
         frames = -(-used // fft_size)
-        if real.kind == "flat":
-            return np.repeat(np.abs(real.gains), fft_size)[:used]
-        return np.tile(np.abs(np.fft.fft(real.taps, n=fft_size)), frames)[:used]
+        if kind == "flat":
+            return np.repeat(np.abs(drawn), fft_size)[:used]
+        return np.tile(np.abs(np.fft.fft(drawn, n=fft_size)), frames)[:used]
 
     @pytest.mark.parametrize("ebno_db", [10.0, 20.0])
     @pytest.mark.parametrize("kind", ["flat", "tdl"])
@@ -145,9 +148,11 @@ class TestFadingConditionalBer:
         drawn = []
         original = sweep_mod.realize_channel
 
-        def capture(spec, stream, n_frames):
-            drawn.append(original(spec, stream, n_frames))
-            return drawn[-1]
+        def capture(state, row, stream):
+            original(state, row, stream)
+            # the row is drawn over by the next chunk: keep a copy
+            drawn.append((state.gains if kind == "flat" else state.taps)[row].copy())
+            return state
 
         monkeypatch.setattr(sweep_mod, "realize_channel", capture)
         config = OfdmConfig(fft_size, Fraction(1, 4), modulation_order=4, bit_budget=1000)
@@ -160,7 +165,7 @@ class TestFadingConditionalBer:
         kept = drawn[:record.bits_sent // config.bit_budget]
         used = config.bit_budget // config.bits_per_symbol
         sigma = math.sqrt(ebno_to_noise_variance(ebno_db, config, spec))
-        ratio = np.concatenate([self._gains(real, fft_size, used) for real in kept]) / sigma
+        ratio = np.concatenate([self._gains(kind, row, fft_size, used) for row in kept]) / sigma
         p = np.array([0.5 * math.erfc(x / math.sqrt(2.0)) for x in ratio.tolist()])
         expected, variance = np.sum(2.0 * p), np.sum(2.0 * p * (1.0 - p))
         z = (record.bit_errors - expected) / math.sqrt(variance)
@@ -222,9 +227,10 @@ class TestChunkedExecution:
 
         original = sweep_mod.realize_channel
 
-        def dead_gains(spec, stream, n_frames):
-            real = original(spec, stream, n_frames)
-            return replace(real, gains=np.zeros_like(real.gains))
+        def dead_gains(state, row, stream):
+            original(state, row, stream)
+            state.gains[row] = 0.0
+            return state
 
         monkeypatch.setattr(sweep_mod, "realize_channel", dead_gains)
         config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
@@ -262,22 +268,24 @@ class TestChunkedExecution:
 
     @staticmethod
     def _clamp_alternate_repetitions(monkeypatch, clamp):
-        """Make ``clamp(real)`` act on every other channel draw of each cell,
-        starting with its first; returns each cell's draws, by stream, in the
-        order the cells first draw, and the stream of each draw."""
+        """Make ``clamp(row)`` act on every other channel draw of each cell,
+        starting with its first, in the row of the channel state it was drawn
+        into; returns each cell's draws, by stream, in the order the cells
+        first draw, and the stream of the last draw into each (state, row)."""
         import ofdmsim.sweep as sweep_mod
 
         original = sweep_mod.realize_channel
         drawn, owner = {}, {}
 
-        def alternate(spec, stream, n_frames):
-            real = original(spec, stream, n_frames)
+        def alternate(state, row, stream):
+            original(state, row, stream)
+            values = (state.gains if state.kind == "flat" else state.taps)[row]
             mine = drawn.setdefault(id(stream), [])
             if len(mine) % 2 == 0:
-                clamp(real)
-            mine.append(real)
-            owner[id(real)] = id(stream)
-            return real
+                clamp(values)
+            mine.append(values.copy())
+            owner[id(state), row] = id(stream)
+            return state
 
         monkeypatch.setattr(sweep_mod, "realize_channel", alternate)
         return drawn, owner
@@ -305,9 +313,9 @@ class TestChunkedExecution:
         original = sweep_mod._run_chain_once
         stacked = []
 
-        def chain(work, k, window, config, realizations, use_equalizer):
-            stacked.append({owner[id(real)] for real in realizations})
-            return original(work, k, window, config, realizations, use_equalizer)
+        def chain(work, k, window, config, use_equalizer):
+            stacked.append({owner[id(work.channel), row] for row in range(k)})
+            return original(work, k, window, config, use_equalizer)
 
         monkeypatch.setattr(sweep_mod, "_run_chain_once", chain)
         drawn.clear()
@@ -324,8 +332,8 @@ class TestChunkedExecution:
     def test_flat_clamps_of_alternate_repetitions_stay_with_their_rows(self, monkeypatch):
         # the last OFDM symbol's gain is zero in every other repetition: 64
         # clamped subcarriers there, none in the others
-        def dead_last_symbol(real):
-            real.gains[-1] = 0.0
+        def dead_last_symbol(gains):
+            gains[-1] = 0.0
 
         drawn, owner = self._clamp_alternate_repetitions(monkeypatch, dead_last_symbol)
         self._assert_clamps_stay_with_their_repetitions(
@@ -335,8 +343,8 @@ class TestChunkedExecution:
     def test_tdl_spectral_null_clamps_stay_with_their_rows(self, monkeypatch):
         # equal taps [a, a] give exactly H[N/2] = 0: one clamped subcarrier in
         # each of the 6 OFDM symbols of every other repetition
-        def null_at_half_band(real):
-            real.taps[1] = real.taps[0]
+        def null_at_half_band(taps):
+            taps[1] = taps[0]
 
         drawn, owner = self._clamp_alternate_repetitions(monkeypatch, null_at_half_band)
         self._assert_clamps_stay_with_their_repetitions(
@@ -663,6 +671,66 @@ class TestRunGrid:
     def test_plus_inf_ebno_is_the_noiseless_point(self):
         grid = small_grid(ebno_points_db=(float("inf"),), channel=ChannelSpec(kind="flat"))
         assert all(r.bit_errors == 0 for r in run_grid(grid))
+
+
+def _fresh_interpreter(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new Python that imports this ofdmsim and nothing
+    more, so that nothing the tests imported is loaded beforehand."""
+    import ofdmsim
+
+    env = dict(os.environ)
+    src = str(Path(ofdmsim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+# each worker writes the modules its first group imported to <dir>/<pid>.json
+_REPORT_FIRST_GROUP_IMPORTS = """
+import json, os, sys
+from fractions import Fraction
+import ofdmsim.sweep as sweep
+from ofdmsim.channel import ChannelSpec, exponential_pdp
+
+original = sweep._group_result
+
+def reporting(grid, group):
+    before = set(sys.modules)
+    results = original(grid, group)
+    path = os.path.join(sys.argv[1], f"{os.getpid()}.json")
+    if not os.path.exists(path):
+        with open(path, "w") as fh:
+            json.dump(sorted(set(sys.modules) - before), fh)
+    return results
+
+sweep._group_result = reporting
+grid = sweep.SweepGrid(fft_sizes=(64, 128), cp_fractions=(Fraction(1, 4), Fraction(1, 16)),
+                       ebno_points_db=(0.0, 10.0), max_bits_per_cell=6000,
+                       channel=ChannelSpec(kind="tdl", taps=exponential_pdp(9, 1.0)))
+sweep.run_grid(grid, 2)
+"""
+
+
+class TestWarmWorkers:
+    """Importing the package loads the numpy modules the chain uses, which
+    numpy otherwise imports on first use, so pool workers forked from a
+    process that has only imported ofdmsim start with them loaded."""
+
+    def test_importing_the_sweep_loads_the_chains_numpy_modules(self):
+        result = _fresh_interpreter(
+            "import sys, ofdmsim.sweep; "
+            "print(sorted(m for m in ('numpy.random', 'numpy.fft') if m in sys.modules))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["['numpy.fft',", "'numpy.random']"]
+
+    @FORK_ONLY
+    def test_a_workers_first_group_imports_nothing(self, tmp_path):
+        result = _fresh_interpreter(_REPORT_FIRST_GROUP_IMPORTS, str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        reports = sorted(tmp_path.glob("*.json"))
+        assert reports  # at least one worker ran a group
+        assert {path.name: json.loads(path.read_text()) for path in reports} == {
+            path.name: [] for path in reports}
 
 
 class TestRawModem:
