@@ -24,6 +24,8 @@ first.  The words of a draw start with the high half the previous bit draw
 left over, if it used an odd number of words.  This is exactly the stream
 ``Generator.integers(0, 2, count, dtype=np.uint8)`` gives, interleaved
 with Gaussian draws the same way, without its per-call overhead.
+:func:`split_bits` hands a draw's bits to a stream of their own, so that a
+long draw can be made in pieces while the stream goes on past it.
 Determinism is guaranteed within this implementation only, not across
 languages or numpy bit-generator rewrites.
 """
@@ -144,3 +146,40 @@ def draw_bits(stream: RngStream, count: int, out: Optional[np.ndarray] = None) -
         stream._spare_bits = raw_bits[-4:] >> 7
     return out
 
+
+def _twin(bit_generator: np.random.PCG64) -> np.random.PCG64:
+    """A PCG64 generator in the state of ``bit_generator``, which it leaves alone."""
+    twin = np.random.PCG64(0)
+    twin.state = bit_generator.state
+    return twin
+
+
+def split_bits(stream: RngStream, count: int) -> RngStream:
+    """Split the next ``count`` bits off ``stream`` into a stream of their own.
+
+    The returned stream starts where ``draw_bits(stream, count)`` would,
+    with ``stream``'s pending spare bits, and ``stream`` is left exactly
+    where that draw would leave it: advanced past the draw's raw outputs
+    (``PCG64.advance``), with the high half of the last one as its spare if
+    the draw takes an odd number of fresh words.  Bit draws from the split
+    of pieces that are each a multiple of 4 bits, then of a last piece of
+    any size, ``count`` bits in all, give the bits of that one draw.
+    """
+    if count < 0:
+        raise ValueError(f"bit count must be >= 0, got {count}")
+    words = -(-count // 4)  # as draw_bits: a draw of no words leaves the spare
+    spare = stream._spare_bits if words else None
+    bit_generator = stream.rng.bit_generator
+    split = RngStream(rng=np.random.Generator(_twin(bit_generator)), _spare_bits=spare)
+    if not words:
+        return split
+    stream._spare_bits = None
+    fresh = words if spare is None else words - 1
+    outputs = -(-fresh // 2)
+    if fresh % 2:  # the high half of the last output is left to the next draw
+        last = _twin(bit_generator)
+        last.advance(outputs - 1)
+        raw = np.asarray(last.random_raw(1), dtype=_RAW_WORDS).view(np.uint8)
+        stream._spare_bits = raw[-4:] >> 7
+    bit_generator.advance(outputs)
+    return split

@@ -22,12 +22,15 @@ the zero-forcing division are one broadcast operation each -- and gives
 each element the same floating-point operation on the same operands as a
 repetition on its own; only the delay-line convolution runs per
 repetition.  Zero-forcing clamps are attributed to their repetitions from
-the response.  A longer repetition runs alone, window by window: its bits
-and its channel are drawn once, then each window's noise is drawn and the
+the response.  A longer repetition runs alone, window by window: its
+channel is drawn once, then each window's bits and noise are drawn and the
 chain runs on that window, the delay line carrying its last samples into
-the next.  The draws are the repetition's own, in its order, so a record
-does not depend on the windows; a cell's memory is about one window plus
-one byte per bit of its repetition.
+the next.  Its bits are split off the cell's stream where they would be
+drawn all at once (:func:`~ofdmsim.bitsource.split_bits`), and each
+window draws its own from the split, so the stream goes on to the channel
+and the noise as if all of them had been drawn.  The draws are the
+repetition's own, in its order, so a record does not depend on the
+windows; a cell's memory is about one window.
 
 The cell stops at the first repetition whose running totals reach
 ``target_errors`` or ``max_bits``, and the draws of the chunk's later
@@ -59,15 +62,14 @@ import itertools
 import json
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .bitsource import DEFAULT_MASTER_SEED, RngStream, check_key, draw_bits, make_stream
+from .bitsource import (DEFAULT_MASTER_SEED, RngStream, check_key, draw_bits, make_stream,
+                        split_bits)
 from .channel import (
     AWGN,
     ChannelSpec,
@@ -216,36 +218,61 @@ class SweepFailure(RuntimeError):
         super().__init__(f"{len(failures)} cell(s) failed ({detail})")
 
 
+#: Byte alignment of each array of a workspace, a cache line.
+_ALIGN = 64
+
+
+def _carve(*arrays: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Empty arrays of the given (shape, dtype)s, views of one allocation,
+    each starting at a multiple of :data:`_ALIGN` bytes."""
+    spans = [-(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
+             for shape, dtype in arrays]
+    buffer = np.empty(sum(spans) + _ALIGN, dtype=np.uint8)
+    offset = -buffer.ctypes.data % _ALIGN
+    views = []
+    for (shape, dtype), span in zip(arrays, spans):
+        views.append(np.ndarray(shape, dtype, buffer, offset))
+        offset += span
+    return views
+
+
 class _Workspace:
     """Arrays for one window of up to ``capacity`` repetitions of ``n_bits`` bits.
 
-    Each row holds one repetition: all of its bits, one byte each, and
-    ``frames`` of its OFDM symbols.  A repetition that fits in a window has
-    all of its symbols there, and a chunk fills up to ``capacity`` rows; a
-    longer one runs alone, its symbols a window of ``frames`` at a time.
-    A fading cell's channels are drawn into ``channel``, the chunk's
+    Each row holds one repetition: its bits, one byte each, and ``frames``
+    of its OFDM symbols.  A repetition that fits in a window has all of its
+    bits and symbols there, and a chunk fills up to ``capacity`` rows; a
+    longer (``long``) one runs alone, its symbols a window of ``frames`` at
+    a time, and its row holds the bits of one window.  A fading cell's
+    channels are drawn into ``channel``, the chunk's
     :class:`~ofdmsim.channel.ChannelState`, a row per repetition (``None``
     for AWGN).  One workspace serves every chunk of a cell with that
     repetition size: the draws go into it and the chain works in it in
     place, so a chunk allocates nothing in proportion to its size, and a
-    cell's memory is about one window plus one byte per bit of its
-    repetition.
+    cell's memory is about one window.  The arrays are views of one
+    allocation.
     """
 
     def __init__(self, config: OfdmConfig, channel: ChannelSpec, n_bits: int, noisy: bool):
         n_fft, cp_len = config.fft_size, config.cp_len
+        self.n_fft = n_fft
         self.n_bits = n_bits
         self.used = n_bits // config.bits_per_symbol
         self.n_frames = -(-self.used // n_fft)
         window = max(1, _CHUNK_SAMPLES // (n_fft + cp_len))
         self.frames = min(window, self.n_frames)
         self.capacity = window // self.frames
+        self.long = self.frames < self.n_frames
+        # a long repetition's row: a window's bits and the up to 3 its draw
+        # carries into the next (see _window_bits)
+        row = self.frames * n_fft * config.bits_per_symbol + 3 if self.long else n_bits
         frames = (self.capacity, self.frames)
-        self.bits = np.empty((self.capacity, n_bits), dtype=np.uint8)
-        # subcarrier grid: the mapped symbols, later the DFT output
-        self.grid = np.empty(frames + (n_fft,), dtype=np.complex128)
-        self.tx = np.empty(frames + (n_fft + cp_len,), dtype=np.complex128)
-        self.noise = np.empty_like(self.tx) if noisy else None
+        symbols = frames + (n_fft + cp_len,)
+        # the subcarrier grid holds the mapped symbols, later the DFT output
+        self.bits, self.grid, self.tx, *noise = _carve(
+            ((self.capacity, row), np.uint8), (frames + (n_fft,), np.complex128),
+            (symbols, np.complex128), *([(symbols, np.complex128)] if noisy else []))
+        self.noise = noise[0] if noisy else None
         self.channel = (None if channel.kind == AWGN
                         else ChannelState(channel, self.capacity, self.n_frames))
 
@@ -253,6 +280,11 @@ class _Workspace:
         """A repetition's OFDM symbols, at most ``frames`` at a time, in order."""
         for start in range(0, self.n_frames, self.frames):
             yield slice(start, min(start + self.frames, self.n_frames))
+
+    def slots(self, window: slice) -> int:
+        """The PSK symbols a repetition sends in its OFDM symbols ``window``."""
+        return min(self.used - window.start * self.n_fft,
+                   (window.stop - window.start) * self.n_fft)
 
 
 def _run_chain_once(
@@ -276,10 +308,9 @@ def _run_chain_once(
     """
     n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
     count = window.stop - window.start
-    first = window.start * n_fft  # the window's first symbol in its repetition
-    used = min(work.used - first, count * n_fft)
-    b = config.bits_per_symbol
-    bits = work.bits[:k, first * b:(first + used) * b]
+    used = work.slots(window)
+    # a row holds a whole repetition's bits, or a long one's bits of this window
+    bits = work.bits[:k, :used * config.bits_per_symbol]
     # several rows only when the window holds whole repetitions, so these
     # views are contiguous and their reshapes write through
     grid, tx = work.grid[:k, :count], work.tx[:k, :count]
@@ -334,6 +365,29 @@ class _CellRun:
     record: Optional[BerRecord] = None
 
 
+def _window_bits(work: _Workspace, split: RngStream, bits_per_symbol: int) -> Iterator[None]:
+    """Draw a long repetition's bits into its row of ``work``, a window at a time.
+
+    Each step, one per window of :meth:`_Workspace.windows`, leaves the
+    window's bits at the front of the row.  They are drawn from ``split``,
+    the stream :func:`~ofdmsim.bitsource.split_bits` split off for the
+    repetition, a whole number of 4-bit words at a time but for the
+    repetition's last draw, so that the draws give the bits of one draw of
+    the whole repetition; the up to 3 bits a window draws beyond its own
+    (only where a window's bits are not a multiple of 4, as at N = 1) are
+    moved to the front for the next.
+    """
+    row, left, held = work.bits[0], work.n_bits, 0
+    for window in work.windows():
+        count = work.slots(window) * bits_per_symbol
+        take = min(-(-max(0, count - held) // 4) * 4, left)
+        draw_bits(split, take, out=row[held:held + take])
+        left -= take
+        yield
+        held += take - count
+        row[:held] = row[count:count + held]
+
+
 def _run_rows(
     work: _Workspace,
     rows: list[_CellRun],
@@ -345,19 +399,27 @@ def _run_rows(
 
     Each repetition draws its bits, its channel (into its row of the
     workspace's channel state), then its noise window by window, as it would
-    alone.  Returns per-row (bit errors, zero-forcing clamps).
+    alone; a long repetition's bits are split off its stream there and drawn
+    window by window (:func:`_window_bits`).  Returns per-row (bit errors,
+    zero-forcing clamps).
     """
     errors = clamps = 0
     for window in work.windows():  # one, unless the repetition runs alone
         frames = window.stop - window.start
         for r, cell in enumerate(rows):
             if not window.start:
-                draw_bits(cell.stream, work.n_bits, out=work.bits[r])
+                if work.long:
+                    bit_windows = _window_bits(work, split_bits(cell.stream, work.n_bits),
+                                               config.bits_per_symbol)
+                else:
+                    draw_bits(cell.stream, work.n_bits, out=work.bits[r])
                 if work.channel is not None:
                     realize_channel(work.channel, r, cell.stream)
             if work.noise is not None:
                 noise = work.noise[r, :frames]
                 complex_gaussian(cell.stream, noise.size, cell.sigma2, out=noise)
+        if work.long:
+            next(bit_windows)
         window_errors, window_clamps = _run_chain_once(
             work, len(rows), window, config, use_equalizer)
         errors += window_errors
@@ -552,8 +614,13 @@ def _pool_results(grid: SweepGrid, cells: list[_Cell], workers: int) -> list[_Ce
     """Each cell's result, its lockstep group run on a process pool, one group per task.
 
     The pool has at most one worker per task.  A worker that dies fails
-    every cell whose group had not come back.
+    every cell whose group had not come back.  The pool's modules load here,
+    so that a run without one never loads them, and before the pool forks,
+    so that its workers start with them.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     tasks = _tasks(grid, cells, workers)
     results: list[_CellResult] = []
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:

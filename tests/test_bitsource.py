@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsim.bitsource import draw_bits, make_stream
+from ofdmsim.bitsource import draw_bits, make_stream, split_bits
 from ofdmsim.channel import complex_gaussian
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_bits_seed42_cell0.txt"
@@ -103,6 +103,42 @@ class TestBitDraws:
     def test_mean_of_a_million_draws(self):
         bits = draw_bits(make_stream(123, 0), 1_000_000)
         assert 0.498 <= bits.mean() <= 0.502
+
+
+class TestSplitBits:
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        steps=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 6), max_size=4),  # the pieces before the last, in words
+                st.one_of(st.integers(0, 13), st.sampled_from([999, 1001, 65_541])),  # the last
+                st.integers(0, 13),  # the parent's next bit draw: it may leave a spare
+                st.integers(0, 3),  # then its normal draws
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_of_a_split_give_the_one_draw(self, seed, steps):
+        # draws of odd and even word counts, with and without a spare pending
+        # from the draw before, and Gaussians between them: a split's pieces
+        # give the one draw's bits, and the parent goes on as after that draw
+        stream, twin = make_stream(seed, 5), make_stream(seed, 5)
+        for words, last, next_bits, next_normals in steps:
+            pieces = [4 * w for w in words] + [last]
+            split = split_bits(stream, sum(pieces))
+            np.testing.assert_array_equal(
+                np.concatenate([draw_bits(split, count) for count in pieces]),
+                draw_bits(twin, sum(pieces)))
+            np.testing.assert_array_equal(draw_bits(stream, next_bits),
+                                          draw_bits(twin, next_bits))
+            np.testing.assert_array_equal(normals(stream, 2 * next_normals),
+                                          normals(twin, 2 * next_normals))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            split_bits(make_stream(1, 0), -1)
 
 
 class TestGaussianDraws:

@@ -475,6 +475,24 @@ class TestWindowedExecution:
             assert record.bits_sent == reps * self.BUDGET
             assert record.bit_errors >= 60
 
+    # N = 1 windows of an odd number of symbols: a window's bits are not a
+    # whole number of 4-bit words, so its draw carries up to 3 bits to the
+    # next; at 3 symbols, BPSK windows start with as many carried bits as
+    # they need
+    @pytest.mark.parametrize("window,budget", [(1001, 5_000), (3, 60)])
+    @pytest.mark.parametrize("order", [2, 4], ids=["bpsk", "qpsk"])
+    @pytest.mark.parametrize("channel", [ChannelSpec(kind="awgn"), ChannelSpec(kind="flat"),
+                                         TDL_12], ids=["awgn", "flat", "tdl12"])
+    def test_single_carrier_windows_carry_bits(self, window, budget, order, channel):
+        import ofdmsim.sweep as sweep_mod
+
+        config = OfdmConfig(1, 0, modulation_order=order, bit_budget=budget)
+        # two long repetitions, then a shorter one
+        stops = dict(target_errors=10**6, max_bits=2 * budget + budget // 3)
+        with mock.patch.object(sweep_mod, "_CHUNK_SAMPLES", window):
+            record = run_cell(config, channel, 6.0, 5, 1, **stops)
+        assert record == reference_cell(config, channel, 6.0, 5, 1, **stops)
+
     def test_peak_memory_grows_by_one_byte_per_bit(self):
         # An N=512 AWGN cell of one long repetition (and a 3-bit one), at
         # 200 000 and at 2 000 000 bits: only the repetition's bits, one byte
@@ -501,6 +519,24 @@ class TestWindowedExecution:
         small, small_bits = peak(200_000)
         large, large_bits = peak(2_000_000)
         assert large - small <= (large_bits - small_bits) + slack
+
+    def test_peak_memory_does_not_grow_with_the_repetition(self):
+        # The cell of the test above: its bits are drawn a window at a time,
+        # so nothing but the slack may differ between the two budgets.
+        slack = 64 * 1024
+
+        def peak(budget):
+            config = OfdmConfig(512, Fraction(1, 32), modulation_order=8, bit_budget=budget)
+            cell = (config, ChannelSpec(kind="awgn"), 20.0, 1, 0)
+            run_cell(*cell, max_bits=budget)  # lookup tables and caches first
+            tracemalloc.start()
+            try:
+                run_cell(*cell, max_bits=budget)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2_000_000) - peak(200_000) <= slack
 
 
 class TestRunGrid:
@@ -584,7 +620,7 @@ class TestRunGrid:
     def _inline_pool(monkeypatch):
         """Run pool tasks in this process; returns the worker counts asked for
         and each task's cell ids, in the order they were sent."""
-        import ofdmsim.sweep as sweep_mod
+        import concurrent.futures
 
         asked, sent = [], []
 
@@ -604,7 +640,8 @@ class TestRunGrid:
                 future.set_result(fn(grid, task))
                 return future
 
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InlineExecutor)
+        # the sweep imports the pool class when it makes a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         return asked, sent
 
     def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
@@ -722,6 +759,15 @@ class TestWarmWorkers:
             "print(sorted(m for m in ('numpy.random', 'numpy.fft') if m in sys.modules))")
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["['numpy.fft',", "'numpy.random']"]
+
+    def test_importing_the_cli_loads_no_pool_machinery(self):
+        # a serial run never makes a pool, so it never loads one
+        result = _fresh_interpreter(
+            "import sys, ofdmsim.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]"]
 
     @FORK_ONLY
     def test_a_workers_first_group_imports_nothing(self, tmp_path):
