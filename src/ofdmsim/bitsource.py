@@ -18,14 +18,18 @@ Ziggurat (``Generator.standard_normal``), which takes whole 64-bit outputs.
 
 Bits come straight from PCG64's raw 64-bit outputs
 (``bit_generator.random_raw``).  Each output is two 32-bit words, low half
-first; a draw of ``count`` bits takes ``ceil(count / 4)`` words, and bit
-*i* is the top bit of byte *i* of those words, least-significant byte
-first.  The words of a draw start with the high half the previous bit draw
-left over, if it used an odd number of words.  This is exactly the stream
+first; a draw of ``count`` bits takes ``ceil(count / 4)`` words
+(:data:`WORD_BITS` bits each), and bit *i* is the top bit of byte *i* of
+those words, least-significant byte first.  The words of a draw start with
+the high half the previous bit draw left over, if it used an odd number of
+words.  This is exactly the stream
 ``Generator.integers(0, 2, count, dtype=np.uint8)`` gives, interleaved
-with Gaussian draws the same way, without its per-call overhead.
+with Gaussian draws the same way, without its per-call overhead.  A draw
+asks for all of its raw outputs at once, a temporary of one byte per bit;
+the sweep never draws more than one window's bits at a time.
 :func:`split_bits` hands a draw's bits to a stream of their own, so that a
-long draw can be made in pieces while the stream goes on past it.
+long draw can be made in pieces of whole words while the stream goes on
+past it.
 Determinism is guaranteed within this implementation only, not across
 languages or numpy bit-generator rewrites.
 """
@@ -55,9 +59,9 @@ KEY_MAX = _MASK64
 #: Raw PCG64 outputs, little-endian, so their bytes come low half first.
 _RAW_WORDS = np.dtype("<u8")
 
-#: Most raw outputs (8 bytes each) a bit draw asks for at once: a long draw
-#: goes straight into its output without a temporary of its own size.
-_RAW_BLOCK = 8192
+#: Bits of one 32-bit word, one per byte.  Bit draws from a split give the
+#: bits of one draw when every piece but the last is a multiple of it.
+WORD_BITS = 4
 
 
 def check_key(name: str, key: Any) -> int:
@@ -115,10 +119,10 @@ def make_stream(origin_seed: int, cell_id: int) -> RngStream:
 def draw_bits(stream: RngStream, count: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw ``count`` i.i.d. uniform bits as a uint8 array of 0s and 1s.
 
-    Built from the raw PCG64 outputs as the module docstring defines, at
-    most :data:`_RAW_BLOCK` outputs at a time.  ``out``, a uint8 array of
-    shape ``(count,)``, receives them; the values are the ones the
-    allocating form returns.
+    Built from the raw PCG64 outputs as the module docstring defines, all
+    asked for in one call: a temporary of one byte per bit.  ``out``, a
+    uint8 array of shape ``(count,)``, receives them; the values are the
+    ones the allocating form returns.
     """
     if count < 0:
         raise ValueError(f"bit count must be >= 0, got {count}")
@@ -126,24 +130,20 @@ def draw_bits(stream: RngStream, count: int, out: Optional[np.ndarray] = None) -
         out = np.empty(count, dtype=np.uint8)
     elif out.shape != (count,):
         raise ValueError(f"out has shape {out.shape}, not ({count},)")
-    words = -(-count // 4)  # 32-bit words, one bit per byte
+    words = -(-count // WORD_BITS)  # 32-bit words, one bit per byte
     if not words:
         return out
     spare, stream._spare_bits = stream._spare_bits, None
     done = 0
     if spare is not None:
-        done = min(4, count)
+        done = min(WORD_BITS, count)
         out[:done] = spare[:done]
     fresh = words if spare is None else words - 1
-    outputs = -(-fresh // 2)
-    for first in range(0, outputs, _RAW_BLOCK):
-        raw = stream.rng.bit_generator.random_raw(min(_RAW_BLOCK, outputs - first))
-        raw_bits = np.asarray(raw, dtype=_RAW_WORDS).view(np.uint8)
-        take = min(raw_bits.size, count - done)
-        np.right_shift(raw_bits[:take], 7, out=out[done:done + take])
-        done += take
+    raw = stream.rng.bit_generator.random_raw(-(-fresh // 2))
+    raw_bits = np.asarray(raw, dtype=_RAW_WORDS).view(np.uint8)
+    np.right_shift(raw_bits[:count - done], 7, out=out[done:])
     if fresh % 2:  # the high half of the last output is left to the next draw
-        stream._spare_bits = raw_bits[-4:] >> 7
+        stream._spare_bits = raw_bits[-WORD_BITS:] >> 7
     return out
 
 
@@ -162,12 +162,13 @@ def split_bits(stream: RngStream, count: int) -> RngStream:
     where that draw would leave it: advanced past the draw's raw outputs
     (``PCG64.advance``), with the high half of the last one as its spare if
     the draw takes an odd number of fresh words.  Bit draws from the split
-    of pieces that are each a multiple of 4 bits, then of a last piece of
-    any size, ``count`` bits in all, give the bits of that one draw.
+    of pieces that are each a multiple of :data:`WORD_BITS`, then of a last
+    piece of any size, ``count`` bits in all, give the bits of that one
+    draw.
     """
     if count < 0:
         raise ValueError(f"bit count must be >= 0, got {count}")
-    words = -(-count // 4)  # as draw_bits: a draw of no words leaves the spare
+    words = -(-count // WORD_BITS)  # as draw_bits: a draw of no words leaves the spare
     spare = stream._spare_bits if words else None
     bit_generator = stream.rng.bit_generator
     split = RngStream(rng=np.random.Generator(_twin(bit_generator)), _spare_bits=spare)
@@ -180,6 +181,6 @@ def split_bits(stream: RngStream, count: int) -> RngStream:
         last = _twin(bit_generator)
         last.advance(outputs - 1)
         raw = np.asarray(last.random_raw(1), dtype=_RAW_WORDS).view(np.uint8)
-        stream._spare_bits = raw[-4:] >> 7
+        stream._spare_bits = raw[-WORD_BITS:] >> 7
     bit_generator.advance(outputs)
     return split

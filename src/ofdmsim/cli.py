@@ -41,11 +41,28 @@ EXIT_BAD_CONFIG = 2
 EXIT_IO_FAILURE = 3
 
 
-def _parse_list(key: str, text: str, conv) -> tuple:
+def _float(text: str) -> float:
+    """``float(text)``, except that a finite number beyond the range of a
+    float, which ``float`` reads as +-inf, is a :class:`ConfigError`: only
+    text that spells inf ("inf", "+inf", "infinity", ...) is infinite."""
+    value = float(text)
+    if math.isinf(value) and text.strip().lstrip("+-").lower() not in ("inf", "infinity"):
+        raise ConfigError(f"{text.strip()} is beyond the range of a float, about +-1.8e308")
+    return value
+
+
+def _parse(key: str, text: str, conv: Callable[[str], Any]) -> Any:
+    """``conv(text)`` for the setting ``key``; text it cannot read is a
+    :class:`ConfigError` naming the setting."""
     try:
-        return tuple(conv(part) for part in text.split(",") if part.strip())
-    except (ValueError, ZeroDivisionError) as exc:  # e.g. "abc" or "1/0"
+        return conv(text)
+    except (ValueError, ZeroDivisionError) as exc:  # e.g. "abc", "1/0" or "1e400"
         raise ConfigError(f"{key}: cannot parse {text!r}: {exc}") from exc
+
+
+def _parse_list(key: str, text: str, conv: Callable[[str], Any]) -> tuple:
+    return _parse(key, text,
+                  lambda line: tuple(conv(part) for part in line.split(",") if part.strip()))
 
 
 #: The delay-line settings, which only the tdl channel takes.
@@ -61,8 +78,9 @@ _GRID_KEYS = (*(f.name for f in dataclasses.fields(SweepGrid) if f.name != "chan
 def _json_float(text: str) -> Any:
     """A JSON float of a config file, as an int if it has no fractional part
     (2e6, 64.0), whatever its key.  -0.0 stays a float, so an Eb/No of -0.0
-    is recorded as -0, as ``--ebno=-0`` is."""
-    value = float(text)
+    is recorded as -0, as ``--ebno=-0`` is.  A number beyond the range of a
+    float is a :class:`ConfigError`, not inf (``Infinity`` is inf)."""
+    value = _float(text)
     return int(value) if value.is_integer() and (value or text[0] != "-") else value
 
 
@@ -127,7 +145,7 @@ def _flag_settings(args: argparse.Namespace) -> dict[str, Any]:
     and a flag not given leaves no attribute."""
     settings = {key: value for key, value in vars(args).items() if key in _GRID_KEYS}
     for key, conv in (("fft_sizes", int), ("cp_fractions", Fraction),
-                      ("ebno_points_db", float), ("tdl_taps", float)):
+                      ("ebno_points_db", _float), ("tdl_taps", _float)):
         if key in settings:  # the comma-list flags
             settings[key] = _parse_list(key, settings[key], conv)
     return settings
@@ -183,7 +201,8 @@ def run_sweep(grid: SweepGrid, workers: int, out: str,
 
 def cmd_single(args: argparse.Namespace) -> int:
     settings = _flag_settings(args)
-    settings.update(fft_sizes=[args.fft], cp_fractions=[args.cp], ebno_points_db=[args.ebno])
+    settings.update(fft_sizes=[args.fft], cp_fractions=[args.cp],
+                    ebno_points_db=[_parse("ebno_points_db", args.ebno, _float)])
     grid = build_grid(settings)
     cell_id = check_key("cell_id", args.cell_id)  # before the echo: one stderr line
     _echo_grid(grid)
@@ -278,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                               argument_default=argparse.SUPPRESS)
     p_single.add_argument("--fft", type=int, required=True, help="FFT size")
     p_single.add_argument("--cp", required=True, help="CP fraction, e.g. 1/4")
-    p_single.add_argument("--ebno", type=float, required=True, help="Eb/No in dB")
+    p_single.add_argument("--ebno", required=True, help="Eb/No in dB")
     p_single.add_argument("--cell-id", type=int, default=0, help="substream cell id")
     _add_channel_flags(p_single)
     p_single.set_defaults(func=cmd_single)

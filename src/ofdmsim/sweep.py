@@ -25,12 +25,15 @@ repetition.  Zero-forcing clamps are attributed to their repetitions from
 the response.  A longer repetition runs alone, window by window: its
 channel is drawn once, then each window's bits and noise are drawn and the
 chain runs on that window, the delay line carrying its last samples into
-the next.  Its bits are split off the cell's stream where they would be
-drawn all at once (:func:`~ofdmsim.bitsource.split_bits`), and each
-window draws its own from the split, so the stream goes on to the channel
-and the noise as if all of them had been drawn.  The draws are the
-repetition's own, in its order, so a record does not depend on the
-windows; a cell's memory is about one window.
+the next.  Every repetition draws its bits the same way, a window's at a
+time, from its bit source: the cell's stream, or for a longer repetition
+the bits split off the cell's stream where they would be drawn all at
+once (:func:`~ofdmsim.bitsource.split_bits`), so the stream goes on to
+the channel and the noise as if all of them had been drawn.  A window
+holds whole bit-words (:data:`~ofdmsim.bitsource.WORD_BITS`), so the
+windows' draws from the split give the bits of one draw.  The draws are
+the repetition's own, in its order, so a record does not depend on the
+windows; a cell's memory is about one window, and no draw is larger.
 
 The cell stops at the first repetition whose running totals reach
 ``target_errors`` or ``max_bits``, and the draws of the chunk's later
@@ -68,8 +71,8 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .bitsource import (DEFAULT_MASTER_SEED, RngStream, check_key, draw_bits, make_stream,
-                        split_bits)
+from .bitsource import (DEFAULT_MASTER_SEED, WORD_BITS, RngStream, check_key, draw_bits,
+                        make_stream, split_bits)
 from .channel import (
     AWGN,
     ChannelSpec,
@@ -117,9 +120,10 @@ def check_ebno(name: str, value: Any) -> float:
 
 
 #: Most time-domain samples a window holds, which keeps the chain's arrays
-#: under about 1 MB: a window is floor(_CHUNK_SAMPLES / (N+L)) OFDM symbols
-#: (at least one), a chunk is as many whole repetitions as fit in one
-#: window, and a longer repetition runs alone, one window at a time.
+#: under about 1 MB: a window is floor(_CHUNK_SAMPLES / (N+L)) OFDM symbols,
+#: rounded down to whole bit-words (see _Workspace), a chunk is as many
+#: whole repetitions as fit in one window, and a longer repetition runs
+#: alone, one window at a time.
 _CHUNK_SAMPLES = 16_384
 
 _Cell = tuple[int, OfdmConfig, ChannelSpec, float]
@@ -218,39 +222,22 @@ class SweepFailure(RuntimeError):
         super().__init__(f"{len(failures)} cell(s) failed ({detail})")
 
 
-#: Byte alignment of each array of a workspace, a cache line.
-_ALIGN = 64
-
-
-def _carve(*arrays: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
-    """Empty arrays of the given (shape, dtype)s, views of one allocation,
-    each starting at a multiple of :data:`_ALIGN` bytes."""
-    spans = [-(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
-             for shape, dtype in arrays]
-    buffer = np.empty(sum(spans) + _ALIGN, dtype=np.uint8)
-    offset = -buffer.ctypes.data % _ALIGN
-    views = []
-    for (shape, dtype), span in zip(arrays, spans):
-        views.append(np.ndarray(shape, dtype, buffer, offset))
-        offset += span
-    return views
-
-
 class _Workspace:
     """Arrays for one window of up to ``capacity`` repetitions of ``n_bits`` bits.
 
-    Each row holds one repetition: its bits, one byte each, and ``frames``
-    of its OFDM symbols.  A repetition that fits in a window has all of its
-    bits and symbols there, and a chunk fills up to ``capacity`` rows; a
-    longer (``long``) one runs alone, its symbols a window of ``frames`` at
-    a time, and its row holds the bits of one window.  A fading cell's
-    channels are drawn into ``channel``, the chunk's
+    Each row holds one repetition's bits of one window, one byte each, and
+    ``frames`` of its OFDM symbols.  A repetition that fits in a window has
+    all of its bits and symbols there, and a chunk fills up to ``capacity``
+    rows; a longer (``long``) one runs alone, its symbols a window of
+    ``frames`` at a time.  A window's frame count is a multiple of
+    WORD_BITS / gcd(WORD_BITS, N log2 M) (and never less), so every window
+    but a repetition's last holds whole bit-words.  A fading cell's channels
+    are drawn into ``channel``, the chunk's
     :class:`~ofdmsim.channel.ChannelState`, a row per repetition (``None``
     for AWGN).  One workspace serves every chunk of a cell with that
     repetition size: the draws go into it and the chain works in it in
     place, so a chunk allocates nothing in proportion to its size, and a
-    cell's memory is about one window.  The arrays are views of one
-    allocation.
+    cell's memory is about one window.
     """
 
     def __init__(self, config: OfdmConfig, channel: ChannelSpec, n_bits: int, noisy: bool):
@@ -259,20 +246,20 @@ class _Workspace:
         self.n_bits = n_bits
         self.used = n_bits // config.bits_per_symbol
         self.n_frames = -(-self.used // n_fft)
-        window = max(1, _CHUNK_SAMPLES // (n_fft + cp_len))
+        step = WORD_BITS // math.gcd(WORD_BITS, n_fft * config.bits_per_symbol)
+        window = _CHUNK_SAMPLES // (n_fft + cp_len)
+        window = max(step, window - window % step)
         self.frames = min(window, self.n_frames)
         self.capacity = window // self.frames
         self.long = self.frames < self.n_frames
-        # a long repetition's row: a window's bits and the up to 3 its draw
-        # carries into the next (see _window_bits)
-        row = self.frames * n_fft * config.bits_per_symbol + 3 if self.long else n_bits
         frames = (self.capacity, self.frames)
         symbols = frames + (n_fft + cp_len,)
+        row = min(n_bits, self.frames * n_fft * config.bits_per_symbol)  # a window's bits
+        self.bits = np.empty((self.capacity, row), np.uint8)
         # the subcarrier grid holds the mapped symbols, later the DFT output
-        self.bits, self.grid, self.tx, *noise = _carve(
-            ((self.capacity, row), np.uint8), (frames + (n_fft,), np.complex128),
-            (symbols, np.complex128), *([(symbols, np.complex128)] if noisy else []))
-        self.noise = noise[0] if noisy else None
+        self.grid = np.empty(frames + (n_fft,), np.complex128)
+        self.tx = np.empty(symbols, np.complex128)
+        self.noise = np.empty(symbols, np.complex128) if noisy else None
         self.channel = (None if channel.kind == AWGN
                         else ChannelState(channel, self.capacity, self.n_frames))
 
@@ -365,29 +352,6 @@ class _CellRun:
     record: Optional[BerRecord] = None
 
 
-def _window_bits(work: _Workspace, split: RngStream, bits_per_symbol: int) -> Iterator[None]:
-    """Draw a long repetition's bits into its row of ``work``, a window at a time.
-
-    Each step, one per window of :meth:`_Workspace.windows`, leaves the
-    window's bits at the front of the row.  They are drawn from ``split``,
-    the stream :func:`~ofdmsim.bitsource.split_bits` split off for the
-    repetition, a whole number of 4-bit words at a time but for the
-    repetition's last draw, so that the draws give the bits of one draw of
-    the whole repetition; the up to 3 bits a window draws beyond its own
-    (only where a window's bits are not a multiple of 4, as at N = 1) are
-    moved to the front for the next.
-    """
-    row, left, held = work.bits[0], work.n_bits, 0
-    for window in work.windows():
-        count = work.slots(window) * bits_per_symbol
-        take = min(-(-max(0, count - held) // 4) * 4, left)
-        draw_bits(split, take, out=row[held:held + take])
-        left -= take
-        yield
-        held += take - count
-        row[:held] = row[count:count + held]
-
-
 def _run_rows(
     work: _Workspace,
     rows: list[_CellRun],
@@ -397,29 +361,28 @@ def _run_rows(
     """Draw one repetition into each row of ``work``, row r from the stream of
     ``rows[r]``, and run the chain on them, window by window.
 
-    Each repetition draws its bits, its channel (into its row of the
-    workspace's channel state), then its noise window by window, as it would
-    alone; a long repetition's bits are split off its stream there and drawn
-    window by window (:func:`_window_bits`).  Returns per-row (bit errors,
-    zero-forcing clamps).
+    At its first window each row picks its bit source: the cell's stream,
+    or for a long repetition the bits :func:`~ofdmsim.bitsource.split_bits`
+    splits off it.  Each window, each repetition draws the window's bits
+    from its source, then its channel (first window only, into its row of
+    the workspace's channel state), then the window's noise, as it would
+    alone.  Returns per-row (bit errors, zero-forcing clamps).
     """
     errors = clamps = 0
+    sources: list[RngStream] = []  # each row's bit source
     for window in work.windows():  # one, unless the repetition runs alone
         frames = window.stop - window.start
+        count = work.slots(window) * config.bits_per_symbol
         for r, cell in enumerate(rows):
             if not window.start:
-                if work.long:
-                    bit_windows = _window_bits(work, split_bits(cell.stream, work.n_bits),
-                                               config.bits_per_symbol)
-                else:
-                    draw_bits(cell.stream, work.n_bits, out=work.bits[r])
-                if work.channel is not None:
-                    realize_channel(work.channel, r, cell.stream)
+                sources.append(split_bits(cell.stream, work.n_bits) if work.long
+                               else cell.stream)
+            draw_bits(sources[r], count, out=work.bits[r, :count])
+            if not window.start and work.channel is not None:
+                realize_channel(work.channel, r, cell.stream)
             if work.noise is not None:
                 noise = work.noise[r, :frames]
                 complex_gaussian(cell.stream, noise.size, cell.sigma2, out=noise)
-        if work.long:
-            next(bit_windows)
         window_errors, window_clamps = _run_chain_once(
             work, len(rows), window, config, use_equalizer)
         errors += window_errors

@@ -482,7 +482,8 @@ class TestNonFiniteInputs:
         assert "bits_sent" not in captured.out
         assert out is None or not out.exists()
 
-    @pytest.mark.parametrize("ebno", ["nan", "-inf", "-Infinity", "4000", "-4000", "-3100"])
+    @pytest.mark.parametrize("ebno", ["nan", "-inf", "-Infinity", "4000", "-4000", "-3100",
+                                      "1e400"])
     def test_ebno_flag(self, capsys, tmp_path, ebno):
         self._exits_2(capsys, ["single", *self.SINGLE_CELL, f"--ebno={ebno}"])
         out = tmp_path / "x.csv"
@@ -528,6 +529,20 @@ class TestNonFiniteInputs:
                        "about +-1.8e308"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400"])
+    def test_config_float_beyond_float_range(self, capsys, tmp_path, text):
+        # float() reads such text as +-inf; only Infinity is the noiseless point
+        import ofdmsim.cli as cli
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(SMALL_CONFIG).replace('"ebno_points_db": [0, 6]',
+                                                         f'"ebno_points_db": [0, {text}]'))
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ofdmsim: config error: {text} is beyond the range of a float, about +-1.8e308"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("ebno", ["300", "1000", "-1000"])
     def test_large_ebno_inside_the_limit_runs(self, capsys, tmp_path, ebno):
         import ofdmsim.cli as cli
@@ -541,10 +556,11 @@ class TestNonFiniteInputs:
         with out.open() as fh:
             assert len(list(csv.DictReader(fh))) == 1
 
-    def test_plus_inf_is_noiseless(self, capsys, tmp_path):
+    @pytest.mark.parametrize("ebno", ["inf", "+inf", "Infinity"])
+    def test_plus_inf_is_noiseless(self, capsys, tmp_path, ebno):
         import ofdmsim.cli as cli
 
-        argv = ["single", *self.SINGLE_CELL, "--ebno", "inf", "--channel", "tdl",
+        argv = ["single", *self.SINGLE_CELL, "--ebno", ebno, "--channel", "tdl",
                 "--tdl-len", "5", "--max-bits", "3000"]
         assert cli.main(argv) == 0
         record = json.loads(capsys.readouterr().out)

@@ -475,59 +475,72 @@ class TestWindowedExecution:
             assert record.bits_sent == reps * self.BUDGET
             assert record.bit_errors >= 60
 
-    # N = 1 windows of an odd number of symbols: a window's bits are not a
-    # whole number of 4-bit words, so its draw carries up to 3 bits to the
-    # next; at 3 symbols, BPSK windows start with as many carried bits as
-    # they need
-    @pytest.mark.parametrize("window,budget", [(1001, 5_000), (3, 60)])
-    @pytest.mark.parametrize("order", [2, 4], ids=["bpsk", "qpsk"])
+    # A long repetition's windows draw from the bits split off its stream,
+    # and give the bits of one draw only if every window but the last holds
+    # whole 4-bit words.  N = 1 windows of an odd number of symbols round
+    # down to an even one (QPSK) or a multiple of 4 (BPSK); a 3-symbol BPSK
+    # window grows to 4.  N = 2, CP 1/2 at the default size rounds its
+    # 5 461-symbol window down to 5 460, for BPSK and 8-PSK alike.
+    @pytest.mark.parametrize("fft_size,cp,order,window,budget", [
+        (1, 0, 2, 1001, 5_000), (1, 0, 2, 3, 60), (1, 0, 4, 1001, 5_000), (1, 0, 4, 3, 60),
+        (2, Fraction(1, 2), 2, None, 30_000), (2, Fraction(1, 2), 8, None, 90_000),
+    ], ids=["n1-bpsk-1001", "n1-bpsk-3", "n1-qpsk-1001", "n1-qpsk-3", "n2-bpsk", "n2-8psk"])
     @pytest.mark.parametrize("channel", [ChannelSpec(kind="awgn"), ChannelSpec(kind="flat"),
                                          TDL_12], ids=["awgn", "flat", "tdl12"])
-    def test_single_carrier_windows_carry_bits(self, window, budget, order, channel):
+    def test_windows_hold_whole_bit_words(self, fft_size, cp, order, window, budget, channel):
         import ofdmsim.sweep as sweep_mod
 
-        config = OfdmConfig(1, 0, modulation_order=order, bit_budget=budget)
+        config = OfdmConfig(fft_size, cp, modulation_order=order, bit_budget=budget)
         # two long repetitions, then a shorter one
         stops = dict(target_errors=10**6, max_bits=2 * budget + budget // 3)
-        with mock.patch.object(sweep_mod, "_CHUNK_SAMPLES", window):
+        with mock.patch.object(sweep_mod, "_CHUNK_SAMPLES", window or sweep_mod._CHUNK_SAMPLES):
+            assert sweep_mod._Workspace(config, channel, budget, True).long
             record = run_cell(config, channel, 6.0, 5, 1, **stops)
         assert record == reference_cell(config, channel, 6.0, 5, 1, **stops)
 
-    def test_peak_memory_grows_by_one_byte_per_bit(self):
-        # An N=512 AWGN cell of one long repetition (and a 3-bit one), at
-        # 200 000 and at 2 000 000 bits: only the repetition's bits, one byte
-        # each, may grow with it.
-        # A window (31 symbols of 528 samples) and the chain's temporaries
-        # are the same size at both budgets: about 0.8 MB of arrays.  The
-        # slack covers what else differs, Python objects and the allocator's
-        # small blocks, a few kB; at 64 KiB it is under a tenth of a window,
-        # so an array that grew with the repetition, or a second copy of its
-        # bits, fails.
+    # the awgn_batch cell, validate's raw modem and a 256-PSK single carrier
+    @pytest.mark.parametrize("config", [
+        OfdmConfig(64, Fraction(1, 32), modulation_order=8, bit_budget=2_000_000),
+        RAW_MODEM,
+        OfdmConfig(1, 0, modulation_order=256, bit_budget=400_000),
+    ], ids=["n64", "raw_modem", "n1-psk256"])
+    def test_no_bit_draw_exceeds_a_window(self, monkeypatch, config):
+        # bitsource draws all of a draw's raw outputs at once, a temporary of
+        # one byte per bit, so a draw must be at most one window's bits
+        import ofdmsim.sweep as sweep_mod
+
+        drawn = []
+        original = sweep_mod.draw_bits
+
+        def counting(stream, count, **kwargs):
+            drawn.append(count)
+            return original(stream, count, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "draw_bits", counting)
+        record = run_cell(config, ChannelSpec(kind="awgn"), 20.0, 5, 1, target_errors=2**62,
+                          max_bits=config.bit_budget)
+        window = sweep_mod._CHUNK_SAMPLES // (config.fft_size + config.cp_len)
+        assert max(drawn) <= window * config.fft_size * config.bits_per_symbol
+        assert len(drawn) > 2 and sum(drawn) == record.bits_sent
+
+    # An N=512 cell of one long repetition (and a 3-bit one), at 200 000 and
+    # at 2 000 000 bits: its bits are drawn a window at a time, so its peak
+    # memory may not grow with the repetition.  A window (31 symbols of 528
+    # samples) and the chain's temporaries are the same size at both
+    # budgets: about 0.8 MB of arrays.  The slack covers what else differs,
+    # Python objects, the allocator's small blocks and the flat channel's
+    # gains of each OFDM symbol (16 bytes a symbol, about 19 kB more at the
+    # larger budget); at 64 KiB it is under a tenth of a window, so an array
+    # that grew with the repetition, or the repetition's bits, fails.
+    @pytest.mark.parametrize("channel", [ChannelSpec(kind="awgn"), ChannelSpec(kind="flat"),
+                                         ChannelSpec(kind="tdl", taps=exponential_pdp(9, 1.0))],
+                             ids=["awgn", "flat", "tdl9"])
+    def test_peak_memory_does_not_grow_with_the_repetition(self, channel):
         slack = 64 * 1024
 
         def peak(budget):
             config = OfdmConfig(512, Fraction(1, 32), modulation_order=8, bit_budget=budget)
-            cell = (config, ChannelSpec(kind="awgn"), 20.0, 1, 0)
-            run_cell(*cell, max_bits=budget)  # lookup tables and caches first
-            tracemalloc.start()
-            try:
-                record = run_cell(*cell, max_bits=budget)
-                return tracemalloc.get_traced_memory()[1], record.bits_sent
-            finally:
-                tracemalloc.stop()
-
-        small, small_bits = peak(200_000)
-        large, large_bits = peak(2_000_000)
-        assert large - small <= (large_bits - small_bits) + slack
-
-    def test_peak_memory_does_not_grow_with_the_repetition(self):
-        # The cell of the test above: its bits are drawn a window at a time,
-        # so nothing but the slack may differ between the two budgets.
-        slack = 64 * 1024
-
-        def peak(budget):
-            config = OfdmConfig(512, Fraction(1, 32), modulation_order=8, bit_budget=budget)
-            cell = (config, ChannelSpec(kind="awgn"), 20.0, 1, 0)
+            cell = (config, channel, 20.0, 1, 0)
             run_cell(*cell, max_bits=budget)  # lookup tables and caches first
             tracemalloc.start()
             try:
