@@ -147,40 +147,31 @@ def draw_bits(stream: RngStream, count: int, out: Optional[np.ndarray] = None) -
     return out
 
 
-def _twin(bit_generator: np.random.PCG64) -> np.random.PCG64:
-    """A PCG64 generator in the state of ``bit_generator``, which it leaves alone."""
-    twin = np.random.PCG64(0)
-    twin.state = bit_generator.state
-    return twin
-
-
 def split_bits(stream: RngStream, count: int) -> RngStream:
     """Split the next ``count`` bits off ``stream`` into a stream of their own.
 
     The returned stream starts where ``draw_bits(stream, count)`` would,
     with ``stream``'s pending spare bits, and ``stream`` is left exactly
-    where that draw would leave it: advanced past the draw's raw outputs
-    (``PCG64.advance``), with the high half of the last one as its spare if
-    the draw takes an odd number of fresh words.  Bit draws from the split
-    of pieces that are each a multiple of :data:`WORD_BITS`, then of a last
-    piece of any size, ``count`` bits in all, give the bits of that one
-    draw.
+    where that draw would leave it: advanced (``PCG64.advance``) past the
+    raw outputs of the draw's whole pairs of fresh words, and, if the draw
+    takes an odd number of fresh words, past the last output too, by a
+    :func:`draw_bits` of one word, which keeps its high half as the spare.
+    Bit draws from the split of pieces that are each a multiple of
+    :data:`WORD_BITS`, then of a last piece of any size, ``count`` bits in
+    all, give the bits of that one draw.
     """
     if count < 0:
         raise ValueError(f"bit count must be >= 0, got {count}")
     words = -(-count // WORD_BITS)  # as draw_bits: a draw of no words leaves the spare
     spare = stream._spare_bits if words else None
-    bit_generator = stream.rng.bit_generator
-    split = RngStream(rng=np.random.Generator(_twin(bit_generator)), _spare_bits=spare)
+    twin = np.random.PCG64(0)
+    twin.state = stream.rng.bit_generator.state
+    split = RngStream(rng=np.random.Generator(twin), _spare_bits=spare)
     if not words:
         return split
     stream._spare_bits = None
     fresh = words if spare is None else words - 1
-    outputs = -(-fresh // 2)
-    if fresh % 2:  # the high half of the last output is left to the next draw
-        last = _twin(bit_generator)
-        last.advance(outputs - 1)
-        raw = np.asarray(last.random_raw(1), dtype=_RAW_WORDS).view(np.uint8)
-        stream._spare_bits = raw[-WORD_BITS:] >> 7
-    bit_generator.advance(outputs)
+    stream.rng.bit_generator.advance(fresh // 2)
+    if fresh % 2:
+        draw_bits(stream, WORD_BITS)
     return split

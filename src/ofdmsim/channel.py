@@ -222,7 +222,9 @@ def apply_channel(
     at the repetition's first symbol; a later window is convolved after the
     carry (the previous window's last ``memory`` pre-channel samples), and
     only the outputs after the carry are kept, which are the ones one
-    convolution over the whole repetition gives.  No noise is added.
+    convolution over the whole repetition gives, bit for bit: a signal
+    shorter than the taps is zero-padded to their length first.  No noise
+    is added.
     """
     if frames.size == 0:
         raise ValueError("frames must be nonempty")
@@ -246,7 +248,9 @@ def apply_channel(
         signal = np.concatenate((carry[r], block)) if before else block
         if state.carry is not None:
             state.carry[r] = signal[signal.size - state.carry.shape[1]:]
-        row[...] = np.convolve(signal, taps)[before:signal.size].reshape(row.shape)
+        if signal.size < taps.size:  # else np.convolve swaps them and sums in another order
+            signal = np.pad(signal, (0, taps.size - signal.size))
+        row[...] = np.convolve(signal, taps)[before:before + block.size].reshape(row.shape)
     return response
 
 

@@ -148,6 +148,8 @@ def _flag_settings(args: argparse.Namespace) -> dict[str, Any]:
                       ("ebno_points_db", _float), ("tdl_taps", _float)):
         if key in settings:  # the comma-list flags
             settings[key] = _parse_list(key, settings[key], conv)
+    if "tdl_decay_db" in settings:
+        settings["tdl_decay_db"] = _parse("tdl_decay_db", settings["tdl_decay_db"], _float)
     return settings
 
 
@@ -258,7 +260,7 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"channel model (default {SweepGrid.channel.kind})")
     parser.add_argument("--tdl-taps", help="comma-separated TDL tap powers (normalized to sum 1)")
     parser.add_argument("--tdl-len", type=int, help="TDL profile length (with --tdl-decay-db)")
-    parser.add_argument("--tdl-decay-db", type=float, help="TDL exponential decay per tap, dB")
+    parser.add_argument("--tdl-decay-db", help="TDL exponential decay per tap, dB")
     parser.add_argument("--account-cp-overhead", action="store_true",
                         help="charge the CP overhead against Eb/No")
     parser.add_argument("--mod-order", dest="modulation_order", type=int,

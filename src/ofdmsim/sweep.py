@@ -25,15 +25,18 @@ repetition.  Zero-forcing clamps are attributed to their repetitions from
 the response.  A longer repetition runs alone, window by window: its
 channel is drawn once, then each window's bits and noise are drawn and the
 chain runs on that window, the delay line carrying its last samples into
-the next.  Every repetition draws its bits the same way, a window's at a
-time, from its bit source: the cell's stream, or for a longer repetition
-the bits split off the cell's stream where they would be drawn all at
-once (:func:`~ofdmsim.bitsource.split_bits`), so the stream goes on to
-the channel and the noise as if all of them had been drawn.  A window
-holds whole bit-words (:data:`~ofdmsim.bitsource.WORD_BITS`), so the
-windows' draws from the split give the bits of one draw.  The draws are
-the repetition's own, in its order, so a record does not depend on the
-windows; a cell's memory is about one window, and no draw is larger.
+the next (and padding a signal shorter than its taps, so that each sum is
+the one a convolution over the whole repetition makes).  Every repetition
+draws its bits the same way, a window's at a time, from its bit source:
+the cell's stream, or for a longer repetition the bits split off the
+cell's stream where they would be drawn all at once
+(:func:`~ofdmsim.bitsource.split_bits`), so the stream goes on to the
+channel and the noise as if all of them had been drawn.  A window holds
+whole bit-words (:data:`~ofdmsim.bitsource.WORD_BITS`), so the windows'
+draws from the split give the bits of one draw.  The draws are the
+repetition's own, in its order, and each window gives its elements what
+the whole repetition would, so a record does not depend on the windows;
+a cell's memory is about one window, and no draw is larger.
 
 The cell stops at the first repetition whose running totals reach
 ``target_errors`` or ``max_bits``, and the draws of the chunk's later
@@ -42,20 +45,24 @@ those extra draws touch nothing else, and a record does not depend on how
 the repetitions were chunked.  The first chunk is one repetition; each
 later chunk holds the repetitions the error rate so far predicts are still
 needed, at most as many as have already run (so with no errors yet the
-total doubles) and at most as many as one window holds.
+total doubles), at most as many as one window holds, and only as many as
+keep the repetition's size, which holds while that many bits remain.
 
 The Eb/No cells of one (N, CP) config can run as a group, in lockstep.
 Each round, every cell that has not stopped draws its next chunk exactly as
 above, from its own stream and with its own noise variance; the round's
-rows of one repetition size and one noise presence are stacked, up to a
-window's capacity, into one pass of the chain; and each cell applies its
-own stop rule to its own rows.  Rows of different cells get the operations
-they get alone, as rows of one cell do, so a group gives each cell its own
-record, and a single cell is the group of one.  ``run_grid`` runs groups on
-a process pool of its own, longest first, one group per task; with one
-worker it runs the cells one at a time.  The package imports the numpy
-modules the chain uses (``numpy.random``, ``numpy.fft``) when it is
-imported, so fork-started workers begin with them loaded.
+rows of one repetition size and one noise presence are stacked and run in
+passes of the chain of up to a window's capacity each; and as each pass
+returns, its rows add to their own cells' totals, each cell applying its
+own stop rule to its own rows (those after its stop, in this pass or a
+later one of the round, are discarded).  Rows of different cells get the
+operations they get alone, as rows of one cell do, so a group gives each
+cell its own record, and a single cell is the group of one.  ``run_grid``
+runs groups on a process pool of its own, longest first, one group per
+task; with one worker it runs the cells one at a time.  The package
+imports the numpy modules the chain uses (``numpy.random``,
+``numpy.fft``) when it is imported, so fork-started workers begin with
+them loaded.
 """
 
 from __future__ import annotations
@@ -338,7 +345,8 @@ def _repetition_bits(config: OfdmConfig, remaining: int) -> int:
 @dataclass(eq=False)
 class _CellRun:
     """One cell of a group: its private stream, its noise variance, and its
-    running totals until it stops with its record."""
+    running totals, to which each of its rows adds as its batch returns,
+    until it stops with its record."""
 
     cell_id: int
     ebno_db: float
@@ -361,23 +369,22 @@ def _run_rows(
     """Draw one repetition into each row of ``work``, row r from the stream of
     ``rows[r]``, and run the chain on them, window by window.
 
-    At its first window each row picks its bit source: the cell's stream,
-    or for a long repetition the bits :func:`~ofdmsim.bitsource.split_bits`
-    splits off it.  Each window, each repetition draws the window's bits
-    from its source, then its channel (first window only, into its row of
-    the workspace's channel state), then the window's noise, as it would
-    alone.  Returns per-row (bit errors, zero-forcing clamps).
+    Before the first window each row picks its bit source: the cell's
+    stream, or for a long repetition, which runs alone in one row, the bits
+    :func:`~ofdmsim.bitsource.split_bits` splits off it.  Each window, each
+    repetition draws the window's bits from its source, then its channel
+    (first window only, into its row of the workspace's channel state),
+    then the window's noise, as it would alone.  Returns per-row (bit
+    errors, zero-forcing clamps).
     """
+    sources = [split_bits(cell.stream, work.n_bits) if work.long else cell.stream
+               for cell in rows]
     errors = clamps = 0
-    sources: list[RngStream] = []  # each row's bit source
     for window in work.windows():  # one, unless the repetition runs alone
         frames = window.stop - window.start
         count = work.slots(window) * config.bits_per_symbol
-        for r, cell in enumerate(rows):
-            if not window.start:
-                sources.append(split_bits(cell.stream, work.n_bits) if work.long
-                               else cell.stream)
-            draw_bits(sources[r], count, out=work.bits[r, :count])
+        for r, (cell, source) in enumerate(zip(rows, sources)):
+            draw_bits(source, count, out=work.bits[r, :count])
             if not window.start and work.channel is not None:
                 realize_channel(work.channel, r, cell.stream)
             if work.noise is not None:
@@ -404,11 +411,13 @@ def _run_group(
 
     Each round, every cell that has not stopped draws its next chunk as it
     would alone; the round's rows of one repetition size and one noise
-    presence are stacked, up to a window's capacity, into one chain call;
-    and each cell applies its own stop rule to its own rows.  A row gets the
-    operations it gets alone, so the records, in the order of ``points``,
-    are the ones :func:`run_cell` gives each cell.  The values come judged,
-    by :func:`run_cell` or by the grid.
+    presence are stacked, up to a window's capacity, into one chain call.
+    As each call returns, its rows add to their cells' totals in order, and
+    a cell stops at the row that meets its stop rule; its later rows, in
+    this batch or a later one of the stack, are the discarded draws.  A row
+    gets the operations it gets alone, so the records, in the order of
+    ``points``, are the ones :func:`run_cell` gives each cell.  The values
+    come judged, by :func:`run_cell` or by the grid.
     """
     cells = [_CellRun(cell_id, ebno_db, make_stream(seed, cell_id),
                       ebno_to_noise_variance(ebno_db, config, channel))
@@ -417,57 +426,43 @@ def _run_group(
     works: dict[tuple[int, bool], _Workspace] = {}
     live = cells
     while live:
-        sizes = [_repetition_bits(config, max_bits - cell.bits_sent) for cell in live]
-        keys = [(n_bits, cell.sigma2 > 0.0) for n_bits, cell in zip(sizes, live)]
+        keys = [(_repetition_bits(config, max_bits - cell.bits_sent), cell.sigma2 > 0.0)
+                for cell in live]
         # the round's workspaces: kept from the last round where the key is the same
         works = {key: works.get(key) or _Workspace(config, channel, *key)
                  for key in dict.fromkeys(keys)}
         stacks: dict[tuple[int, bool], list[_CellRun]] = {key: [] for key in works}
-        spans = []  # each cell's rows: from start to stop in its key's stack
-        for cell, n_bits, key in zip(live, sizes, keys):
-            remaining = max_bits - cell.bits_sent
-            # only repetitions of the same size share a chunk
-            same_size = ((remaining - config.bit_budget) // n_bits + 1
-                         if remaining >= config.bit_budget else 1)
-            stack = stacks[key]
-            start = len(stack)
-            stack += [cell] * min(cell.chunk, same_size, works[key].capacity)
-            spans.append((key, start, len(stack)))
+        for cell, key in zip(live, keys):
+            # a repetition keeps its size while at least that many bits remain
+            same_size = max(1, (max_bits - cell.bits_sent) // key[0])
+            stacks[key] += [cell] * min(cell.chunk, same_size, works[key].capacity)
 
-        outcomes: dict[tuple[int, bool], tuple[list[int], list[int]]] = {}
         for key, stack in stacks.items():
-            work = works[key]
-            outcomes[key] = errors, clamps = [], []  # per row of the stack
+            work, n_bits = works[key], key[0]
             for start in range(0, len(stack), work.capacity):
                 rows = stack[start:start + work.capacity]
-                row_errors, row_clamps = _run_rows(work, rows, config, use_equalizer)
-                errors += row_errors.tolist()
-                clamps += row_clamps.tolist()
+                errors, clamps = _run_rows(work, rows, config, use_equalizer)
+                for cell, rep_errors, rep_clamps in zip(rows, errors.tolist(), clamps.tolist()):
+                    if cell.record is not None:
+                        continue  # a row after its cell's stop: its draws are discarded
+                    cell.bits_sent += n_bits
+                    cell.bit_errors += rep_errors
+                    cell.zf_clamps += rep_clamps
+                    cell.reps += 1
+                    if cell.bit_errors >= target_errors or cell.bits_sent >= max_bits:
+                        cell.record = make_record(config, summary, cell.ebno_db, cell.bits_sent,
+                                                  cell.bit_errors, cell.zf_clamps, seed,
+                                                  cell.cell_id)
 
-        for cell, n_bits, (key, start, stop) in zip(live, sizes, spans):
-            errors, clamps = outcomes[key]
-            bits_sent, bit_errors, zf_clamps, reps = (cell.bits_sent, cell.bit_errors,
-                                                      cell.zf_clamps, cell.reps)
-            for rep_errors, rep_clamps in zip(errors[start:stop], clamps[start:stop]):
-                bits_sent += n_bits
-                bit_errors += rep_errors
-                zf_clamps += rep_clamps
-                reps += 1
-                if bit_errors >= target_errors or bits_sent >= max_bits:
-                    # draws of the chunk's later repetitions are discarded
-                    cell.record = make_record(config, summary, cell.ebno_db, bits_sent,
-                                              bit_errors, zf_clamps, seed, cell.cell_id)
-                    break
-            else:
-                cell.bits_sent, cell.bit_errors, cell.zf_clamps, cell.reps = (
-                    bits_sent, bit_errors, zf_clamps, reps)
-                # next chunk: the repetitions the error rate so far predicts are
-                # still needed, but at most as many as have run, so the total at
-                # most doubles
-                cell.chunk = reps
-                if bit_errors:
-                    cell.chunk = min(reps, -(-(target_errors - bit_errors) * reps // bit_errors))
         live = [cell for cell in live if cell.record is None]
+        for cell in live:
+            # next chunk: the repetitions the error rate so far predicts are
+            # still needed, but at most as many as have run, so the total at
+            # most doubles
+            cell.chunk = cell.reps
+            if cell.bit_errors:
+                cell.chunk = min(cell.reps, -(-(target_errors - cell.bit_errors) * cell.reps
+                                              // cell.bit_errors))
     return [cell.record for cell in cells]
 
 

@@ -338,6 +338,23 @@ class TestErrorBoundary:
         assert result.returncode == 2
         assert "config error: tdl_taps: cannot parse '1,x'" in result.stderr
 
+    @pytest.mark.parametrize("text,reason", [
+        ("1e400", "1e400 is beyond the range of a float, about +-1.8e308"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_unreadable_tdl_decay_is_one_config_error(self, capsys, tmp_path, text, reason):
+        # read as the other number flags are: one line naming the setting
+        import ofdmsim.cli as cli
+
+        out = tmp_path / "x.csv"
+        for command in (["single", "--fft", "64", "--cp", "1/4"],
+                        ["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--out", str(out)]):
+            assert cli.main([*command, "--ebno", "10", "--channel", "tdl",
+                             "--tdl-decay-db", text]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"ofdmsim: config error: tdl_decay_db: cannot parse '{text}': {reason}"]
+        assert not out.exists()
+
     def test_delay_line_flags_with_another_channel_exit_2_in_single(self, capsys):
         import ofdmsim.cli as cli
 

@@ -423,6 +423,40 @@ class TestLockstepGroups:
         assert records == [run_cell(config, flat, ebno_db, 0, cell_id, **stops)
                            for cell_id, ebno_db in cells]
 
+    @pytest.mark.parametrize("n_fft,seed", [(512, 0), (64, 1)])
+    def test_a_cells_rows_may_span_two_batches_of_a_round(self, monkeypatch, n_fft, seed):
+        # the default flat group: a stack longer than a window's capacity
+        # runs in batches, and a cell whose rows a batch boundary splits may
+        # stop in the first batch, so that its rows in the next are discarded
+        import ofdmsim.sweep as sweep_mod
+
+        sizes, run_rows = sweep_mod._repetition_bits, sweep_mod._run_rows
+        rounds: list[list[list]] = []  # each round's batches, each the cells of its rows
+
+        def size(config, remaining):  # a round sizes every live cell, then runs its rows
+            if not rounds or rounds[-1]:
+                rounds.append([])
+            return sizes(config, remaining)
+
+        def rows(work, cells, config, use_equalizer):
+            rounds[-1].append(list(cells))
+            return run_rows(work, cells, config, use_equalizer)
+
+        monkeypatch.setattr(sweep_mod, "_repetition_bits", size)
+        monkeypatch.setattr(sweep_mod, "_run_rows", rows)
+        grid = SweepGrid(fft_sizes=(n_fft,), cp_fractions=(Fraction(1, 4),),
+                         channel=ChannelSpec(kind="flat"), master_seed=seed)
+        cells = list(grid.cells())
+        _, config, flat, _ = cells[0]
+        stops = dict(target_errors=100, max_bits=2_000_000, use_equalizer=True)
+        points = [(cell_id, ebno_db) for cell_id, _, _, ebno_db in cells]
+        records = sweep_mod._run_group(config, flat, points, seed, **stops)
+        assert any(first[-1] is second[0]
+                   for batches in rounds for first, second in zip(batches, batches[1:]))
+        monkeypatch.undo()
+        assert records == [run_cell(config, flat, ebno_db, seed, cell_id, **stops)
+                           for cell_id, ebno_db in points]
+
 
 TDL_12 = ChannelSpec(kind="tdl", taps=exponential_pdp(12, 1.0))
 
