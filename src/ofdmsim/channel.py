@@ -30,7 +30,8 @@ channel call per window of OFDM symbols (or per whole repetition):
 to its ``(k, frames, N+L)`` block and returns the response it formed with
 :func:`channel_freq_response` from the stacked rows, which a flat channel
 multiplies by and the receiver equalizes with.  Noise is drawn
-separately, only through :func:`complex_gaussian`.
+separately, only through :func:`complex_gaussian`, which gives the
+noiseless point zero-variance noise that adds nothing.
 """
 
 from __future__ import annotations
@@ -171,13 +172,20 @@ def complex_gaussian(
     imaginary) pairs: they are drawn into the complex array's float view
     and scaled in place.  ``out``, a C-contiguous complex128 array of
     ``count`` elements in any shape, receives them; the values are the
-    ones the allocating form returns.
+    ones the allocating form returns.  A variance of 0 (the noiseless
+    point) draws nothing from the stream and writes -0.0 to both parts,
+    through the float view (``complex(-0.0)`` has a +0.0 imaginary part):
+    -0.0 is the IEEE 754 additive identity, so ``x + out`` is ``x`` bit for
+    bit, signed zeros included, and noiseless noise is added like any other.
     """
     if out is None:
         out = np.empty(count, dtype=np.complex128)
     elif out.size != count:
         raise ValueError(f"out holds {out.size} values, not {count}")
     g = out.view(np.float64)
+    if not variance:
+        g.fill(-0.0)
+        return out
     stream.rng.standard_normal(out=g)
     g *= math.sqrt(variance / 2.0)
     return out

@@ -6,6 +6,8 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -180,10 +182,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return run_sweep(grid, workers, args.out, args.json_out, args.plots)
 
 
+def _check_output(path: str) -> None:
+    """An :class:`IoError`, the one a write would raise, if ``path`` cannot be
+    written.  The file is opened to append, so an existing one keeps its
+    contents, and one the check makes is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+    except OSError as exc:
+        raise IoError(f"failed to write records to {path}: {exc}") from exc
+
+
 def run_sweep(grid: SweepGrid, workers: int, out: str,
               json_out: Optional[str], plots: Optional[str]) -> int:
     """Run ``grid``, write its CSV (and JSON and charts when given a path),
-    and return the exit code: 1 if cells failed, after writing the rest."""
+    and return the exit code: 1 if cells failed, after writing the rest.
+    The outputs are checked, and the chart directory made, before any cell
+    runs, so a path that cannot be written costs no sweep."""
+    for path in filter(None, (out, json_out)):
+        _check_output(path)
+    if plots:
+        try:
+            os.makedirs(plots, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"failed to write plot under {plots}: {exc}") from exc
     try:
         records = run_grid(grid, workers=workers)
     except SweepFailure as exc:
@@ -272,8 +297,25 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
                         help="also report the per-sample SNR implied by each Eb/No point")
 
 
+#: A word that begins as a negative number does (``-10,0``, ``-1e1``,
+#: ``-.5``, ``-inf``): every ofdmsim option begins with ``--``, so it is a value.
+_NEGATIVE_VALUE = re.compile(r"-(?:[0-9.]|inf)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a word matching :data:`_NEGATIVE_VALUE`
+    as a flag's value, never as an option, on every Python version: argparse's
+    own negative-number test differs between versions (3.11's takes only
+    ``-12`` and ``-1.5``).  Subcommand parsers are of the same class."""
+
+    def _parse_optional(self, arg_string: str) -> Any:
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None  # a value
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ofdmsim",
         description="Deterministic OFDM cyclic-prefix sweep simulator",
     )

@@ -6,6 +6,9 @@ the output records are byte-identical regardless of scheduling.
 
 Per-repetition draw order inside a cell (fixed for reproducibility):
 information bits, then the fading channel (AWGN has none), then noise.
+The noiseless (+inf Eb/No) point takes the same noise step as every other:
+its zero-variance noise draws nothing and adds -0.0, which leaves each
+sample as it was (:func:`~ofdmsim.channel.complex_gaussian`).
 
 Repetitions run in chunks of windows.  A window is the OFDM symbols that
 fit in ``_CHUNK_SAMPLES`` time-domain samples.  A repetition that fits in
@@ -51,10 +54,10 @@ keep the repetition's size, which holds while that many bits remain.
 The Eb/No cells of one (N, CP) config can run as a group, in lockstep.
 Each round, every cell that has not stopped draws its next chunk exactly as
 above, from its own stream and with its own noise variance; the round's
-rows of one repetition size and one noise presence are stacked and run in
-passes of the chain of up to a window's capacity each; and as each pass
-returns, its rows add to their own cells' totals, each cell applying its
-own stop rule to its own rows (those after its stop, in this pass or a
+rows of one repetition size, a +inf cell's with the rest, are stacked and
+run in passes of the chain of up to a window's capacity each; and as each
+pass returns, its rows add to their own cells' totals, each cell applying
+its own stop rule to its own rows (those after its stop, in this pass or a
 later one of the round, are discarded).  Rows of different cells get the
 operations they get alone, as rows of one cell do, so a group gives each
 cell its own record, and a single cell is the group of one.  ``run_grid``
@@ -233,21 +236,22 @@ class _Workspace:
     """Arrays for one window of up to ``capacity`` repetitions of ``n_bits`` bits.
 
     Each row holds one repetition's bits of one window, one byte each, and
-    ``frames`` of its OFDM symbols.  A repetition that fits in a window has
-    all of its bits and symbols there, and a chunk fills up to ``capacity``
-    rows; a longer (``long``) one runs alone, its symbols a window of
-    ``frames`` at a time.  A window's frame count is a multiple of
-    WORD_BITS / gcd(WORD_BITS, N log2 M) (and never less), so every window
-    but a repetition's last holds whole bit-words.  A fading cell's channels
-    are drawn into ``channel``, the chunk's
+    ``frames`` of its OFDM symbols, with their noise (``noise``, which every
+    cell draws, a noiseless one its zero-variance -0.0).  A repetition that
+    fits in a window has all of its bits and symbols there, and a chunk
+    fills up to ``capacity`` rows; a longer (``long``) one runs alone, its
+    symbols a window of ``frames`` at a time.  A window's frame count is a
+    multiple of WORD_BITS / gcd(WORD_BITS, N log2 M) (and never less), so
+    every window but a repetition's last holds whole bit-words.  A fading
+    cell's channels are drawn into ``channel``, the chunk's
     :class:`~ofdmsim.channel.ChannelState`, a row per repetition (``None``
-    for AWGN).  One workspace serves every chunk of a cell with that
-    repetition size: the draws go into it and the chain works in it in
-    place, so a chunk allocates nothing in proportion to its size, and a
-    cell's memory is about one window.
+    for AWGN).  One workspace serves every chunk of a group with that
+    repetition size, whatever the cells' noise variances: the draws go into
+    it and the chain works in it in place, so a chunk allocates nothing in
+    proportion to its size, and a cell's memory is about one window.
     """
 
-    def __init__(self, config: OfdmConfig, channel: ChannelSpec, n_bits: int, noisy: bool):
+    def __init__(self, config: OfdmConfig, channel: ChannelSpec, n_bits: int):
         n_fft, cp_len = config.fft_size, config.cp_len
         self.n_fft = n_fft
         self.n_bits = n_bits
@@ -266,7 +270,7 @@ class _Workspace:
         # the subcarrier grid holds the mapped symbols, later the DFT output
         self.grid = np.empty(frames + (n_fft,), np.complex128)
         self.tx = np.empty(symbols, np.complex128)
-        self.noise = np.empty(symbols, np.complex128) if noisy else None
+        self.noise = np.empty(symbols, np.complex128)
         self.channel = (None if channel.kind == AWGN
                         else ChannelState(channel, self.capacity, self.n_frames))
 
@@ -292,10 +296,12 @@ def _run_chain_once(
 
     Works on OFDM symbols ``window`` of the first k rows of ``work``: the
     bits, the channels of a fading cell and the window's noise are drawn
-    into it beforehand.  Each step takes the whole chunk, and gives every
-    element the operation it would get in its repetition alone, so a chunk
-    gives the same result as its repetitions one at a time, and a
-    repetition's windows the same as the whole repetition at once.
+    into it beforehand.  The noise is always added; a noiseless row's
+    -0.0 leaves its samples as they were.  Each step takes the whole chunk,
+    and gives every element the operation it would get in its repetition
+    alone, so a chunk gives the same result as its repetitions one at a
+    time, and a repetition's windows the same as the whole repetition at
+    once.
 
     Returns per-repetition (bit errors, zero-forcing clamps) of the window;
     the chunk's clamps are attributed to their rows from the response.
@@ -319,8 +325,7 @@ def _run_chain_once(
     fading = work.channel is not None
     if fading:  # the window's response, which ZF divides by
         response = apply_channel(tx, work.channel, n_fft, window)
-    rx = tx if work.noise is None else np.add(work.noise[:k, :count], tx,
-                                              out=work.noise[:k, :count])
+    rx = np.add(work.noise[:k, :count], tx, out=work.noise[:k, :count])
     freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), out=grid)
 
     clamps = np.zeros(k, dtype=np.int64)
@@ -374,8 +379,9 @@ def _run_rows(
     :func:`~ofdmsim.bitsource.split_bits` splits off it.  Each window, each
     repetition draws the window's bits from its source, then its channel
     (first window only, into its row of the workspace's channel state),
-    then the window's noise, as it would alone.  Returns per-row (bit
-    errors, zero-forcing clamps).
+    then the window's noise at its cell's variance, as it would alone: a
+    noiseless cell's draws nothing and fills its row with -0.0.  Returns
+    per-row (bit errors, zero-forcing clamps).
     """
     sources = [split_bits(cell.stream, work.n_bits) if work.long else cell.stream
                for cell in rows]
@@ -387,9 +393,8 @@ def _run_rows(
             draw_bits(source, count, out=work.bits[r, :count])
             if not window.start and work.channel is not None:
                 realize_channel(work.channel, r, cell.stream)
-            if work.noise is not None:
-                noise = work.noise[r, :frames]
-                complex_gaussian(cell.stream, noise.size, cell.sigma2, out=noise)
+            noise = work.noise[r, :frames]
+            complex_gaussian(cell.stream, noise.size, cell.sigma2, out=noise)
         window_errors, window_clamps = _run_chain_once(
             work, len(rows), window, config, use_equalizer)
         errors += window_errors
@@ -410,35 +415,34 @@ def _run_group(
     """Measure the cells ``points``, (cell_id, ebno_db) pairs of one config, in lockstep.
 
     Each round, every cell that has not stopped draws its next chunk as it
-    would alone; the round's rows of one repetition size and one noise
-    presence are stacked, up to a window's capacity, into one chain call.
-    As each call returns, its rows add to their cells' totals in order, and
-    a cell stops at the row that meets its stop rule; its later rows, in
-    this batch or a later one of the stack, are the discarded draws.  A row
-    gets the operations it gets alone, so the records, in the order of
-    ``points``, are the ones :func:`run_cell` gives each cell.  The values
-    come judged, by :func:`run_cell` or by the grid.
+    would alone; the round's rows of one repetition size, whatever their
+    noise variance, are stacked, up to a window's capacity, into one chain
+    call.  As each call returns, its rows add to their cells' totals in
+    order, and a cell stops at the row that meets its stop rule; its later
+    rows, in this batch or a later one of the stack, are the discarded
+    draws.  A row gets the operations it gets alone, so the records, in the
+    order of ``points``, are the ones :func:`run_cell` gives each cell.  The
+    values come judged, by :func:`run_cell` or by the grid.
     """
     cells = [_CellRun(cell_id, ebno_db, make_stream(seed, cell_id),
                       ebno_to_noise_variance(ebno_db, config, channel))
              for cell_id, ebno_db in points]
     summary = channel.summary() + ("" if use_equalizer else "/noeq")
-    works: dict[tuple[int, bool], _Workspace] = {}
+    works: dict[int, _Workspace] = {}
     live = cells
     while live:
-        keys = [(_repetition_bits(config, max_bits - cell.bits_sent), cell.sigma2 > 0.0)
-                for cell in live]
-        # the round's workspaces: kept from the last round where the key is the same
-        works = {key: works.get(key) or _Workspace(config, channel, *key)
-                 for key in dict.fromkeys(keys)}
-        stacks: dict[tuple[int, bool], list[_CellRun]] = {key: [] for key in works}
-        for cell, key in zip(live, keys):
+        sizes = [_repetition_bits(config, max_bits - cell.bits_sent) for cell in live]
+        # the round's workspaces: kept from the last round where the size is the same
+        works = {n_bits: works.get(n_bits) or _Workspace(config, channel, n_bits)
+                 for n_bits in dict.fromkeys(sizes)}
+        stacks: dict[int, list[_CellRun]] = {n_bits: [] for n_bits in works}
+        for cell, n_bits in zip(live, sizes):
             # a repetition keeps its size while at least that many bits remain
-            same_size = max(1, (max_bits - cell.bits_sent) // key[0])
-            stacks[key] += [cell] * min(cell.chunk, same_size, works[key].capacity)
+            same_size = max(1, (max_bits - cell.bits_sent) // n_bits)
+            stacks[n_bits] += [cell] * min(cell.chunk, same_size, works[n_bits].capacity)
 
-        for key, stack in stacks.items():
-            work, n_bits = works[key], key[0]
+        for n_bits, stack in stacks.items():
+            work = works[n_bits]
             for start in range(0, len(stack), work.capacity):
                 rows = stack[start:start + work.capacity]
                 errors, clamps = _run_rows(work, rows, config, use_equalizer)

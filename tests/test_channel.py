@@ -188,6 +188,29 @@ class TestComplexGaussian:
         with pytest.raises(ValueError):
             complex_gaussian(make_stream(11, 1), 5, 1.0, out=np.empty(4, dtype=np.complex128))
 
+    @pytest.mark.parametrize("out", [None, np.full((3, 4), 7 + 7j)], ids=["allocating", "out"])
+    def test_zero_variance_draws_nothing_and_writes_minus_zero(self, out):
+        stream = make_stream(12, 3)
+        noise = complex_gaussian(stream, 12, 0.0, out=out)
+        assert noise.size == 12
+        # both parts -0.0, the imaginary one too (complex(-0.0) has +0.0 there)
+        assert np.all(np.signbit(noise.real)) and np.all(np.signbit(noise.imag))
+        assert not np.any(noise.view(np.float64))
+        # the stream is where it was: its next normals are an untouched stream's
+        np.testing.assert_array_equal(complex_gaussian(stream, 8, 1.0),
+                                      complex_gaussian(make_stream(12, 3), 8, 1.0))
+
+    def test_zero_variance_noise_adds_nothing(self):
+        # x + noise is x bit for bit: signed zeros in either part, subnormals,
+        # the largest and smallest normals, and ordinary values
+        parts = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.5,
+                          1.7976931348623157e308, -1.7976931348623157e308])
+        x = np.empty(parts.size ** 2, dtype=np.complex128)
+        x.real, x.imag = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+        assert np.signbit(x.imag).sum() == 4 * parts.size  # -0.0 kept in the imaginary part
+        total = x + complex_gaussian(make_stream(1, 1), x.size, 0.0)
+        assert total.view(np.uint64).tobytes() == x.view(np.uint64).tobytes()
+
 
 class TestApplyChannel:
     def test_noiseless_awgn_is_identity(self, monkeypatch):

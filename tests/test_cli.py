@@ -591,6 +591,118 @@ class TestNonFiniteInputs:
         assert {(row["ebno_db"], row["bit_errors"]) for row in rows} == {("inf", "0")}
 
 
+class TestNegativeValues:
+    """A flag's value that begins with - needs no =: a word that begins with
+    a - and a digit, a . or inf is a value, whatever argparse's own test."""
+
+    COMMANDS = {"single": ["single", "--fft", "64", "--cp", "1/4", "--max-bits", "3000"],
+                "sweep": ["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4",
+                          "--max-bits", "3000"]}
+
+    def _main(self, capsys, tmp_path, command, flags):
+        """(exit code, stdout, stderr lines, output file) of ``command`` with ``flags``."""
+        import ofdmsim.cli as cli
+
+        out = tmp_path / "x.csv"
+        argv = [*self.COMMANDS[command], *flags]
+        code = cli.main([*argv, "--out", str(out)] if command == "sweep" else argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err.splitlines(), out
+
+    @pytest.mark.parametrize("command,flags", [
+        ("sweep", ["--ebno", "-10,0"]), ("sweep", ["--ebno", "-1e1"]),
+        ("single", ["--ebno", "-1e1"]), ("single", ["--ebno", "-.5e0"]),
+        ("single", ["--ebno", "10", "--channel", "tdl", "--tdl-decay-db", "-2e0"]),
+        ("sweep", ["--ebno", "10", "--channel", "tdl", "--tdl-decay-db", "-2e0"]),
+    ])
+    def test_a_separate_value_reads_as_the_equals_form(self, capsys, tmp_path, command, flags):
+        code, stdout, err, out = self._main(capsys, tmp_path, command, flags)
+        records = out.read_bytes() if command == "sweep" else None
+        joined = [*flags[:-2], f"{flags[-2]}={flags[-1]}"]
+        assert (code, stdout, err) == self._main(capsys, tmp_path, command, joined)[:3]
+        assert code == 0
+        assert records is None or records == out.read_bytes()
+
+    def test_minus_ten_comma_zero_is_two_points(self, capsys, tmp_path):
+        code, _, err, _ = self._main(capsys, tmp_path, "sweep", ["--ebno", "-10,0"])
+        assert code == 0
+        echo = json.loads(err[0].removeprefix("effective config: "))
+        assert echo["ebno_points_db"] == [-10.0, 0.0]
+
+    @pytest.mark.parametrize("command", ["single", "sweep"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--ebno", "-inf"], "ebno_points_db must be within +-1000 dB or +inf, got -inf"),
+        (["--ebno", "-INF"], "ebno_points_db must be within +-1000 dB or +inf, got -inf"),
+        (["--ebno", "10", "--channel", "tdl", "--tdl-taps", "-1,2"],
+         "tdl_taps must be nonnegative with a positive finite sum, got [-1.0, 2.0]"),
+    ])
+    def test_a_rejected_negative_value_is_one_config_error(self, capsys, tmp_path, command,
+                                                           flags, message):
+        code, stdout, err, out = self._main(capsys, tmp_path, command, flags)
+        assert (code, stdout, err) == (2, "", [f"ofdmsim: config error: {message}"])
+        assert not out.exists()
+
+
+class TestOutputsCheckedFirst:
+    """A sweep whose outputs cannot be written fails before any cell runs."""
+
+    ARGV = ["sweep", "--fft-sizes", "64", "--cp-fractions", "1/4", "--ebno", "0,10",
+            "--max-bits", "3000"]
+
+    @pytest.fixture
+    def no_cell_runs(self, monkeypatch):
+        import ofdmsim.cli as cli
+
+        def run_grid(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+
+    @staticmethod
+    def _io_error(capsys, argv, path):
+        import ofdmsim.cli as cli
+
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("effective config: ") and len(err) == 2
+        assert err[1].startswith("ofdmsim: io error: ") and str(path) in err[1]
+
+    @pytest.mark.parametrize("flag", ["--out", "--json-out", "--plots"])
+    def test_a_missing_directory_runs_no_cell(self, capsys, tmp_path, no_cell_runs, flag):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("not a directory")
+        path = blocker / "x.csv" if flag != "--plots" else blocker / "charts"
+        out = tmp_path / "out.csv"
+        argv = [*self.ARGV, "--out", str(out), flag, str(path)]
+        self._io_error(capsys, argv, path)
+        assert not out.exists() or flag == "--out"
+
+    def test_an_output_that_is_a_directory_runs_no_cell(self, capsys, tmp_path, no_cell_runs):
+        self._io_error(capsys, [*self.ARGV, "--out", str(tmp_path)], tmp_path)
+
+    def test_the_check_truncates_no_existing_file(self, capsys, tmp_path, no_cell_runs):
+        out = tmp_path / "kept.csv"
+        out.write_text("an earlier sweep\n")
+        missing = tmp_path / "missing" / "x.json"
+        self._io_error(capsys, [*self.ARGV, "--out", str(out), "--json-out", str(missing)],
+                       missing)
+        assert out.read_text() == "an earlier sweep\n"
+
+    def test_the_chart_directory_is_made_before_the_run(self, monkeypatch, tmp_path):
+        import ofdmsim.cli as cli
+
+        run_grid, plots, seen = cli.run_grid, tmp_path / "charts" / "awgn", []
+
+        def check(*args, **kwargs):
+            seen.append(plots.is_dir())
+            return run_grid(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_grid", check)
+        out = tmp_path / "x.csv"
+        assert cli.main([*self.ARGV, "--out", str(out), "--plots", str(plots)]) == 0
+        assert seen == [True] and out.exists()
+
+
 class TestSettingNames:
     """A setting has one name: each setting flag's dest is its config-file key."""
 

@@ -461,6 +461,42 @@ class TestLockstepGroups:
 TDL_12 = ChannelSpec(kind="tdl", taps=exponential_pdp(12, 1.0))
 
 
+class TestNoiselessRows:
+    """A +inf cell takes the noise step every cell takes (zero-variance
+    noise, which adds -0.0), so its rows go with a finite cell's."""
+
+    @pytest.mark.parametrize("budget", [999, 60_000], ids=["999", "long"])
+    @pytest.mark.parametrize("channel", [ChannelSpec(kind="awgn"), ChannelSpec(kind="flat"),
+                                         TDL_12], ids=["awgn", "flat", "tdl12"])
+    def test_a_noiseless_cells_rows_go_with_a_finite_cells(self, monkeypatch, channel, budget):
+        import ofdmsim.sweep as sweep_mod
+
+        run_rows, calls = sweep_mod._run_rows, []  # (workspace, Eb/No points of its rows)
+
+        def rows(work, cells, config, use_equalizer):
+            calls.append((work, {cell.ebno_db for cell in cells}))
+            return run_rows(work, cells, config, use_equalizer)
+
+        monkeypatch.setattr(sweep_mod, "_run_rows", rows)
+        # CP 1/4 covers the delay line's memory, so the noiseless cell errs nowhere
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=budget)
+        points = [(0, 14.0), (1, math.inf)]
+        stops = dict(target_errors=10**6, max_bits=3 * budget, use_equalizer=True)
+        records = sweep_mod._run_group(config, channel, points, 5, **stops)
+        # one workspace per repetition size serves both cells' rows
+        assert len({id(work) for work, _ in calls}) == 1
+        assert set().union(*(ebnos for _, ebnos in calls)) == {14.0, math.inf}
+        assert calls[0][0].long == (budget > 999)
+        if budget > 999:  # a long repetition runs alone, a row per call
+            assert all(len(ebnos) == 1 for _, ebnos in calls)
+        else:  # and a short one shares the call
+            assert any(ebnos == {14.0, math.inf} for _, ebnos in calls)
+        monkeypatch.undo()
+        assert records == [reference_cell(config, channel, ebno_db, 5, cell_id, **stops)
+                           for cell_id, ebno_db in points]
+        assert records[1].bit_errors == 0
+
+
 class TestWindowedExecution:
     """Repetitions longer than one window of ``_CHUNK_SAMPLES`` time-domain
     samples, which the hypothesis budgets above (at most 4 000 bits) never
@@ -528,7 +564,7 @@ class TestWindowedExecution:
         # two long repetitions, then a shorter one
         stops = dict(target_errors=10**6, max_bits=2 * budget + budget // 3)
         with mock.patch.object(sweep_mod, "_CHUNK_SAMPLES", window or sweep_mod._CHUNK_SAMPLES):
-            assert sweep_mod._Workspace(config, channel, budget, True).long
+            assert sweep_mod._Workspace(config, channel, budget).long
             record = run_cell(config, channel, 6.0, 5, 1, **stops)
         assert record == reference_cell(config, channel, 6.0, 5, 1, **stops)
 
