@@ -1,4 +1,9 @@
-"""Command-line entry point: sweep, single, validate, and plot commands."""
+"""Command-line entry point: sweep, single, validate, and plot commands.
+
+argparse only splits the words.  :func:`read_flags` reads the text of each
+value flag with its reader in :data:`_READERS`, for every command and the
+experiment script, so text that a reader cannot read is one config error
+naming the setting, as a value that the grid rejects is."""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .bitsource import DEFAULT_MASTER_SEED, check_key
 from .channel import (
@@ -62,9 +67,28 @@ def _parse(key: str, text: str, conv: Callable[[str], Any]) -> Any:
         raise ConfigError(f"{key}: cannot parse {text!r}: {exc}") from exc
 
 
-def _parse_list(key: str, text: str, conv: Callable[[str], Any]) -> tuple:
-    return _parse(key, text,
-                  lambda line: tuple(conv(part) for part in line.split(",") if part.strip()))
+def _comma_list(conv: Callable[[str], Any]) -> Callable[[str], tuple]:
+    """A reader of a comma list of what ``conv`` reads; empty items are skipped."""
+    return lambda text: tuple(conv(part) for part in text.split(",") if part.strip())
+
+
+#: Each value flag's text reader, by the flag's dest: a setting flag's dest is
+#: its setting key, and workers, cell_id, seed and bits_floor name a command's
+#: own flags (the last two are validate's).
+_READERS: dict[str, Callable[[str], Any]] = dict.fromkeys(
+    ("master_seed", "max_bits_per_cell", "target_errors", "bit_budget", "tdl_len",
+     "modulation_order", "workers", "cell_id", "seed", "bits_floor"), int) | {
+    "tdl_decay_db": _float, "fft_sizes": _comma_list(int), "cp_fractions": _comma_list(Fraction),
+    "ebno_points_db": _comma_list(_float), "tdl_taps": _comma_list(_float)}
+
+
+def read_flags(args: argparse.Namespace) -> argparse.Namespace:
+    """``args``, with the text of each given value flag read by its reader; a
+    default, which is not text, is kept as it is."""
+    for key, text in vars(args).items():
+        if key in _READERS and isinstance(text, str):
+            setattr(args, key, _parse(key, text, _READERS[key]))
+    return args
 
 
 #: The delay-line settings, which only the tdl channel takes.
@@ -142,19 +166,6 @@ def build_grid(settings: dict[str, Any]) -> SweepGrid:
         raise ConfigError(str(exc)) from exc
 
 
-def _flag_settings(args: argparse.Namespace) -> dict[str, Any]:
-    """The settings given as flags: a setting flag's dest is its setting key,
-    and a flag not given leaves no attribute."""
-    settings = {key: value for key, value in vars(args).items() if key in _GRID_KEYS}
-    for key, conv in (("fft_sizes", int), ("cp_fractions", Fraction),
-                      ("ebno_points_db", _float), ("tdl_taps", _float)):
-        if key in settings:  # the comma-list flags
-            settings[key] = _parse_list(key, settings[key], conv)
-    if "tdl_decay_db" in settings:
-        settings["tdl_decay_db"] = _parse("tdl_decay_db", settings["tdl_decay_db"], _float)
-    return settings
-
-
 def _echo_grid(grid: SweepGrid) -> None:
     effective = {f.name: getattr(grid, f.name) for f in dataclasses.fields(grid)}
     effective.update(cp_fractions=[str(g) for g in grid.cp_fractions],
@@ -171,7 +182,8 @@ def _sample_snr_db(ebno_db: float, config: OfdmConfig, spec: ChannelSpec) -> flo
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = build_grid({**_load_config_file(args.config), **_flag_settings(args)})
+    # a setting flag's dest is its key, and a flag not given leaves no attribute
+    grid = build_grid({**_load_config_file(args.config), **vars(args)})
     workers = check_workers(args.workers)  # before the echo: one stderr line
     _echo_grid(grid)
     if args.report_snr:
@@ -179,36 +191,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             snr = _sample_snr_db(ebno, config, spec)
             print(f"fft={config.fft_size} cp={config.cp_fraction} ebno_db={ebno:g} "
                   f"sample_snr_db={snr:.4f}", file=sys.stderr)
+    check_outputs((args.out, args.json_out), (args.plots,))
     return run_sweep(grid, workers, args.out, args.json_out, args.plots)
 
 
-def _check_output(path: str) -> None:
-    """An :class:`IoError`, the one a write would raise, if ``path`` cannot be
-    written.  The file is opened to append, so an existing one keeps its
-    contents, and one the check makes is removed again."""
-    existed = os.path.lexists(path)
-    try:
-        with open(path, "a", encoding="utf-8"):
-            pass
-        if not existed:
-            os.remove(path)
-    except OSError as exc:
-        raise IoError(f"failed to write records to {path}: {exc}") from exc
+def check_outputs(records: Iterable[Optional[str]], charts: Iterable[Optional[str]]) -> None:
+    """Check that each records path can be written, then make each chart
+    directory (a None is skipped), before any cell runs, so that a path that
+    cannot be written costs no sweep.  A failure is the :class:`IoError` a
+    write would raise.  A file is opened to append, so an existing one keeps
+    its contents, and one the check makes is removed again."""
+    for path in filter(None, records):
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+            if not existed:
+                os.remove(path)
+        except OSError as exc:
+            raise IoError(f"failed to write records to {path}: {exc}") from exc
+    for directory in filter(None, charts):
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"failed to write plot under {directory}: {exc}") from exc
 
 
 def run_sweep(grid: SweepGrid, workers: int, out: str,
               json_out: Optional[str], plots: Optional[str]) -> int:
     """Run ``grid``, write its CSV (and JSON and charts when given a path),
     and return the exit code: 1 if cells failed, after writing the rest.
-    The outputs are checked, and the chart directory made, before any cell
-    runs, so a path that cannot be written costs no sweep."""
-    for path in filter(None, (out, json_out)):
-        _check_output(path)
-    if plots:
-        try:
-            os.makedirs(plots, exist_ok=True)
-        except OSError as exc:
-            raise IoError(f"failed to write plot under {plots}: {exc}") from exc
+    The caller checks these paths with :func:`check_outputs` first."""
     try:
         records = run_grid(grid, workers=workers)
     except SweepFailure as exc:
@@ -227,10 +240,9 @@ def run_sweep(grid: SweepGrid, workers: int, out: str,
 
 
 def cmd_single(args: argparse.Namespace) -> int:
-    settings = _flag_settings(args)
-    settings.update(fft_sizes=[args.fft], cp_fractions=[args.cp],
-                    ebno_points_db=[_parse("ebno_points_db", args.ebno, _float)])
-    grid = build_grid(settings)
+    grid = build_grid({**vars(args), "fft_sizes": [_parse("fft_sizes", args.fft, int)],
+                       "cp_fractions": [args.cp],
+                       "ebno_points_db": [_parse("ebno_points_db", args.ebno, _float)]})
     cell_id = check_key("cell_id", args.cell_id)  # before the echo: one stderr line
     _echo_grid(grid)
     _, config, spec, ebno = next(grid.cells())
@@ -248,7 +260,7 @@ def cmd_single(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    rows, all_passed = run_validation(seed=args.seed, bits_floor=args.bits)
+    rows, all_passed = run_validation(seed=args.seed, bits_floor=args.bits_floor)
     print(format_table(rows))
     print(f"validation {'PASSED' if all_passed else 'FAILED'}")
     return EXIT_OK if all_passed else EXIT_VALIDATION_FAILED
@@ -268,13 +280,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def add_run_flags(parser: argparse.ArgumentParser) -> None:
     """The run flags, the seed and the per-cell counts, of every command that
-    runs a grid; each dest is a setting key, and the grid judges the value."""
-    parser.add_argument("--seed", dest="master_seed", type=int, help="master seed")
-    parser.add_argument("--max-bits", dest="max_bits_per_cell", type=int,
+    runs a grid.  Each dest is a setting key: :func:`read_flags` reads the
+    text as an integer, and the grid judges the value."""
+    parser.add_argument("--seed", dest="master_seed", help="master seed")
+    parser.add_argument("--max-bits", dest="max_bits_per_cell",
                         help=f"per-cell bit ceiling (default {SweepGrid.max_bits_per_cell})")
-    parser.add_argument("--target-errors", type=int,
+    parser.add_argument("--target-errors",
                         help=f"per-cell early-stop error count (default {SweepGrid.target_errors})")
-    parser.add_argument("--bit-budget", type=int,
+    parser.add_argument("--bit-budget",
                         help="bits per Monte Carlo repetition, rounded down to whole PSK "
                              f"symbols (default {SweepGrid.bit_budget})")
 
@@ -284,11 +297,11 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--channel", choices=KINDS,
                         help=f"channel model (default {SweepGrid.channel.kind})")
     parser.add_argument("--tdl-taps", help="comma-separated TDL tap powers (normalized to sum 1)")
-    parser.add_argument("--tdl-len", type=int, help="TDL profile length (with --tdl-decay-db)")
+    parser.add_argument("--tdl-len", help="TDL profile length (with --tdl-decay-db)")
     parser.add_argument("--tdl-decay-db", help="TDL exponential decay per tap, dB")
     parser.add_argument("--account-cp-overhead", action="store_true",
                         help="charge the CP overhead against Eb/No")
-    parser.add_argument("--mod-order", dest="modulation_order", type=int,
+    parser.add_argument("--mod-order", dest="modulation_order",
                         help=f"PSK order M (default {SweepGrid.modulation_order})")
     add_run_flags(parser)
     parser.add_argument("--no-equalizer", dest="use_equalizer", action="store_false",
@@ -298,15 +311,17 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
 
 
 #: A word that begins as a negative number does (``-10,0``, ``-1e1``,
-#: ``-.5``, ``-inf``): every ofdmsim option begins with ``--``, so it is a value.
-_NEGATIVE_VALUE = re.compile(r"-(?:[0-9.]|inf)", re.IGNORECASE)
+#: ``-.5``, ``-inf``, ``-nan``): every ofdmsim option begins with ``--``, so it
+#: is a value.
+_NEGATIVE_VALUE = re.compile(r"-(?:[0-9.]|inf|nan)", re.IGNORECASE)
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """An argument parser that takes a word matching :data:`_NEGATIVE_VALUE`
     as a flag's value, never as an option, on every Python version: argparse's
     own negative-number test differs between versions (3.11's takes only
-    ``-12`` and ``-1.5``).  Subcommand parsers are of the same class."""
+    ``-12`` and ``-1.5``).  Subcommand parsers, and the experiment script's
+    parser, are of the same class."""
 
     def _parse_optional(self, arg_string: str) -> Any:
         if _NEGATIVE_VALUE.match(arg_string):
@@ -315,7 +330,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="ofdmsim",
         description="Deterministic OFDM cyclic-prefix sweep simulator",
     )
@@ -332,23 +347,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--fft-sizes", help="comma list, e.g. 64,128,256,512")
     p_sweep.add_argument("--cp-fractions", help="comma list, e.g. 1/2,1/4,1/16,1/32")
     p_sweep.add_argument("--ebno", dest="ebno_points_db", help="comma list of Eb/No points in dB")
-    p_sweep.add_argument("--workers", type=int, default=1,
+    p_sweep.add_argument("--workers", default=1,
                          help="worker processes (default 1; output-neutral)")
     _add_channel_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_single = sub.add_parser("single", help="run one cell and print its record as JSON",
                               argument_default=argparse.SUPPRESS)
-    p_single.add_argument("--fft", type=int, required=True, help="FFT size")
+    p_single.add_argument("--fft", required=True, help="FFT size")
     p_single.add_argument("--cp", required=True, help="CP fraction, e.g. 1/4")
     p_single.add_argument("--ebno", required=True, help="Eb/No in dB")
-    p_single.add_argument("--cell-id", type=int, default=0, help="substream cell id")
+    p_single.add_argument("--cell-id", default=0, help="substream cell id")
     _add_channel_flags(p_single)
     p_single.set_defaults(func=cmd_single)
 
     p_val = sub.add_parser("validate", help="check the simulator against analytic references")
-    p_val.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED, help="master seed")
-    p_val.add_argument("--bits", type=int, default=1_000_000,
+    p_val.add_argument("--seed", default=DEFAULT_MASTER_SEED, help="master seed")
+    p_val.add_argument("--bits", dest="bits_floor", default=1_000_000,
                        help="minimum bits per theory point (default 1000000)")
     p_val.set_defaults(func=cmd_validate)
 
@@ -376,7 +391,7 @@ def exit_code(command: Callable[[], int], prog: str) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return exit_code(lambda: args.func(args), parser.prog)
+    return exit_code(lambda: args.func(read_flags(args)), parser.prog)
 
 
 if __name__ == "__main__":

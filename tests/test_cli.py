@@ -635,12 +635,30 @@ class TestNegativeValues:
         (["--ebno", "-INF"], "ebno_points_db must be within +-1000 dB or +inf, got -inf"),
         (["--ebno", "10", "--channel", "tdl", "--tdl-taps", "-1,2"],
          "tdl_taps must be nonnegative with a positive finite sum, got [-1.0, 2.0]"),
+        (["--ebno", "-nan"], "ebno_points_db must be within +-1000 dB or +inf, got nan"),
+        (["--ebno", "-NaN"], "ebno_points_db must be within +-1000 dB or +inf, got nan"),
+        (["--ebno", "10", "--channel", "tdl", "--tdl-taps", "-nan"],
+         "tdl_taps must be nonnegative with a positive finite sum, got [nan]"),
     ])
     def test_a_rejected_negative_value_is_one_config_error(self, capsys, tmp_path, command,
                                                            flags, message):
         code, stdout, err, out = self._main(capsys, tmp_path, command, flags)
         assert (code, stdout, err) == (2, "", [f"ofdmsim: config error: {message}"])
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["-1e1", "-inf", "-nan"])
+    def test_the_script_reads_a_negative_value_as_the_cli_does(self, capsys, monkeypatch,
+                                                                tmp_path, text):
+        import runpy
+
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment_grid.py"
+        out_dir = tmp_path / "grid"
+        monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(out_dir), "--seed", text])
+        assert runpy.run_path(str(script))["main"]() == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"run_experiment_grid.py: config error: master_seed: cannot parse {text!r}: "
+            f"invalid literal for int() with base 10: {text!r}"]
+        assert not out_dir.exists()
 
 
 class TestOutputsCheckedFirst:

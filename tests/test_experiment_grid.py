@@ -86,6 +86,26 @@ def test_io_errors_exit_3_with_one_line(tmp_path, blocker):
     assert len(errors) == 1 and str(out_dir) in errors[0]
 
 
+def test_every_channel_output_is_checked_before_the_first_sweep(monkeypatch, capsys, tmp_path):
+    # before, the AWGN and flat grids ran and were written, then the TDL CSV failed
+    import runpy
+
+    import ofdmsim.cli as cli
+
+    def run_grid(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_grid", run_grid)
+    out_dir = tmp_path / "grid"
+    (out_dir / "ber_tdl.csv").mkdir(parents=True)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--out-dir", str(out_dir), *FAST])
+    assert runpy.run_path(str(SCRIPT))["main"]() == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "io error" in err[0] and "ber_tdl.csv" in err[0]
+    # no other channel's CSV, and no chart directory: the CSVs are checked first
+    assert [path.name for path in out_dir.iterdir()] == ["ber_tdl.csv"]
+
+
 def test_failed_cells_exit_1_and_keep_the_completed_records(monkeypatch, capsys, tmp_path):
     import runpy
 

@@ -277,6 +277,48 @@ def test_script_help_is_the_sweep_help_of_the_run_flags(capsys, monkeypatch):
         assert f"{flag.option_strings[0]} {key.upper()} {' '.join(flag.help.split())}" in text
 
 
+def test_no_parser_action_has_a_type(monkeypatch):
+    # argparse only splits the words: cli.read_flags reads every value flag's text
+    commands = next(action for action in cli.build_parser()._actions
+                    if action.dest == "command")
+    parsers = list(commands.choices.values())
+
+    def stop(parser, *args, **kwargs):
+        parsers.append(parser)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(cli.Parser, "parse_args", stop)
+    with pytest.raises(SystemExit):
+        script_main(monkeypatch)()
+    assert len(parsers) == 5  # sweep, single, validate, plot and the script
+    assert [action.option_strings for parser in parsers for action in parser._actions
+            if action.type is not None] == []
+
+
+#: The integer flags of each entry point, and the setting key each one names.
+_RUN_FLAGS = {"--seed": "master_seed", **{flag: key for key, flag in COUNT_FLAGS.items()}}
+INTEGER_FLAGS = {
+    "sweep flag": {**_RUN_FLAGS, "--tdl-len": "tdl_len", "--mod-order": "modulation_order",
+                   "--workers": "workers"},
+    "single flag": {**_RUN_FLAGS, "--tdl-len": "tdl_len", "--mod-order": "modulation_order",
+                    "--fft": "fft_sizes", "--cell-id": "cell_id"},
+    "validate flag": {"--seed": "seed", "--bits": "bits_floor"},
+    "script flag": {**_RUN_FLAGS, "--workers": "workers"},
+}
+
+
+@pytest.mark.parametrize("text", ["1.5", "two", "1e6"])
+@pytest.mark.parametrize("path,flag,key", [(path, flag, key)
+                                           for path, flags in INTEGER_FLAGS.items()
+                                           for flag, key in flags.items()])
+def test_an_integer_flag_given_other_text_is_one_config_error_line(
+        capsys, monkeypatch, tmp_path, path, flag, key, text):
+    # before, argparse read these flags and printed its usage block
+    err = rejected(capsys, monkeypatch, tmp_path, path, [flag, text], {})
+    assert err.endswith(f": config error: {key}: cannot parse {text!r}: "
+                        f"invalid literal for int() with base 10: {text!r}\n")
+
+
 #: Values that an entry point behind a cell, ``single`` or ``validate`` took
 #: unjudged (and ran, or failed on deep inside): (call, exception, message).
 #: Each message names the setting.
