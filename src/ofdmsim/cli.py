@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .bitsource import DEFAULT_MASTER_SEED, check_key
+from .bitsource import check_key
 from .channel import (
     DEFAULT_TDL_DECAY_DB,
     DEFAULT_TDL_LEN,
@@ -36,11 +36,12 @@ from .sweep import (
     check_workers,
     emit_plot,
     read_records,
+    records_format,
     run_cell,
     run_grid,
     write_records,
 )
-from .validate import format_table, run_validation
+from .validate import BITS_FLOOR, format_table, run_validation
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
@@ -185,6 +186,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # a setting flag's dest is its key, and a flag not given leaves no attribute
     grid = build_grid({**_load_config_file(args.config), **vars(args)})
     workers = check_workers(args.workers)  # before the echo: one stderr line
+    _check_record_names(args.out, args.json_out)
     _echo_grid(grid)
     if args.report_snr:
         for _, config, spec, ebno in grid.cells():
@@ -193,6 +195,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                   f"sample_snr_db={snr:.4f}", file=sys.stderr)
     check_outputs((args.out, args.json_out), (args.plots,))
     return run_sweep(grid, workers, args.out, args.json_out, args.plots)
+
+
+def _check_record_names(out: str, json_out: Optional[str]) -> None:
+    """A :class:`ConfigError` naming the flag unless each records path has the
+    name of its format, as ``ofdmsim plot`` reads it (:func:`records_format`):
+    the CSV's ``--out`` may not end in .json, and ``--json-out`` must."""
+    if records_format(out) != "csv":
+        raise ConfigError(f"--out: the CSV records path must not end in .json, got {out}")
+    if json_out and records_format(json_out) != "json":
+        raise ConfigError(f"--json-out: the JSON records path must end in .json, got {json_out}")
 
 
 def check_outputs(records: Iterable[Optional[str]], charts: Iterable[Optional[str]]) -> None:
@@ -260,7 +272,9 @@ def cmd_single(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    rows, all_passed = run_validation(seed=args.seed, bits_floor=args.bits_floor)
+    # a flag not given leaves no attribute, so run_validation's default holds
+    given = {key: getattr(args, key) for key in ("seed", "bits_floor") if hasattr(args, key)}
+    rows, all_passed = run_validation(**given)
     print(format_table(rows))
     print(f"validation {'PASSED' if all_passed else 'FAILED'}")
     return EXIT_OK if all_passed else EXIT_VALIDATION_FAILED
@@ -361,10 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p_single)
     p_single.set_defaults(func=cmd_single)
 
-    p_val = sub.add_parser("validate", help="check the simulator against analytic references")
-    p_val.add_argument("--seed", default=DEFAULT_MASTER_SEED, help="master seed")
-    p_val.add_argument("--bits", dest="bits_floor", default=1_000_000,
-                       help="minimum bits per theory point (default 1000000)")
+    p_val = sub.add_parser("validate", help="check the simulator against analytic references",
+                           argument_default=argparse.SUPPRESS)
+    p_val.add_argument("--seed", help="master seed")
+    p_val.add_argument("--bits", dest="bits_floor",
+                       help=f"minimum bits per theory point (default {BITS_FLOOR})")
     p_val.set_defaults(func=cmd_validate)
 
     p_plot = sub.add_parser("plot", help="regenerate SVG charts from a records file")

@@ -39,7 +39,11 @@ whole bit-words (:data:`~ofdmsim.bitsource.WORD_BITS`), so the windows'
 draws from the split give the bits of one draw.  The draws are the
 repetition's own, in its order, and each window gives its elements what
 the whole repetition would, so a record does not depend on the windows;
-a cell's memory is about one window, and no draw is larger.
+a cell's memory is about one window, and no draw is larger.  A repetition
+size is planned once, in the workspace that serves it (``_Workspace``):
+its windows, each with the PSK symbols sent in it, whether it runs alone,
+and whether the receiver equalizes; the draws and the chain read that
+plan.
 
 The cell stops at the first repetition whose running totals reach
 ``target_errors`` or ``max_bits``, and the draws of the chunk's later
@@ -77,7 +81,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Optional, Sequence, get_type_hints
+from typing import Any, Iterable, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -233,82 +237,80 @@ class SweepFailure(RuntimeError):
 
 
 class _Workspace:
-    """Arrays for one window of up to ``capacity`` repetitions of ``n_bits`` bits.
+    """One group's plan and arrays for repetitions of ``n_bits`` bits of ``config``.
 
-    Each row holds one repetition's bits of one window, one byte each, and
-    ``frames`` of its OFDM symbols, with their noise (``noise``, which every
-    cell draws, a noiseless one its zero-variance -0.0).  A repetition that
-    fits in a window has all of its bits and symbols there, and a chunk
-    fills up to ``capacity`` rows; a longer (``long``) one runs alone, its
-    symbols a window of ``frames`` at a time.  A window's frame count is a
-    multiple of WORD_BITS / gcd(WORD_BITS, N log2 M) (and never less), so
-    every window but a repetition's last holds whole bit-words.  A fading
-    cell's channels are drawn into ``channel``, the chunk's
-    :class:`~ofdmsim.channel.ChannelState`, a row per repetition (``None``
-    for AWGN).  One workspace serves every chunk of a group with that
-    repetition size, whatever the cells' noise variances: the draws go into
-    it and the chain works in it in place, so a chunk allocates nothing in
-    proportion to its size, and a cell's memory is about one window.
+    The plan is made once, when the workspace is built: ``windows`` lists a
+    repetition's windows in order, each as (its OFDM symbols, a slice of at
+    most a window's frame count, and the PSK symbols the repetition sends
+    in them); ``long`` is whether there is more than one, so that the
+    repetition runs alone; and ``equalize`` is whether the receiver divides
+    by the channel, ZF asked for and the channel fading.  A window's frame
+    count is a multiple of WORD_BITS / gcd(WORD_BITS, N log2 M) (and never
+    less), so every window but a repetition's last holds whole bit-words.
+
+    The arrays hold one window of up to ``capacity`` repetitions.  Each row
+    holds one repetition's bits of one window, one byte each, and the
+    window's OFDM symbols, with their noise (``noise``, which every cell
+    draws, a noiseless one its zero-variance -0.0).  A repetition that fits
+    in a window has all of its bits and symbols there, and a chunk fills up
+    to ``capacity`` rows.  A fading cell's channels are drawn into
+    ``channel``, the chunk's :class:`~ofdmsim.channel.ChannelState`, a row
+    per repetition (``None`` for AWGN).  One workspace serves every chunk of
+    a group with that repetition size, whatever the cells' noise variances:
+    the draws go into it and the chain works in it in place, so a chunk
+    allocates nothing in proportion to its size, and a cell's memory is
+    about one window, plus about 200 bytes of plan a window (20 kB for a
+    2 Mbit single-carrier BPSK repetition, of 123 windows).
     """
 
-    def __init__(self, config: OfdmConfig, channel: ChannelSpec, n_bits: int):
-        n_fft, cp_len = config.fft_size, config.cp_len
-        self.n_fft = n_fft
+    def __init__(self, config: OfdmConfig, channel: ChannelSpec, n_bits: int,
+                 use_equalizer: bool):
+        n_fft, cp_len, b = config.fft_size, config.cp_len, config.bits_per_symbol
+        self.config = config
         self.n_bits = n_bits
-        self.used = n_bits // config.bits_per_symbol
-        self.n_frames = -(-self.used // n_fft)
-        step = WORD_BITS // math.gcd(WORD_BITS, n_fft * config.bits_per_symbol)
+        n_frames = _frames(config, n_bits)
+        step = WORD_BITS // math.gcd(WORD_BITS, n_fft * b)
         window = _CHUNK_SAMPLES // (n_fft + cp_len)
         window = max(step, window - window % step)
-        self.frames = min(window, self.n_frames)
-        self.capacity = window // self.frames
-        self.long = self.frames < self.n_frames
-        frames = (self.capacity, self.frames)
-        symbols = frames + (n_fft + cp_len,)
-        row = min(n_bits, self.frames * n_fft * config.bits_per_symbol)  # a window's bits
-        self.bits = np.empty((self.capacity, row), np.uint8)
+        frames = min(window, n_frames)
+        self.capacity = window // frames
+        used = n_bits // b
+        self.windows = [(slice(start, min(start + frames, n_frames)),
+                         min(used - start * n_fft, frames * n_fft))
+                        for start in range(0, n_frames, frames)]
+        self.long = len(self.windows) > 1
+        self.equalize = use_equalizer and channel.kind != AWGN
+        shape = (self.capacity, frames)
+        self.bits = np.empty((self.capacity, min(n_bits, frames * n_fft * b)), np.uint8)
         # the subcarrier grid holds the mapped symbols, later the DFT output
-        self.grid = np.empty(frames + (n_fft,), np.complex128)
-        self.tx = np.empty(symbols, np.complex128)
-        self.noise = np.empty(symbols, np.complex128)
+        self.grid = np.empty(shape + (n_fft,), np.complex128)
+        self.tx = np.empty(shape + (n_fft + cp_len,), np.complex128)
+        self.noise = np.empty(shape + (n_fft + cp_len,), np.complex128)
         self.channel = (None if channel.kind == AWGN
-                        else ChannelState(channel, self.capacity, self.n_frames))
-
-    def windows(self) -> Iterator[slice]:
-        """A repetition's OFDM symbols, at most ``frames`` at a time, in order."""
-        for start in range(0, self.n_frames, self.frames):
-            yield slice(start, min(start + self.frames, self.n_frames))
-
-    def slots(self, window: slice) -> int:
-        """The PSK symbols a repetition sends in its OFDM symbols ``window``."""
-        return min(self.used - window.start * self.n_fft,
-                   (window.stop - window.start) * self.n_fft)
+                        else ChannelState(channel, self.capacity, n_frames))
 
 
-def _run_chain_once(
-    work: _Workspace,
-    k: int,
-    window: slice,
-    config: OfdmConfig,
-    use_equalizer: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_chain_once(work: _Workspace, k: int, window: slice,
+                    used: int) -> tuple[np.ndarray, np.ndarray]:
     """The full transmit/channel/receive chain on one window of k repetitions.
 
-    Works on OFDM symbols ``window`` of the first k rows of ``work``: the
+    Works on OFDM symbols ``window`` of the first k rows of ``work``, which
+    send ``used`` PSK symbols there (an entry of ``work.windows``): the
     bits, the channels of a fading cell and the window's noise are drawn
     into it beforehand.  The noise is always added; a noiseless row's
-    -0.0 leaves its samples as they were.  Each step takes the whole chunk,
-    and gives every element the operation it would get in its repetition
-    alone, so a chunk gives the same result as its repetitions one at a
-    time, and a repetition's windows the same as the whole repetition at
-    once.
+    -0.0 leaves its samples as they were.  The receiver divides by the
+    channel where the plan says to (``work.equalize``).  Each step takes the
+    whole chunk, and gives every element the operation it would get in its
+    repetition alone, so a chunk gives the same result as its repetitions
+    one at a time, and a repetition's windows the same as the whole
+    repetition at once.
 
     Returns per-repetition (bit errors, zero-forcing clamps) of the window;
     the chunk's clamps are attributed to their rows from the response.
     """
+    config = work.config
     n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
     count = window.stop - window.start
-    used = work.slots(window)
     # a row holds a whole repetition's bits, or a long one's bits of this window
     bits = work.bits[:k, :used * config.bits_per_symbol]
     # several rows only when the window holds whole repetitions, so these
@@ -322,18 +324,16 @@ def _run_chain_once(
     unitary_idft(grid, out=tx[..., cp_len:])
     tx[..., :cp_len] = tx[..., n_fft:]  # cyclic prefix: copy of the symbol tail
 
-    fading = work.channel is not None
-    if fading:  # the window's response, which ZF divides by
+    if work.channel is not None:  # the window's response, which ZF divides by
         response = apply_channel(tx, work.channel, n_fft, window)
     rx = np.add(work.noise[:k, :count], tx, out=work.noise[:k, :count])
     freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), out=grid)
 
     clamps = np.zeros(k, dtype=np.int64)
-    if use_equalizer and fading:
-        if zero_forcing(freq, response)[1]:  # equalizes freq in place
-            # per repetition: a record counts only the kept ones' clamps
-            bad = np.broadcast_to(clamped(response), freq.shape)
-            clamps = np.count_nonzero(bad, axis=(1, 2))
+    if work.equalize and zero_forcing(freq, response)[1]:  # equalizes freq in place
+        # per repetition: a record counts only the kept ones' clamps
+        bad = np.broadcast_to(clamped(response), freq.shape)
+        clamps = np.count_nonzero(bad, axis=(1, 2))
 
     errors = count_psk_errors(freq.reshape(k, -1)[:, :used], labels, order)
     return errors, clamps
@@ -345,6 +345,12 @@ def _repetition_bits(config: OfdmConfig, remaining: int) -> int:
     to a multiple of log2 M, and never fewer than log2 M."""
     b = config.bits_per_symbol
     return max(b, (min(config.bit_budget, remaining) // b) * b)
+
+
+def _frames(config: OfdmConfig, n_bits: int) -> int:
+    """OFDM symbols of a repetition of ``n_bits`` bits: its whole PSK symbols
+    over N subcarriers, the last OFDM symbol zero-padded."""
+    return -(-(n_bits // config.bits_per_symbol) // config.fft_size)
 
 
 @dataclass(eq=False)
@@ -365,14 +371,10 @@ class _CellRun:
     record: Optional[BerRecord] = None
 
 
-def _run_rows(
-    work: _Workspace,
-    rows: list[_CellRun],
-    config: OfdmConfig,
-    use_equalizer: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_rows(work: _Workspace, rows: list[_CellRun]) -> tuple[np.ndarray, np.ndarray]:
     """Draw one repetition into each row of ``work``, row r from the stream of
-    ``rows[r]``, and run the chain on them, window by window.
+    ``rows[r]``, and run the chain on them, window by window of the
+    workspace's plan.
 
     Before the first window each row picks its bit source: the cell's
     stream, or for a long repetition, which runs alone in one row, the bits
@@ -386,17 +388,16 @@ def _run_rows(
     sources = [split_bits(cell.stream, work.n_bits) if work.long else cell.stream
                for cell in rows]
     errors = clamps = 0
-    for window in work.windows():  # one, unless the repetition runs alone
+    for window, used in work.windows:  # one, unless the repetition runs alone
         frames = window.stop - window.start
-        count = work.slots(window) * config.bits_per_symbol
+        count = used * work.config.bits_per_symbol
         for r, (cell, source) in enumerate(zip(rows, sources)):
             draw_bits(source, count, out=work.bits[r, :count])
             if not window.start and work.channel is not None:
                 realize_channel(work.channel, r, cell.stream)
             noise = work.noise[r, :frames]
             complex_gaussian(cell.stream, noise.size, cell.sigma2, out=noise)
-        window_errors, window_clamps = _run_chain_once(
-            work, len(rows), window, config, use_equalizer)
+        window_errors, window_clamps = _run_chain_once(work, len(rows), window, used)
         errors += window_errors
         clamps += window_clamps
     return errors, clamps
@@ -433,7 +434,7 @@ def _run_group(
     while live:
         sizes = [_repetition_bits(config, max_bits - cell.bits_sent) for cell in live]
         # the round's workspaces: kept from the last round where the size is the same
-        works = {n_bits: works.get(n_bits) or _Workspace(config, channel, n_bits)
+        works = {n_bits: works.get(n_bits) or _Workspace(config, channel, n_bits, use_equalizer)
                  for n_bits in dict.fromkeys(sizes)}
         stacks: dict[int, list[_CellRun]] = {n_bits: [] for n_bits in works}
         for cell, n_bits in zip(live, sizes):
@@ -445,7 +446,7 @@ def _run_group(
             work = works[n_bits]
             for start in range(0, len(stack), work.capacity):
                 rows = stack[start:start + work.capacity]
-                errors, clamps = _run_rows(work, rows, config, use_equalizer)
+                errors, clamps = _run_rows(work, rows)
                 for cell, rep_errors, rep_clamps in zip(rows, errors.tolist(), clamps.tolist()):
                     if cell.record is not None:
                         continue  # a row after its cell's stop: its draws are discarded
@@ -542,12 +543,6 @@ def _group_result(grid: SweepGrid, group: list[_Cell]) -> list[_CellResult]:
     return [(cell_id, record, None) for (cell_id, *_), record in zip(group, records)]
 
 
-def _repetition_samples(config: OfdmConfig, max_bits: int) -> int:
-    """Time-domain samples of a cell's first repetition, (N+L) * frames."""
-    used = _repetition_bits(config, max_bits) // config.bits_per_symbol
-    return (config.fft_size + config.cp_len) * -(-used // config.fft_size)
-
-
 def check_workers(workers: int) -> int:
     """``workers`` as an int, judged as a grid's counts are (a numpy integer is
     kept as an int, and a float or a bool is a ``TypeError`` naming it), or a
@@ -566,9 +561,13 @@ def _tasks(grid: SweepGrid, cells: list[_Cell], workers: int) -> list[list[_Cell
     groups = [list(group) for _, group in itertools.groupby(cells, key=operator.itemgetter(1))]
     parts = -(-workers // len(groups))
     tasks = [group[i::parts] for group in groups for i in range(min(parts, len(group)))]
-    max_bits = grid.max_bits_per_cell
-    tasks.sort(key=lambda task: len(task) * _repetition_samples(task[0][1], max_bits),
-               reverse=True)
+
+    def samples(task: list[_Cell]) -> int:  # (N+L) * frames of each cell's first repetition
+        config = task[0][1]
+        n_bits = _repetition_bits(config, grid.max_bits_per_cell)
+        return len(task) * (config.fft_size + config.cp_len) * _frames(config, n_bits)
+
+    tasks.sort(key=samples, reverse=True)
     return tasks
 
 
@@ -660,12 +659,18 @@ def write_records(records: Iterable[BerRecord], path: str, fmt: str = "csv") -> 
         raise IoError(f"failed to write records to {path}: {exc}") from exc
 
 
+def records_format(path: str) -> str:
+    """The format a records file's name gives it: "json" if the name ends in
+    .json, else "csv"."""
+    return "json" if str(path).endswith(".json") else "csv"
+
+
 def read_records(path: str) -> list[dict[str, Any]]:
-    """Read records back as typed row dicts (inverse of write_records): JSON if
-    the file name ends in .json, else CSV."""
+    """Read records back as typed row dicts (inverse of write_records), in the
+    format the file's name gives it (:func:`records_format`)."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            raw_rows = json.load(fh) if str(path).endswith(".json") else csv.DictReader(fh)
+            raw_rows = json.load(fh) if records_format(path) == "json" else csv.DictReader(fh)
             return [_typed(raw) for raw in raw_rows]
     except OSError as exc:
         raise IoError(f"failed to read records from {path}: {exc}") from exc

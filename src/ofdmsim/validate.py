@@ -14,8 +14,9 @@ rest are here):
   overhead accounting) must be statistically indistinguishable from that
   raw modem at the same Eb/No (overlapping z=3 intervals);
 * noiseless identity -- every (FFT size, CP fraction, channel) grid cell
-  recovers its bits exactly when the noise is effectively off and the
-  delay-line memory fits inside the cyclic prefix.
+  recovers its bits exactly at the noiseless point, Eb/No +inf, where the
+  noise step adds -0.0, when the delay-line memory fits inside the cyclic
+  prefix.
 
 Every cell runs through ``sweep.run_cell``, the chain a sweep runs, so a
 miscalibrated build (say, a wrong noise variance) fails the checks.
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitsource import check_key
+from .bitsource import DEFAULT_MASTER_SEED, check_key
 from .channel import AWGN, FLAT, TDL, ChannelSpec, exponential_pdp
 from .framing import OfdmConfig, as_integer
 from .metrics import theoretical_mpsk_ber
@@ -42,8 +43,8 @@ IDENTITY_CP_FRACTIONS = (
     Fraction(1, 4),
     Fraction(1, 2),
 )
-#: Effectively noiseless Eb/No used by the identity checks.
-NOISELESS_EBNO_DB = 300.0
+#: The fewest bits of a theory point, unless a run sets its own floor.
+BITS_FLOOR = 1_000_000
 
 #: Largest relative deviation of a theory point from the closed form.
 REL_TOLERANCE = 0.10
@@ -143,7 +144,7 @@ def check_noiseless_identity(seed: int) -> list[ValidationRow]:
                 ChannelSpec(kind=TDL, taps=exponential_pdp(memory + 1, 1.0)),
             ):
                 record = run_cell(
-                    config, spec, NOISELESS_EBNO_DB, seed, cell,
+                    config, spec, math.inf, seed, cell,
                     target_errors=1, max_bits=4500,
                 )
                 cell += 1
@@ -156,13 +157,15 @@ def check_noiseless_identity(seed: int) -> list[ValidationRow]:
     return rows
 
 
-def run_validation(seed: int, bits_floor: int) -> tuple[list[ValidationRow], bool]:
+def run_validation(seed: int = DEFAULT_MASTER_SEED,
+                   bits_floor: int = BITS_FLOOR) -> tuple[list[ValidationRow], bool]:
     """Run the three families in order; returns (rows, all_passed).
 
     ``seed`` is a stream key (:func:`~ofdmsim.bitsource.check_key`, in
     0..2^64-1) and ``bits_floor`` an integer of at least 1, the fewest
-    bits of a theory point.  Both are judged before any cell runs: a float
-    or a bool is a ``TypeError``, and a value out of range a
+    bits of a theory point; their defaults are ``ofdmsim validate``'s.
+    Both are judged before any cell runs: a float or a bool is a
+    ``TypeError``, and a value out of range a
     :class:`~ofdmsim.errors.ConfigError`, each naming the setting.
     """
     seed = check_key("seed", seed)

@@ -689,7 +689,7 @@ class TestOutputsCheckedFirst:
     def test_a_missing_directory_runs_no_cell(self, capsys, tmp_path, no_cell_runs, flag):
         blocker = tmp_path / "a_file"
         blocker.write_text("not a directory")
-        path = blocker / "x.csv" if flag != "--plots" else blocker / "charts"
+        path = blocker / {"--out": "x.csv", "--json-out": "x.json", "--plots": "charts"}[flag]
         out = tmp_path / "out.csv"
         argv = [*self.ARGV, "--out", str(out), flag, str(path)]
         self._io_error(capsys, argv, path)
@@ -719,6 +719,34 @@ class TestOutputsCheckedFirst:
         out = tmp_path / "x.csv"
         assert cli.main([*self.ARGV, "--out", str(out), "--plots", str(plots)]) == 0
         assert seen == [True] and out.exists()
+
+
+class TestRecordNames:
+    """``ofdmsim plot`` reads a records file in the format its name gives it,
+    so a sweep whose records path has the other format's name fails before
+    any cell runs (TestPlotCommand plots a sweep's JSON records again)."""
+
+    ARGV = TestOutputsCheckedFirst.ARGV
+
+    @pytest.mark.parametrize("flags,flag", [
+        (["--out", "{}/r.csv", "--json-out", "{}/r.out"], "--json-out"),
+        (["--out", "{}/r.json"], "--out"),
+        (["--out", "{}/x.csv", "--json-out", "{}/x.csv"], "--json-out"),
+    ], ids=["json-out-r.out", "out-r.json", "both-x.csv"])
+    def test_a_records_path_named_for_the_other_format_is_one_config_error(
+            self, capsys, monkeypatch, tmp_path, flags, flag):
+        import ofdmsim.cli as cli
+
+        def run_grid(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        assert cli.main([*self.ARGV, *(f.format(tmp_path) for f in flags)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert err[0].startswith(f"ofdmsim: config error: {flag}: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSettingNames:
@@ -804,6 +832,24 @@ class TestValidateCommand:
         golden = (Path(__file__).parent / "data" / "validate_default_stdout.txt").read_text()
         assert cli.main(["validate"]) == 0
         assert capsys.readouterr().out == golden
+
+    def test_a_flag_not_given_leaves_validates_default(self, capsys, monkeypatch):
+        import inspect
+
+        import ofdmsim.cli as cli
+        from ofdmsim.bitsource import DEFAULT_MASTER_SEED
+        from ofdmsim.validate import BITS_FLOOR, run_validation
+
+        calls = []
+        monkeypatch.setattr(cli, "run_validation",
+                            lambda **given: calls.append(given) or ([], True))
+        assert cli.main(["validate"]) == 0
+        assert cli.main(["validate", "--seed", "7", "--bits", "5"]) == 0
+        assert calls == [{}, {"seed": 7, "bits_floor": 5}]
+        defaults = {name: parameter.default
+                    for name, parameter in inspect.signature(run_validation).parameters.items()}
+        assert defaults == {"seed": DEFAULT_MASTER_SEED, "bits_floor": BITS_FLOOR}
+        assert BITS_FLOOR == 1_000_000
 
     def test_miscalibrated_noise_fails(self, capsys, monkeypatch):
         # a build whose chain adds twice the calibrated noise variance

@@ -313,9 +313,9 @@ class TestChunkedExecution:
         original = sweep_mod._run_chain_once
         stacked = []
 
-        def chain(work, k, window, config, use_equalizer):
+        def chain(work, k, window, used):
             stacked.append({owner[id(work.channel), row] for row in range(k)})
-            return original(work, k, window, config, use_equalizer)
+            return original(work, k, window, used)
 
         monkeypatch.setattr(sweep_mod, "_run_chain_once", chain)
         drawn.clear()
@@ -438,9 +438,9 @@ class TestLockstepGroups:
                 rounds.append([])
             return sizes(config, remaining)
 
-        def rows(work, cells, config, use_equalizer):
+        def rows(work, cells):
             rounds[-1].append(list(cells))
-            return run_rows(work, cells, config, use_equalizer)
+            return run_rows(work, cells)
 
         monkeypatch.setattr(sweep_mod, "_repetition_bits", size)
         monkeypatch.setattr(sweep_mod, "_run_rows", rows)
@@ -473,9 +473,9 @@ class TestNoiselessRows:
 
         run_rows, calls = sweep_mod._run_rows, []  # (workspace, Eb/No points of its rows)
 
-        def rows(work, cells, config, use_equalizer):
+        def rows(work, cells):
             calls.append((work, {cell.ebno_db for cell in cells}))
-            return run_rows(work, cells, config, use_equalizer)
+            return run_rows(work, cells)
 
         monkeypatch.setattr(sweep_mod, "_run_rows", rows)
         # CP 1/4 covers the delay line's memory, so the noiseless cell errs nowhere
@@ -564,7 +564,7 @@ class TestWindowedExecution:
         # two long repetitions, then a shorter one
         stops = dict(target_errors=10**6, max_bits=2 * budget + budget // 3)
         with mock.patch.object(sweep_mod, "_CHUNK_SAMPLES", window or sweep_mod._CHUNK_SAMPLES):
-            assert sweep_mod._Workspace(config, channel, budget).long
+            assert sweep_mod._Workspace(config, channel, budget, True).long
             record = run_cell(config, channel, 6.0, 5, 1, **stops)
         assert record == reference_cell(config, channel, 6.0, 5, 1, **stops)
 
