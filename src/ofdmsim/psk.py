@@ -26,20 +26,28 @@ def bits_per_symbol(order: int) -> int:
     return order.bit_length() - 1
 
 
+@lru_cache(maxsize=None)
 def _gray_labels(order: int) -> np.ndarray:
     """Label of each angular position p: the binary-reflected Gray code
     ``p ^ (p >> 1)``, so angular neighbours (including the wrap) differ in
-    exactly one bit and position 0 carries label 0."""
-    positions = np.arange(order)
-    return positions ^ (positions >> 1)
+    exactly one bit and position 0 carries label 0.
+
+    One read-only uint8 table per order, which the mapper's symbols and
+    the receiver's decision both read.  An invalid order is an
+    :class:`OrderError`.
+    """
+    bits_per_symbol(order)
+    positions = np.arange(order, dtype=np.uint8)
+    labels = positions ^ (positions >> 1)
+    labels.flags.writeable = False
+    return labels
 
 
 @lru_cache(maxsize=None)
 def _symbols_by_label(order: int) -> np.ndarray:
     """Symbol of each label: ``exp(2j*pi*p/order)`` at the label's angular position p."""
-    symbols = np.empty(order, dtype=np.complex128)
-    symbols[_gray_labels(order)] = np.exp(2j * np.pi * np.arange(order) / order)
-    return symbols
+    positions = np.argsort(_gray_labels(order))  # the table is a permutation
+    return np.exp(2j * np.pi * positions / order)
 
 
 def pack_labels(bits: np.ndarray, order: int) -> np.ndarray:
@@ -65,35 +73,22 @@ def pack_labels(bits: np.ndarray, order: int) -> np.ndarray:
     return labels
 
 
-def _ungroup_bits(groups: np.ndarray, b: int) -> np.ndarray:
-    shifts = np.arange(b - 1, -1, -1)
-    return ((groups[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+def _decide(symbols: np.ndarray, order: int) -> np.ndarray:
+    """Gray label (uint8) of the nearest constellation point to each symbol.
 
-
-@lru_cache(maxsize=None)
-def _error_table(order: int) -> np.ndarray:
-    """Bit errors of deciding angular position p when label l was sent.
-
-    Entry ``(p << b) | l`` is the popcount of ``labels[p] ^ l``.
+    The decided angular position is ``ceil(angle / width - 0.5)`` taken
+    modulo ``order``: a symbol exactly on the boundary between sectors k
+    and k+1 resolves to k, and a zero symbol to position 0.  The shape is
+    kept.
     """
-    sent = np.arange(order)
-    popcount = np.array([bin(x).count("1") for x in range(order)], dtype=np.uint8)
-    return popcount[_gray_labels(order)[:, None] ^ sent[None, :]].ravel()
-
-
-def _sectors(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Angular position of the nearest constellation point.
-
-    ``ceil(angle / width - 0.5)`` taken modulo ``order``: a symbol exactly on
-    the boundary between sectors k and k+1 resolves to k.
-    """
+    labels = _gray_labels(order)  # an invalid order is an OrderError
     u = np.angle(symbols)
     u /= 2.0 * np.pi / order
     u -= 0.5
     np.ceil(u, out=u)
-    sectors = u.astype(np.intp)
-    sectors &= order - 1
-    return sectors
+    positions = u.astype(np.intp)
+    positions &= order - 1
+    return labels[positions]
 
 
 def map_psk(labels: np.ndarray, order: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -105,7 +100,6 @@ def map_psk(labels: np.ndarray, order: int, out: Optional[np.ndarray] = None) ->
     rejected.  The shape is kept, and ``out``, if given, receives the
     symbols.
     """
-    bits_per_symbol(order)  # an invalid order is an OrderError
     # "clip" lets np.take write straight into out
     return np.take(_symbols_by_label(order), labels, out=out, mode="clip")
 
@@ -113,33 +107,31 @@ def map_psk(labels: np.ndarray, order: int, out: Optional[np.ndarray] = None) ->
 def demap_psk(symbols: np.ndarray, order: int) -> np.ndarray:
     """Hard-demap symbols to bits by nearest phase.
 
-    The decision is phase-only, so any positive scaling of a symbol leaves
-    the result unchanged.  A symbol exactly on the boundary between angular
-    sectors k and k+1 resolves to k (indices before the modulo wrap), and a
-    zero symbol resolves deterministically to position 0.
+    Each symbol gives the log2 M bits of its decided Gray label, MSB
+    first, as uint8 0s and 1s.  A block of any shape demaps as its C-order
+    ravel does, into one flat bit array.  The decision is phase-only, so
+    any positive scaling of a symbol leaves the result unchanged.  A symbol
+    exactly on the boundary between angular sectors k and k+1 resolves to
+    k (indices before the modulo wrap), and a zero symbol resolves
+    deterministically to position 0.
     """
     b = bits_per_symbol(order)
-    sectors = _sectors(np.asarray(symbols), order)
-    return _ungroup_bits(_gray_labels(order)[sectors], b)
+    decided = _decide(np.ravel(symbols), order)
+    return np.unpackbits(decided[:, None], axis=1)[:, 8 - b:].ravel()
 
 
 def count_psk_errors(symbols: np.ndarray, labels: np.ndarray, order: int) -> np.ndarray:
     """Bit errors of the nearest-phase decision on ``symbols`` against the ``labels`` sent.
 
-    The same decision as :func:`demap_psk`, counted without unpacking the
-    received labels into bits: each symbol contributes the popcount of its
-    decided label XOR the label sent, read from a precomputed table.
-    Counts are summed over the last axis, so (k, S) symbols against (k, S)
-    labels give k counts.
+    The same decision as :func:`demap_psk`, counted without unpacking it
+    into bits: each symbol contributes the popcount of its decided label
+    XOR the label sent, with no table.  Counts are summed over the last
+    axis, so (k, S) symbols against (k, S) labels give k counts.
     """
-    b = bits_per_symbol(order)
     symbols = np.asarray(symbols)
     labels = np.asarray(labels)
     if labels.shape[-1] != symbols.shape[-1]:
         raise LengthError(
             f"{labels.shape[-1]} labels do not match {symbols.shape[-1]} symbols"
         )
-    keys = _sectors(symbols, order)
-    keys <<= b
-    keys |= labels
-    return _error_table(order)[keys].sum(axis=-1)
+    return np.bitwise_count(_decide(symbols, order) ^ labels).sum(axis=-1)

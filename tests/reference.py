@@ -83,6 +83,42 @@ def post_dft_deviation(n_fft: int, cp: int, memory: int, seed: int, n_frames: in
     return float(np.max(np.abs(rx_freq - expected)))
 
 
+def cp_shortfall_matrices(n_fft: int, cp_len: int, taps) -> tuple[np.ndarray, np.ndarray]:
+    """The delay line over a ``cp_len``-sample prefix as two N x N matrices.
+
+    The kept samples of OFDM symbol t are ``A @ x_t + B @ x_{t-1}``, where
+    x_t is its N time samples before the prefix is added: A is the part of
+    the linear convolution that reads symbol t's own prefix and body, and B
+    the spill from the previous symbol's tail (x_{-1} = 0, the line starts
+    silent).  Tap l reads sample L + n - l of the symbol's N+L; a negative
+    index reaches back into the previous symbol.  So B = 0 when
+    ``cp_len >= len(taps) - 1``, and A is then circulant.  The memory must
+    fit in one symbol.
+    """
+    taps = np.asarray(taps, dtype=np.complex128)
+    if taps.size - 1 > n_fft + cp_len:
+        raise ValueError("the delay line reaches past the previous OFDM symbol")
+    own = np.zeros((n_fft, n_fft), dtype=np.complex128)
+    spill = np.zeros((n_fft, n_fft), dtype=np.complex128)
+    for n in range(n_fft):
+        for lag, tap in enumerate(taps):
+            sample = cp_len + n - lag  # of the N+L; sample m is body sample (m - L) mod N
+            if sample >= 0:
+                own[n, (sample - cp_len) % n_fft] += tap
+            else:  # sample N + L + sample of the previous symbol
+                spill[n, sample % n_fft] += tap
+    return own, spill
+
+
+def cp_shortfall_model(n_fft: int, cp_len: int, taps) -> tuple[np.ndarray, np.ndarray]:
+    """G = F A F^H and K = F B F^H of :func:`cp_shortfall_matrices`, with F the
+    unitary DFT: the received subcarriers of OFDM symbol t are
+    ``G @ X_t + K @ X_{t-1}`` before noise and equalization."""
+    forward = _direct_kernel(n_fft, False)
+    inverse = _direct_kernel(n_fft, True)
+    return tuple(forward @ m @ inverse for m in cp_shortfall_matrices(n_fft, cp_len, taps))
+
+
 def reference_cell(config, channel, ebno_db, seed, cell_id, *, target_errors, max_bits,
                    use_equalizer=True):
     """run_cell one repetition at a time, from the public kernels only.

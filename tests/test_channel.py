@@ -22,8 +22,9 @@ from ofdmsim.framing import (
     remove_cyclic_prefix,
 )
 from ofdmsim.psk import map_psk, pack_labels
+from ofdmsim.sweep import SweepGrid
 from ofdmsim.transform import unitary_dft, unitary_idft
-from reference import channel_state, post_dft_deviation, reference_cell
+from reference import channel_state, cp_shortfall_model, post_dft_deviation, reference_cell
 
 AWGN = ChannelSpec(kind="awgn")
 
@@ -387,3 +388,32 @@ class TestCpSufficiency:
     @pytest.mark.parametrize("cp", [0, 2, 4])
     def test_insufficient_prefix(self, cp):
         assert post_dft_deviation(64, cp, memory=8, seed=22, n_frames=4) > 1e-3
+
+
+class TestCpShortfallModel:
+    """Received subcarriers are G X_t + K X_(t-1): the in-window part of the
+    delay line and the spill from the previous OFDM symbol, as matrices."""
+
+    @pytest.mark.parametrize("n_fft", SweepGrid.fft_sizes)
+    @pytest.mark.parametrize("fraction", SweepGrid.cp_fractions)
+    def test_noiseless_frames_follow_the_matrix_model(self, n_fft, fraction):
+        cp = OfdmConfig(n_fft, fraction, modulation_order=8, bit_budget=1000).cp_len
+        n_frames = 3
+        spec = ChannelSpec(kind="tdl", taps=exponential_pdp(9, 1.0))
+        state = realize_channel(ChannelState(spec, 1, n_frames), 0, make_stream(n_fft, cp))
+        taps = state.taps[0]
+        labels = np.random.default_rng(cp).integers(0, 8, size=(n_frames, n_fft), dtype=np.uint8)
+        symbols = map_psk(labels, 8)
+        tx = add_cyclic_prefix(unitary_idft(symbols), cp)
+        apply_channel(tx[None], state, n_fft)  # in place
+        received = unitary_dft(remove_cyclic_prefix(tx, n_fft, cp))
+
+        g, k = cp_shortfall_model(n_fft, cp, taps)
+        previous = np.vstack((np.zeros(n_fft), symbols[:-1]))
+        expected = symbols @ g.T + previous @ k.T
+        assert np.max(np.abs(received - expected)) < 1e-12
+        if cp >= taps.size - 1:
+            assert not k.any()
+            np.testing.assert_allclose(g, np.diag(np.fft.fft(taps, n=n_fft)), rtol=0, atol=1e-12)
+        else:
+            assert np.max(np.abs(k)) > 1e-3

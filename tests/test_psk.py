@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ofdmsim.errors import LengthError, OrderError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import count_bit_errors, theoretical_mpsk_ber
-from ofdmsim.psk import bits_per_symbol, count_psk_errors, demap_psk, map_psk, pack_labels
+from ofdmsim.psk import (_decide, _gray_labels, bits_per_symbol, count_psk_errors, demap_psk,
+                         map_psk, pack_labels)
 
 ORDERS = [2, 4, 8, 16]
 
@@ -28,15 +29,17 @@ class TestBitsPerSymbol:
     def test_log2_of_the_order(self):
         assert [bits_per_symbol(m) for m in (2, 4, 8, 16, 256)] == [1, 2, 3, 4, 8]
 
-    # above 256 the labels no longer fit in a byte, and the error table grows as M^2
+    # above 256 the labels no longer fit in a byte
     @pytest.mark.parametrize("order", [-4, 0, 1, 3, 6, 512])
     def test_every_user_rejects_an_invalid_order(self, order):
-        # the one check behind the config, the mapper and the theory curve
+        # the one check behind the config, the mapper, the receiver and the theory curve
         for call in (
             lambda: bits_per_symbol(order),
             lambda: OfdmConfig(64, 0, modulation_order=order, bit_budget=1000),
             lambda: pack_labels(np.zeros(24, dtype=np.uint8), order),
             lambda: map_psk(np.zeros(8, dtype=np.uint8), order),
+            lambda: demap_psk(np.ones(4, dtype=complex), order),
+            lambda: count_psk_errors(np.ones(4, dtype=complex), np.zeros(4, np.uint8), order),
             lambda: theoretical_mpsk_ber(10.0, order),
         ):
             with pytest.raises(OrderError):
@@ -159,12 +162,50 @@ class TestBlocks:
         for row_bits, row in zip(bits, symbols):
             np.testing.assert_array_equal(map_bits(row_bits, 8), row)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_demap_reads_a_block_in_c_order(self, shape):
+        bits = bits_for(8, 6, seed=18)
+        block = map_bits(bits, 8).reshape(shape)
+        np.testing.assert_array_equal(demap_psk(block, 8), bits)  # the block's C-order ravel
+
     def test_map_into_out(self):
         bits = bits_for(8, 20, seed=15).reshape(2, 30)
         buffer = np.zeros((2, 16), dtype=complex)
         map_bits(bits, 8, out=buffer[:, :10])
         np.testing.assert_array_equal(buffer[:, :10], map_bits(bits, 8))
         np.testing.assert_array_equal(buffer[:, 10:], 0)
+
+
+class TestDecision:
+    @pytest.mark.parametrize("order", ORDERS + [256])
+    def test_one_read_only_gray_table(self, order):
+        table = _gray_labels(order)
+        assert table is _gray_labels(order)
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        positions = np.arange(order)
+        np.testing.assert_array_equal(table, positions ^ (positions >> 1))
+
+    @pytest.mark.parametrize("order", ORDERS + [256])
+    def test_decides_the_label_sent_and_keeps_the_shape(self, order):
+        labels = np.random.default_rng(19).integers(0, order, size=(3, 40)).astype(np.uint8)
+        decided = _decide(map_psk(labels, order), order)
+        assert decided.dtype == np.uint8
+        np.testing.assert_array_equal(decided, labels)
+
+    @pytest.mark.parametrize("order", [4, 8, 16])
+    def test_errors_nest_along_the_noise_ray(self, order):
+        # a decision sector is a convex cone around its point, so once s + n
+        # has left it, s + a*n stays outside for every a > 1
+        rng = np.random.default_rng(order)
+        labels = rng.integers(0, order, size=200_000).astype(np.uint8)
+        symbols = map_psk(labels, order)
+        noise = 0.25 * (rng.standard_normal(labels.size) + 1j * rng.standard_normal(labels.size))
+        wrong = _decide(symbols + noise, order) != labels
+        assert wrong.any() and not wrong.all()
+        for a in (1.25, 2.0, 8.0, 100.0):
+            farther = _decide(symbols + a * noise, order) != labels
+            assert not (wrong & ~farther).any()
+            wrong = farther
 
 
 class TestCountPskErrors:

@@ -100,6 +100,15 @@ class TestRunCell:
                           target_errors=100, max_bits=9000)
         assert record.bits_sent == 9000
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 20: the last repetition of a "
+                       "capped 8-PSK cell is rounded up to 3 bits, so it sends 2 000 001")
+    def test_a_default_capped_cell_stays_within_the_cap(self):
+        grid = SweepGrid()
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=grid.modulation_order,
+                            bit_budget=grid.bit_budget)
+        record = run_cell(config, grid.channel, 20.0, grid.master_seed, 0)
+        assert record.bits_sent <= grid.max_bits_per_cell
+
     def test_no_equalizer_is_reported_and_hurts_fading(self):
         config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=3000)
         spec = ChannelSpec(kind="flat")
