@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Optional
 
@@ -48,6 +49,60 @@ def _symbols_by_label(order: int) -> np.ndarray:
     """Symbol of each label: ``exp(2j*pi*p/order)`` at the label's angular position p."""
     positions = np.argsort(_gray_labels(order))  # the table is a permutation
     return np.exp(2j * np.pi * positions / order)
+
+
+#: A certified symbol lies within ``(pi/M)(1 - _MARGIN)`` of its sent
+#: point, 5e-10 sector widths inside its sector.
+_MARGIN = 1e-9
+
+#: Least ``Re z sin a`` certified: below the normal range (about 2.2e-308)
+#: rounding is absolute, not relative, and the margin no longer covers it.
+_FLOOR = 1e-290
+
+
+@lru_cache(maxsize=None)
+def _sector_test(order: int) -> tuple[np.ndarray, float, float]:
+    """``(conj(symbol) / 2 per label, cos a, sin a)`` for ``a = (pi/M)(1 - _MARGIN)``.
+
+    Halving is exact, and it keeps a rotated finite symbol finite (its
+    parts are at most ``|symbol| / 2``, under the float maximum).  The
+    table is read-only; an invalid order is an :class:`OrderError`.
+    """
+    rotations = np.conj(_symbols_by_label(order)) / 2
+    rotations.flags.writeable = False
+    a = math.pi / order * (1.0 - _MARGIN)
+    return rotations, math.cos(a), math.sin(a)
+
+
+def decided_as_sent(symbols: np.ndarray, labels: np.ndarray, order: int) -> bool:
+    """Whether every symbol lies strictly inside the decision sector of its sent label.
+
+    Each symbol is rotated back by its sent symbol, ``z = symbol *
+    conj(sent) / 2``, and certified when ``|Im z| cos a < Re z sin a`` with
+    ``a = (pi/M)(1 - 1e-9)`` and ``Re z sin a`` above 1e-290, in the normal
+    range: its phase is then within ``a`` of the sent point.  A sector is a
+    convex cone around its point (Proakis, *Digital Communications*, 5th
+    ed., sec. 4.3), so such a symbol is decided as sent.  The answer is
+    exact: :func:`_decide`'s rounding, ``ceil(angle / fl(2 pi/M) - 0.5)``,
+    is at most about 1e-13 sector widths even at M = 256, the test's own
+    about 1e-15 rad, and the margin is 5e-10 sector widths, so when this is
+    True, :func:`count_psk_errors` counts 0 on every row.  A False says
+    nothing.  Zero symbols, ties, and inf or NaN parts are never certified,
+    and raise no warning.  ``symbols`` and ``labels`` have one shape; an
+    invalid order is an :class:`OrderError` before any arithmetic.
+    """
+    rotations, cos_a, sin_a = _sector_test(order)
+    labels = np.asarray(labels)
+    if np.shape(symbols) != labels.shape:
+        raise LengthError(f"{labels.shape} labels do not match {np.shape(symbols)} symbols")
+    with np.errstate(all="ignore"):  # an inf or NaN part gives NaN or inf, never certified
+        z = np.take(rotations, labels)
+        z *= symbols
+        off = np.abs(z.imag)
+        off *= cos_a
+        reach = z.real * sin_a
+    np.maximum(off, _FLOOR, out=off)  # NaN stays NaN
+    return bool(np.less(off, reach).all())
 
 
 def pack_labels(bits: np.ndarray, order: int) -> np.ndarray:
@@ -126,7 +181,12 @@ def count_psk_errors(symbols: np.ndarray, labels: np.ndarray, order: int) -> np.
     The same decision as :func:`demap_psk`, counted without unpacking it
     into bits: each symbol contributes the popcount of its decided label
     XOR the label sent, with no table.  Counts are summed over the last
-    axis, so (k, S) symbols against (k, S) labels give k counts.
+    axis, so (k, S) symbols against (k, S) labels give k uint64 counts (a
+    scalar for 1-D input).  Where :func:`decided_as_sent` holds, every
+    count is exactly 0 without the angle decision: each symbol lies inside
+    its sent sector with a margin of 5e-10 sector widths, far beyond this
+    decision's rounding (about 1e-13), and above 1e-290, where that
+    rounding is relative.  The chain takes that shortcut on AWGN windows.
     """
     symbols = np.asarray(symbols)
     labels = np.asarray(labels)

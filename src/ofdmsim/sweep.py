@@ -101,7 +101,7 @@ from .errors import ConfigError, IoError, SizeError
 from .framing import (OfdmConfig, as_axis, as_fraction, as_integer, as_number, as_switch,
                       remove_cyclic_prefix)
 from .metrics import CSV_COLUMNS, BerRecord, make_record
-from .psk import count_psk_errors, map_psk, pack_labels
+from .psk import count_psk_errors, decided_as_sent, map_psk, pack_labels
 from .svgplot import emit_plot  # re-exported: plotting is part of the sweep surface
 from .transform import unitary_dft, unitary_idft
 
@@ -305,6 +305,15 @@ def _run_chain_once(work: _Workspace, k: int, window: slice,
     one at a time, and a repetition's windows the same as the whole
     repetition at once.
 
+    An AWGN window (the plan applies no channel: ``work.channel`` is None)
+    first asks :func:`~ofdmsim.psk.decided_as_sent` whether every symbol
+    lies inside its sent sector, 5e-10 sector widths from its edges and
+    with ``Re z sin a`` above 1e-290, in the normal range; if so its counts
+    are 0 with no angle decision, exactly the counts the decision gives,
+    since its rounding is about 1e-13 sector widths.  Row 0 is asked
+    first, so a chunk with errors pays for one row's test.  A fading window
+    always takes the decision: it errs too often for the test to pay.
+
     Returns per-repetition (bit errors, zero-forcing clamps) of the window;
     the chunk's clamps are attributed to their rows from the response.
     """
@@ -335,7 +344,12 @@ def _run_chain_once(work: _Workspace, k: int, window: slice,
         bad = np.broadcast_to(clamped(response), freq.shape)
         clamps = np.count_nonzero(bad, axis=(1, 2))
 
-    errors = count_psk_errors(freq.reshape(k, -1)[:, :used], labels, order)
+    symbols = freq.reshape(k, -1)[:, :used]
+    if work.channel is None and decided_as_sent(symbols[0], labels[0], order) and (
+            k == 1 or decided_as_sent(symbols[1:], labels[1:], order)):
+        errors = np.zeros(k, np.uint64)
+    else:
+        errors = count_psk_errors(symbols, labels, order)
     return errors, clamps
 
 

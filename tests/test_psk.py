@@ -1,5 +1,7 @@
 """Tests for PSK mapping, demapping, and the Gray-labelled constellation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,11 @@ from hypothesis import strategies as st
 from ofdmsim.errors import LengthError, OrderError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import count_bit_errors, theoretical_mpsk_ber
-from ofdmsim.psk import (_decide, _gray_labels, bits_per_symbol, count_psk_errors, demap_psk,
-                         map_psk, pack_labels)
+from ofdmsim.psk import (_decide, _gray_labels, _sector_test, bits_per_symbol, count_psk_errors,
+                         decided_as_sent, demap_psk, map_psk, pack_labels)
 
 ORDERS = [2, 4, 8, 16]
+ALL_ORDERS = [2**b for b in range(1, 9)]  # 2..256
 
 
 def map_bits(bits, order: int, out=None) -> np.ndarray:
@@ -40,6 +43,7 @@ class TestBitsPerSymbol:
             lambda: map_psk(np.zeros(8, dtype=np.uint8), order),
             lambda: demap_psk(np.ones(4, dtype=complex), order),
             lambda: count_psk_errors(np.ones(4, dtype=complex), np.zeros(4, np.uint8), order),
+            lambda: decided_as_sent(np.ones(4, dtype=complex), np.zeros(4, np.uint8), order),
             lambda: theoretical_mpsk_ber(10.0, order),
         ):
             with pytest.raises(OrderError):
@@ -231,6 +235,130 @@ class TestCountPskErrors:
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthError):
             count_psk_errors([1.0 + 0.0j], [0, 0], 8)
+
+
+def certified_one_by_one(symbols, labels, order: int) -> np.ndarray:
+    """decided_as_sent of each (symbol, label) pair on its own; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.array([decided_as_sent(np.array([symbol]), np.array([label], np.uint8), order)
+                         for symbol, label in zip(symbols, labels)], dtype=bool)
+
+
+def phases_by_label(order: int) -> np.ndarray:
+    """Phase of each label's point, 2*pi*p/order at its angular position p."""
+    return 2 * np.pi * positions_by_label(order) / order
+
+
+class TestDecidedAsSent:
+    """The certificate an AWGN window takes in place of the angle decision:
+    whenever it holds, the decision gives the labels sent, so every count
+    is 0."""
+
+    @staticmethod
+    def assert_only_sent_labels_certified(symbols, order: int, shifts) -> np.ndarray:
+        """Try each symbol against the labels ``shifts`` angular positions
+        from its decided one; only shift 0 may be certified.  Returns the
+        (symbol, shift) verdicts."""
+        symbols = np.asarray(symbols, dtype=complex)
+        with np.errstate(invalid="ignore"):  # the decision casts a NaN angle
+            decided = np.argsort(_gray_labels(order))[_decide(symbols, order)]
+        verdicts = np.column_stack([
+            certified_one_by_one(symbols, _gray_labels(order)[(decided + shift) % order], order)
+            for shift in shifts])
+        assert not verdicts[:, np.asarray(shifts) != 0].any()
+        return verdicts
+
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_one_read_only_table_per_order(self, order):
+        rotations = _sector_test(order)[0]
+        assert rotations is _sector_test(order)[0] and not rotations.flags.writeable
+        np.testing.assert_allclose(rotations, np.exp(-1j * phases_by_label(order)) / 2,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_noiseless_symbols_are_certified_as_sent_only(self, order):
+        labels = np.arange(order, dtype=np.uint8)
+        symbols = map_psk(labels, order)
+        assert decided_as_sent(symbols, labels, order)
+        verdicts = self.assert_only_sent_labels_certified(symbols, order, [0, -1, 1, order // 2])
+        assert verdicts[:, 0].all()
+
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_symbols_at_the_sector_boundaries_are_decided_as_certified(self, order):
+        # boundary p | p+1 at phase (p + 1/2) * 2*pi/M, taken into (-pi, pi] as
+        # the decision's angle is; the larger steps fall on either side of
+        # the margin (pi/M)*1e-9, depending on the order and the boundary
+        boundaries = (np.arange(order) + 0.5) * (2 * np.pi / order)
+        boundaries[boundaries > np.pi] -= 2 * np.pi
+        ulps = np.abs(np.spacing(boundaries))
+        steps = [k * ulps for k in (1, 2, 1e3, 1e6)] + [np.pi / order * 1e-9]
+        phases = np.concatenate([boundaries + side * step for step in steps for side in (-1, 1)])
+        # and subnormal ones, whose parts are whole multiples of the least
+        # subnormal, 5e-324: rounding there is absolute, so only the 1e-290
+        # floor keeps them from being certified across the boundary
+        near = [np.round(r * np.exp(1j * boundaries)) + dx + 1j * dy
+                for r in (7, 1000) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        symbols = np.concatenate([np.exp(1j * phases), 5e-324 * np.concatenate(near)])
+        self.assert_only_sent_labels_certified(symbols, order, [0, -1, 1, 2])
+
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_the_margin_is_a_billionth_of_the_half_sector(self, order):
+        labels = np.arange(order, dtype=np.uint8)
+        phases = phases_by_label(order)
+        for side in (-1, 1):
+            inside = np.exp(1j * (phases + side * np.pi / order * (1 - 2e-9)))
+            at_the_edge = np.exp(1j * (phases + side * np.pi / order * (1 - 0.5e-9)))
+            assert decided_as_sent(inside, labels, order)
+            assert not certified_one_by_one(at_the_edge, labels, order).any()
+
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_zero_tiny_huge_inf_and_nan_symbols(self, order):
+        big = np.finfo(float).max
+        never = [0.0, -0.0j, -1e-310j, 1e-300, 1e-300j, np.inf, -np.inf, 1j * np.inf,
+                 complex(np.inf, np.inf), np.nan, complex(np.nan, 1.0), complex(1.0, np.nan)]
+        maybe = [1e300, 1e300j, big, big * (1 + 1j), -big * (1 + 1j)]
+        # a finite rotation of a huge symbol cannot overflow: at M = 16, big*(1+1j)
+        # lies in position 2's sector, and Re z for position 1 would exceed big
+        shifts = range(-(order // 2), order - order // 2)
+        verdicts = self.assert_only_sent_labels_certified(never + maybe, order, shifts)
+        assert not verdicts[:len(never)].any()
+        # one of them spoils a block of sent symbols
+        labels = np.zeros(4, np.uint8)
+        for symbol in never:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not decided_as_sent(np.array([1.0, symbol, 1.0, 1.0]), labels, order)
+
+    def test_shapes_must_match(self):
+        assert decided_as_sent(np.ones((0,), complex), np.zeros((0,), np.uint8), 8)
+        assert decided_as_sent(np.ones((2, 3), complex), np.zeros((2, 3), np.uint8), 8)
+        with pytest.raises(LengthError):
+            decided_as_sent(np.ones((2, 3), complex), np.zeros(3, np.uint8), 8)
+
+    @given(
+        order=st.sampled_from(ALL_ORDERS),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 60)),
+        spread=st.floats(min_value=0.0, max_value=1.5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_certified_blocks_count_no_errors(self, order, seed, shape, spread):
+        # noise of about ``spread`` half-sectors: certified at small spreads,
+        # not at large ones, and at the edge in between
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, order, size=shape).astype(np.uint8)
+        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        symbols = map_psk(labels, order) + spread * np.sin(np.pi / order) * noise
+        counts = count_psk_errors(symbols, labels, order)
+        assert counts.dtype == np.uint64 and counts.shape == shape[:1]
+        # the chain's counts with the certificate equal those without it
+        chain = (np.zeros(shape[0], np.uint64) if decided_as_sent(symbols, labels, order)
+                 else counts)
+        np.testing.assert_array_equal(chain, counts)
+        for row_symbols, row_labels, count in zip(symbols, labels, counts):
+            if decided_as_sent(row_symbols, row_labels, order):
+                assert count == 0
 
 
 class TestProperties:

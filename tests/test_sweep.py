@@ -469,12 +469,15 @@ class TestLockstepGroups:
 
 TDL_12 = ChannelSpec(kind="tdl", taps=exponential_pdp(12, 1.0))
 
+# 8-PSK repetitions that share a chunk, and ones of two windows each that run alone
+BUDGETS = pytest.mark.parametrize("budget", [999, 60_000], ids=["999", "long"])
+
 
 class TestNoiselessRows:
     """A +inf cell takes the noise step every cell takes (zero-variance
     noise, which adds -0.0), so its rows go with a finite cell's."""
 
-    @pytest.mark.parametrize("budget", [999, 60_000], ids=["999", "long"])
+    @BUDGETS
     @pytest.mark.parametrize("channel", [ChannelSpec(kind="awgn"), ChannelSpec(kind="flat"),
                                          TDL_12], ids=["awgn", "flat", "tdl12"])
     def test_a_noiseless_cells_rows_go_with_a_finite_cells(self, monkeypatch, channel, budget):
@@ -504,6 +507,47 @@ class TestNoiselessRows:
         assert records == [reference_cell(config, channel, ebno_db, 5, cell_id, **stops)
                            for cell_id, ebno_db in points]
         assert records[1].bit_errors == 0
+
+
+class TestCertifiedDecisions:
+    """An AWGN window whose symbols all lie inside their sent sectors
+    (``psk.decided_as_sent``) counts 0 errors without the angle decision;
+    a fading window always decides, and the reference always decides."""
+
+    @BUDGETS
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("channel", [ChannelSpec(kind="awgn"), ChannelSpec(kind="flat")],
+                             ids=["awgn", "flat"])
+    def test_records_match_the_reference(self, monkeypatch, channel, budget, workers):
+        import ofdmsim.sweep as sweep_mod
+
+        decided = []  # Eb/No points of the rows of each window that took the decision
+        run_rows, count = sweep_mod._run_rows, sweep_mod.count_psk_errors
+
+        def rows(work, cells):
+            rows.ebnos = {cell.ebno_db for cell in cells}
+            return run_rows(work, cells)
+
+        def counted(*args):
+            decided.append(rows.ebnos)
+            return count(*args)
+
+        monkeypatch.setattr(sweep_mod, "_run_rows", rows)
+        monkeypatch.setattr(sweep_mod, "count_psk_errors", counted)
+        points = (0.0, 20.0, math.inf)
+        grid = SweepGrid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),), ebno_points_db=points,
+                         channel=channel, master_seed=5, max_bits_per_cell=3 * budget,
+                         target_errors=10**6, bit_budget=budget)
+        records = run_grid(grid, workers=workers)
+        if workers == 1:  # the cells ran one at a time, in this process
+            # at 0 dB every window decides; at 20 dB and +inf only fading ones do
+            assert decided and set().union(*decided) == ({0.0} if channel.kind == "awgn"
+                                                         else set(points))
+        monkeypatch.undo()
+        stops = dict(target_errors=10**6, max_bits=3 * budget, use_equalizer=True)
+        assert records == [reference_cell(config, channel, ebno_db, 5, cell_id, **stops)
+                           for cell_id, config, _, ebno_db in grid.cells()]
+        assert records[0].bit_errors > 0 and records[2].bit_errors == 0
 
 
 class TestWindowedExecution:
