@@ -88,8 +88,9 @@ def decided_as_sent(symbols: np.ndarray, labels: np.ndarray, order: int) -> bool
     about 1e-15 rad, and the margin is 5e-10 sector widths, so when this is
     True, :func:`count_psk_errors` counts 0 on every row.  A False says
     nothing.  Zero symbols, ties, and inf or NaN parts are never certified,
-    and raise no warning.  ``symbols`` and ``labels`` have one shape; an
-    invalid order is an :class:`OrderError` before any arithmetic.
+    and raise no warning.  The test runs in ``z``'s own memory, its only
+    float array.  ``symbols`` and ``labels`` have one shape; an invalid
+    order is an :class:`OrderError` before any arithmetic.
     """
     rotations, cos_a, sin_a = _sector_test(order)
     labels = np.asarray(labels)
@@ -98,9 +99,9 @@ def decided_as_sent(symbols: np.ndarray, labels: np.ndarray, order: int) -> bool
     with np.errstate(all="ignore"):  # an inf or NaN part gives NaN or inf, never certified
         z = np.take(rotations, labels)
         z *= symbols
-        off = np.abs(z.imag)
+        off = np.abs(z.imag, out=z.imag)
         off *= cos_a
-        reach = z.real * sin_a
+        reach = np.multiply(z.real, sin_a, out=z.real)
     np.maximum(off, _FLOOR, out=off)  # NaN stays NaN
     return bool(np.less(off, reach).all())
 
@@ -183,10 +184,8 @@ def count_psk_errors(symbols: np.ndarray, labels: np.ndarray, order: int) -> np.
     XOR the label sent, with no table.  Counts are summed over the last
     axis, so (k, S) symbols against (k, S) labels give k uint64 counts (a
     scalar for 1-D input).  Where :func:`decided_as_sent` holds, every
-    count is exactly 0 without the angle decision: each symbol lies inside
-    its sent sector with a margin of 5e-10 sector widths, far beyond this
-    decision's rounding (about 1e-13), and above 1e-290, where that
-    rounding is relative.  The chain takes that shortcut on AWGN windows.
+    count is exactly 0 (see there why), and the chain's AWGN windows skip
+    this decision.
     """
     symbols = np.asarray(symbols)
     labels = np.asarray(labels)

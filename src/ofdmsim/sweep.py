@@ -306,13 +306,11 @@ def _run_chain_once(work: _Workspace, k: int, window: slice,
     repetition at once.
 
     An AWGN window (the plan applies no channel: ``work.channel`` is None)
-    first asks :func:`~ofdmsim.psk.decided_as_sent` whether every symbol
-    lies inside its sent sector, 5e-10 sector widths from its edges and
-    with ``Re z sin a`` above 1e-290, in the normal range; if so its counts
-    are 0 with no angle decision, exactly the counts the decision gives,
-    since its rounding is about 1e-13 sector widths.  Row 0 is asked
-    first, so a chunk with errors pays for one row's test.  A fading window
-    always takes the decision: it errs too often for the test to pay.
+    asks :func:`~ofdmsim.psk.decided_as_sent` once, on its whole block,
+    whether every symbol lies inside its sent sector; if so its counts are
+    0 with no angle decision, exactly the counts the decision gives (see
+    there why).  A fading window always takes the decision: it errs too
+    often for the test to pay.
 
     Returns per-repetition (bit errors, zero-forcing clamps) of the window;
     the chunk's clamps are attributed to their rows from the response.
@@ -345,8 +343,7 @@ def _run_chain_once(work: _Workspace, k: int, window: slice,
         clamps = np.count_nonzero(bad, axis=(1, 2))
 
     symbols = freq.reshape(k, -1)[:, :used]
-    if work.channel is None and decided_as_sent(symbols[0], labels[0], order) and (
-            k == 1 or decided_as_sent(symbols[1:], labels[1:], order)):
+    if work.channel is None and decided_as_sent(symbols, labels, order):
         errors = np.zeros(k, np.uint64)
     else:
         errors = count_psk_errors(symbols, labels, order)

@@ -1,5 +1,6 @@
 """Tests for PSK mapping, demapping, and the Gray-labelled constellation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -329,6 +330,22 @@ class TestDecidedAsSent:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert not decided_as_sent(np.array([1.0, symbol, 1.0, 1.0]), labels, order)
+
+    def test_the_test_runs_in_the_rotated_symbols_memory(self):
+        # the rotated symbols (16 B a symbol) are the only float array; np.take
+        # casts the uint8 labels to intp indices (8 B) and the verdicts are bools
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 8, size=(1, 100_000)).astype(np.uint8)
+        noise = rng.standard_normal((1, 100_000)) + 1j * rng.standard_normal((1, 100_000))
+        symbols = map_psk(labels, 8) + 0.1 * noise
+        assert not decided_as_sent(symbols, labels, 8)  # and the cached table is built
+        tracemalloc.start()
+        try:
+            decided_as_sent(symbols, labels, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / labels.size <= 26
 
     def test_shapes_must_match(self):
         assert decided_as_sent(np.ones((0,), complex), np.zeros((0,), np.uint8), 8)

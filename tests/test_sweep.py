@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofdmsim.channel import ChannelSpec, ebno_to_noise_variance, exponential_pdp
+from ofdmsim.channel import ChannelSpec, exponential_pdp
 from ofdmsim.errors import ConfigError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import CSV_COLUMNS, BerRecord, make_record
@@ -33,7 +33,7 @@ from ofdmsim.sweep import (
     write_records,
 )
 from ofdmsim.validate import RAW_MODEM
-from reference import reference_cell
+from reference import psk_error_moments, reference_cell
 
 NOISELESS = 300.0
 
@@ -127,16 +127,30 @@ class TestRunCell:
         assert 0.0 <= record.ber < 0.1
 
 
+def _conditional_ber_cases():
+    """QPSK at 10 dB over every default (N, CP), flat and, where the prefix
+    holds its 8-sample memory, 9-tap TDL; and QPSK and 8-PSK at N 64 and
+    512, CP 1/4, 10 and 20 dB."""
+    grid = SweepGrid()
+    every = [(4, n, cp, kind, 10.0) for n in grid.fft_sizes for cp in grid.cp_fractions
+             for kind in ("flat", "tdl") if kind == "flat" or n * cp >= 8]
+    quarter = [(order, n, Fraction(1, 4), kind, ebno_db) for order in (4, 8) for n in (64, 512)
+               for kind in ("flat", "tdl") for ebno_db in (10.0, 20.0)]
+    cases = every + [case for case in quarter if case not in every]
+    return [pytest.param(*case, id=f"{case[0]}psk-{case[1]}-{case[2]}-{case[3]}-{case[4]:g}")
+            for case in cases]
+
+
 class TestFadingConditionalBer:
     """A fading cell's errors against their exact expectation given the
     channel it drew.  With ZF and a CP at least the channel memory, a used
-    subcarrier of gain H carries QPSK at per-bit error probability
-    p = Q(|H|/sigma), so the noise alone spreads the count around sum 2p
-    with variance sum 2p(1 - p): the check holds the channel's luck fixed
-    and tests the noise scaling, the channel normalization, ZF and the
-    decision under fading."""
-
-    BITS = 300_000  # a fixed count: the error target below is never reached
+    subcarrier of gain H carries its PSK symbol at SNR |H|^2 / sigma^2, whose
+    bit errors have the mean and second moment of
+    ``reference.psk_error_moments``; so the noise alone spreads the count
+    around the sum of the means, with the sum of the variances: the check
+    holds the channel's luck fixed and tests the noise scaling (sigma^2 from
+    the definition of Eb/N0, not from the simulator), the channel
+    normalization, ZF and the decision under fading."""
 
     @staticmethod
     def _gains(kind: str, drawn: np.ndarray, fft_size: int, used: int) -> np.ndarray:
@@ -147,11 +161,9 @@ class TestFadingConditionalBer:
             return np.repeat(np.abs(drawn), fft_size)[:used]
         return np.tile(np.abs(np.fft.fft(drawn, n=fft_size)), frames)[:used]
 
-    @pytest.mark.parametrize("ebno_db", [10.0, 20.0])
-    @pytest.mark.parametrize("kind", ["flat", "tdl"])
-    @pytest.mark.parametrize("fft_size", [64, 512])
-    def test_errors_match_the_expectation_given_the_drawn_channel(self, monkeypatch, fft_size,
-                                                                   kind, ebno_db):
+    @pytest.mark.parametrize("order,fft_size,cp,kind,ebno_db", _conditional_ber_cases())
+    def test_errors_match_the_expectation_given_the_drawn_channel(self, monkeypatch, order,
+                                                                   fft_size, cp, kind, ebno_db):
         import ofdmsim.sweep as sweep_mod
 
         drawn = []
@@ -164,21 +176,39 @@ class TestFadingConditionalBer:
             return state
 
         monkeypatch.setattr(sweep_mod, "realize_channel", capture)
-        config = OfdmConfig(fft_size, Fraction(1, 4), modulation_order=4, bit_budget=1000)
+        # whole repetitions of whole symbols, a fixed count: the error target is never reached
+        budget = 1000 if order == 4 else 999
+        bits = 300 * budget
+        config = OfdmConfig(fft_size, cp, modulation_order=order, bit_budget=budget)
         spec = (ChannelSpec(kind="flat") if kind == "flat"
                 else ChannelSpec(kind="tdl", taps=exponential_pdp(9, 1.0)))
         record = run_cell(config, spec, ebno_db, 31, fft_size + int(ebno_db),
-                          target_errors=10**9, max_bits=self.BITS)
-        assert record.bits_sent == self.BITS and record.zf_clamps == 0
+                          target_errors=10**9, max_bits=bits)
+        assert record.bits_sent == bits and record.zf_clamps == 0
         # a chunk's draws past the stop are discarded: keep each kept repetition's
         kept = drawn[:record.bits_sent // config.bit_budget]
         used = config.bit_budget // config.bits_per_symbol
-        sigma = math.sqrt(ebno_to_noise_variance(ebno_db, config, spec))
-        ratio = np.concatenate([self._gains(kind, row, fft_size, used) for row in kept]) / sigma
-        p = np.array([0.5 * math.erfc(x / math.sqrt(2.0)) for x in ratio.tolist()])
-        expected, variance = np.sum(2.0 * p), np.sum(2.0 * p * (1.0 - p))
+        sigma2 = 1.0 / (config.bits_per_symbol * 10.0 ** (ebno_db / 10.0))  # unit symbol energy
+        gains = np.concatenate([self._gains(kind, row, fft_size, used) for row in kept])
+        mean, second = psk_error_moments(order, gains**2 / sigma2)
+        expected, variance = mean.sum(), (second - mean**2).sum()
         z = (record.bit_errors - expected) / math.sqrt(variance)
         assert abs(z) <= 4.0, (record.bit_errors, expected, z)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_the_error_table_is_exact_where_q_is_known(self, order):
+        # BPSK: Q(sqrt(2 g)) a symbol; QPSK: two bits of Q(sqrt(g)) each
+        snr = np.geomspace(1e-3, 1e5, 4001)
+        q = np.array([0.5 * math.erfc(math.sqrt(g * (2 if order == 2 else 1) / 2))
+                      for g in snr.tolist()])
+        mean, second = psk_error_moments(order, snr)
+        exact = q if order == 2 else 2 * q
+        exact_second = q if order == 2 else 2 * q + 2 * q**2
+        known = exact > 1e-12
+        assert known.sum() > 1000
+        np.testing.assert_allclose(mean[known], exact[known], rtol=1e-3)
+        np.testing.assert_allclose(second[known], exact_second[known], rtol=1e-3)
+        assert np.all(mean[~known] <= 1e-11)
 
 
 @st.composite
@@ -522,7 +552,9 @@ class TestCertifiedDecisions:
         import ofdmsim.sweep as sweep_mod
 
         decided = []  # Eb/No points of the rows of each window that took the decision
+        windows = []  # each window's (k, used), then the shape of each block it certified
         run_rows, count = sweep_mod._run_rows, sweep_mod.count_psk_errors
+        chain, certify = sweep_mod._run_chain_once, sweep_mod.decided_as_sent
 
         def rows(work, cells):
             rows.ebnos = {cell.ebno_db for cell in cells}
@@ -532,8 +564,18 @@ class TestCertifiedDecisions:
             decided.append(rows.ebnos)
             return count(*args)
 
+        def window(work, k, span, used):
+            windows.append([(k, used)])
+            return chain(work, k, span, used)
+
+        def certified(symbols, labels, order):
+            windows[-1].append(np.shape(symbols))
+            return certify(symbols, labels, order)
+
         monkeypatch.setattr(sweep_mod, "_run_rows", rows)
         monkeypatch.setattr(sweep_mod, "count_psk_errors", counted)
+        monkeypatch.setattr(sweep_mod, "_run_chain_once", window)
+        monkeypatch.setattr(sweep_mod, "decided_as_sent", certified)
         points = (0.0, 20.0, math.inf)
         grid = SweepGrid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),), ebno_points_db=points,
                          channel=channel, master_seed=5, max_bits_per_cell=3 * budget,
@@ -543,6 +585,10 @@ class TestCertifiedDecisions:
             # at 0 dB every window decides; at 20 dB and +inf only fading ones do
             assert decided and set().union(*decided) == ({0.0} if channel.kind == "awgn"
                                                          else set(points))
+            # an AWGN window asks once, on its whole (k, used) block; a flat one never
+            assert windows
+            for shape, *asked in windows:
+                assert asked == ([shape] if channel.kind == "awgn" else [])
         monkeypatch.undo()
         stops = dict(target_errors=10**6, max_bits=3 * budget, use_equalizer=True)
         assert records == [reference_cell(config, channel, ebno_db, 5, cell_id, **stops)
