@@ -51,59 +51,40 @@ def _symbols_by_label(order: int) -> np.ndarray:
     return np.exp(2j * np.pi * positions / order)
 
 
-#: A certified symbol lies within ``(pi/M)(1 - _MARGIN)`` of its sent
-#: point, 5e-10 sector widths inside its sector.
+#: A certified window's noise keeps each symbol within ``(pi/M)(1 - _MARGIN)``
+#: of its sent point, 5e-10 sector widths inside its sector, and
+#: ``_MARGIN`` more absolute slack covers the chain's rounding.
 _MARGIN = 1e-9
 
-#: Least ``Re z sin a`` certified: below the normal range (about 2.2e-308)
-#: rounding is absolute, not relative, and the margin no longer covers it.
-_FLOOR = 1e-290
 
+def noise_keeps_decisions(noise: np.ndarray, order: int) -> bool:
+    """Whether every M-PSK symbol plus any one value of ``noise`` is decided as sent.
 
-@lru_cache(maxsize=None)
-def _sector_test(order: int) -> tuple[np.ndarray, float, float]:
-    """``(conj(symbol) / 2 per label, cos a, sin a)`` for ``a = (pi/M)(1 - _MARGIN)``.
-
-    Halving is exact, and it keeps a rotated finite symbol finite (its
-    parts are at most ``|symbol| / 2``, under the float maximum).  The
-    table is read-only; an invalid order is an :class:`OrderError`.
+    Holds when every value w has ``|w|^2 < r^2``, ``r = sin a - 1e-9`` and
+    ``a = (pi/M)(1 - 1e-9)``.  A unit-magnitude point plus w then lies
+    within ``arcsin |w| < a`` of the point's phase, strictly inside its
+    decision sector, a convex cone around it (Proakis, *Digital
+    Communications*, 5th ed., sec. 4.3), with the 5e-10-sector-width margin
+    that covers :func:`_decide`'s rounding (about 1e-13 sector widths at
+    M = 256).  On an AWGN window, w is the DFT of an OFDM symbol's kept
+    noise, padding subcarriers included, and the chain's received symbol
+    is the sent one plus w up to the rounding of the IDFT, the noise add
+    and two DFTs: each term is O(u log2 N) times the frame's 2-norm
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    sec. 24.1), and once every |w| < r that norm is at most (1 + r) sqrt N,
+    so the rounding is about 1e-13 at N = 512 and 3e-12 at N = 2^20, far
+    inside the 1e-9 slack.  So when this holds, :func:`count_psk_errors`
+    counts 0 on every row; a False says nothing.  NaN, inf and a value
+    whose square overflows are never certified, and raise no warning.  An
+    invalid order is an :class:`OrderError` before any arithmetic.
     """
-    rotations = np.conj(_symbols_by_label(order)) / 2
-    rotations.flags.writeable = False
-    a = math.pi / order * (1.0 - _MARGIN)
-    return rotations, math.cos(a), math.sin(a)
-
-
-def decided_as_sent(symbols: np.ndarray, labels: np.ndarray, order: int) -> bool:
-    """Whether every symbol lies strictly inside the decision sector of its sent label.
-
-    Each symbol is rotated back by its sent symbol, ``z = symbol *
-    conj(sent) / 2``, and certified when ``|Im z| cos a < Re z sin a`` with
-    ``a = (pi/M)(1 - 1e-9)`` and ``Re z sin a`` above 1e-290, in the normal
-    range: its phase is then within ``a`` of the sent point.  A sector is a
-    convex cone around its point (Proakis, *Digital Communications*, 5th
-    ed., sec. 4.3), so such a symbol is decided as sent.  The answer is
-    exact: :func:`_decide`'s rounding, ``ceil(angle / fl(2 pi/M) - 0.5)``,
-    is at most about 1e-13 sector widths even at M = 256, the test's own
-    about 1e-15 rad, and the margin is 5e-10 sector widths, so when this is
-    True, :func:`count_psk_errors` counts 0 on every row.  A False says
-    nothing.  Zero symbols, ties, and inf or NaN parts are never certified,
-    and raise no warning.  The test runs in ``z``'s own memory, its only
-    float array.  ``symbols`` and ``labels`` have one shape; an invalid
-    order is an :class:`OrderError` before any arithmetic.
-    """
-    rotations, cos_a, sin_a = _sector_test(order)
-    labels = np.asarray(labels)
-    if np.shape(symbols) != labels.shape:
-        raise LengthError(f"{labels.shape} labels do not match {np.shape(symbols)} symbols")
-    with np.errstate(all="ignore"):  # an inf or NaN part gives NaN or inf, never certified
-        z = np.take(rotations, labels)
-        z *= symbols
-        off = np.abs(z.imag, out=z.imag)
-        off *= cos_a
-        reach = np.multiply(z.real, sin_a, out=z.real)
-    np.maximum(off, _FLOOR, out=off)  # NaN stays NaN
-    return bool(np.less(off, reach).all())
+    bits_per_symbol(order)
+    r = math.sin(math.pi / order * (1.0 - _MARGIN)) - _MARGIN
+    noise = np.asarray(noise)
+    with np.errstate(all="ignore"):  # an overflowed square is inf, a NaN stays NaN
+        power = np.square(noise.real)
+        power += np.square(noise.imag)
+        return bool(power.max(initial=0.0) < r * r)
 
 
 def pack_labels(bits: np.ndarray, order: int) -> np.ndarray:
@@ -183,9 +164,10 @@ def count_psk_errors(symbols: np.ndarray, labels: np.ndarray, order: int) -> np.
     into bits: each symbol contributes the popcount of its decided label
     XOR the label sent, with no table.  Counts are summed over the last
     axis, so (k, S) symbols against (k, S) labels give k uint64 counts (a
-    scalar for 1-D input).  Where :func:`decided_as_sent` holds, every
-    count is exactly 0 (see there why), and the chain's AWGN windows skip
-    this decision.
+    scalar for 1-D input).  Where :func:`noise_keeps_decisions` holds on
+    an AWGN window's transformed noise, every count is exactly 0 (see there
+    why), and the chain skips the rest of the window: its mapping, IDFT,
+    receive DFT and this decision.
     """
     symbols = np.asarray(symbols)
     labels = np.asarray(labels)

@@ -25,11 +25,16 @@ the zero-forcing division are one broadcast operation each -- and gives
 each element the same floating-point operation on the same operands as a
 repetition on its own; only the delay-line convolution runs per
 repetition.  Zero-forcing clamps are attributed to their repetitions from
-the response.  A longer repetition runs alone, window by window: its
-channel is drawn once, then each window's bits and noise are drawn and the
-chain runs on that window, the delay line carrying its last samples into
-the next (and padding a signal shorter than its taps, so that each sum is
-the one a convolution over the whole repetition makes).  Every repetition
+the response.  An AWGN window asks its noise first: if the DFT of its kept
+noise stays, on every subcarrier, inside a disk about the PSK point that
+the point's decision sector contains
+(:func:`~ofdmsim.psk.noise_keeps_decisions`), every count is 0 and the rest
+of the chain does not run.  A longer repetition runs alone, window by
+window: its channel is drawn once, then each window's bits and noise are
+drawn and the chain runs on that window, the delay line carrying its
+last samples into the next (and padding a signal shorter than its taps, so
+that each sum is the one a convolution over the whole repetition makes).
+Every repetition
 draws its bits the same way, a window's at a time, from its bit source:
 the cell's stream, or for a longer repetition the bits split off the
 cell's stream where they would be drawn all at once
@@ -101,7 +106,7 @@ from .errors import ConfigError, IoError, SizeError
 from .framing import (OfdmConfig, as_axis, as_fraction, as_integer, as_number, as_switch,
                       remove_cyclic_prefix)
 from .metrics import CSV_COLUMNS, BerRecord, make_record
-from .psk import count_psk_errors, decided_as_sent, map_psk, pack_labels
+from .psk import count_psk_errors, map_psk, noise_keeps_decisions, pack_labels
 from .svgplot import emit_plot  # re-exported: plotting is part of the sweep surface
 from .transform import unitary_dft, unitary_idft
 
@@ -306,11 +311,15 @@ def _run_chain_once(work: _Workspace, k: int, window: slice,
     repetition at once.
 
     An AWGN window (the plan applies no channel: ``work.channel`` is None)
-    asks :func:`~ofdmsim.psk.decided_as_sent` once, on its whole block,
-    whether every symbol lies inside its sent sector; if so its counts are
-    0 with no angle decision, exactly the counts the decision gives (see
-    there why).  A fading window always takes the decision: it errs too
-    often for the test to pay.
+    first transforms its kept noise into the subcarrier grid, which is
+    scratch until the mapper fills it, and asks
+    :func:`~ofdmsim.psk.noise_keeps_decisions` once, on the whole (k,
+    frames, N) block, padding included: the receiver sees each sent symbol
+    plus that noise, up to rounding.  If it holds, the window's counts are
+    0 with no mapping, IDFT, receive DFT or decision, exactly the counts the
+    chain gives (see there why); if not, the chain runs as it would without
+    the test.  A fading window always runs the chain: it errs too often for
+    the test to pay.
 
     Returns per-repetition (bit errors, zero-forcing clamps) of the window;
     the chunk's clamps are attributed to their rows from the response.
@@ -318,11 +327,15 @@ def _run_chain_once(work: _Workspace, k: int, window: slice,
     config = work.config
     n_fft, cp_len, order = config.fft_size, config.cp_len, config.modulation_order
     count = window.stop - window.start
-    # a row holds a whole repetition's bits, or a long one's bits of this window
-    bits = work.bits[:k, :used * config.bits_per_symbol]
+    clamps = np.zeros(k, dtype=np.int64)
     # several rows only when the window holds whole repetitions, so these
     # views are contiguous and their reshapes write through
     grid, tx = work.grid[:k, :count], work.tx[:k, :count]
+    if work.channel is None and noise_keeps_decisions(
+            unitary_dft(work.noise[:k, :count, cp_len:], out=grid), order):
+        return np.zeros(k, np.uint64), clamps
+    # a row holds a whole repetition's bits, or a long one's bits of this window
+    bits = work.bits[:k, :used * config.bits_per_symbol]
 
     slots = grid.reshape(k, -1)
     slots[:, used:] = 0.0  # zero padding of the repetition's last OFDM symbol
@@ -336,18 +349,12 @@ def _run_chain_once(work: _Workspace, k: int, window: slice,
     rx = np.add(work.noise[:k, :count], tx, out=work.noise[:k, :count])
     freq = unitary_dft(remove_cyclic_prefix(rx, n_fft, cp_len), out=grid)
 
-    clamps = np.zeros(k, dtype=np.int64)
     if work.equalize and zero_forcing(freq, response)[1]:  # equalizes freq in place
         # per repetition: a record counts only the kept ones' clamps
         bad = np.broadcast_to(clamped(response), freq.shape)
         clamps = np.count_nonzero(bad, axis=(1, 2))
 
-    symbols = freq.reshape(k, -1)[:, :used]
-    if work.channel is None and decided_as_sent(symbols, labels, order):
-        errors = np.zeros(k, np.uint64)
-    else:
-        errors = count_psk_errors(symbols, labels, order)
-    return errors, clamps
+    return count_psk_errors(freq.reshape(k, -1)[:, :used], labels, order), clamps
 
 
 def _repetition_bits(config: OfdmConfig, remaining: int) -> int:

@@ -1,18 +1,23 @@
 """Tests for PSK mapping, demapping, and the Gray-labelled constellation."""
 
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ofdmsim.channel import ChannelSpec
 from ofdmsim.errors import LengthError, OrderError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import count_bit_errors, theoretical_mpsk_ber
-from ofdmsim.psk import (_decide, _gray_labels, _sector_test, bits_per_symbol, count_psk_errors,
-                         decided_as_sent, demap_psk, map_psk, pack_labels)
+from ofdmsim.psk import (_decide, _gray_labels, bits_per_symbol, count_psk_errors, demap_psk,
+                         map_psk, noise_keeps_decisions, pack_labels)
+from ofdmsim.transform import unitary_dft, unitary_idft
 
 ORDERS = [2, 4, 8, 16]
 ALL_ORDERS = [2**b for b in range(1, 9)]  # 2..256
@@ -44,7 +49,7 @@ class TestBitsPerSymbol:
             lambda: map_psk(np.zeros(8, dtype=np.uint8), order),
             lambda: demap_psk(np.ones(4, dtype=complex), order),
             lambda: count_psk_errors(np.ones(4, dtype=complex), np.zeros(4, np.uint8), order),
-            lambda: decided_as_sent(np.ones(4, dtype=complex), np.zeros(4, np.uint8), order),
+            lambda: noise_keeps_decisions(np.zeros(4, dtype=complex), order),
             lambda: theoretical_mpsk_ber(10.0, order),
         ):
             with pytest.raises(OrderError):
@@ -238,144 +243,159 @@ class TestCountPskErrors:
             count_psk_errors([1.0 + 0.0j], [0, 0], 8)
 
 
-def certified_one_by_one(symbols, labels, order: int) -> np.ndarray:
-    """decided_as_sent of each (symbol, label) pair on its own; any warning fails."""
+def certificate_radius(order: int) -> float:
+    """The certified noise radius: sin a - 1e-9 with a = (pi/M)(1 - 1e-9)."""
+    return math.sin(math.pi / order * (1 - 1e-9)) - 1e-9
+
+
+def certified_one_by_one(noise, order: int) -> np.ndarray:
+    """noise_keeps_decisions of each value on its own; any warning fails."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return np.array([decided_as_sent(np.array([symbol]), np.array([label], np.uint8), order)
-                         for symbol, label in zip(symbols, labels)], dtype=bool)
+        return np.array([noise_keeps_decisions(np.array([w]), order) for w in noise], dtype=bool)
 
 
-def phases_by_label(order: int) -> np.ndarray:
-    """Phase of each label's point, 2*pi*p/order at its angular position p."""
-    return 2 * np.pi * positions_by_label(order) / order
+#: Every direction of the plane: 256 steps of a turn, the axes among them.
+DIRECTIONS = np.exp(2j * np.pi * np.arange(256) / 256)
 
 
-class TestDecidedAsSent:
-    """The certificate an AWGN window takes in place of the angle decision:
-    whenever it holds, the decision gives the labels sent, so every count
-    is 0."""
-
-    @staticmethod
-    def assert_only_sent_labels_certified(symbols, order: int, shifts) -> np.ndarray:
-        """Try each symbol against the labels ``shifts`` angular positions
-        from its decided one; only shift 0 may be certified.  Returns the
-        (symbol, shift) verdicts."""
-        symbols = np.asarray(symbols, dtype=complex)
-        with np.errstate(invalid="ignore"):  # the decision casts a NaN angle
-            decided = np.argsort(_gray_labels(order))[_decide(symbols, order)]
-        verdicts = np.column_stack([
-            certified_one_by_one(symbols, _gray_labels(order)[(decided + shift) % order], order)
-            for shift in shifts])
-        assert not verdicts[:, np.asarray(shifts) != 0].any()
-        return verdicts
+class TestNoiseCertificate:
+    """The certificate an AWGN window takes in place of its chain: whenever
+    its transformed noise holds, the chain decides every symbol as sent,
+    so every count is 0."""
 
     @pytest.mark.parametrize("order", ALL_ORDERS)
-    def test_one_read_only_table_per_order(self, order):
-        rotations = _sector_test(order)[0]
-        assert rotations is _sector_test(order)[0] and not rotations.flags.writeable
-        np.testing.assert_allclose(rotations, np.exp(-1j * phases_by_label(order)) / 2,
-                                   atol=1e-15)
+    def test_zero_noise_certifies(self, order):
+        zeros = np.array([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), -0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert noise_keeps_decisions(zeros, order)
+            assert noise_keeps_decisions(np.zeros((2, 3, 4)), order)  # any shape, real too
+            assert noise_keeps_decisions(np.zeros((0,), complex), order)
 
     @pytest.mark.parametrize("order", ALL_ORDERS)
-    def test_noiseless_symbols_are_certified_as_sent_only(self, order):
-        labels = np.arange(order, dtype=np.uint8)
-        symbols = map_psk(labels, order)
-        assert decided_as_sent(symbols, labels, order)
-        verdicts = self.assert_only_sent_labels_certified(symbols, order, [0, -1, 1, order // 2])
-        assert verdicts[:, 0].all()
+    def test_the_radius_holds_in_every_direction(self, order):
+        r = certificate_radius(order)
+        inside = r * (1 - 1e-12) * DIRECTIONS
+        assert noise_keeps_decisions(inside, order)
+        assert certified_one_by_one(inside, order).all()
+        # the sector's own half-width reach, and the margin without the slack
+        for radius in (math.sin(math.pi / order), r + 0.5e-9):
+            assert not certified_one_by_one(radius * DIRECTIONS, order).any()
 
     @pytest.mark.parametrize("order", ALL_ORDERS)
-    def test_symbols_at_the_sector_boundaries_are_decided_as_certified(self, order):
-        # boundary p | p+1 at phase (p + 1/2) * 2*pi/M, taken into (-pi, pi] as
-        # the decision's angle is; the larger steps fall on either side of
-        # the margin (pi/M)*1e-9, depending on the order and the boundary
-        boundaries = (np.arange(order) + 0.5) * (2 * np.pi / order)
-        boundaries[boundaries > np.pi] -= 2 * np.pi
-        ulps = np.abs(np.spacing(boundaries))
-        steps = [k * ulps for k in (1, 2, 1e3, 1e6)] + [np.pi / order * 1e-9]
-        phases = np.concatenate([boundaries + side * step for step in steps for side in (-1, 1)])
-        # and subnormal ones, whose parts are whole multiples of the least
-        # subnormal, 5e-324: rounding there is absolute, so only the 1e-290
-        # floor keeps them from being certified across the boundary
-        near = [np.round(r * np.exp(1j * boundaries)) + dx + 1j * dy
-                for r in (7, 1000) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-        symbols = np.concatenate([np.exp(1j * phases), 5e-324 * np.concatenate(near)])
-        self.assert_only_sent_labels_certified(symbols, order, [0, -1, 1, 2])
-
-    @pytest.mark.parametrize("order", ALL_ORDERS)
-    def test_the_margin_is_a_billionth_of_the_half_sector(self, order):
-        labels = np.arange(order, dtype=np.uint8)
-        phases = phases_by_label(order)
-        for side in (-1, 1):
-            inside = np.exp(1j * (phases + side * np.pi / order * (1 - 2e-9)))
-            at_the_edge = np.exp(1j * (phases + side * np.pi / order * (1 - 0.5e-9)))
-            assert decided_as_sent(inside, labels, order)
-            assert not certified_one_by_one(at_the_edge, labels, order).any()
-
-    @pytest.mark.parametrize("order", ALL_ORDERS)
-    def test_zero_tiny_huge_inf_and_nan_symbols(self, order):
+    def test_nan_inf_overflow_and_subnormal_noise(self, order):
         big = np.finfo(float).max
-        never = [0.0, -0.0j, -1e-310j, 1e-300, 1e-300j, np.inf, -np.inf, 1j * np.inf,
-                 complex(np.inf, np.inf), np.nan, complex(np.nan, 1.0), complex(1.0, np.nan)]
-        maybe = [1e300, 1e300j, big, big * (1 + 1j), -big * (1 + 1j)]
-        # a finite rotation of a huge symbol cannot overflow: at M = 16, big*(1+1j)
-        # lies in position 2's sector, and Re z for position 1 would exceed big
-        shifts = range(-(order // 2), order - order // 2)
-        verdicts = self.assert_only_sent_labels_certified(never + maybe, order, shifts)
-        assert not verdicts[:len(never)].any()
-        # one of them spoils a block of sent symbols
-        labels = np.zeros(4, np.uint8)
-        for symbol in never:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert not decided_as_sent(np.array([1.0, symbol, 1.0, 1.0]), labels, order)
+        never = [np.nan, complex(np.nan, 0.0), complex(0.0, np.nan), np.inf, -np.inf,
+                 complex(0.0, np.inf), complex(np.inf, -np.inf), 1e300, -1e300j,
+                 1e300 * (1 + 1j), big, -big * 1j, 1e155]  # 1e155 squared overflows
+        small = [5e-324, -5e-324j, complex(5e-324, -1e-310), 1e-308 * (1 - 1j), 1e-300, 0.0]
+        assert not certified_one_by_one(never, order).any()
+        assert certified_one_by_one(small, order).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert noise_keeps_decisions(np.array(small), order)
+            for w in never:  # one spoils a block of small ones
+                assert not noise_keeps_decisions(np.array(small + [w] + small), order)
 
-    def test_the_test_runs_in_the_rotated_symbols_memory(self):
-        # the rotated symbols (16 B a symbol) are the only float array; np.take
-        # casts the uint8 labels to intp indices (8 B) and the verdicts are bools
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_the_worst_noise_under_the_radius_is_decided_as_sent(self, order):
+        # each label's point, pushed towards either sector edge along the
+        # tangent, and along the direction that turns it most (the tangent
+        # tilted back by arcsin |w|), by just under the radius
+        labels = np.arange(order, dtype=np.uint8)
+        sent = map_psk(labels, order)
+        size = certificate_radius(order) * (1 - 1e-12)
+        for side in (1, -1):
+            for turn in (math.pi / 2, math.pi / 2 + math.asin(size)):
+                noise = size * np.exp(1j * side * turn) * sent
+                assert noise_keeps_decisions(noise, order)
+                np.testing.assert_array_equal(_decide(sent + noise, order), labels)
+
+    def test_peak_memory_is_two_floats_a_value(self):
         rng = np.random.default_rng(3)
-        labels = rng.integers(0, 8, size=(1, 100_000)).astype(np.uint8)
-        noise = rng.standard_normal((1, 100_000)) + 1j * rng.standard_normal((1, 100_000))
-        symbols = map_psk(labels, 8) + 0.1 * noise
-        assert not decided_as_sent(symbols, labels, 8)  # and the cached table is built
+        noise = 0.01 * (rng.standard_normal((1, 100_000)) + 1j * rng.standard_normal((1, 100_000)))
+        assert noise_keeps_decisions(noise, 8)
         tracemalloc.start()
         try:
-            decided_as_sent(symbols, labels, 8)
+            noise_keeps_decisions(noise, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / labels.size <= 26
-
-    def test_shapes_must_match(self):
-        assert decided_as_sent(np.ones((0,), complex), np.zeros((0,), np.uint8), 8)
-        assert decided_as_sent(np.ones((2, 3), complex), np.zeros((2, 3), np.uint8), 8)
-        with pytest.raises(LengthError):
-            decided_as_sent(np.ones((2, 3), complex), np.zeros(3, np.uint8), 8)
+        assert peak / noise.size <= 17  # |w|^2 and one square: 8 B each
 
     @given(
         order=st.sampled_from(ALL_ORDERS),
+        n_fft=st.sampled_from([1, 64, 512]),
         seed=st.integers(0, 2**32 - 1),
-        shape=st.tuples(st.integers(1, 4), st.integers(1, 60)),
-        spread=st.floats(min_value=0.0, max_value=1.5),
+        worst=st.booleans(),
+        spread=st.one_of(st.floats(0.5, 1.5),
+                         st.sampled_from([1 - 1e-12, 1 - 1e-9, 1.0, 1 + 1e-9, 1.001])),
+        data=st.data(),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_certified_blocks_count_no_errors(self, order, seed, shape, spread):
-        # noise of about ``spread`` half-sectors: certified at small spreads,
-        # not at large ones, and at the edge in between
+    @settings(max_examples=150, deadline=None)
+    def test_a_certified_window_counts_no_errors_through_the_chain(self, order, n_fft, seed,
+                                                                    worst, spread, data):
+        # noise whose transform peaks at ``spread`` radii: random, or on every
+        # used subcarrier in the direction that turns its symbol most
+        import ofdmsim.sweep as sweep_mod
+
+        cp = Fraction(0) if n_fft == 1 else data.draw(st.sampled_from(
+            [Fraction(0), Fraction(1, 32), Fraction(1, 16), Fraction(1, 4), Fraction(1, 2)]))
+        k = data.draw(st.integers(1, 4))
+        b = bits_per_symbol(order)
+        n_bits = b * data.draw(st.integers(1, 5 * n_fft if n_fft > 1 else 2000))
+        config = OfdmConfig(n_fft, cp, modulation_order=order, bit_budget=n_bits)
+        work = sweep_mod._Workspace(config, ChannelSpec(kind="awgn"), n_bits, True)
+        (window, used), = work.windows
+        assert work.capacity >= k
+        frames, cp_len = window.stop, config.cp_len
         rng = np.random.default_rng(seed)
-        labels = rng.integers(0, order, size=shape).astype(np.uint8)
-        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-        symbols = map_psk(labels, order) + spread * np.sin(np.pi / order) * noise
-        counts = count_psk_errors(symbols, labels, order)
-        assert counts.dtype == np.uint64 and counts.shape == shape[:1]
-        # the chain's counts with the certificate equal those without it
-        chain = (np.zeros(shape[0], np.uint64) if decided_as_sent(symbols, labels, order)
-                 else counts)
-        np.testing.assert_array_equal(chain, counts)
-        for row_symbols, row_labels, count in zip(symbols, labels, counts):
-            if decided_as_sent(row_symbols, row_labels, order):
-                assert count == 0
+        work.bits[:k] = rng.integers(0, 2, size=(k, n_bits), dtype=np.uint8)
+        noise = work.noise[:k, :frames]
+        noise[:] = rng.standard_normal(noise.shape) + 1j * rng.standard_normal(noise.shape)
+        size = spread * certificate_radius(order)
+        if worst:  # padding subcarriers in any direction
+            side = rng.choice([-1.0, 1.0], size=(k, used))
+            turn = np.exp(1j * side * (math.pi / 2 + math.asin(min(size, 1.0))))
+            w = np.exp(2j * np.pi * rng.random(noise[..., cp_len:].shape))
+            w.reshape(k, -1)[:, :used] = map_psk(pack_labels(work.bits[:k], order), order) * turn
+            noise[..., cp_len:] = unitary_idft(size * w)
+        else:
+            noise *= size / np.abs(unitary_dft(noise[..., cp_len:])).max()
+        drawn = noise.copy()
+        certified = noise_keeps_decisions(unitary_dft(noise[..., cp_len:]), order)
+        errors, clamps = sweep_mod._run_chain_once(work, k, window, used)
+        noise[:] = drawn
+        with mock.patch.object(sweep_mod, "noise_keeps_decisions", lambda noise, order: False):
+            full, _ = sweep_mod._run_chain_once(work, k, window, used)
+        np.testing.assert_array_equal(errors, full)
+        assert errors.dtype == np.uint64 and errors.shape == (k,) and not clamps.any()
+        if certified:
+            assert not full.any()
+
+    @pytest.mark.parametrize("order", ALL_ORDERS)
+    def test_noise_on_the_padding_is_asked_too(self, order):
+        # a last OFDM symbol of 13 used subcarriers, whose kept noise sits on
+        # padding subcarrier N/2 alone, exactly: it swamps the sent samples,
+        # so the receiver sees zero symbols, though the transformed noise is
+        # exactly 0 on every used subcarrier
+        import ofdmsim.sweep as sweep_mod
+
+        n_bits = (5 * 64 + 13) * bits_per_symbol(order)
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=order, bit_budget=n_bits)
+        work = sweep_mod._Workspace(config, ChannelSpec(kind="awgn"), n_bits, True)
+        (window, used), = work.windows
+        rng = np.random.default_rng(1)
+        work.bits[:1] = rng.integers(0, 2, size=(1, n_bits), dtype=np.uint8)
+        work.noise[:1] = 0.0
+        work.noise[0, -1, config.cp_len:] = 1e30 * (1 + 1j) * (-1.0) ** np.arange(64)
+        transformed = unitary_dft(work.noise[0, -1, config.cp_len:])
+        assert not transformed[:13].any()
+        assert not noise_keeps_decisions(transformed, order)
+        errors, _ = sweep_mod._run_chain_once(work, 1, window, used)
+        labels = pack_labels(work.bits[0], order)[-13:]
+        assert errors[0] == np.bitwise_count(labels).sum() > 0  # each decided as label 0
 
 
 class TestProperties:

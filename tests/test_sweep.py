@@ -539,61 +539,107 @@ class TestNoiselessRows:
         assert records[1].bit_errors == 0
 
 
+CHAIN_STEPS = ("pack_labels", "map_psk", "unitary_idft", "count_psk_errors")
+
+
 class TestCertifiedDecisions:
-    """An AWGN window whose symbols all lie inside their sent sectors
-    (``psk.decided_as_sent``) counts 0 errors without the angle decision;
-    a fading window always decides, and the reference always decides."""
+    """An AWGN window whose transformed noise stays inside the decision
+    disk (``psk.noise_keeps_decisions``) counts 0 errors without the rest
+    of its chain; a fading window always runs the chain, and the reference
+    always decides."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record, per window the chain takes: its (k, frames, N) block, the
+        shapes it asked the certificate about, the answers, the chain steps
+        it called and the Eb/No points of its rows."""
+        import ofdmsim.sweep as sweep_mod
+
+        windows = []
+        run_rows, chain = sweep_mod._run_rows, sweep_mod._run_chain_once
+        certify = sweep_mod.noise_keeps_decisions
+
+        def rows(work, cells):
+            rows.ebnos = {cell.ebno_db for cell in cells}
+            return run_rows(work, cells)
+
+        def window(work, k, span, used):
+            windows.append(dict(block=(k, span.stop - span.start, work.config.fft_size),
+                                asked=[], answers=[], steps=set(), ebnos=rows.ebnos))
+            return chain(work, k, span, used)
+
+        def certified(noise, order):
+            answer = certify(noise, order)
+            windows[-1]["asked"].append(np.shape(noise))
+            windows[-1]["answers"].append(answer)
+            return answer
+
+        def step(name):
+            original = getattr(sweep_mod, name)
+
+            def called(*args, **kwargs):
+                windows[-1]["steps"].add(name)
+                return original(*args, **kwargs)
+            return called
+
+        monkeypatch.setattr(sweep_mod, "_run_rows", rows)
+        monkeypatch.setattr(sweep_mod, "_run_chain_once", window)
+        monkeypatch.setattr(sweep_mod, "noise_keeps_decisions", certified)
+        for name in CHAIN_STEPS:
+            monkeypatch.setattr(sweep_mod, name, step(name))
+        return windows
 
     @BUDGETS
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("channel", [ChannelSpec(kind="awgn"), ChannelSpec(kind="flat")],
                              ids=["awgn", "flat"])
     def test_records_match_the_reference(self, monkeypatch, channel, budget, workers):
-        import ofdmsim.sweep as sweep_mod
-
-        decided = []  # Eb/No points of the rows of each window that took the decision
-        windows = []  # each window's (k, used), then the shape of each block it certified
-        run_rows, count = sweep_mod._run_rows, sweep_mod.count_psk_errors
-        chain, certify = sweep_mod._run_chain_once, sweep_mod.decided_as_sent
-
-        def rows(work, cells):
-            rows.ebnos = {cell.ebno_db for cell in cells}
-            return run_rows(work, cells)
-
-        def counted(*args):
-            decided.append(rows.ebnos)
-            return count(*args)
-
-        def window(work, k, span, used):
-            windows.append([(k, used)])
-            return chain(work, k, span, used)
-
-        def certified(symbols, labels, order):
-            windows[-1].append(np.shape(symbols))
-            return certify(symbols, labels, order)
-
-        monkeypatch.setattr(sweep_mod, "_run_rows", rows)
-        monkeypatch.setattr(sweep_mod, "count_psk_errors", counted)
-        monkeypatch.setattr(sweep_mod, "_run_chain_once", window)
-        monkeypatch.setattr(sweep_mod, "decided_as_sent", certified)
+        windows = self.spy(monkeypatch)
         points = (0.0, 20.0, math.inf)
         grid = SweepGrid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),), ebno_points_db=points,
                          channel=channel, master_seed=5, max_bits_per_cell=3 * budget,
                          target_errors=10**6, bit_budget=budget)
         records = run_grid(grid, workers=workers)
         if workers == 1:  # the cells ran one at a time, in this process
-            # at 0 dB every window decides; at 20 dB and +inf only fading ones do
-            assert decided and set().union(*decided) == ({0.0} if channel.kind == "awgn"
-                                                         else set(points))
-            # an AWGN window asks once, on its whole (k, used) block; a flat one never
             assert windows
-            for shape, *asked in windows:
-                assert asked == ([shape] if channel.kind == "awgn" else [])
+            for seen in windows:
+                if channel.kind == "awgn":
+                    # an AWGN window asks once, on its whole (k, frames, N) block,
+                    # and a certified one calls none of the chain's steps
+                    assert seen["asked"] == [seen["block"]]
+                    assert seen["steps"] == (set() if seen["answers"][0] else set(CHAIN_STEPS))
+                else:  # a flat one never asks
+                    assert seen["asked"] == [] and seen["steps"] == set(CHAIN_STEPS)
+            # at 0 dB every window decides; at 20 dB and +inf only fading ones do
+            decided = set().union(*(seen["ebnos"] for seen in windows if seen["steps"]))
+            assert decided == ({0.0} if channel.kind == "awgn" else set(points))
         monkeypatch.undo()
         stops = dict(target_errors=10**6, max_bits=3 * budget, use_equalizer=True)
         assert records == [reference_cell(config, channel, ebno_db, 5, cell_id, **stops)
                            for cell_id, config, _, ebno_db in grid.cells()]
         assert records[0].bit_errors > 0 and records[2].bit_errors == 0
+
+    # the order, repetitions of 999-ish bits in chunks or of 60 000 bits
+    # window by window, and an Eb/No at which some windows are certified
+    # and some are not
+    @pytest.mark.parametrize("order,budget,reps,straddle", [
+        (2, 999, 30, 8.0), (2, 60_000, 3, 10.0), (256, 1000, 30, 37.0), (256, 60_000, 3, 39.0)],
+        ids=["2-999", "2-long", "256-1000", "256-long"])
+    def test_extreme_orders_match_the_reference(self, monkeypatch, order, budget, reps,
+                                                straddle):
+        windows = self.spy(monkeypatch)
+        points = (20.0, straddle, math.inf)
+        grid = SweepGrid(fft_sizes=(64,), cp_fractions=(Fraction(1, 4),), ebno_points_db=points,
+                         modulation_order=order, master_seed=7, max_bits_per_cell=reps * budget,
+                         target_errors=10**6, bit_budget=budget)
+        records = run_grid(grid, workers=1)
+        answers = {point: {answer for seen in windows if seen["ebnos"] == {point}
+                           for answer in seen["answers"]} for point in points}
+        assert answers[straddle] == {True, False} and answers[math.inf] == {True}
+        monkeypatch.undo()
+        stops = dict(target_errors=10**6, max_bits=grid.max_bits_per_cell, use_equalizer=True)
+        assert records == [reference_cell(config, grid.channel, ebno_db, 7, cell_id, **stops)
+                           for cell_id, config, _, ebno_db in grid.cells()]
 
 
 class TestWindowedExecution:
