@@ -112,18 +112,20 @@ class ChannelState:
     gain of each OFDM symbol; for :data:`TDL`, row r of ``taps``, a
     ``(rows, L+1)`` array of delay-line taps, each row scaled by
     ``amplitudes``, the sqrt(p_l) of the profile, computed once here and not
-    per row.  ``carry`` is the delay line's contents between windows of a
-    repetition that spans several: a ``(k, L)`` array of the last
-    pre-channel samples :func:`apply_channel` has passed through each of the
-    window's k rows (fewer if fewer have passed), kept only while a later
-    window follows, and ``None`` otherwise.  An AWGN spec has no state: a
-    ``ValueError``.
+    per row.  ``n_frames`` only sizes ``gains``: how a repetition splits
+    into windows is the caller's plan, not the state's.  ``carry`` is the
+    delay line's contents after the last :func:`apply_channel` call: a
+    ``(k, L)`` array of the last pre-channel samples that call's k rows
+    passed through (fewer if fewer have passed since the repetition's first
+    window), or ``None`` before any call.  Only the next window of the same
+    repetition reads it; a window that starts a repetition ignores it.  An
+    AWGN spec has no state: a ``ValueError``.
     """
 
     def __init__(self, spec: ChannelSpec, rows: int, n_frames: int):
         if spec.kind not in (FLAT, TDL):
             raise ValueError(f"{spec.kind} has no channel realization")
-        self.kind, self.n_frames = spec.kind, n_frames
+        self.kind = spec.kind
         self.gains = self.taps = self.amplitudes = self.carry = None
         if spec.kind == FLAT:
             self.gains = np.empty((rows, n_frames), dtype=np.complex128)
@@ -200,7 +202,7 @@ def realize_channel(state: ChannelState, row: int, stream: RngStream) -> Channel
     are the ones of the repetition on its own, whichever row takes them.
     """
     if state.kind == FLAT:
-        complex_gaussian(stream, state.n_frames, 1.0, out=state.gains[row])
+        complex_gaussian(stream, state.gains.shape[1], 1.0, out=state.gains[row])
     else:
         taps = complex_gaussian(stream, state.taps.shape[1], 1.0, out=state.taps[row])
         taps *= state.amplitudes
@@ -226,10 +228,12 @@ def apply_channel(
     repetition's concatenated frames, truncated to their length, so the
     first taps of each frame see the spill-over from the preceding samples
     -- exactly the interference a sufficient cyclic prefix absorbs.  It
-    runs row by row, each row one ``np.convolve``.  The line starts silent
-    at the repetition's first symbol; a later window is convolved after the
-    carry (the previous window's last ``memory`` pre-channel samples), and
-    only the outputs after the carry are kept, which are the ones one
+    runs row by row, each row one ``np.convolve``.  Every call keeps each
+    row's last ``memory`` pre-channel samples (fewer if fewer have passed)
+    in ``state.carry``.  The line starts silent at the repetition's first
+    symbol (a ``window.start`` of 0 or None), whatever carry an earlier
+    repetition left; a later window is convolved after the carry, and only
+    the outputs after the carry are kept, which are the ones one
     convolution over the whole repetition gives, bit for bit: a signal
     shorter than the taps is zero-padded to their length first.  No noise
     is added.
@@ -244,18 +248,14 @@ def apply_channel(
     if state.kind == FLAT:
         frames *= response
         return response
-    carry = state.carry if window.start else None
+    carry = state.carry if window.start else None  # a repetition's first window starts silent
     before = 0 if carry is None else carry.shape[1]
-    if window.stop is not None and window.stop < state.n_frames:  # a later window follows
-        kept = min(state.taps.shape[1] - 1, before + frames[0].size)
-        state.carry = np.empty((k, kept), dtype=np.complex128)
-    else:
-        state.carry = None
+    kept = min(state.taps.shape[1] - 1, before + frames[0].size)
+    state.carry = np.empty((k, kept), dtype=np.complex128)
     for r, (row, taps) in enumerate(zip(frames, state.taps)):
         block = row.ravel()
         signal = np.concatenate((carry[r], block)) if before else block
-        if state.carry is not None:
-            state.carry[r] = signal[signal.size - state.carry.shape[1]:]
+        state.carry[r] = signal[signal.size - kept:]
         if signal.size < taps.size:  # else np.convolve swaps them and sums in another order
             signal = np.pad(signal, (0, taps.size - signal.size))
         row[...] = np.convolve(signal, taps)[before:before + block.size].reshape(row.shape)

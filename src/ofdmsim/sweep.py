@@ -31,31 +31,33 @@ the point's decision sector contains
 (:func:`~ofdmsim.psk.noise_keeps_decisions`), every count is 0 and the rest
 of the chain does not run.  A longer repetition runs alone, window by
 window: its channel is drawn once, then each window's bits and noise are
-drawn and the chain runs on that window, the delay line carrying its
-last samples into the next (and padding a signal shorter than its taps, so
-that each sum is the one a convolution over the whole repetition makes).
-Every repetition
-draws its bits the same way, a window's at a time, from its bit source:
-the cell's stream, or for a longer repetition the bits split off the
-cell's stream where they would be drawn all at once
-(:func:`~ofdmsim.bitsource.split_bits`), so the stream goes on to the
-channel and the noise as if all of them had been drawn.  A window holds
+drawn and the chain runs on that window.  The delay line keeps its last
+samples after every call, which the next window of the repetition reads
+and a repetition's first window ignores (and it pads a signal shorter than
+its taps, so that each sum is the one a convolution over the whole
+repetition makes).  Every repetition draws its bits the same way, a
+window's at a time, from its bit source: the cell's stream, or for a
+longer repetition the bits split off the cell's stream where they would
+be drawn all at once (:func:`~ofdmsim.bitsource.split_bits`), so the
+stream goes on to the channel and the noise as if all of them had been
+drawn.  A window holds
 whole bit-words (:data:`~ofdmsim.bitsource.WORD_BITS`), so the windows'
 draws from the split give the bits of one draw.  The draws are the
 repetition's own, in its order, and each window gives its elements what
 the whole repetition would, so a record does not depend on the windows;
 a cell's memory is about one window, and no draw is larger.  A repetition
 size is planned once, in the workspace that serves it (``_Workspace``):
-its windows, each with the PSK symbols sent in it, whether it runs alone,
-and whether the receiver equalizes; the draws and the chain read that
-plan.
+its windows, each with the PSK symbols sent in it (more than one only
+when the repetition runs alone), and whether the receiver equalizes; the
+draws and the chain read that plan, and nothing else stores it.
 
 The cell stops at the first repetition whose running totals reach
 ``target_errors`` or ``max_bits``, and the draws of the chunk's later
 repetitions are discarded.  Because the stream is private to the cell,
 those extra draws touch nothing else, and a record does not depend on how
-the repetitions were chunked.  The first chunk is one repetition; each
-later chunk holds the repetitions the error rate so far predicts are still
+the repetitions were chunked.  A chunk is read from the cell's running
+totals when it is drawn.  The first chunk is one repetition; each later
+chunk holds the repetitions the error rate so far predicts are still
 needed, at most as many as have already run (so with no errors yet the
 total doubles), at most as many as one window holds, and only as many as
 keep the repetition's size, which holds while that many bits remain.
@@ -247,11 +249,11 @@ class _Workspace:
     The plan is made once, when the workspace is built: ``windows`` lists a
     repetition's windows in order, each as (its OFDM symbols, a slice of at
     most a window's frame count, and the PSK symbols the repetition sends
-    in them); ``long`` is whether there is more than one, so that the
-    repetition runs alone; and ``equalize`` is whether the receiver divides
-    by the channel, ZF asked for and the channel fading.  A window's frame
-    count is a multiple of WORD_BITS / gcd(WORD_BITS, N log2 M) (and never
-    less), so every window but a repetition's last holds whole bit-words.
+    in them), more than one only for a repetition that runs alone; and
+    ``equalize`` is whether the receiver divides by the channel, ZF asked
+    for and the channel fading.  A window's frame count is a multiple of
+    WORD_BITS / gcd(WORD_BITS, N log2 M) (and never less), so every window
+    but a repetition's last holds whole bit-words.
 
     The arrays hold one window of up to ``capacity`` repetitions.  Each row
     holds one repetition's bits of one window, one byte each, and the
@@ -283,7 +285,6 @@ class _Workspace:
         self.windows = [(slice(start, min(start + frames, n_frames)),
                          min(used - start * n_fft, frames * n_fft))
                         for start in range(0, n_frames, frames)]
-        self.long = len(self.windows) > 1
         self.equalize = use_equalizer and channel.kind != AWGN
         shape = (self.capacity, frames)
         self.bits = np.empty((self.capacity, min(n_bits, frames * n_fft * b)), np.uint8)
@@ -375,7 +376,8 @@ def _frames(config: OfdmConfig, n_bits: int) -> int:
 class _CellRun:
     """One cell of a group: its private stream, its noise variance, and its
     running totals, to which each of its rows adds as its batch returns,
-    until it stops with its record."""
+    until it stops with its record.  Each round reads the cell's next chunk
+    from these totals (see :func:`_run_group`); it is not stored."""
 
     cell_id: int
     ebno_db: float
@@ -385,7 +387,6 @@ class _CellRun:
     bit_errors: int = 0
     zf_clamps: int = 0
     reps: int = 0
-    chunk: int = 1  # repetitions in its next chunk, before the size and window caps
     record: Optional[BerRecord] = None
 
 
@@ -395,15 +396,15 @@ def _run_rows(work: _Workspace, rows: list[_CellRun]) -> tuple[np.ndarray, np.nd
     workspace's plan.
 
     Before the first window each row picks its bit source: the cell's
-    stream, or for a long repetition, which runs alone in one row, the bits
-    :func:`~ofdmsim.bitsource.split_bits` splits off it.  Each window, each
-    repetition draws the window's bits from its source, then its channel
-    (first window only, into its row of the workspace's channel state),
-    then the window's noise at its cell's variance, as it would alone: a
-    noiseless cell's draws nothing and fills its row with -0.0.  Returns
-    per-row (bit errors, zero-forcing clamps).
+    stream, or when the plan has more than one window (the repetition runs
+    alone, in one row), the bits :func:`~ofdmsim.bitsource.split_bits`
+    splits off it.  Each window, each repetition draws the window's bits
+    from its source, then its channel (first window only, into its row of
+    the workspace's channel state), then the window's noise at its cell's
+    variance, as it would alone: a noiseless cell's draws nothing and fills
+    its row with -0.0.  Returns per-row (bit errors, zero-forcing clamps).
     """
-    sources = [split_bits(cell.stream, work.n_bits) if work.long else cell.stream
+    sources = [split_bits(cell.stream, work.n_bits) if len(work.windows) > 1 else cell.stream
                for cell in rows]
     errors = clamps = 0
     for window, used in work.windows:  # one, unless the repetition runs alone
@@ -434,14 +435,18 @@ def _run_group(
     """Measure the cells ``points``, (cell_id, ebno_db) pairs of one config, in lockstep.
 
     Each round, every cell that has not stopped draws its next chunk as it
-    would alone; the round's rows of one repetition size, whatever their
-    noise variance, are stacked, up to a window's capacity, into one chain
-    call.  As each call returns, its rows add to their cells' totals in
-    order, and a cell stops at the row that meets its stop rule; its later
-    rows, in this batch or a later one of the stack, are the discarded
-    draws.  A row gets the operations it gets alone, so the records, in the
-    order of ``points``, are the ones :func:`run_cell` gives each cell.  The
-    values come judged, by :func:`run_cell` or by the grid.
+    would alone, its size read from the cell's totals: one repetition
+    before its first, then as many as have run, cut, once it has errors, to
+    the repetitions its error rate predicts are still needed; and at most
+    as many as keep the repetition's size or fit in a window.  The round's
+    rows of one repetition size, whatever their noise variance, are
+    stacked, up to a window's capacity, into one chain call.  As each call
+    returns, its rows add to their cells' totals in order, and a cell stops
+    at the row that meets its stop rule; its later rows, in this batch or a
+    later one of the stack, are the discarded draws.  A row gets the
+    operations it gets alone, so the records, in the order of ``points``,
+    are the ones :func:`run_cell` gives each cell.  The values come judged,
+    by :func:`run_cell` or by the grid.
     """
     cells = [_CellRun(cell_id, ebno_db, make_stream(seed, cell_id),
                       ebno_to_noise_variance(ebno_db, config, channel))
@@ -456,9 +461,16 @@ def _run_group(
                  for n_bits in dict.fromkeys(sizes)}
         stacks: dict[int, list[_CellRun]] = {n_bits: [] for n_bits in works}
         for cell, n_bits in zip(live, sizes):
+            # the repetitions the error rate so far predicts are still needed,
+            # but at most as many as have run (one before the first), so the
+            # total at most doubles
+            chunk = max(1, cell.reps)
+            if cell.bit_errors:
+                chunk = min(chunk, -(-(target_errors - cell.bit_errors) * cell.reps
+                                     // cell.bit_errors))
             # a repetition keeps its size while at least that many bits remain
             same_size = max(1, (max_bits - cell.bits_sent) // n_bits)
-            stacks[n_bits] += [cell] * min(cell.chunk, same_size, works[n_bits].capacity)
+            stacks[n_bits] += [cell] * min(chunk, same_size, works[n_bits].capacity)
 
         for n_bits, stack in stacks.items():
             work = works[n_bits]
@@ -478,14 +490,6 @@ def _run_group(
                                                   cell.cell_id)
 
         live = [cell for cell in live if cell.record is None]
-        for cell in live:
-            # next chunk: the repetitions the error rate so far predicts are
-            # still needed, but at most as many as have run, so the total at
-            # most doubles
-            cell.chunk = cell.reps
-            if cell.bit_errors:
-                cell.chunk = min(cell.reps, -(-(target_errors - cell.bit_errors) * cell.reps
-                                              // cell.bit_errors))
     return [cell.record for cell in cells]
 
 

@@ -325,13 +325,41 @@ class TestApplyChannel:
         realize_channel(state, 0, stream)
         expected = whole.copy()
         apply_channel(expected[None], state, 8)
-        assert state.carry is None  # no later window
         blocks = whole.copy()
         for window in (slice(0, 300), slice(300, 301), slice(301, 400)):
             apply_channel(blocks[None, window], state, 8, window)
-            # the carry is kept only while a later window follows
-            assert (state.carry is None) == (window.stop == 400)
-            assert state.carry is None or state.carry.shape == (1, n_taps - 1)
+            # every call keeps the last min(L, samples so far) pre-channel samples
+            passed = whole[:window.stop].ravel()
+            kept = min(n_taps - 1, passed.size)
+            np.testing.assert_array_equal(state.carry, passed[None, passed.size - kept:])
+        np.testing.assert_array_equal(blocks, expected)
+
+    @pytest.mark.parametrize("n_taps", [2, 12])
+    def test_a_repetitions_first_window_ignores_the_carry_left_before_it(self, n_taps):
+        # two rows of 10 frames of 8 samples: the first repetition's windows
+        # leave a carry, which the next repetition's first window (start 0)
+        # does not read; it starts the line silent, as the whole repetition does
+        stream = make_stream(19, n_taps)
+        spec = ChannelSpec(kind="tdl", taps=exponential_pdp(n_taps, 1.0))
+        state = ChannelState(spec, 2, 10)
+        earlier = complex_gaussian(stream, 2 * 10 * 8, 1.0).reshape(2, 10, 8)
+        for row in range(2):
+            realize_channel(state, row, stream)
+        for window in (slice(0, 6), slice(6, 10)):
+            apply_channel(earlier[:, window], state, 8, window)
+        assert state.carry.shape == (2, n_taps - 1) and state.carry.any()
+
+        later = complex_gaussian(stream, 2 * 10 * 8, 1.0).reshape(2, 10, 8)
+        for row in range(2):
+            realize_channel(state, row, stream)
+        # the repetition run whole, from a silent line
+        expected = np.array([np.convolve(row.ravel(), taps)[:row.size].reshape(row.shape)
+                             for row, taps in zip(later, state.taps)])
+        blocks = later.copy()
+        first = slice(0, 4)
+        apply_channel(blocks[:, first], state, 8, first)
+        np.testing.assert_array_equal(blocks[:, first], expected[:, first])
+        apply_channel(blocks[:, 4:], state, 8, slice(4, 10))
         np.testing.assert_array_equal(blocks, expected)
 
     def test_carry_shorter_than_the_memory_when_fewer_samples_passed(self):

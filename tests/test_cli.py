@@ -438,6 +438,37 @@ class TestErrorBoundary:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("text,reason", [
+        ('{"fft_sizes": [64,', "is not valid JSON: "),
+        ('[{"fft_sizes": [64]}]', "must hold a JSON object"),
+    ], ids=["not-json", "json-list"])
+    def test_config_file_not_a_json_object_is_one_config_error(self, capsys, tmp_path, text,
+                                                                reason):
+        import ofdmsim.cli as cli
+
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+                         "--plots", str(tmp_path / "charts")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"ofdmsim: config error: config file {path} {reason}")
+        assert sorted(tmp_path.iterdir()) == [path]  # no records, no chart directory
+
+    @pytest.mark.parametrize("name,text", [
+        ("header.csv", ",".join(CSV_COLUMNS) + "\n"), ("empty.json", "[]"),
+    ], ids=["csv-header-only", "json-empty-list"])
+    def test_records_file_with_no_records_is_one_config_error(self, capsys, tmp_path, name,
+                                                              text):
+        import ofdmsim.cli as cli
+
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["plot", "--records", str(path), "--out-dir", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ofdmsim: config error: records file {path} holds no records"]
+        assert sorted(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("name,text", [
         ("short.csv", ",".join(CSV_COLUMNS) + "\n64,1/4\n"),  # a row shorter than the header
         ("object.json", '{"a": 1}'),

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ofdmsim.channel import ChannelSpec, exponential_pdp
-from ofdmsim.errors import ConfigError
+from ofdmsim.errors import ConfigError, IoError
 from ofdmsim.framing import OfdmConfig
 from ofdmsim.metrics import CSV_COLUMNS, BerRecord, make_record
 from ofdmsim.sweep import (
@@ -528,7 +528,7 @@ class TestNoiselessRows:
         # one workspace per repetition size serves both cells' rows
         assert len({id(work) for work, _ in calls}) == 1
         assert set().union(*(ebnos for _, ebnos in calls)) == {14.0, math.inf}
-        assert calls[0][0].long == (budget > 999)
+        assert (len(calls[0][0].windows) > 1) == (budget > 999)
         if budget > 999:  # a long repetition runs alone, a row per call
             assert all(len(ebnos) == 1 for _, ebnos in calls)
         else:  # and a short one shares the call
@@ -641,6 +641,35 @@ class TestCertifiedDecisions:
         assert records == [reference_cell(config, grid.channel, ebno_db, 7, cell_id, **stops)
                            for cell_id, config, _, ebno_db in grid.cells()]
 
+    def test_certified_windows_match_their_closed_form_rate(self, monkeypatch):
+        # A window's kept noise after the unitary DFT is i.i.d. CN(0, s2), so
+        # each |w|^2 is exponential of mean s2 and a window of n values
+        # certifies with probability p = q^n, q = 1 - exp(-r^2 / s2), where r
+        # is the certificate's radius as its docstring gives it.  At 13.5 dB
+        # the 16 default configs' windows straddle the certificate, and the
+        # certified count lies within 4 standard deviations of sum(p): a
+        # noise variance 3 % off, or a DFT without its 1/sqrt(N), does not.
+        import ofdmsim.sweep as sweep_mod
+
+        calls = []  # (values asked about, verdict), one per AWGN window
+        certify = sweep_mod.noise_keeps_decisions
+
+        def certified(noise, order):
+            calls.append((np.size(noise), certify(noise, order)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sweep_mod, "noise_keeps_decisions", certified)
+        run_grid(SweepGrid(ebno_points_db=(13.5,), master_seed=3))
+        # 8-PSK with no CP charge: every config's noise variance is the same
+        s2 = 1.0 / (3 * 10 ** 1.35)
+        r = math.sin(math.pi / 8 * (1.0 - 1e-9)) - 1e-9
+        log_q = math.log1p(-math.exp(-r * r / s2))
+        p = np.exp(np.array([n for n, _ in calls]) * log_q)
+        passed = sum(verdict for _, verdict in calls)
+        z = (passed - p.sum()) / math.sqrt(np.sum(p * (1.0 - p)))
+        assert abs(z) <= 4.0, (passed, p.sum(), z)
+        assert len(calls) > 1000 and 0 < passed < len(calls)  # the panel straddles
+
 
 class TestWindowedExecution:
     """Repetitions longer than one window of ``_CHUNK_SAMPLES`` time-domain
@@ -709,7 +738,7 @@ class TestWindowedExecution:
         # two long repetitions, then a shorter one
         stops = dict(target_errors=10**6, max_bits=2 * budget + budget // 3)
         with mock.patch.object(sweep_mod, "_CHUNK_SAMPLES", window or sweep_mod._CHUNK_SAMPLES):
-            assert sweep_mod._Workspace(config, channel, budget, True).long
+            assert len(sweep_mod._Workspace(config, channel, budget, True).windows) > 1
             record = run_cell(config, channel, 6.0, 5, 1, **stops)
         assert record == reference_cell(config, channel, 6.0, 5, 1, **stops)
 
@@ -1121,6 +1150,17 @@ class TestPlots:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot([], str(tmp_path))
+
+    def test_an_output_directory_that_is_a_file_is_an_io_error(self, tmp_path):
+        config = OfdmConfig(64, Fraction(1, 4), modulation_order=8, bit_budget=1000)
+        records = [make_record(config, "awgn", 6.0, 10_000, 40, 0, 1, 0)]
+        path = tmp_path / "charts"
+        path.write_text("a file, not a directory")
+        with pytest.raises(IoError) as caught:
+            emit_plot(records, str(path))
+        assert str(caught.value).startswith(f"failed to write plot under {path}: ")
+        assert path.read_text() == "a file, not a directory"
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_plus_inf_rows_are_left_out(self, tmp_path):
         # the noiseless point has no place on the Eb/No axis: the finite points
